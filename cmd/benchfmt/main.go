@@ -1,73 +1,33 @@
-// Command benchfmt converts `go test -bench` output into a small JSON
-// document, so benchmark runs can be committed (BENCH_PR2.json and friends)
-// and diffed across PRs to track the performance trajectory.
+// Command benchfmt is the CI allocation gate: it reads `go test -bench
+// -benchmem` output and exits non-zero when the named benchmark's allocs/op
+// exceeds the budget, so a PR that regresses the zero-allocation protocol
+// path fails the build. Allocation counts are deterministic enough to gate
+// on where timings are not (performance claims come from bench/).
 //
 // Usage:
 //
-//	go test -bench . -benchmem ./... | go run ./cmd/benchfmt -out BENCH.json
-//	go run ./cmd/benchfmt -out BENCH.json bench1.txt bench2.txt
+//	go test -bench ServerOps -benchmem ./internal/kvserver | go run ./cmd/benchfmt -gate BenchmarkServerOps/shards=1 -max-allocs 48
+//	go run ./cmd/benchfmt -gate BenchmarkServerOps/shards=1 -max-allocs 48 bench.txt
 //
 // Non-benchmark lines are ignored, so raw `go test` output can be piped in
 // unfiltered.
-//
-// With -gate and -max-allocs, benchfmt doubles as the CI allocation gate:
-// it exits non-zero when the named benchmark's allocs/op exceeds the budget,
-// so a PR that regresses the zero-allocation protocol path fails the build.
-// Allocation counts are deterministic enough to gate on where timings are
-// not.
 package main
 
 import (
 	"bufio"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"runtime"
-	"sort"
 	"strconv"
 	"strings"
 )
 
 // Result is one parsed benchmark line.
 type Result struct {
-	Name       string             `json:"name"`
-	Iterations int64              `json:"iterations"`
-	Metrics    map[string]float64 `json:"metrics"`
-}
-
-// Report is the committed JSON document.
-type Report struct {
-	Go         string            `json:"go"`
-	GOOS       string            `json:"goos"`
-	GOARCH     string            `json:"goarch"`
-	CPUs       int               `json:"cpus"`
-	Note       string            `json:"note,omitempty"`
-	Benchmarks []Result          `json:"benchmarks"`
-	Latency    []LatencyResult   `json:"latency,omitempty"`
-	QuotaShed  []QuotaShedResult `json:"quota_shed,omitempty"`
-}
-
-// QuotaShedResult is one benchmark's per-tenant quota-shed count, lifted
-// from the quota_shed_<tenant> metrics the quota-capped tenant benchmark
-// reports (see BenchmarkServerOpsTenantQuota) — how many requests the
-// server answered "tenant over quota" for each tenant during the run.
-type QuotaShedResult struct {
-	Bench  string  `json:"bench"`
-	Tenant string  `json:"tenant"`
-	Shed   float64 `json:"shed"`
-}
-
-// LatencyResult is one benchmark's per-verb server-side latency summary,
-// lifted from p50_<verb>_us / p95_<verb>_us / p99_<verb>_us metrics the
-// server-facing benchmarks report (see BenchmarkServerOps).
-type LatencyResult struct {
-	Bench string  `json:"bench"`
-	Verb  string  `json:"verb"`
-	P50us float64 `json:"p50_us"`
-	P95us float64 `json:"p95_us"`
-	P99us float64 `json:"p99_us"`
+	Name       string
+	Iterations int64
+	Metrics    map[string]float64
 }
 
 func main() {
@@ -78,11 +38,12 @@ func main() {
 }
 
 func run() error {
-	out := flag.String("out", "", "output file (default stdout)")
-	note := flag.String("note", "", "free-form note recorded in the report")
 	gate := flag.String("gate", "", "benchmark name (GOMAXPROCS suffix stripped) whose allocs/op must not exceed -max-allocs")
 	maxAllocs := flag.Float64("max-allocs", 0, "allocs/op budget enforced for -gate")
 	flag.Parse()
+	if *gate == "" {
+		return fmt.Errorf("-gate is required")
+	}
 
 	var results []Result
 	if flag.NArg() == 0 {
@@ -104,34 +65,7 @@ func run() error {
 		}
 		results = append(results, rs...)
 	}
-	if len(results) == 0 {
-		return fmt.Errorf("no benchmark lines found")
-	}
-	if *gate != "" {
-		if err := gateAllocs(results, *gate, *maxAllocs); err != nil {
-			return err
-		}
-	}
-	report := Report{
-		Go:         runtime.Version(),
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		CPUs:       runtime.NumCPU(),
-		Note:       *note,
-		Benchmarks: results,
-		Latency:    liftLatency(results),
-		QuotaShed:  liftQuotaShed(results),
-	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if *out == "" {
-		_, err = os.Stdout.Write(data)
-		return err
-	}
-	return os.WriteFile(*out, data, 0o644)
+	return gateAllocs(results, *gate, *maxAllocs)
 }
 
 // gateAllocs fails when the named benchmark's allocs/op exceeds budget. The
@@ -153,72 +87,6 @@ func gateAllocs(results []Result, name string, budget float64) error {
 		return nil
 	}
 	return fmt.Errorf("gate %s: benchmark not found in input", name)
-}
-
-// liftLatency collects p50_<verb>_us / p95_<verb>_us / p99_<verb>_us
-// metrics into the report's latency section, one entry per (benchmark,
-// verb), in input order.
-func liftLatency(results []Result) []LatencyResult {
-	var out []LatencyResult
-	index := make(map[string]int) // "bench\x00verb" -> out index
-	for _, r := range results {
-		for unit, v := range r.Metrics {
-			q, rest, ok := strings.Cut(unit, "_")
-			if !ok || (q != "p50" && q != "p95" && q != "p99") {
-				continue
-			}
-			verb, found := strings.CutSuffix(rest, "_us")
-			if !found || verb == "" {
-				continue
-			}
-			key := r.Name + "\x00" + verb
-			i, seen := index[key]
-			if !seen {
-				i = len(out)
-				index[key] = i
-				out = append(out, LatencyResult{Bench: r.Name, Verb: verb})
-			}
-			switch q {
-			case "p50":
-				out[i].P50us = v
-			case "p95":
-				out[i].P95us = v
-			case "p99":
-				out[i].P99us = v
-			}
-		}
-	}
-	// Metrics is a map, so first-seen order is not deterministic; sort so
-	// committed reports diff cleanly.
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Bench != out[j].Bench {
-			return out[i].Bench < out[j].Bench
-		}
-		return out[i].Verb < out[j].Verb
-	})
-	return out
-}
-
-// liftQuotaShed collects quota_shed_<tenant> metrics into the report's
-// quota_shed section, one entry per (benchmark, tenant).
-func liftQuotaShed(results []Result) []QuotaShedResult {
-	var out []QuotaShedResult
-	for _, r := range results {
-		for unit, v := range r.Metrics {
-			tenant, ok := strings.CutPrefix(unit, "quota_shed_")
-			if !ok || tenant == "" {
-				continue
-			}
-			out = append(out, QuotaShedResult{Bench: r.Name, Tenant: tenant, Shed: v})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Bench != out[j].Bench {
-			return out[i].Bench < out[j].Bench
-		}
-		return out[i].Tenant < out[j].Tenant
-	})
-	return out
 }
 
 // parse extracts benchmark result lines:

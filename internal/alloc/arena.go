@@ -34,6 +34,13 @@ type Ref struct {
 	off uint32
 }
 
+// Word packs the ref into one word, segment in the high half; RefOf reverses
+// it.
+func (r Ref) Word() uint64 { return uint64(r.seg)<<32 | uint64(r.off) }
+
+// RefOf rebuilds the Ref a Word came from.
+func RefOf(w uint64) Ref { return Ref{seg: uint32(w >> 32), off: uint32(w)} }
+
 // recHeaderFixed is the fixed tail of a record header: 4 flag bytes plus 8
 // expiry bytes (unix nanoseconds, 0 = no expiry).
 const recHeaderFixed = 12

@@ -82,6 +82,9 @@ func (m *arenaModel) check() {
 		if string(key) != k {
 			m.t.Fatalf("ref for %q decodes key %q", k, key)
 		}
+		if RefOf(ref.Word()) != ref {
+			m.t.Fatalf("RefOf(Word) = %+v, want %+v", RefOf(ref.Word()), ref)
+		}
 		if !bytes.Equal(value, m.vals[k]) {
 			m.t.Fatalf("value mismatch for %q: got %q want %q", k, value, m.vals[k])
 		}

@@ -36,6 +36,22 @@ type Handle struct {
 // Class returns the slab class of the allocation.
 func (h Handle) Class() int { return h.class }
 
+// handleBits is the width of the slab and chunk fields in a handle word.
+const handleBits = 24
+
+// Word packs the handle into one word — class, slab, chunk from the top in
+// 16, 24 and 24 bits (NewSlabAllocator refuses geometries beyond that) — for
+// holders that index allocations by a single location word.
+func (h Handle) Word() uint64 {
+	return uint64(h.class)<<(2*handleBits) | uint64(h.slab)<<handleBits | uint64(h.chunk)
+}
+
+// HandleOf rebuilds the Handle a Word came from.
+func HandleOf(w uint64) Handle {
+	const mask = 1<<handleBits - 1
+	return Handle{class: int(w >> (2 * handleBits)), slab: int(w >> handleBits & mask), chunk: int(w & mask)}
+}
+
 // SlabAllocator implements Twemcache's memory layout: memory is carved into
 // fixed-size slabs, each permanently assigned to a class that subdivides it
 // into equal chunks. Once a slab joins a class it never leaves — the
@@ -126,6 +142,9 @@ func NewSlabAllocator(totalMem int64, opts ...SlabOption) (*SlabAllocator, error
 		sz = next
 	}
 	sizes = append(sizes, cfg.slabSize) // largest class: one chunk per slab
+	if len(sizes) > 1<<16 || maxSlabs > 1<<handleBits || cfg.slabSize/cfg.minChunk > 1<<handleBits {
+		return nil, fmt.Errorf("alloc: slab geometry exceeds the handle word (%d classes, %d slabs)", len(sizes), maxSlabs)
+	}
 	return &SlabAllocator{
 		slabSize:   cfg.slabSize,
 		maxSlabs:   maxSlabs,

@@ -103,6 +103,9 @@ func TestSlabAllocFreeReuse(t *testing.T) {
 	if h1 == h2 {
 		t.Fatal("distinct allocations share a chunk")
 	}
+	if got := HandleOf(h2.Word()); got != h2 {
+		t.Fatalf("HandleOf(Word) = %+v, want %+v", got, h2)
+	}
 	a.Free(h1)
 	if _, ok := a.Owner(h1); ok {
 		t.Fatal("freed chunk still owned")

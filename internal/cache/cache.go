@@ -31,8 +31,8 @@ var ErrTooLarge = errors.New("cache: item larger than capacity")
 
 // Policy is an online eviction policy managing a fixed budget of bytes.
 //
-// Implementations are not safe for concurrent use; wrap them in a Sharded or
-// guard them with a mutex (the root camp package does this).
+// Implementations are not safe for concurrent use; guard them with a mutex
+// (the root camp package does this, one per shard).
 type Policy interface {
 	// Name returns a short identifier such as "lru" or "camp".
 	Name() string

@@ -31,7 +31,7 @@ const DefaultPrecision uint = 5
 const PrecisionInf = rounding.PrecisionInf
 
 // Camp is the CAMP eviction policy. It is not safe for concurrent use; wrap
-// it (see cache.Sharded or the root camp package) for multi-threaded access.
+// it (see the root camp package) for multi-threaded access.
 type Camp struct {
 	capacity  int64
 	used      int64

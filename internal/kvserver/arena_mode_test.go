@@ -168,7 +168,7 @@ func TestArenaModeChurnCompaction(t *testing.T) {
 
 	// The running store-resident total must agree with a from-scratch resum
 	// after all that churn (the arbiter trusts the cached figure).
-	assertUsedTotals(t, s)
+	checkServer(t, s)
 }
 
 // TestArenaModeEviction fills an arena-mode server well past capacity and
@@ -193,7 +193,7 @@ func TestArenaModeEviction(t *testing.T) {
 	if v, ok, err := c.Get(fmt.Sprintf("bulk-%03d", n-1)); err != nil || !ok || len(v) != len(value) {
 		t.Fatalf("newest key after eviction churn: ok=%v err=%v", ok, err)
 	}
-	assertUsedTotals(t, s)
+	checkServer(t, s)
 }
 
 // TestArenaModeOversizeValue stores a value larger than the segment size; the
@@ -259,7 +259,7 @@ func TestArenaModeWarmRestart(t *testing.T) {
 	if _, ok, _ := c2.Get("k100"); ok {
 		t.Fatal("deleted key resurrected by recovery")
 	}
-	assertUsedTotals(t, s2)
+	checkServer(t, s2)
 }
 
 // TestArenaModeTenants pins that multi-tenancy (gated on byte mode before
@@ -296,21 +296,7 @@ func TestArenaModeTenants(t *testing.T) {
 	if stats["tenant:gold:bytes"] == "0" || stats["tenant:gold:reserved_bytes"] != fmt.Sprint(256<<10) {
 		t.Fatalf("tenant stats: %v", stats)
 	}
-	assertUsedTotals(t, s)
-}
-
-// assertUsedTotals locks every shard and checks the running store-resident
-// total the arbiter trusts against a from-scratch walk of the policies.
-func assertUsedTotals(t *testing.T, s *Server) {
-	t.Helper()
-	for i, sh := range s.shards {
-		sh.mu.Lock()
-		fast, slow := sh.store.usedAll(), sh.store.usedAllSlow()
-		sh.mu.Unlock()
-		if fast != slow {
-			t.Fatalf("shard %d: running used total %d != recomputed %d", i, fast, slow)
-		}
-	}
+	checkServer(t, s)
 }
 
 // TestNegativeExptimeExpiresImmediately is the regression test for the
@@ -503,16 +489,16 @@ func TestUsedTotalsInvariantUnderChurn(t *testing.T) {
 	if totalEvictions(s) == 0 {
 		t.Fatal("churn never triggered the arbiter")
 	}
-	assertUsedTotals(t, s)
+	checkServer(t, s)
 
 	// flush_all resets the totals with everything else.
 	if err := def.FlushAllTenants(); err != nil {
 		t.Fatal(err)
 	}
-	assertUsedTotals(t, s)
+	checkServer(t, s)
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		used := sh.store.usedAll()
+		used := sh.store.used()
 		sh.mu.Unlock()
 		if used != 0 {
 			t.Fatalf("used total %d after flush_all all, want 0", used)

@@ -239,10 +239,9 @@ func BenchmarkServerOpsTenants(b *testing.B) {
 // workload drives — so its noreply sets are shed silently once the bucket
 // drains while "prod" runs unlimited. Besides ops/s
 // it reports each tenant's lifetime quota_shed count from the server's own
-// counters — benchfmt lifts the quota_shed_<tenant> metrics into the
-// committed report's quota_shed section, so the shed volume under a known
-// overload is tracked across PRs alongside the throughput cost of the
-// quota check itself (compare against BenchmarkServerOpsTenants).
+// counters as quota_shed_<tenant> metrics, so the shed volume under a known
+// overload shows alongside the throughput cost of the quota check itself
+// (compare against BenchmarkServerOpsTenants).
 func BenchmarkServerOpsTenantQuota(b *testing.B) {
 	s, err := New(Config{
 		MemoryBytes:    256 << 20,
@@ -433,9 +432,7 @@ func benchServerOps(b *testing.B, shards int, mode string) {
 	b.ReportMetric(opsPerIter*float64(b.N)/b.Elapsed().Seconds(), "ops/s")
 	b.StopTimer()
 	// Server-side latency quantiles for the run, from the per-verb
-	// histograms the server kept while the benchmark hammered it. benchfmt
-	// lifts the p50/p95/p99 metrics into the committed report's latency
-	// section.
+	// histograms the server kept while the benchmark hammered it.
 	lc, err := kvclient.Dial(s.Addr())
 	if err != nil {
 		b.Fatal(err)

@@ -236,6 +236,10 @@ func TestChaosPrimaryFollower(t *testing.T) {
 		if _, err := c.Stats(); err != nil {
 			t.Fatalf("round %d: stats: %v (seed %d)", round, err, seed)
 		}
+		// Whatever the faults did to disks and links, each node's index,
+		// policies and layout still agree.
+		checkServer(t, primary)
+		checkServer(t, follower)
 
 		// Sometimes heal mid-run so the prober's recovery also runs while
 		// chaos continues on the other axis.

@@ -1,0 +1,84 @@
+package kvserver
+
+import (
+	"encoding/binary"
+	"testing"
+
+	"camp/internal/alloc"
+)
+
+// checkStore asserts the structural invariants tying a shard's index, its
+// policies and its layout together. The caller holds the shard mutex.
+func checkStore(t *testing.T, st *store) {
+	t.Helper()
+	n, used := st.policy.Len(), st.policy.Used()
+	for _, ts := range st.tens {
+		n += ts.policy.Len()
+		used += ts.policy.Used()
+	}
+	if len(st.items) != n {
+		t.Fatalf("index holds %d items, the policies %d", len(st.items), n)
+	}
+	if st.used() != used {
+		t.Fatalf("running used total %d != recomputed %d", st.used(), used)
+	}
+	// Every item's loc must be live in the layout, and the layout must hold
+	// nothing the index does not.
+	switch l := st.lay.(type) {
+	case byteLayout:
+	case *buddyLayout:
+		if err := l.b.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		var blocks int64
+		for key, it := range st.items {
+			b, err := l.b.BlockSize(st.itemSize(key, it.value))
+			if err != nil {
+				t.Fatalf("%q: %v", key, err)
+			}
+			blocks += b
+		}
+		if blocks != l.b.Used() {
+			t.Fatalf("items occupy %d block bytes, the allocator has %d in use", blocks, l.b.Used())
+		}
+	case *slabLayout:
+		for key, it := range st.items {
+			if owner, ok := l.a.Owner(alloc.HandleOf(it.loc)); !ok || owner != key {
+				t.Fatalf("%q: chunk owned by %q (allocated=%v)", key, owner, ok)
+			}
+		}
+		chunks := 0
+		for _, cs := range l.a.Stats() {
+			chunks += cs.UsedChunks
+		}
+		if chunks != len(st.items) {
+			t.Fatalf("%d chunks in use for %d items", chunks, len(st.items))
+		}
+	case *arenaLayout:
+		var live int64
+		var scratch [binary.MaxVarintLen64]byte
+		for key, it := range st.items {
+			k, v, flags, exp := l.a.Record(alloc.RefOf(it.loc))
+			if string(k) != key || flags != it.flags || exp != expiryNano(it.expiresAt) || it.value != nil {
+				t.Fatalf("%q: record holds key %q flags %d expiry %d", key, k, flags, exp)
+			}
+			live += int64(binary.PutUvarint(scratch[:], uint64(len(k))) + binary.PutUvarint(scratch[:], uint64(len(v))) + 12 + len(k) + len(v))
+		}
+		as := l.a.Stats()
+		if live != as.LiveBytes || as.LiveBytes+as.DeadBytes > as.HeldBytes {
+			t.Fatalf("items hold %d record bytes; arena %+v", live, as)
+		}
+	default:
+		t.Fatalf("unknown layout %T", st.lay)
+	}
+}
+
+// checkServer locks every shard in turn and runs checkStore on it.
+func checkServer(t *testing.T, s *Server) {
+	t.Helper()
+	for _, sh := range s.shards {
+		sh.mu.Lock()
+		checkStore(t, sh.store)
+		sh.mu.Unlock()
+	}
+}

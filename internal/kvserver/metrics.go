@@ -142,7 +142,7 @@ func (s *Server) handleStatsShards(cs *connState) error {
 		rejected := sh.store.rejected()
 		reclaimed := sh.store.reclaimed()
 		missTable := len(sh.missedAt)
-		as := sh.store.arenaStats()
+		as, packed := sh.store.lay.stats()
 		sh.mu.Unlock()
 		lat := sh.latHist.Snapshot()
 		lock := sh.lockHist.Snapshot()
@@ -157,7 +157,7 @@ func (s *Server) handleStatsShards(cs *connState) error {
 		out = appendStat(out, prefix+"p99_us", uint64(lat.Quantile(0.99).Microseconds()))
 		out = appendStat(out, prefix+"lock_holds", lock.Count)
 		out = appendStat(out, prefix+"lock_p99_us", uint64(lock.Quantile(0.99).Microseconds()))
-		if s.arenaMode {
+		if packed {
 			out = appendStatInt(out, prefix+"arena_live_bytes", as.LiveBytes)
 			out = appendStatInt(out, prefix+"arena_dead_bytes", as.DeadBytes)
 			out = appendStatInt(out, prefix+"arena_held_bytes", as.HeldBytes)
@@ -356,14 +356,13 @@ func (s *Server) buildRegistry() {
 	// convention); they carry samples only in arena mode.
 	arenaGauge := func(name, help, typ string, get func(as alloc.ArenaStats) float64) {
 		r.Register(name, help, typ, func(tw *metrics.TextWriter) {
-			if !s.arenaMode {
-				return
-			}
 			for i, sh := range s.shards {
 				sh.mu.Lock()
-				v := get(sh.store.arenaStats())
+				as, packed := sh.store.lay.stats()
 				sh.mu.Unlock()
-				tw.Sample("", v, "shard", labels[i])
+				if packed {
+					tw.Sample("", get(as), "shard", labels[i])
+				}
 			}
 		})
 	}

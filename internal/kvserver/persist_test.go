@@ -31,7 +31,7 @@ func captureState(s *Server) map[string]expectedItem {
 				continue
 			}
 			out[key] = expectedItem{
-				value:   string(sh.store.itemValue(it)),
+				value:   string(sh.store.valueOf(it)),
 				flags:   it.flags,
 				expires: persist.ExpiresFrom(it.expiresAt),
 				cost:    meta.Cost,

@@ -19,9 +19,9 @@ const maxPooledScratch = 64 << 10
 
 // connState is the pooled per-connection scratch that makes the request loop
 // allocation-free: the buffered reader/writer pair, the zero-copy line
-// reader, token slots for the in-place tokenizer, the hit list a multiget
-// collects under the shard locks, and the append-based response buffer that
-// replaces fmt.Fprintf. Everything is reused across commands and, via the
+// reader, token slots for the in-place tokenizer, and the append-based
+// response buffer that replaces fmt.Fprintf (and stages a get's VALUE blocks
+// under the shard locks). Everything is reused across commands and, via the
 // pool, across connections.
 type connState struct {
 	r  *bufio.Reader
@@ -32,13 +32,12 @@ type connState struct {
 	conn net.Conn
 
 	tokens [][]byte
-	hits   []*item
 	out    []byte
 
 	// keyBuf holds a storage command's namespaced key across the payload
-	// read (which invalidates the tokens); valBuf is the arena-mode payload
-	// scratch — the arena copies the bytes into its segment under the shard
-	// lock, so neither buffer outlives its command. Both are reused across
+	// read (which invalidates the tokens); valBuf is the payload scratch for
+	// layouts that copy values — the bytes land in layout memory under the
+	// shard lock, so neither buffer outlives its command. Both are reused across
 	// commands, keeping the set path allocation-free.
 	keyBuf []byte
 	valBuf []byte
@@ -86,13 +85,26 @@ func (cs *connState) keyPrefixLen() int {
 	return len(cs.tenant.prefix)
 }
 
+// drainStaged bounds reply staging: once cs.out has passed maxPooledScratch it
+// is handed to the connection's writer and reset, so a multiget of large
+// values stages at most that much plus one value instead of the whole reply.
+// Callers invoke it between keys, outside any shard lock — the write may
+// block on the socket.
+func (cs *connState) drainStaged() error {
+	if len(cs.out) <= maxPooledScratch {
+		return nil
+	}
+	_, err := cs.w.Write(cs.out)
+	cs.out = cs.out[:0]
+	return err
+}
+
 var connStatePool = sync.Pool{
 	New: func() any {
 		cs := &connState{
 			r:      bufio.NewReaderSize(nil, connBufSize),
 			w:      bufio.NewWriterSize(nil, connBufSize),
 			tokens: make([][]byte, 0, 32),
-			hits:   make([]*item, 0, 32),
 			out:    make([]byte, 0, 512),
 		}
 		cs.lr = proto.NewLineReader(cs.r)
@@ -112,13 +124,6 @@ func putConnState(cs *connState) {
 	cs.r.Reset(nil)
 	cs.w.Reset(nil)
 	cs.conn = nil
-	// Drop item references so evicted values can be collected while the
-	// state sits in the pool.
-	hits := cs.hits[:cap(cs.hits)]
-	for i := range hits {
-		hits[i] = nil
-	}
-	cs.hits = hits[:0]
 	if cap(cs.out) > maxPooledScratch {
 		cs.out = make([]byte, 0, 512)
 	}

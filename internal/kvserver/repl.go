@@ -1074,7 +1074,6 @@ func (sr *shardReplica) bootstrap(r io.Reader, size int64) error {
 	// Lifetime counters survive the swap, exactly as store.flush keeps them
 	// across flush_all.
 	old := sh.store
-	staged.evicted += old.evicted
 	staged.expiredReclaimed += old.expiredReclaimed
 	staged.evictedBase += old.evictedBase
 	staged.rejectedBase += old.rejectedBase

@@ -125,6 +125,12 @@ func TestGracefulDrainPipelinedNoreply(t *testing.T) {
 
 	conn := rawDial(t, s)
 	defer conn.Close()
+	// One round trip first: the drain covers connections the server has
+	// admitted, and a dial returns as soon as the kernel has queued the
+	// connection — before the accept loop may have seen it.
+	if line := sendLine(t, conn, "version"); !strings.HasPrefix(line, "VERSION") {
+		t.Fatalf("version = %q", line)
+	}
 
 	const n = 2000
 	var pipe bytes.Buffer

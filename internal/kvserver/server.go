@@ -21,8 +21,9 @@
 // time in microseconds becomes the key's cost — exactly how the paper's IQ
 // framework derives recomputation costs from iqget/iqset pairs.
 //
-// Memory management is pluggable per §5: "byte" charges exact sizes to the
-// eviction policy; "slab" reproduces Twemcache's slab classes with per-class
+// Memory management is pluggable per §5 — one layout interface (layouts.go)
+// with four implementations the rest of the server cannot tell apart: "byte"
+// charges exact sizes to the eviction policy; "slab" reproduces Twemcache's slab classes with per-class
 // LRU and random slab eviction; "buddy" rounds sizes to power-of-two blocks
 // in a buddy arena with the configured policy choosing victims; "arena"
 // packs keys and values into log-structured per-shard segments reclaimed by
@@ -43,8 +44,8 @@
 //
 // The request loop is allocation-free on the steady state: command lines are
 // read with a zero-copy line reader and tokenized in place, integers parse
-// straight from the wire bytes, per-connection scratch (token slots, hit
-// list, value read buffer) lives in a pooled connection state, and replies
+// straight from the wire bytes, per-connection scratch (token slots, reply
+// staging, value read buffer) lives in a pooled connection state, and replies
 // are built by appending to a reusable buffer — keys only materialize as Go
 // strings at the item-map boundary, on writes and IQ miss records.
 package kvserver
@@ -104,8 +105,8 @@ type Config struct {
 	Policy string
 	// Precision is CAMP's rounding precision (default 5).
 	Precision uint
-	// Mode selects memory management: ModeByte (default), ModeSlab or
-	// ModeBuddy.
+	// Mode selects memory management: ModeByte (default), ModeSlab,
+	// ModeBuddy or ModeArena.
 	Mode string
 	// SlabSize overrides the slab size in slab mode (default 1 MiB).
 	SlabSize int64
@@ -148,18 +149,19 @@ type Config struct {
 	// count must match the primary's. The replica serves reads (and rejects
 	// mutations) while replicating; "replica promote" makes it the primary.
 	ReplicaOf string
-	// TenantReserves maps tenant names to reserved bytes (byte mode only).
+	// TenantReserves maps tenant names to reserved bytes (byte and arena
+	// modes only).
 	// A tenant holding no more than its reserve is never evicted by another
 	// tenant's churn; unreserved capacity is a shared pool arbitrated by
 	// marginal eviction priority. Reserves must sum to at most MemoryBytes.
 	// Values here override quotas recovered from the journal.
 	TenantReserves map[string]int64
 	// TenantQuotas maps tenant names to shed-on-exceed request limits (byte
-	// mode only): an ops/sec rate enforced with a lock-free GCRA bucket and a
-	// cap on mutation payload bytes in flight. Over-quota requests answer
-	// "SERVER_ERROR tenant over quota" after being fully consumed, so the
-	// connection stream stays aligned. Quotas describe the deployment, not
-	// the data: they are never journaled or replicated.
+	// and arena modes only): an ops/sec rate enforced with a lock-free GCRA
+	// bucket and a cap on mutation payload bytes in flight. Over-quota
+	// requests answer "SERVER_ERROR tenant over quota" after being fully
+	// consumed, so the connection stream stays aligned. Quotas describe the
+	// deployment, not the data: they are never journaled or replicated.
 	TenantQuotas map[string]TenantQuota
 	// ReplicaTenants, with ReplicaOf, restricts replication to a tenant
 	// subset: the follower requests the subset during the REPLCONF handshake
@@ -169,7 +171,7 @@ type Config struct {
 	// (disconnect/CONTINUE resume works unchanged). FULLSYNC bootstraps ship
 	// only the subset's entries plus their KindTenant/KindScale records, and
 	// promoting a filtered replica serves only its subset. "default" names
-	// the bare namespace. Byte mode only.
+	// the bare namespace. Byte and arena modes only.
 	ReplicaTenants []string
 
 	// tenants and shardSlot are threaded through the per-shard Config
@@ -239,9 +241,12 @@ type Server struct {
 	// tenant always exists.
 	tenants *tenantRegistry
 
-	// arenaMode caches cfg.Mode == ModeArena for the hot-path branches that
-	// must route reads/writes through the packed arena.
-	arenaMode bool
+	// copiesValues and tenantCapable are the storage layout's two
+	// capabilities (layouts.go), read once from shard 0's layout — every
+	// shard runs the same one — so handlers can consult them without a
+	// shard lock.
+	copiesValues  bool
+	tenantCapable bool
 
 	// Instrumentation: per-verb histograms, slowlog and the Prometheus
 	// registry (metrics.go); started anchors the uptime stat; metricsLn and
@@ -310,9 +315,6 @@ func New(cfg Config) (*Server, error) {
 		cfg.MaxValueBytes = 8 << 20
 	}
 	if len(cfg.TenantReserves) > 0 {
-		if cfg.Mode != ModeByte && cfg.Mode != ModeArena {
-			return nil, fmt.Errorf("%w: tenant reserves require byte or arena mode", errBadConfig)
-		}
 		var sum int64
 		for name, res := range cfg.TenantReserves {
 			if _, ok := parseTenantName([]byte(name)); !ok {
@@ -328,9 +330,6 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 	if len(cfg.TenantQuotas) > 0 {
-		if cfg.Mode != ModeByte && cfg.Mode != ModeArena {
-			return nil, fmt.Errorf("%w: tenant quotas require byte or arena mode", errBadConfig)
-		}
 		for name, q := range cfg.TenantQuotas {
 			if _, ok := parseTenantName([]byte(name)); !ok {
 				return nil, fmt.Errorf("%w: bad tenant name %q", errBadConfig, name)
@@ -343,9 +342,6 @@ func New(cfg Config) (*Server, error) {
 	if len(cfg.ReplicaTenants) > 0 {
 		if cfg.ReplicaOf == "" {
 			return nil, fmt.Errorf("%w: ReplicaTenants requires ReplicaOf", errBadConfig)
-		}
-		if cfg.Mode != ModeByte && cfg.Mode != ModeArena {
-			return nil, fmt.Errorf("%w: tenant-filtered replication requires byte or arena mode", errBadConfig)
 		}
 		names := append([]string(nil), cfg.ReplicaTenants...)
 		sort.Strings(names)
@@ -363,12 +359,11 @@ func New(cfg Config) (*Server, error) {
 	}
 	cfg.tenants = newTenantRegistry()
 	s := &Server{
-		cfg:       cfg,
-		tenants:   cfg.tenants,
-		arenaMode: cfg.Mode == ModeArena,
-		conns:     make(map[net.Conn]struct{}),
-		feeds:     make(map[*feedStat]struct{}),
-		started:   time.Now(),
+		cfg:     cfg,
+		tenants: cfg.tenants,
+		conns:   make(map[net.Conn]struct{}),
+		feeds:   make(map[*feedStat]struct{}),
+		started: time.Now(),
 	}
 	if th := cfg.SlowlogThreshold; th != 0 {
 		s.metrics.slowlog.SetThreshold(th)
@@ -395,6 +390,18 @@ func New(cfg Config) (*Server, error) {
 			store:    st,
 			missedAt: make(map[string]time.Time),
 		})
+	}
+	lay := s.shards[0].store.lay
+	s.copiesValues, s.tenantCapable = lay.copiesValues(), lay.tenantCapable()
+	if !s.tenantCapable {
+		switch {
+		case len(cfg.TenantReserves) > 0:
+			return nil, fmt.Errorf("%w: tenant reserves require byte or arena mode", errBadConfig)
+		case len(cfg.TenantQuotas) > 0:
+			return nil, fmt.Errorf("%w: tenant quotas require byte or arena mode", errBadConfig)
+		case len(cfg.ReplicaTenants) > 0:
+			return nil, fmt.Errorf("%w: tenant-filtered replication requires byte or arena mode", errBadConfig)
+		}
 	}
 	if p := cfg.Persist; p != nil {
 		if p.Dir == "" {
@@ -944,59 +951,20 @@ func (s *Server) handleGet(keys [][]byte, cs *connState) error {
 	tn := s.tenantOf(cs)
 	pfx := cs.keyPrefixLen()
 	cs.shardIdx = shardIndex(cs.nsKeyFor(keys[0]), len(s.shards))
-	hits := cs.hits[:0]
 	now := time.Now()
 	if tq := tn.quota; tq != nil && tq.shedReads && !tq.allowOp(now.UnixNano()) {
 		tn.quotaShed.Add(1)
 		_, err := w.Write(replyOverQuota)
 		return err
 	}
-	if s.arenaMode {
-		// Arena values are relocated by the compactor, so the references do
-		// NOT survive the shard lock: each hit's whole VALUE block is staged
-		// into the pooled reply scratch while the lock is held.
-		out := cs.out[:0]
-		for _, k := range keys {
-			if bytes.IndexByte(k, 0) >= 0 {
-				s.counters.getMisses.Add(1)
-				tn.misses.Add(1)
-				continue
-			}
-			nk := cs.nsKeyFor(k)
-			sh := s.shardForBytes(nk)
-			sh.mu.Lock()
-			it, ok := sh.store.getBytes(nk, now)
-			if !ok {
-				if !s.cfg.DisableIQ {
-					sh.recordMissLocked(string(nk), now)
-				}
-				sh.mu.Unlock()
-				s.counters.getMisses.Add(1)
-				tn.misses.Add(1)
-				continue
-			}
-			value := sh.store.itemValue(it)
-			out = append(out, "VALUE "...)
-			out = append(out, it.key[pfx:]...)
-			out = append(out, ' ')
-			out = strconv.AppendUint(out, uint64(it.flags), 10)
-			out = append(out, ' ')
-			out = strconv.AppendInt(out, int64(len(value)), 10)
-			out = append(out, '\r', '\n')
-			out = append(out, value...)
-			out = append(out, '\r', '\n')
-			cost := it.cost
-			sh.mu.Unlock()
-			s.counters.getHits.Add(1)
-			tn.hits.Add(1)
-			tn.costSaved.Add(uint64(cost))
-		}
-		out = append(out, replyEnd...)
-		cs.out = out
-		_, err := w.Write(out)
-		return err
-	}
+	// Items are rewritten in place and a copying layout relocates value
+	// bytes, so nothing read here survives the shard lock: each hit's whole
+	// VALUE block is staged into the pooled reply scratch while it is held.
+	cs.out = cs.out[:0]
 	for _, k := range keys {
+		if err := cs.drainStaged(); err != nil {
+			return err
+		}
 		if bytes.IndexByte(k, 0) >= 0 {
 			s.counters.getMisses.Add(1)
 			tn.misses.Add(1)
@@ -1015,43 +983,24 @@ func (s *Server) handleGet(keys [][]byte, cs *connState) error {
 			tn.misses.Add(1)
 			continue
 		}
-		// Stored values (and the item's key string) are never mutated in
-		// place, so the references stay valid after the lock drops.
-		sh.mu.Unlock()
-		s.counters.getHits.Add(1)
-		tn.hits.Add(1)
-		tn.costSaved.Add(uint64(it.cost))
-		hits = append(hits, it)
-	}
-	// Keep the grown slot capacity but drop the item references once the
-	// reply is written, so an idle connection never pins evicted values
-	// against the GC.
-	defer func() {
-		for i := range hits {
-			hits[i] = nil
-		}
-		cs.hits = hits[:0]
-	}()
-	for _, it := range hits {
-		out := append(cs.out[:0], "VALUE "...)
+		value := sh.store.valueOf(it)
+		out := append(cs.out, "VALUE "...)
 		out = append(out, it.key[pfx:]...)
 		out = append(out, ' ')
 		out = strconv.AppendUint(out, uint64(it.flags), 10)
 		out = append(out, ' ')
-		out = strconv.AppendInt(out, int64(len(it.value)), 10)
+		out = strconv.AppendInt(out, int64(len(value)), 10)
 		out = append(out, '\r', '\n')
-		cs.out = out
-		if _, err := w.Write(out); err != nil {
-			return err
-		}
-		if _, err := w.Write(it.value); err != nil {
-			return err
-		}
-		if _, err := w.Write(crlf); err != nil {
-			return err
-		}
+		out = append(out, value...)
+		cs.out = append(out, '\r', '\n')
+		cost := it.cost
+		sh.mu.Unlock()
+		s.counters.getHits.Add(1)
+		tn.hits.Add(1)
+		tn.costSaved.Add(uint64(cost))
 	}
-	_, err := w.Write(replyEnd)
+	cs.out = append(cs.out, replyEnd...)
+	_, err := w.Write(cs.out)
 	return err
 }
 
@@ -1124,9 +1073,9 @@ func (s *Server) handleStore(cmd storeCmd, args [][]byte, cs *connState) error {
 	// interned key on overwrite, so only brand-new keys pay the allocation.
 	cs.keyBuf = append(cs.keyBuf[:0], cs.nsKeyFor(args[0])...)
 	var value []byte
-	if s.arenaMode {
-		// The arena copies the payload into its segment under the shard lock
-		// and the journal serializes it before Append returns, so pooled
+	if s.copiesValues {
+		// The layout copies the payload into its own memory under the shard
+		// lock and the journal serializes it before Append returns, so pooled
 		// scratch is safe to reuse for the next command — the zero-alloc half
 		// of the arena set path.
 		if cap(cs.valBuf) < int(nbytes) {
@@ -1372,7 +1321,7 @@ func (s *Server) handleTouch(args [][]byte, cs *connState) error {
 	sh.store.sweepExpired(now, expirySweepProbes)
 	it, found := sh.store.get(key, now)
 	if found {
-		sh.store.touchResident(it, expiryFrom(ttl, now))
+		sh.store.touch(it, expiryFrom(ttl, now))
 		sh.journalLocked(persist.Op{
 			Kind:    persist.KindTouch,
 			Key:     key,
@@ -1592,7 +1541,7 @@ func (s *Server) handleDebug(args [][]byte, cs *connState) error {
 	key := cs.nsKeyFor(args[0])
 	sh := s.shardForBytes(key)
 	sh.mu.Lock()
-	it, meta, ok := sh.store.peekBytes(key)
+	it, meta, ok := sh.store.peek(string(key))
 	var flags uint32
 	if ok {
 		flags = it.flags

@@ -59,6 +59,7 @@ func TestSetGetDeleteRoundTrip(t *testing.T) {
 		{MemoryBytes: 1 << 20, Policy: "gds"},
 		{MemoryBytes: 1 << 21, Mode: ModeSlab, SlabSize: 1 << 16},
 		{MemoryBytes: 1 << 20, Policy: "camp", Mode: ModeBuddy},
+		{MemoryBytes: 1 << 20, Policy: "camp", Mode: ModeArena},
 	} {
 		name := cfg.Policy + "/" + cfg.Mode
 		t.Run(name, func(t *testing.T) {

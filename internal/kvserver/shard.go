@@ -48,7 +48,6 @@ var (
 	replyNoJournal     = []byte("CLIENT_ERROR primary is not journaling (persistence with AOF required)\r\n")
 	replyNotPrimary    = []byte("CLIENT_ERROR replica cannot serve syncs (chained replication unsupported)\r\n")
 	replySyncFailed    = []byte("SERVER_ERROR sync failed\r\n")
-	crlf               = []byte("\r\n")
 )
 
 // storeCmd enumerates the storage verbs so dispatch resolves the command
@@ -219,14 +218,6 @@ func (sh *shard) recordMissLocked(key string, now time.Time) {
 	sh.missedAt[key] = now
 }
 
-// costOfLocked returns the stored cost of a resident key, or 0.
-func (sh *shard) costOfLocked(key string) int64 {
-	if _, meta, ok := sh.store.peek(key); ok {
-		return meta.Cost
-	}
-	return 0
-}
-
 // expirySweepProbes is how many items each mutation probes for lazy expiry
 // (see store.sweepExpired).
 const expirySweepProbes = 4
@@ -263,9 +254,9 @@ func (sh *shard) storeLocked(cmd storeCmd, keyBytes []byte, value []byte, flags 
 			return replyNotStored
 		}
 		// Concatenation keeps the existing flags and cost; the payload
-		// just grows. itemValue resolves the arena record when one backs
-		// the item; the fresh slice is built while the lock pins it.
-		old := sh.store.itemValue(existing)
+		// just grows. The fresh slice is built while the lock pins the old
+		// bytes.
+		old := sh.store.valueOf(existing)
 		if cmd == cmdAppend {
 			value = append(append(make([]byte, 0, len(old)+len(value)), old...), value...)
 		} else {
@@ -279,7 +270,7 @@ func (sh *shard) storeLocked(cmd storeCmd, keyBytes []byte, value []byte, flags 
 			return replyTooLarge
 		}
 		if cost == 0 {
-			cost = sh.costOfLocked(key)
+			cost = existing.cost
 		}
 	}
 	if cost == 0 && !sh.srv.cfg.DisableIQ {
@@ -294,16 +285,23 @@ func (sh *shard) storeLocked(cmd storeCmd, keyBytes []byte, value []byte, flags 
 	if cost == 0 {
 		cost = 1
 	}
-	expires := expiryFrom(ttl, now)
+	if !sh.setLocked(key, value, flags, expiryFrom(ttl, now), cost, exists) {
+		return replyOOM
+	}
+	return replyStored
+}
+
+// setLocked applies one set and journals its outcome. A refused set drops
+// any existing version of the key (store.setAbsPrio); that removal is
+// journaled too, or recovery and replicas would resurrect the old value. The
+// caller holds sh.mu.
+func (sh *shard) setLocked(key string, value []byte, flags uint32, expires time.Time, cost int64, existed bool) bool {
 	if !sh.store.setAbs(key, value, flags, expires, cost) {
 		sh.srv.counters.setRejected.Add(1)
-		// A failed set drops any existing version of the key (the store
-		// already tore it down to make room); journal that removal, or
-		// recovery and replicas would resurrect the old value.
-		if exists {
+		if existed {
 			sh.journalLocked(persist.Op{Kind: persist.KindDelete, Key: key})
 		}
-		return replyOOM
+		return false
 	}
 	sh.journalLocked(persist.Op{
 		Kind:    persist.KindSet,
@@ -314,7 +312,7 @@ func (sh *shard) storeLocked(cmd storeCmd, keyBytes []byte, value []byte, flags 
 		Size:    sh.store.itemSize(key, value),
 		Cost:    cost,
 	})
-	return replyStored
+	return true
 }
 
 // arithLocked applies incr/decr. A nil reply means success and val is the
@@ -326,7 +324,7 @@ func (sh *shard) arithLocked(incr bool, key string, delta uint64, now time.Time)
 	if !ok {
 		return 0, replyNotFound
 	}
-	cur, perr := strconv.ParseUint(string(sh.store.itemValue(it)), 10, 64)
+	cur, perr := strconv.ParseUint(string(sh.store.valueOf(it)), 10, 64)
 	if perr != nil {
 		return 0, replyNonNumeric
 	}
@@ -337,26 +335,11 @@ func (sh *shard) arithLocked(incr bool, key string, delta uint64, now time.Time)
 	} else {
 		cur -= delta
 	}
-	newVal := strconv.AppendUint(nil, cur, 10)
-	cost := sh.costOfLocked(key)
-	// Arithmetic keeps the item's flags and expiration, as memcached does;
-	// only the payload changes.
-	if !sh.store.setAbs(key, newVal, it.flags, it.expiresAt, cost) {
-		sh.srv.counters.setRejected.Add(1)
-		// The failed rewrite dropped the key (see storeLocked); keep the
-		// journal in step.
-		sh.journalLocked(persist.Op{Kind: persist.KindDelete, Key: key})
+	// Arithmetic keeps the item's flags, expiration and cost, as memcached
+	// does; only the payload changes.
+	if !sh.setLocked(key, strconv.AppendUint(nil, cur, 10), it.flags, it.expiresAt, it.cost, true) {
 		return 0, replyOOM
 	}
-	sh.journalLocked(persist.Op{
-		Kind:    persist.KindSet,
-		Key:     key,
-		Value:   newVal,
-		Flags:   it.flags,
-		Expires: persist.ExpiresFrom(it.expiresAt),
-		Size:    sh.store.itemSize(key, newVal),
-		Cost:    cost,
-	})
 	return cur, nil
 }
 

@@ -1,166 +1,99 @@
 package kvserver
 
 import (
-	"errors"
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 	"time"
 
-	"camp/internal/alloc"
 	"camp/internal/cache"
 	"camp/internal/core"
 	"camp/internal/persist"
 )
 
-// item is one stored key-value pair. Callers hold the server mutex. The key
+// item is one stored key-value pair. Callers hold the shard mutex. The key
 // is duplicated into the item so hot reads arriving as wire []byte never
 // materialize a string: the map lookup converts in place (which Go compiles
 // allocation-free) and every downstream consumer — policy bump, VALUE reply
-// — reuses this stored string. value and key are never mutated in place, so
-// handlers may reference them after the shard lock drops.
-// In arena mode value is nil and aref locates the packed record instead;
-// arena values ARE relocated by compaction, so arena-mode readers must copy
-// what they need before the shard lock drops (see store.itemValue).
+// — reuses this stored string. An overwrite updates the item in place, so
+// the struct is only meaningful under the lock; a value slice, once stored,
+// is never mutated. Layouts that copy values (layout.copiesValues) leave
+// value nil and locate the bytes through loc instead: read them with
+// store.valueOf, and copy what must outlive the lock.
 type item struct {
 	key       string
 	value     []byte
 	flags     uint32
 	expiresAt time.Time // zero means no expiry
-	handle    alloc.Handle
-	buddyOff  int64
-	aref      alloc.Ref
+	// loc is the layout's location word for the value (layouts.go); only the
+	// layout that issued it can interpret it.
+	loc uint64
 	// cost is the admission cost the policy charged for this entry, kept
 	// here so per-tenant cost-saved accounting on the get path needs no
 	// policy lookup.
 	cost int64
 }
 
-// store manages items under one of the four memory-management schemes (the
-// paper's §5 malloc/slab/buddy trio plus the Memshare-style packed arena).
+// store is one shard's index (items), its storage layout, and the eviction
+// policies that decide what stays: the default tenant's policy — which the
+// layout supplies — and, for tenant-capable layouts, one more per
+// non-default tenant in tens, with the store-level arbiter (makeRoom)
+// enforcing the shared capacity.
 type store struct {
 	cfg   Config
 	items map[string]*item
+	lay   layout
 
-	// byte, buddy and arena modes. policy is the default tenant's; byte and
-	// arena modes may additionally carry one policy per non-default tenant
-	// in tens, with the store-level arbiter (makeRoom) enforcing the shared
-	// capacity.
-	policy  cache.Policy
-	evicter cache.Evicter
-	tens    map[string]*tenantState
+	policy cache.Policy
+	tens   map[string]*tenantState
 
 	// totalUsed is the running store-resident byte total across the default
-	// policy and every tenant policy — what usedAll() returns. Maintained
+	// policy and every tenant policy — what used() returns. Maintained
 	// incrementally (noteUsage) against per-policy cached figures so the
 	// arbiter's capacity checks are O(1) instead of O(#tenants) per probe.
 	totalUsed int64
 	// defUsed caches the default policy's last observed Used().
 	defUsed int64
 
-	// slab mode (Twemcache layout: per-class LRU ordering).
-	slab     *alloc.SlabAllocator
-	classLRU []*cache.LRU
-
-	// buddy mode.
-	buddy *alloc.BuddyAllocator
-
-	// arena mode: values live as packed records in per-shard segments; the
-	// items map doubles as the hash→(segment,offset) index through each
-	// item's aref. The pre-bound callbacks keep the incremental compactor's
-	// per-mutation steps allocation-free.
-	arena      *alloc.Arena
-	arenaAlive func(key []byte, ref alloc.Ref) bool
-	arenaMoved func(key []byte, ref alloc.Ref)
-
-	evicted uint64
 	// expiredReclaimed counts items removed because their TTL had passed —
 	// on access and by the incremental sweep — as opposed to policy
 	// evictions.
 	expiredReclaimed uint64
 	// evictedBase/rejectedBase carry policy-held counts across flush():
-	// flush replaces the policy object, so its lifetime stats are folded in
-	// here first (slab mode's st.evicted is store-held already).
+	// flush replaces the policy objects, so their lifetime stats are folded
+	// in here first.
 	evictedBase  uint64
 	rejectedBase uint64
 }
 
 func newStore(cfg Config) (*store, error) {
-	st := &store{cfg: cfg, items: make(map[string]*item)}
-	switch cfg.Mode {
-	case ModeByte:
-		p, err := buildPolicy(cfg, cfg.MemoryBytes)
-		if err != nil {
-			return nil, err
-		}
-		st.policy = p
-	case ModeBuddy:
-		minBlock := cfg.MinBlock
-		if minBlock == 0 {
-			minBlock = 64
-		}
-		b, err := alloc.NewBuddyAllocator(cfg.MemoryBytes, minBlock)
-		if err != nil {
-			return nil, err
-		}
-		st.buddy = b
-		p, err := buildPolicy(cfg, b.ArenaSize())
-		if err != nil {
-			return nil, err
-		}
-		st.policy = p
-	case ModeArena:
-		a, err := alloc.NewArena(cfg.MemoryBytes, cfg.ArenaSegment)
-		if err != nil {
-			return nil, err
-		}
-		st.arena = a
-		p, err := buildPolicy(cfg, cfg.MemoryBytes)
-		if err != nil {
-			return nil, err
-		}
-		st.policy = p
-		// Bound once so the per-mutation compaction steps never allocate a
-		// closure. After flush() copies a fresh store over this one, the
-		// captured pointer's items map and arena still alias the live
-		// store's (neither field is ever reassigned), so the bindings stay
-		// correct across flushes.
-		st.arenaAlive = func(key []byte, ref alloc.Ref) bool {
-			it, ok := st.items[string(key)]
-			return ok && it.aref == ref
-		}
-		st.arenaMoved = func(key []byte, ref alloc.Ref) {
-			if it, ok := st.items[string(key)]; ok {
-				it.aref = ref
-			}
-		}
-	case ModeSlab:
-		var opts []alloc.SlabOption
-		if cfg.SlabSize > 0 {
-			opts = append(opts, alloc.WithSlabSize(cfg.SlabSize))
-		}
-		a, err := alloc.NewSlabAllocator(cfg.MemoryBytes, opts...)
-		if err != nil {
-			return nil, err
-		}
-		st.slab = a
-		st.classLRU = make([]*cache.LRU, a.NumClasses())
-		for i := range st.classLRU {
-			st.classLRU[i] = cache.NewLRU(math.MaxInt64)
-		}
-	default:
-		return nil, fmt.Errorf("%w: unknown mode %q", errBadConfig, cfg.Mode)
-	}
-	if st.policy != nil {
-		ev, ok := st.policy.(cache.Evicter)
-		if !ok && (cfg.Mode == ModeBuddy || cfg.Mode == ModeArena) {
-			return nil, fmt.Errorf("%w: policy %q cannot drive %s eviction", errBadConfig, cfg.Policy, cfg.Mode)
-		}
-		st.evicter = ev
-		st.policy.SetEvictFunc(st.onPolicyEvict)
+	st := &store{cfg: cfg}
+	if err := st.reset(); err != nil {
+		return nil, err
 	}
 	return st, nil
+}
+
+// reset installs an empty index with a fresh layout and fresh policies, all
+// bound to st itself. The per-tenant policy states are rebuilt eagerly from
+// the registry, which outlives any flush: connections still hold their
+// *tenant, and the next namespaced write must land in its tenant's (fresh)
+// policy — with reserves and arbitration intact — not escape into the
+// default one.
+func (st *store) reset() error {
+	lay, p, err := newLayout(st)
+	if err != nil {
+		return err
+	}
+	p.SetEvictFunc(st.onPolicyEvict)
+	st.items, st.lay, st.policy = make(map[string]*item), lay, p
+	st.tens, st.totalUsed, st.defUsed = nil, 0, 0
+	if reg := st.cfg.tenants; reg != nil {
+		for _, t := range reg.list() {
+			st.ensureTenant(t.name)
+		}
+	}
+	return nil
 }
 
 func buildPolicy(cfg Config, capacity int64) (cache.Policy, error) {
@@ -176,21 +109,12 @@ func buildPolicy(cfg Config, capacity int64) (cache.Policy, error) {
 	}
 }
 
-// onPolicyEvict keeps the item map (and the buddy or packed arena) in sync
-// with policy evictions.
+// onPolicyEvict keeps the index and the layout in sync with policy evictions.
 func (st *store) onPolicyEvict(e cache.Entry) {
-	it, ok := st.items[e.Key]
-	if !ok {
-		return
+	if it, ok := st.items[e.Key]; ok {
+		st.lay.release(it.loc)
+		delete(st.items, e.Key)
 	}
-	if st.buddy != nil {
-		st.buddy.Free(it.buddyOff)
-	}
-	if st.arena != nil {
-		st.arena.Release(it.aref)
-	}
-	delete(st.items, e.Key)
-	st.evicted++
 }
 
 func (st *store) itemSize(key string, value []byte) int64 {
@@ -202,21 +126,20 @@ func (st *store) itemSize(key string, value []byte) int64 {
 // store-level arbiter in makeRoom enforces the real shared limit) plus the
 // registry entry carrying its reserve and lifetime counters.
 type tenantState struct {
-	t       *tenant
-	policy  cache.Policy
-	evicter cache.Evicter
+	t      *tenant
+	policy cache.Policy
 	// cachedUsed is the policy's last Used() observed by noteUsage, the
 	// delta base for the store's running totalUsed.
 	cachedUsed int64
 }
 
 // ensureTenant creates (or returns) the per-shard policy state for a
-// non-default tenant. Byte and arena modes only: the slab and buddy layouts
-// refuse the tenant verb at the protocol layer, and under them a restored
-// namespaced key is served as a plain key with no isolation. The caller
-// holds the shard mutex.
+// non-default tenant. Tenant-capable layouts only: under the others the
+// tenant verb is refused at the protocol layer, and a restored namespaced key
+// is served as a plain key with no isolation. The caller holds the shard
+// mutex.
 func (st *store) ensureTenant(name string) *tenantState {
-	if name == defaultTenantName || st.cfg.tenants == nil || st.slab != nil || st.buddy != nil {
+	if name == defaultTenantName || st.cfg.tenants == nil || !st.lay.tenantCapable() {
 		return nil
 	}
 	if ts, ok := st.tens[name]; ok {
@@ -230,7 +153,6 @@ func (st *store) ensureTenant(name string) *tenantState {
 	}
 	p.SetEvictFunc(st.onPolicyEvict)
 	ts := &tenantState{t: t, policy: p}
-	ts.evicter, _ = p.(cache.Evicter)
 	if st.tens == nil {
 		st.tens = make(map[string]*tenantState)
 	}
@@ -241,12 +163,12 @@ func (st *store) ensureTenant(name string) *tenantState {
 // multiTenant reports whether namespaced keys must be routed to per-tenant
 // policies. It is driven by the server-wide registry, not this store's tens
 // table: tens is a per-shard cache that flush() rebuilds, and routing off it
-// was the flush_all escape — after `*st = *fresh` zeroed tens, every
-// namespaced key silently landed in the default policy until restart,
-// bypassing reserves, arbitration and per-tenant stats.
+// was the flush_all escape — with tens zeroed, every namespaced key silently
+// landed in the default policy until restart, bypassing reserves,
+// arbitration and per-tenant stats.
 func (st *store) multiTenant() bool {
 	reg := st.cfg.tenants
-	return reg != nil && reg.multi.Load() && st.slab == nil && st.buddy == nil
+	return reg != nil && reg.multi.Load() && st.lay.tenantCapable()
 }
 
 // policyFor routes a stored key to the policy that owns it: the tenant named
@@ -303,28 +225,10 @@ func (st *store) shardReserve(total int64) int64 {
 	return per
 }
 
-// usedAll is the store-wide resident byte figure the shared capacity bounds.
+// used is the store-wide resident byte figure the shared capacity bounds.
 // It is the running total noteUsage maintains, so the arbiter's inner loops
 // read it in O(1) instead of re-summing every tenant policy.
-func (st *store) usedAll() int64 {
-	if st.policy == nil {
-		return 0
-	}
-	return st.totalUsed
-}
-
-// usedAllSlow recomputes the resident total from the policies directly; the
-// invariant tests compare it against the running figure.
-func (st *store) usedAllSlow() int64 {
-	if st.policy == nil {
-		return 0
-	}
-	used := st.policy.Used()
-	for _, ts := range st.tens {
-		used += ts.policy.Used()
-	}
-	return used
-}
+func (st *store) used() int64 { return st.totalUsed }
 
 // makeRoom frees shared capacity until an insert of size bytes on behalf of
 // requester fits. Victims are chosen Memshare-style by evictArbitratedBatch,
@@ -335,8 +239,8 @@ func (st *store) makeRoom(requester cache.Policy, size int64) bool {
 	if size > capacity {
 		return false
 	}
-	for st.usedAll()+size > capacity {
-		if !st.evictArbitratedBatch(requester, st.usedAll()+size-capacity) {
+	for st.used()+size > capacity {
+		if !st.evictArbitratedBatch(requester, st.used()+size-capacity) {
 			return false
 		}
 	}
@@ -374,8 +278,9 @@ func (st *store) evictArbitratedBatch(requester cache.Policy, need int64) bool {
 		secondUrg float64
 		hasSecond bool
 	)
-	consider := func(p cache.Policy, ts *tenantState, ev cache.Evicter, reserveTotal int64) {
-		if ev == nil || p.Len() == 0 {
+	consider := func(p cache.Policy, ts *tenantState, reserveTotal int64) {
+		ev, ok := p.(cache.Evicter)
+		if !ok || p.Len() == 0 {
 			return
 		}
 		over := p.Used() - st.shardReserve(reserveTotal)
@@ -401,9 +306,9 @@ func (st *store) evictArbitratedBatch(requester cache.Policy, need int64) bool {
 	if reg := st.cfg.tenants; reg != nil {
 		defReserve = reg.def.reserve.Load()
 	}
-	consider(st.policy, nil, st.evicter, defReserve)
+	consider(st.policy, nil, defReserve)
 	for _, ts := range st.tens {
-		consider(ts.policy, ts, ts.evicter, ts.t.reserve.Load())
+		consider(ts.policy, ts, ts.t.reserve.Load())
 	}
 	if !found {
 		return false
@@ -418,9 +323,9 @@ func (st *store) evictArbitratedBatch(requester cache.Policy, need int64) bool {
 			break
 		}
 		evictedAny = true
-		before := st.usedAll()
+		before := st.used()
 		st.noteUsage(best, bestTS)
-		need -= before - st.usedAll()
+		need -= before - st.used()
 		if need <= 0 || best.Len() == 0 {
 			break
 		}
@@ -450,8 +355,8 @@ func (st *store) evictArbitratedBatch(requester cache.Policy, need int64) bool {
 // counters untouched. Deletions are not evictions, so eviction stats are
 // unaffected too.
 func (st *store) flushTenant(name string) {
-	if st.slab != nil || st.buddy != nil {
-		// Non-byte layouts are single-tenant: only the default name means
+	if !st.lay.tenantCapable() {
+		// These layouts are single-tenant: only the default name means
 		// anything, and flushing it flushes everything, as before.
 		if name == defaultTenantName {
 			st.flush()
@@ -481,9 +386,6 @@ func (st *store) flushTenant(name string) {
 // policyLifetime sums lifetime eviction/rejection counts across the default
 // policy and every tenant policy.
 func (st *store) policyLifetime() (evicted, rejected uint64) {
-	if st.policy == nil {
-		return 0, 0
-	}
 	s := st.policy.Stats()
 	evicted, rejected = s.Evictions, s.Rejected
 	for _, ts := range st.tens {
@@ -495,13 +397,8 @@ func (st *store) policyLifetime() (evicted, rejected uint64) {
 }
 
 // visitTenantUsage reports per-tenant residency in this store. The caller
-// holds the shard mutex. Non-policy layouts (slab) are single-tenant and
-// report everything under the default name.
+// holds the shard mutex.
 func (st *store) visitTenantUsage(visit func(name string, used int64, items int, evictions uint64)) {
-	if st.policy == nil {
-		visit(defaultTenantName, st.used(), st.len(), st.evictions())
-		return
-	}
 	visit(defaultTenantName, st.policy.Used(), st.policy.Len(), st.policy.Stats().Evictions)
 	for name, ts := range st.tens {
 		visit(name, ts.policy.Used(), ts.policy.Len(), ts.policy.Stats().Evictions)
@@ -534,10 +431,6 @@ func (st *store) getResident(it *item, now time.Time) (*item, bool) {
 		st.delete(it.key)
 		st.expiredReclaimed++
 		return nil, false
-	}
-	if st.slab != nil {
-		st.classLRU[it.handle.Class()].Get(it.key)
-		return it, true
 	}
 	if !st.policyFor(it.key).Get(it.key) {
 		return nil, false
@@ -582,10 +475,6 @@ func expiryFrom(ttl int64, now time.Time) time.Time {
 	return time.Time{}
 }
 
-func (st *store) set(key string, value []byte, flags uint32, ttl, cost int64, now time.Time) bool {
-	return st.setAbs(key, value, flags, expiryFrom(ttl, now), cost)
-}
-
 // setAbs is set with an absolute expiry, the form recovery needs: journals
 // record deadlines, not TTLs, so restarts do not extend item lifetimes.
 func (st *store) setAbs(key string, value []byte, flags uint32, expires time.Time, cost int64) bool {
@@ -596,40 +485,50 @@ func (st *store) setAbs(key string, value []byte, flags uint32, expires time.Tim
 // form v2 snapshot replay uses: a KindSetPrio record re-enters the policy at
 // the exact H − L it held when the snapshot was cut, so a mid-churn warm
 // start reproduces the live cross-queue eviction schedule. Policies without
-// priority state (and the slab layout, whose class LRUs are pure recency)
-// ignore the offset — replay order alone restores them exactly.
+// priority state ignore the offset — replay order alone restores them
+// exactly.
+//
+// The layout lands the bytes, then the key is admitted through the policy
+// that owns it at the size the layout charges, so priorities, tenancy and
+// persistence behave identically across layouts. An overwrite updates the
+// resident item struct in place.
 func (st *store) setAbsPrio(key string, value []byte, flags uint32, expires time.Time, cost int64, prio, class uint64, hasPrio bool) bool {
-	if st.arena != nil {
-		return st.setArena(key, value, flags, expires, cost, prio, class, hasPrio)
+	p, ts := st.stateFor(key)
+	loc, charged, ok := st.lay.put(p, key, value, flags, expiryNano(expires))
+	if ok && !st.policySet(p, ts, key, charged, cost, prio, class, hasPrio) {
+		st.lay.release(loc)
+		ok = false
 	}
-	it := &item{key: key, value: value, flags: flags, expiresAt: expires, cost: cost}
-	size := st.itemSize(key, value)
-	switch {
-	case st.slab != nil:
-		// Slab layout: per-class LRUs are pure recency; replay order alone
-		// restores them.
-		return st.setSlab(key, it, size, cost)
-	case st.buddy != nil:
-		return st.setBuddy(key, it, size, cost, prio, class, hasPrio)
-	default:
-		if !st.policySet(key, size, cost, prio, class, hasPrio) {
-			delete(st.items, key) // a failed grow drops the entry
-			return false
-		}
-		st.items[key] = it
-		return true
+	if !ok {
+		// A failed set drops the key — whatever old version remained — in
+		// every layout: the caller journals exactly that.
+		st.delete(key)
+		return false
 	}
+	if st.lay.copiesValues() {
+		value = nil
+	}
+	// Re-lookup rather than trusting a pre-put snapshot: the layout's
+	// compaction/eviction (or the policy's own internal evictions during
+	// admission) may have removed the old version meanwhile.
+	if old, exists := st.items[key]; exists {
+		st.lay.release(old.loc)
+		old.value, old.flags, old.expiresAt, old.cost, old.loc = value, flags, expires, cost, loc
+	} else {
+		st.items[key] = &item{key: key, value: value, flags: flags, expiresAt: expires, cost: cost, loc: loc}
+	}
+	st.lay.maintain()
+	return true
 }
 
-// policySet admits through the policy that owns the key, pinning the
+// policySet admits key through p, the policy that owns it, pinning the
 // priority offset and class when they were recorded and the policy can
 // restore them. On the multi-tenant path the old version is dropped first so
 // the arbiter's byte accounting is exact, then makeRoom clears shared
 // capacity before the owning policy (whose own capacity is the whole shard)
 // admits the entry. Every policy mutation is followed by a noteUsage resync
 // so the store's running resident total stays exact.
-func (st *store) policySet(key string, size, cost int64, prio, class uint64, hasPrio bool) bool {
-	p, ts := st.stateFor(key)
+func (st *store) policySet(p cache.Policy, ts *tenantState, key string, size, cost int64, prio, class uint64, hasPrio bool) bool {
 	if st.multiTenant() {
 		p.Delete(key)
 		st.noteUsage(p, ts)
@@ -637,81 +536,17 @@ func (st *store) policySet(key string, size, cost int64, prio, class uint64, has
 			return false
 		}
 	}
-	ok := false
-	if hasPrio {
-		if po, isPrio := p.(cache.PriorityOrdered); isPrio {
-			ok = po.SetWithPriority(key, size, cost, prio, class)
-			st.noteUsage(p, ts)
-			return ok
-		}
+	var ok bool
+	if po, isPrio := p.(cache.PriorityOrdered); hasPrio && isPrio {
+		ok = po.SetWithPriority(key, size, cost, prio, class)
+	} else {
+		ok = p.Set(key, size, cost)
 	}
-	ok = p.Set(key, size, cost)
 	st.noteUsage(p, ts)
 	return ok
 }
 
-// setArena lands the record's bytes in the packed arena, then admits the key
-// through the same policy machinery byte mode uses, so priorities, tenancy
-// and persistence behave identically across the two layouts. An overwrite
-// updates the resident item struct in place — together with the interned key
-// and the arena copy-in, that is what makes the steady-state set path free
-// of per-item heap allocations.
-func (st *store) setArena(key string, value []byte, flags uint32, expires time.Time, cost int64, prio, class uint64, hasPrio bool) bool {
-	size := st.itemSize(key, value)
-	if size > st.cfg.MemoryBytes {
-		return false
-	}
-	p, _ := st.stateFor(key)
-	ref, ok := st.arenaAppend(p, key, value, flags, expires)
-	if !ok {
-		return false
-	}
-	if !st.policySet(key, size, cost, prio, class, hasPrio) {
-		// Mirror the byte-mode contract: a refused admission drops the entry
-		// entirely — the new bytes and whatever old version remained.
-		st.arena.Release(ref)
-		if old, exists := st.items[key]; exists {
-			st.arena.Release(old.aref)
-			delete(st.items, key)
-		}
-		return false
-	}
-	// Re-lookup rather than trusting a pre-append snapshot: the append loop's
-	// compaction/eviction (or the policy's own internal evictions during
-	// admission) may have removed the old version meanwhile.
-	if old, exists := st.items[key]; exists {
-		st.arena.Release(old.aref)
-		old.flags, old.expiresAt, old.cost, old.aref = flags, expires, cost, ref
-	} else {
-		st.items[key] = &item{key: key, flags: flags, expiresAt: expires, cost: cost, aref: ref}
-	}
-	st.arenaMaintain()
-	return true
-}
-
-// arenaAppend copies the record into the arena, clearing space on pressure:
-// compaction first (reclaims dead bytes for free), then Memshare-arbitrated
-// eviction on requester's behalf. The loop terminates — each CompactForce
-// recycles a whole segment or reports false, and each eviction removes one
-// resident entry, so a record that fits the budget eventually lands and one
-// that cannot fit fails once the arena is drained.
-func (st *store) arenaAppend(requester cache.Policy, key string, value []byte, flags uint32, expires time.Time) (alloc.Ref, bool) {
-	expNano := expiryNano(expires)
-	for {
-		ref, err := st.arena.Append(key, value, flags, expNano)
-		if err == nil {
-			return ref, true
-		}
-		if st.arena.CompactForce(st.arenaAlive, st.arenaMoved) {
-			continue
-		}
-		if !st.evictArbitrated(requester) {
-			return alloc.Ref{}, false
-		}
-	}
-}
-
-// expiryNano converts an absolute expiry to the arena record field: unix
+// expiryNano converts an absolute expiry to the layout's form: unix
 // nanoseconds, zero meaning no expiry.
 func expiryNano(expires time.Time) int64 {
 	if expires.IsZero() {
@@ -720,279 +555,69 @@ func expiryNano(expires time.Time) int64 {
 	return expires.UnixNano()
 }
 
-// itemValue returns an item's stored value. The arena-mode slice aliases the
-// packed segment and is invalidated by compaction: consume or copy it before
-// the shard lock drops.
-func (st *store) itemValue(it *item) []byte {
-	if st.arena != nil {
-		return st.arena.Value(it.aref)
+// valueOf returns an item's stored value. Under a copying layout the slice
+// aliases layout memory: consume or copy it before the shard lock drops.
+func (st *store) valueOf(it *item) []byte {
+	if st.lay.copiesValues() {
+		return st.lay.value(it.loc)
 	}
 	return it.value
 }
 
-// touchResident updates an item's expiry everywhere it lives: the item
-// struct and, in arena mode, the packed record itself — so a future
-// mmap-style rebuild from the segments sees the touched deadline.
-func (st *store) touchResident(it *item, expires time.Time) {
+// touch updates an item's expiry everywhere it lives: the item struct and
+// the layout's own record of it.
+func (st *store) touch(it *item, expires time.Time) {
 	it.expiresAt = expires
-	if st.arena != nil {
-		st.arena.TouchExpiry(it.aref, expiryNano(expires))
-	}
+	st.lay.touch(it.loc, expiryNano(expires))
 }
 
-// arenaCompactStride bounds how many record bytes one mutation's incremental
-// compaction step may scan, amortizing reclamation across operations the way
-// sweepExpired amortizes expiry.
-const arenaCompactStride = 32 << 10
-
-// arenaMaintain runs one bounded compaction step when any segment's
-// dead-byte ratio has crossed the threshold.
-func (st *store) arenaMaintain() {
-	if st.arena != nil && st.arena.NeedsCompaction() {
-		st.arena.CompactStep(arenaCompactStride, st.arenaAlive, st.arenaMoved)
-	}
-}
-
-// arenaStats exposes the packed arena's accounting for stats/metrics; the
-// zero value reports for non-arena layouts.
-func (st *store) arenaStats() alloc.ArenaStats {
-	if st.arena == nil {
-		return alloc.ArenaStats{}
-	}
-	return st.arena.Stats()
-}
-
-// setBuddy places the value in the buddy arena and charges the policy its
-// rounded block size. The pinned priority (v2 snapshot replay) passes
-// through to the policy: the buddy layout drives eviction through the same
-// CAMP/GDS policy byte mode uses, so its warm starts restore exact
-// cross-queue priorities the same way (block-size rounding is
-// deterministic, so the pinned class matches the recomputed block).
-func (st *store) setBuddy(key string, it *item, size, cost int64, prio, class uint64, hasPrio bool) bool {
-	// Replace any previous version first so we never evict ourselves.
-	st.deleteBuddy(key)
-	blockSize, err := st.buddy.BlockSize(size)
-	if err != nil {
-		return false
-	}
-	off, err := st.allocBuddy(size)
-	if err != nil {
-		return false
-	}
-	if !st.policySet(key, blockSize, cost, prio, class, hasPrio) {
-		st.buddy.Free(off)
-		return false
-	}
-	it.buddyOff = off
-	st.items[key] = it
-	return true
-}
-
-func (st *store) allocBuddy(size int64) (int64, error) {
-	for {
-		off, err := st.buddy.Alloc(size)
-		if err == nil {
-			return off, nil
-		}
-		if !errors.Is(err, alloc.ErrNoMemory) {
-			return 0, err
-		}
-		// The policy picks a victim; its callback frees the block.
-		if _, ok := st.evicter.EvictOne(); !ok {
-			return 0, err
-		}
-		st.noteUsage(st.policy, nil)
-	}
-}
-
-func (st *store) setSlab(key string, it *item, size, cost int64) bool {
-	st.deleteSlab(key)
-	class, err := st.slab.ClassFor(size)
-	if err != nil {
-		return false
-	}
-	h, err := st.allocSlab(key, class, size)
-	if err != nil {
-		return false
-	}
-	it.handle = h
-	st.items[key] = it
-	// Size 0 in the class LRU: the allocator owns space accounting.
-	st.classLRU[class].Set(key, 0, cost)
-	return true
-}
-
-// allocSlab implements Twemcache's §5 strategy: free chunk or new slab
-// (inside Alloc), then per-class LRU eviction, then random slab eviction.
-func (st *store) allocSlab(key string, class int, size int64) (alloc.Handle, error) {
-	for {
-		h, err := st.slab.Alloc(key, size)
-		if err == nil {
-			return h, nil
-		}
-		if !errors.Is(err, alloc.ErrNoMemory) {
-			return alloc.Handle{}, err
-		}
-		if victim, ok := st.classLRU[class].EvictOne(); ok {
-			st.purgeSlabVictim(victim.Key)
-			continue
-		}
-		// No item of this class to evict: random slab eviction.
-		owners, ok := st.slab.ReassignRandomSlab(class)
-		if !ok {
-			return alloc.Handle{}, alloc.ErrNoMemory
-		}
-		for _, owner := range owners {
-			if o, exists := st.items[owner]; exists {
-				st.classLRU[o.handle.Class()].Delete(owner)
-				delete(st.items, owner)
-				st.evicted++
-			}
-		}
-	}
-}
-
-// purgeSlabVictim removes a class-LRU victim's chunk and value.
-func (st *store) purgeSlabVictim(key string) {
-	it, ok := st.items[key]
-	if !ok {
-		return
-	}
-	st.slab.Free(it.handle)
-	delete(st.items, key)
-	st.evicted++
-}
-
+// delete removes key from its policy, the layout and the index. It tolerates
+// a policy that has already dropped the key (a refused Set does), so it is
+// also how a failed set tears the old version down.
 func (st *store) delete(key string) bool {
-	switch {
-	case st.slab != nil:
-		return st.deleteSlab(key)
-	case st.buddy != nil:
-		return st.deleteBuddy(key)
-	default:
-		p, ts := st.stateFor(key)
-		if !p.Delete(key) {
-			return false
-		}
-		st.noteUsage(p, ts)
-		if st.arena != nil {
-			if it, ok := st.items[key]; ok {
-				st.arena.Release(it.aref)
-			}
-		}
-		delete(st.items, key)
-		return true
-	}
-}
-
-func (st *store) deleteSlab(key string) bool {
 	it, ok := st.items[key]
 	if !ok {
 		return false
 	}
-	st.classLRU[it.handle.Class()].Delete(key)
-	st.slab.Free(it.handle)
+	p, ts := st.stateFor(key)
+	p.Delete(key)
+	st.noteUsage(p, ts)
+	st.lay.release(it.loc)
 	delete(st.items, key)
 	return true
 }
 
-func (st *store) deleteBuddy(key string) bool {
-	it, ok := st.items[key]
-	if !ok {
-		return false
-	}
-	st.policy.Delete(key)
-	st.noteUsage(st.policy, nil)
-	st.buddy.Free(it.buddyOff)
-	delete(st.items, key)
-	return true
-}
-
+// peek returns a resident item and its policy metadata (charged size and
+// cost) without touching recency.
 func (st *store) peek(key string) (*item, cache.Entry, bool) {
 	it, ok := st.items[key]
 	if !ok {
 		return nil, cache.Entry{}, false
 	}
-	return st.peekResident(it)
-}
-
-// peekBytes is peek for a key in wire form (see getBytes).
-func (st *store) peekBytes(key []byte) (*item, cache.Entry, bool) {
-	it, ok := st.items[string(key)]
-	if !ok {
-		return nil, cache.Entry{}, false
-	}
-	return st.peekResident(it)
-}
-
-func (st *store) peekResident(it *item) (*item, cache.Entry, bool) {
-	if st.slab != nil {
-		e, _ := st.classLRU[it.handle.Class()].Peek(it.key)
-		e.Size = st.itemSize(it.key, it.value)
-		return it, e, true
-	}
-	e, ok := st.policyFor(it.key).Peek(it.key)
+	e, ok := st.policyFor(key).Peek(key)
 	return it, e, ok
 }
 
 func (st *store) flush() {
-	fresh, err := newStore(st.cfg)
-	if err != nil {
+	// Lifetime counters survive the flush, as memcached's stats do. The
+	// policy objects are being replaced, so their counts fold into the bases.
+	ev, rej := st.policyLifetime()
+	st.evictedBase += ev
+	st.rejectedBase += rej
+	if err := st.reset(); err != nil {
 		// The config was already validated at construction.
 		panic("kvserver: flush rebuild failed: " + err.Error())
-	}
-	// Lifetime counters survive the flush, as memcached's stats do. The
-	// policy object is being replaced, so its counts fold into the bases.
-	evicted, reclaimed := st.evicted, st.expiredReclaimed
-	evictedBase, rejectedBase := st.evictedBase, st.rejectedBase
-	ev, rej := st.policyLifetime()
-	evictedBase += ev
-	rejectedBase += rej
-	*st = *fresh
-	st.evicted, st.expiredReclaimed = evicted, reclaimed
-	st.evictedBase, st.rejectedBase = evictedBase, rejectedBase
-	// Rebuild the per-tenant policy states eagerly from the registry, which
-	// survives the flush: connections still hold their *tenant, and the next
-	// namespaced write must land in its tenant's (fresh) policy — with
-	// reserves and arbitration intact — not escape into the default one.
-	if reg := st.cfg.tenants; reg != nil && st.slab == nil && st.buddy == nil {
-		for _, t := range reg.list() {
-			if t.name != defaultTenantName {
-				st.ensureTenant(t.name)
-			}
-		}
 	}
 }
 
 func (st *store) len() int { return len(st.items) }
 
-func (st *store) used() int64 {
-	switch {
-	case st.slab != nil:
-		var total int64
-		for _, cs := range st.slab.Stats() {
-			total += int64(cs.UsedChunks) * cs.ChunkSize
-		}
-		return total
-	default:
-		return st.usedAll()
-	}
-}
-
 func (st *store) evictions() uint64 {
-	if st.policy != nil {
-		ev, _ := st.policyLifetime()
-		return st.evictedBase + ev
-	}
-	return st.evicted
+	ev, _ := st.policyLifetime()
+	return st.evictedBase + ev
 }
 
-func (st *store) policyName() string {
-	if st.slab != nil {
-		return "lru-slab"
-	}
-	return st.policy.Name()
-}
+func (st *store) policyName() string { return st.policy.Name() }
 
 func (st *store) queueCount() int {
 	qc, ok := st.policy.(cache.QueueCounter)
@@ -1011,15 +636,11 @@ func (st *store) queueCount() int {
 // reclaimed returns how many expired items lazy expiry has removed.
 func (st *store) reclaimed() uint64 { return st.expiredReclaimed }
 
-// rejected returns how many Set calls the eviction policy refused, so
-// operators can watch admission pressure. Slab mode has no admission policy
-// of its own and reports 0.
+// rejected returns how many Set calls the eviction policies refused, so
+// operators can watch admission pressure.
 func (st *store) rejected() uint64 {
-	if st.policy != nil {
-		_, rej := st.policyLifetime()
-		return st.rejectedBase + rej
-	}
-	return st.rejectedBase
+	_, rej := st.policyLifetime()
+	return st.rejectedBase + rej
 }
 
 // restore re-applies one recovered journal op through the configured
@@ -1036,7 +657,7 @@ func (st *store) restore(op persist.Op) error {
 		st.delete(op.Key)
 	case persist.KindTouch:
 		if it, ok := st.items[op.Key]; ok {
-			st.touchResident(it, op.ExpiresAt())
+			st.touch(it, op.ExpiresAt())
 		}
 	case persist.KindFlush:
 		// Keyless flushes clear the whole store (the only form before
@@ -1073,28 +694,29 @@ func (st *store) restore(op persist.Op) error {
 }
 
 // collectOps copies every live entry out as a snapshot op, in
-// eviction-priority order whenever the policy can enumerate it, and — for
-// the priority policies (CAMP, GDS) — with each entry's exact priority
-// offset (H − L) as a KindSetPrio record, so replaying the ops rebuilds not
-// just the queues' order but the live cross-queue eviction schedule,
-// byte-exact even after eviction churn (snapshot format v2; ROADMAP's
-// "exact snapshot priorities"). Pure-recency layouts (LRU, slab classes)
-// stay KindSet: their order is their entire state. The caller holds the
-// shard mutex only for this copy-out; the returned ops alias the stored
-// value slices, which is safe to serialize after unlocking because the
-// server never mutates a stored value in place — every rewrite installs a
-// fresh slice. Arena-mode values are the exception: the compactor DOES move
-// record bytes, so they are copied out here, under the lock.
+// eviction-priority order, and — for the priority policies (CAMP, GDS) —
+// with each entry's exact priority offset (H − L) as a KindSetPrio record,
+// so replaying the ops rebuilds not just the queues' order but the live
+// cross-queue eviction schedule, byte-exact even after eviction churn
+// (snapshot format v2; ROADMAP's "exact snapshot priorities"). Pure-recency
+// policies (LRU, slab classes) stay KindSet: their order is their entire
+// state. The caller holds the shard mutex only for this copy-out; the
+// returned ops alias the stored value slices, which is safe to serialize
+// after unlocking because the server never mutates a stored value in place —
+// every rewrite installs a fresh slice. A copying layout's values are the
+// exception: its housekeeping DOES move the bytes, so they are copied out
+// here, under the lock.
 func (st *store) collectOps() []persist.Op {
 	ops := make([]persist.Op, 0, len(st.items))
+	copies := st.lay.copiesValues()
 	add := func(key string, cost int64, prio, class uint64, kind persist.Kind) bool {
 		it, ok := st.items[key]
 		if !ok {
 			return true
 		}
-		value := it.value
-		if st.arena != nil {
-			value = append([]byte(nil), st.arena.Value(it.aref)...)
+		value := st.valueOf(it)
+		if copies {
+			value = append([]byte(nil), value...)
 		}
 		ops = append(ops, persist.Op{
 			Kind:     kind,
@@ -1109,55 +731,39 @@ func (st *store) collectOps() []persist.Op {
 		})
 		return true
 	}
-	visit := func(e cache.Entry) bool { return add(e.Key, e.Cost, 0, 0, persist.KindSet) }
-	switch {
-	case st.slab != nil:
-		// Per-class LRU order, classes ascending: each class queue is
-		// rebuilt in its original order on load.
-		for _, lru := range st.classLRU {
-			lru.VisitEvictionOrder(visit)
-		}
-	default:
-		// Tenant identity and quotas go first, so replay re-creates every
-		// tenant — including ones with no resident keys — before any entry
-		// lands or any keyed flush needs a namespace to clear.
-		if reg := st.cfg.tenants; reg != nil {
-			for _, t := range reg.list() {
-				if t.prefix == "" && t.reserve.Load() == 0 {
-					continue // the bare default tenant is implicit
-				}
-				ops = append(ops, persist.Op{Kind: persist.KindTenant, Key: t.name, Reserve: t.reserve.Load()})
+	// Tenant identity and quotas go first, so replay re-creates every tenant
+	// — including ones with no resident keys — before any entry lands or any
+	// keyed flush needs a namespace to clear.
+	if reg := st.cfg.tenants; reg != nil {
+		for _, t := range reg.list() {
+			if t.prefix == "" && t.reserve.Load() == 0 {
+				continue // the bare default tenant is implicit
 			}
+			ops = append(ops, persist.Op{Kind: persist.KindTenant, Key: t.name, Reserve: t.reserve.Load()})
 		}
-		emitPolicy := func(p cache.Policy) {
-			if po, ok := p.(cache.PriorityOrdered); ok {
-				// The adaptive scale goes first so replay buckets every
-				// subsequent Set with the live workload's learned state.
-				if ps, ok := p.(cache.PriorityScaled); ok {
-					ops = append(ops, persist.Op{Kind: persist.KindScale, Scale: ps.PriorityScale()})
-				}
-				po.VisitEvictionPriority(func(e cache.Entry, prio, class uint64) bool {
-					return add(e.Key, e.Cost, prio, class, persist.KindSetPrio)
-				})
-			} else if eo, ok := p.(cache.EvictionOrdered); ok {
-				eo.VisitEvictionOrder(visit)
-			} else if len(st.tens) == 0 {
-				for key := range st.items {
-					if _, meta, ok := st.peek(key); ok {
-						add(key, meta.Cost, 0, 0, persist.KindSet)
-					}
-				}
+	}
+	emitPolicy := func(p cache.Policy) {
+		if po, ok := p.(cache.PriorityOrdered); ok {
+			// The adaptive scale goes first so replay buckets every
+			// subsequent Set with the live workload's learned state.
+			if ps, ok := p.(cache.PriorityScaled); ok {
+				ops = append(ops, persist.Op{Kind: persist.KindScale, Scale: ps.PriorityScale()})
 			}
+			po.VisitEvictionPriority(func(e cache.Entry, prio, class uint64) bool {
+				return add(e.Key, e.Cost, prio, class, persist.KindSetPrio)
+			})
+		} else if eo, ok := p.(cache.EvictionOrdered); ok {
+			eo.VisitEvictionOrder(func(e cache.Entry) bool { return add(e.Key, e.Cost, 0, 0, persist.KindSet) })
 		}
-		emitPolicy(st.policy)
-		names := make([]string, 0, len(st.tens))
-		for name := range st.tens {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			emitPolicy(st.tens[name].policy)
-		}
+	}
+	emitPolicy(st.policy)
+	names := make([]string, 0, len(st.tens))
+	for name := range st.tens {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		emitPolicy(st.tens[name].policy)
 	}
 	return ops
 }

@@ -256,9 +256,9 @@ func (s *Server) handleTenant(args [][]byte, cs *connState) error {
 		cs.tenant = nil
 		return s.replyTenant(cs, name)
 	}
-	if s.cfg.Mode != ModeByte && s.cfg.Mode != ModeArena {
-		// The slab and buddy layouts have no per-tenant policies to
-		// arbitrate between; refuse rather than silently share.
+	if !s.tenantCapable {
+		// The layout has no per-tenant policies to arbitrate between;
+		// refuse rather than silently share.
 		_, err := w.Write(replyTenantMode)
 		return err
 	}

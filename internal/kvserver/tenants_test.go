@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"camp/internal/kvclient"
 	"camp/internal/trace"
@@ -338,8 +339,11 @@ func TestTenantWarmRestart(t *testing.T) {
 			}
 		}
 	}
-	if totalCompactions(s1) == 0 {
-		t.Fatal("no compactions: snapshot path not exercised (shrink AOFLimit)")
+	// Compaction runs on the background compactor; give it a moment.
+	for deadline := time.Now().Add(5 * time.Second); totalCompactions(s1) == 0; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("no compactions: snapshot path not exercised (shrink AOFLimit)")
+		}
 	}
 
 	wantState := captureState(s1)

@@ -244,10 +244,6 @@ func TestAllPoliciesSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, err := cache.NewSharded(4000, 4, func(c int64) cache.Policy { return cache.NewLRU(c) })
-	if err != nil {
-		t.Fatal(err)
-	}
 	policies := []cache.Policy{
 		cache.NewLRU(4000),
 		pooled,
@@ -260,8 +256,6 @@ func TestAllPoliciesSmoke(t *testing.T) {
 		cache.NewLFU(4000),
 		cache.NewGDWheel(4000),
 		cache.NewAdmission(core.NewCamp(4000)),
-		cache.NewTwoLevel(cache.NewLRU(1000), core.NewCamp(3000)),
-		sharded,
 	}
 	for _, p := range policies {
 		t.Run(p.Name(), func(t *testing.T) {
