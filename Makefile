@@ -1,22 +1,24 @@
 GO ?= go
 
 # The checked-in allocs/op budget for the protocol hot path. The PR 2
-# baseline was 161 allocs per 20-op batch; the zero-allocation protocol
-# rewrite (PR 3) landed at ~20 — this budget keeps headroom for pool and GC
-# jitter while still failing anything that creeps back past the ≥60%-cut
-# acceptance bar (64).
-ALLOCS_BUDGET ?= 48
+# baseline was 161 allocs per 20-op batch and the zero-allocation protocol
+# rewrite (PR 3) landed at ~20; since the eviction orderings link nodes
+# embedded in the store's items (no per-key policy entry, list node or second
+# map slot) the measured steady state is 4 — the value slice each of the
+# batch's four sets retains. Headroom to 6 covers pool and GC jitter.
+ALLOCS_BUDGET ?= 6
 
 # The packed-arena budget (PR 10): sets copy into pooled scratch and packed
-# segments instead of allocating value buffers, so the measured steady state
-# is 8 allocs per 20-op batch — the CAMP policy-node floor on overwrites.
-# Headroom to 12 covers pool jitter; byte mode keeps its own budget above.
-ARENA_ALLOCS_BUDGET ?= 12
+# segments instead of allocating value buffers, and an overwrite re-links the
+# item's own node, so the measured steady state is 0 allocs per 20-op batch.
+# Headroom to 2 covers pool jitter; byte mode keeps its own budget above.
+ARENA_ALLOCS_BUDGET ?= 2
 
 # The committed ceiling on non-test Go lines in internal/kvserver (`wc -l`).
 # ROADMAP item 2 is a net-negative refactor: each of its PRs lowers this to
-# its own result, so the package can only shrink (6367 before PR 12).
-KVSERVER_LOC_BUDGET ?= 6257
+# its own result, so the package can only shrink (6367 before PR 12, 6257
+# after it).
+KVSERVER_LOC_BUDGET ?= 6194
 
 # pipefail so `go test | tee` recipes fail when go test fails, not when tee
 # does — otherwise a panicking benchmark still passes its gate.
@@ -28,7 +30,7 @@ SHELL := /bin/bash
 CHAOS_SEED ?= 1
 CHAOS_ROUNDS ?= 8
 
-.PHONY: verify fmt vet build test race race-all chaos fuzz fuzz-smoke alloc-gate loc-gate metrics-gate
+.PHONY: verify fmt vet build test race race-all chaos fuzz fuzz-smoke alloc-gate loc-gate metrics-gate bench-check
 
 verify: fmt vet build test race
 
@@ -87,6 +89,12 @@ loc-gate:
 		if [ $$d = internal/kvserver ] && [ $$n -gt $(KVSERVER_LOC_BUDGET) ]; then over=$$n; fi; \
 	done; \
 	if [ -n "$$over" ]; then echo "loc-gate: internal/kvserver has $$over non-test lines, budget $(KVSERVER_LOC_BUDGET)"; exit 1; fi
+
+# bench/ is its own module, so `go build ./... && go test ./...` at the root
+# never compiles it: vet and test it where it lives, or an exported-API break
+# in the packages it imports surfaces only as a failed benchmark run.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Fail if a live /metrics scrape stops being valid Prometheus exposition
 # text or loses a required family (latency histograms, shard gauges,

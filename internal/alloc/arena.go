@@ -110,6 +110,10 @@ func NewArena(capacity, segSize int64) (*Arena, error) {
 	return &Arena{segSize: segSize, capacity: capacity, active: -1}, nil
 }
 
+// SegmentSize is the size of a normal segment: the most the arena may hold
+// beyond its capacity, and only while a relocation's victim awaits recycling.
+func (a *Arena) SegmentSize() int64 { return a.segSize }
+
 // uvarintLen is the encoded size of v as a uvarint.
 func uvarintLen(v uint64) int {
 	n := 1
@@ -221,8 +225,14 @@ func (a *Arena) installSeg(seg *aseg) uint32 {
 // tail returns a segment with room for n more bytes, sealing the current
 // active segment and rotating to a recycled or new one as needed. overshoot
 // lets the compactor exceed the byte budget by one segment: relocation needs
-// somewhere to write before the victim's recycle pays the budget back.
+// somewhere to write before the victim's recycle pays the budget back. Until
+// it does, the borrowed room is the relocation's alone — appends are refused,
+// so the caller's CompactForce finishes the victim — which is what keeps the
+// overshoot to that one segment.
 func (a *Arena) tail(n int64, overshoot bool) (uint32, *aseg) {
+	if !overshoot && a.held > a.capacity {
+		return 0, nil
+	}
 	if a.active >= 0 {
 		seg := a.segs[a.active]
 		if int64(cap(seg.buf)-len(seg.buf)) >= n {
@@ -326,8 +336,8 @@ func (a *Arena) NeedsCompaction() bool { return len(a.victims) > 0 }
 // alive whether each record is still indexed at its old Ref and announcing
 // every relocation through moved before the old bytes are retired — so the
 // caller can re-point its index under the same lock. A fully scanned victim
-// is recycled onto the free-segment list. Returns the bytes scanned and the
-// bytes relocated.
+// is recycled onto the free-segment list, or dropped while the arena holds
+// more than its budget. Returns the bytes scanned and the bytes relocated.
 func (a *Arena) CompactStep(maxBytes int64, alive func(key []byte, ref Ref) bool, moved func(key []byte, ref Ref)) (scanned, relocated int64) {
 	if len(a.victims) == 0 {
 		return 0, 0
@@ -361,6 +371,11 @@ func (a *Arena) CompactStep(maxBytes int64, alive func(key []byte, ref Ref) bool
 		a.victims = a.victims[1:]
 		a.cursor = 0
 		a.freeSegs = append(a.freeSegs, id)
+		if a.held > a.capacity {
+			// Relocation overshot the budget for somewhere to write; the
+			// recycled victim pays it back instead of being retained.
+			a.dropFreeSeg()
+		}
 		a.compactions++
 	}
 	return scanned, relocated

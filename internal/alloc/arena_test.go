@@ -42,6 +42,7 @@ func (m *arenaModel) moved(key []byte, ref Ref) {
 // set mirrors the store's ordering: append, compact/fail on pressure,
 // release the previous version only after the new one landed.
 func (m *arenaModel) set(key string, value []byte, exp int64) bool {
+	defer m.checkHeld()
 	var ref Ref
 	for {
 		r, err := m.a.Append(key, value, 7, exp)
@@ -63,11 +64,21 @@ func (m *arenaModel) set(key string, value []byte, exp int64) bool {
 }
 
 func (m *arenaModel) del(key string) {
+	defer m.checkHeld()
 	if ref, ok := m.refs[key]; ok {
 		m.a.Release(ref)
 		delete(m.refs, key)
 		delete(m.vals, key)
 		delete(m.exps, key)
+	}
+}
+
+// checkHeld bounds the memory the arena holds after every step: its budget,
+// plus the one segment a relocation may borrow until its victim recycles.
+func (m *arenaModel) checkHeld() {
+	m.t.Helper()
+	if held, limit := m.a.Stats().HeldBytes, m.a.capacity+m.a.segSize; held > limit {
+		m.t.Fatalf("arena holds %d bytes, budget plus one segment is %d", held, limit)
 	}
 }
 
@@ -96,6 +107,7 @@ func (m *arenaModel) check() {
 		}
 		live += recordSize(len(key), len(value))
 	}
+	m.checkHeld()
 	st := m.a.Stats()
 	if st.LiveBytes != live {
 		m.t.Fatalf("live bytes %d, index sums to %d", st.LiveBytes, live)
@@ -260,6 +272,29 @@ func TestArenaBudget(t *testing.T) {
 	m.check()
 	if st := m.a.Stats(); st.HeldBytes > 8<<10+2048 {
 		t.Fatalf("held bytes %d exceed budget plus one segment of slack", st.HeldBytes)
+	}
+}
+
+// TestArenaPaysBackOvershoot churns a nearly full arena, where relocation
+// regularly finds no free segment and borrows one past the budget. Each
+// borrowed segment must be paid back when its victim recycles (checkHeld runs
+// after every set); retaining the victim instead ratchets the held bytes up
+// by one segment per borrow.
+func TestArenaPaysBackOvershoot(t *testing.T) {
+	m := newArenaModel(t, 16<<10, 2048)
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 20_000; i++ {
+		key := fmt.Sprintf("key-%02d", rng.Intn(90))
+		if !m.set(key, bytes.Repeat([]byte{byte(i)}, 60+rng.Intn(80)), 0) {
+			m.del(fmt.Sprintf("key-%02d", rng.Intn(90))) // full: evict, as the store would
+		}
+		if m.a.NeedsCompaction() {
+			m.a.CompactStep(512, m.alive, m.moved)
+		}
+	}
+	m.check()
+	if st := m.a.Stats(); st.Compactions == 0 {
+		t.Fatal("churn never compacted")
 	}
 }
 

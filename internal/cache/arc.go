@@ -68,7 +68,6 @@ func (l *arcList) lru() *arcEntry {
 }
 
 var _ Policy = (*ARC)(nil)
-var _ Evicter = (*ARC)(nil)
 
 // NewARC returns a byte-weighted ARC policy.
 func NewARC(capacity int64) *ARC {
@@ -235,7 +234,7 @@ func (a *ARC) evict(e *arcEntry, ghost bool) {
 	}
 }
 
-// EvictOne implements Evicter.
+// EvictOne removes the preferred victim, firing the eviction callback.
 func (a *ARC) EvictOne() (Entry, bool) {
 	var victim *arcEntry
 	if a.t1.bytes > a.p {

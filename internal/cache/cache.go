@@ -7,9 +7,12 @@
 // capacity. Storing actual values is layered on top (see the root camp
 // package), which keeps the policies directly usable by the trace-driven
 // simulator without materializing values.
+//
+// LRU, CAMP and GDS are written once, as an Ordering over Nodes the caller
+// owns (ordering.go): a store that already indexes its items embeds a Node in
+// each and never pays for a second key lookup. Keyed adds the one key index
+// that turns such an ordering into a string-keyed Policy.
 package cache
-
-import "errors"
 
 // Entry describes a cached key-value pair's metadata.
 type Entry struct {
@@ -24,10 +27,6 @@ type Entry struct {
 
 // EvictFunc observes evictions. It must not call back into the policy.
 type EvictFunc func(Entry)
-
-// ErrTooLarge is reported (via Set returning false) when a single item
-// exceeds the policy's capacity; exposed for tests and diagnostics.
-var ErrTooLarge = errors.New("cache: item larger than capacity")
 
 // Policy is an online eviction policy managing a fixed budget of bytes.
 //
@@ -95,15 +94,6 @@ type Stats struct {
 	Rejected uint64
 }
 
-// Evicter is implemented by policies that can evict a single victim on
-// demand, letting an external memory manager (slab or buddy allocator, §5)
-// drive evictions when placement fails.
-type Evicter interface {
-	// EvictOne removes the policy's preferred victim, firing the
-	// eviction callback, and returns it; ok is false when empty.
-	EvictOne() (Entry, bool)
-}
-
 // HeapVisitor is implemented by policies whose internal priority structure
 // records visited heap nodes (CAMP and GDS); it powers Figure 4.
 type HeapVisitor interface {
@@ -113,81 +103,14 @@ type HeapVisitor interface {
 	ResetHeapVisits()
 }
 
-// EvictionOrdered is implemented by policies that can enumerate resident
-// entries in the order the policy would evict them — the next victim first —
-// without mutating any state. Snapshots written in this order rebuild the
-// policy's internal queues in their original order on a warm start, where a
-// map-order snapshot scrambled them. For the priority policies (CAMP, GDS)
-// order alone makes the restored schedule exact only while the live offsets
-// are uniform (no evictions had raised L); restoring the offsets themselves
-// is PriorityOrdered's job, and makes mid-churn snapshots exact too.
-type EvictionOrdered interface {
-	// VisitEvictionOrder calls visit for each resident entry in eviction
-	// order, stopping early if visit returns false.
-	VisitEvictionOrder(visit func(Entry) bool)
-}
-
-// PriorityOrdered extends EvictionOrdered for policies whose eviction
-// schedule depends on per-entry priority state beyond recency (CAMP and
-// GDS): visitation additionally exposes each entry's priority offset — its
-// priority H minus the policy's global offset L — and its priority class —
-// CAMP's rounded integer cost-to-size ratio, i.e. the queue the entry lives
-// in — both encoded as opaque uint64s the same policy knows how to decode.
-// SetWithPriority re-inserts an entry pinned to exactly that (offset,
-// class). A snapshot that records both and is replayed in visitation order
-// reproduces the live cross-queue eviction schedule exactly, even
-// mid-churn, where re-deriving priorities from costs only restores
-// within-queue order.
-//
-// The class must be pinned, not re-derived, because CAMP's ratio
-// integerization is adaptive (rounding.Converter learns its scale from the
-// sizes it has seen): a fresh policy re-deriving classes mid-restore would
-// assign entries to different queues than the live cache did. Offsets are
-// relative to L so they survive the restore into a fresh policy (where L
-// restarts at zero) and stay meaningful after later churn raises it. An
-// offset that would violate the policy's invariants (decoded from a corrupt
-// or foreign snapshot) is clamped to the nearest valid priority rather than
-// trusted.
+// PriorityOrdered is implemented by the string-keyed face of every ordering
+// (Keyed): SetWithPriority re-inserts an entry pinned to the (offset, class)
+// a previous Ordering.Visit reported, which is how a snapshot replay
+// reproduces the live eviction schedule exactly.
 type PriorityOrdered interface {
-	EvictionOrdered
-	// VisitEvictionPriority is VisitEvictionOrder with each entry's
-	// encoded priority offset and class.
-	VisitEvictionPriority(visit func(e Entry, prio, class uint64) bool)
-	// SetWithPriority inserts key like Set but pins its priority to
-	// L + the decoded offset, in the given class, instead of deriving
-	// both from cost alone. Callers replaying a snapshot must insert in
-	// visitation order.
+	// SetWithPriority inserts key like Set but through Ordering.InsertAt.
+	// Callers replaying a snapshot must insert in visitation order.
 	SetWithPriority(key string, size, cost int64, prio, class uint64) bool
-}
-
-// PriorityScaled is implemented by priority policies whose priority
-// derivation carries adaptive scalar state beyond the per-entry offsets:
-// CAMP's ratio integerizer learns its scale (the largest size ever seen)
-// from the whole workload, including entries long since evicted. Snapshots
-// persist the scale so a restored policy buckets future inserts exactly as
-// the live one would have, instead of re-learning the scale from the
-// resident working set alone.
-type PriorityScaled interface {
-	// PriorityScale returns the opaque adaptive scale word.
-	PriorityScale() uint64
-	// RestorePriorityScale re-installs a saved scale word. It only ever
-	// widens the scale (the live scale is monotonic), so replaying it is
-	// idempotent and safe in any order relative to the entries.
-	RestorePriorityScale(scale uint64)
-}
-
-// VictimPeeker is implemented by policies that can name their next eviction
-// victim — and how much that victim is still worth — without mutating any
-// state. The urgency is the victim's priority offset above the policy's
-// global floor (H − L for CAMP and GDS: the marginal cost-per-byte value the
-// policy would give up by evicting it; always 0 for LRU, which values all
-// victims equally). A multi-tenant arbiter compares urgencies across tenant
-// policies and takes memory from the tenant whose next victim is worth the
-// least, Memshare-style.
-type VictimPeeker interface {
-	// PeekVictim returns the entry EvictOne would remove next and its
-	// urgency; ok is false when the policy is empty.
-	PeekVictim() (e Entry, urgency float64, ok bool)
 }
 
 // QueueCounter is implemented by policies organized as multiple queues

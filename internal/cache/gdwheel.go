@@ -44,7 +44,6 @@ type gdwEntry struct {
 }
 
 var _ Policy = (*GDWheel)(nil)
-var _ Evicter = (*GDWheel)(nil)
 
 // NewGDWheel returns a GD-Wheel policy with the given byte capacity.
 func NewGDWheel(capacity int64) *GDWheel {
@@ -190,7 +189,7 @@ func (g *GDWheel) admit(key string, size, cost int64) bool {
 	return true
 }
 
-// EvictOne implements Evicter: advance the hand to the next non-empty
+// EvictOne evicts one victim on demand: advance the hand to the next non-empty
 // level-0 slot (migrating outer wheels inward as windows are crossed) and
 // evict that slot's FIFO head.
 func (g *GDWheel) EvictOne() (Entry, bool) {

@@ -25,7 +25,6 @@ type lfuEntry struct {
 }
 
 var _ Policy = (*LFU)(nil)
-var _ Evicter = (*LFU)(nil)
 
 // NewLFU returns an LFU policy with the given byte capacity.
 func NewLFU(capacity int64) *LFU {
@@ -114,7 +113,7 @@ func (c *LFU) makeRoom(need int64) bool {
 	return true
 }
 
-// EvictOne implements Evicter.
+// EvictOne removes the preferred victim, firing the eviction callback.
 func (c *LFU) EvictOne() (Entry, bool) {
 	if c.heap.Len() == 0 {
 		return Entry{}, false

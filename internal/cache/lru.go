@@ -5,215 +5,115 @@ import "camp/internal/ilist"
 // LRU is the classic least-recently-used policy over variable-sized items:
 // a single recency queue, evicting from the front (least recently used)
 // until the incoming item fits. It ignores cost entirely, which is exactly
-// the weakness CAMP addresses.
+// the weakness CAMP addresses. It is an Ordering; the embedded Keyed makes
+// it a Policy.
 type LRU struct {
+	Keyed
 	capacity int64
 	used     int64
-	items    map[string]*ilist.Node[*lruEntry]
-	queue    *ilist.List[*lruEntry]
+	queue    *ilist.List[*Node]
 	stats    Stats
-	onEvict  EvictFunc
-}
-
-type lruEntry struct {
-	key  string
-	size int64
-	cost int64
+	onEvict  func(*Node)
 }
 
 var (
-	_ Policy       = (*LRU)(nil)
-	_ VictimPeeker = (*LRU)(nil)
+	_ Policy   = (*LRU)(nil)
+	_ Ordering = (*LRU)(nil)
 )
 
 // NewLRU returns an LRU policy with the given byte capacity.
 func NewLRU(capacity int64) *LRU {
-	if capacity < 0 {
-		capacity = 0
-	}
-	return &LRU{
-		capacity: capacity,
-		items:    make(map[string]*ilist.Node[*lruEntry]),
-		queue:    ilist.New[*lruEntry](),
-	}
+	c := &LRU{capacity: max(capacity, 0), queue: ilist.New[*Node]()}
+	c.Keyed = NewKeyed(c, &c.stats)
+	return c
 }
 
-// Name implements Policy.
+// Name implements Ordering.
 func (c *LRU) Name() string { return "lru" }
 
-// Get implements Policy.
-func (c *LRU) Get(key string) bool {
-	n, ok := c.items[key]
-	if !ok {
-		c.stats.Misses++
-		return false
-	}
-	c.queue.MoveToBack(n)
-	c.stats.Hits++
-	return true
-}
-
-// Set implements Policy.
-func (c *LRU) Set(key string, size, cost int64) bool {
-	if size < 0 {
-		size = 0
-	}
-	if n, ok := c.items[key]; ok {
-		delta := size - n.Value.size
-		if delta > 0 && !c.makeRoomExcept(delta, key) {
-			// Cannot grow the entry; drop it instead of keeping a
-			// stale size.
-			c.removeNode(n)
-			c.stats.Rejected++
-			return false
-		}
-		c.used += delta
-		n.Value.size = size
-		n.Value.cost = cost
-		c.queue.MoveToBack(n)
-		c.stats.Updates++
-		return true
-	}
-	if size > c.capacity {
+// Insert implements Ordering.
+func (c *LRU) Insert(n *Node) bool {
+	if n.Size > c.capacity {
 		c.stats.Rejected++
 		return false
 	}
-	if !c.makeRoomExcept(size, "") {
-		c.stats.Rejected++
-		return false
+	for c.used+n.Size > c.capacity {
+		c.Evict()
 	}
-	e := &lruEntry{key: key, size: size, cost: cost}
-	c.items[key] = c.queue.PushBack(e)
-	c.used += size
+	n.Value = n
+	c.queue.PushBackNode(&n.Node)
+	c.used += n.Size
 	c.stats.Sets++
 	return true
 }
 
-// Delete implements Policy.
-func (c *LRU) Delete(key string) bool {
-	n, ok := c.items[key]
-	if !ok {
-		return false
+// InsertAt implements Ordering: recency is LRU's whole state, so replaying
+// in visitation order restores it and the pinned priority means nothing.
+func (c *LRU) InsertAt(n *Node, _, _ uint64) bool { return c.Insert(n) }
+
+// Touch implements Ordering.
+func (c *LRU) Touch(n *Node) {
+	c.queue.MoveToBack(&n.Node)
+	c.stats.Hits++
+}
+
+// Remove implements Ordering.
+func (c *LRU) Remove(n *Node) {
+	c.queue.Remove(&n.Node)
+	c.used -= n.Size
+}
+
+// Victim implements Ordering: the least recently used item, with urgency 0 —
+// LRU has no notion of one victim being worth more than another.
+func (c *LRU) Victim() (*Node, float64) {
+	if front := c.queue.Front(); front != nil {
+		return front.Value, 0
 	}
-	c.removeNode(n)
-	return true
+	return nil, 0
 }
 
-// Contains implements Policy.
-func (c *LRU) Contains(key string) bool {
-	_, ok := c.items[key]
-	return ok
-}
-
-// Peek implements Policy.
-func (c *LRU) Peek(key string) (Entry, bool) {
-	n, ok := c.items[key]
-	if !ok {
-		return Entry{}, false
+// Evict implements Ordering: it evicts the least recently used item.
+func (c *LRU) Evict() *Node {
+	n, _ := c.Victim()
+	if n == nil {
+		return nil
 	}
-	return Entry{Key: n.Value.key, Size: n.Value.size, Cost: n.Value.cost}, true
+	c.Remove(n)
+	c.stats.Evictions++
+	c.stats.EvictedBytes += uint64(n.Size)
+	if c.onEvict != nil {
+		c.onEvict(n)
+	}
+	return n
 }
 
-// Len implements Policy.
-func (c *LRU) Len() int { return len(c.items) }
+// Visit implements Ordering: the recency queue is the eviction order, least
+// recently used first.
+func (c *LRU) Visit(visit func(n *Node, prio, class uint64) bool) {
+	for n := c.queue.Front(); n != nil && visit(n.Value, 0, 0); n = n.Next() {
+	}
+}
 
-// Used implements Policy.
+// Prioritized implements Ordering.
+func (c *LRU) Prioritized() bool { return false }
+
+// Scale implements Ordering.
+func (c *LRU) Scale() (uint64, bool) { return 0, false }
+
+// RestoreScale implements Ordering.
+func (c *LRU) RestoreScale(uint64) {}
+
+// Len implements Ordering.
+func (c *LRU) Len() int { return c.queue.Len() }
+
+// Used implements Ordering.
 func (c *LRU) Used() int64 { return c.used }
 
-// Capacity implements Policy.
+// Capacity implements Ordering.
 func (c *LRU) Capacity() int64 { return c.capacity }
 
-// Stats implements Policy.
+// Stats implements Ordering.
 func (c *LRU) Stats() Stats { return c.stats }
 
-// SetEvictFunc implements Policy.
-func (c *LRU) SetEvictFunc(fn EvictFunc) { c.onEvict = fn }
-
-// EvictOne implements Evicter: it evicts the least recently used item.
-func (c *LRU) EvictOne() (Entry, bool) {
-	n := c.queue.Front()
-	if n == nil {
-		return Entry{}, false
-	}
-	e := Entry{Key: n.Value.key, Size: n.Value.size, Cost: n.Value.cost}
-	c.evictNode(n)
-	return e, true
-}
-
-// VisitEvictionOrder implements EvictionOrdered: the recency queue is the
-// eviction order, least recently used first.
-func (c *LRU) VisitEvictionOrder(visit func(Entry) bool) {
-	for n := c.queue.Front(); n != nil; n = n.Next() {
-		e := n.Value
-		if !visit(Entry{Key: e.key, Size: e.size, Cost: e.cost}) {
-			return
-		}
-	}
-}
-
-// PeekVictim implements VictimPeeker: the least recently used item, with
-// urgency 0 — LRU has no notion of one victim being worth more than another.
-func (c *LRU) PeekVictim() (Entry, float64, bool) {
-	n := c.queue.Front()
-	if n == nil {
-		return Entry{}, 0, false
-	}
-	return Entry{Key: n.Value.key, Size: n.Value.size, Cost: n.Value.cost}, 0, true
-}
-
-// Victim returns the key next in line for eviction, for tests.
-func (c *LRU) Victim() (string, bool) {
-	if n := c.queue.Front(); n != nil {
-		return n.Value.key, true
-	}
-	return "", false
-}
-
-// Keys returns resident keys from least to most recently used, for tests.
-func (c *LRU) Keys() []string {
-	out := make([]string, 0, len(c.items))
-	for n := c.queue.Front(); n != nil; n = n.Next() {
-		out = append(out, n.Value.key)
-	}
-	return out
-}
-
-// makeRoomExcept evicts least-recently-used items until need bytes fit,
-// never evicting skip (used when growing an existing entry).
-func (c *LRU) makeRoomExcept(need int64, skip string) bool {
-	for c.used+need > c.capacity {
-		n := c.queue.Front()
-		if n == nil {
-			return false
-		}
-		if n.Value.key == skip {
-			// skip is the only remaining entry; it cannot make
-			// room for itself.
-			if c.queue.Len() == 1 {
-				return false
-			}
-			n = n.Next()
-			if n == nil {
-				return false
-			}
-		}
-		c.evictNode(n)
-	}
-	return true
-}
-
-func (c *LRU) evictNode(n *ilist.Node[*lruEntry]) {
-	e := n.Value
-	c.removeNode(n)
-	c.stats.Evictions++
-	c.stats.EvictedBytes += uint64(e.size)
-	if c.onEvict != nil {
-		c.onEvict(Entry{Key: e.key, Size: e.size, Cost: e.cost})
-	}
-}
-
-func (c *LRU) removeNode(n *ilist.Node[*lruEntry]) {
-	c.queue.Remove(n)
-	delete(c.items, n.Value.key)
-	c.used -= n.Value.size
-}
+// OnEvict implements Ordering.
+func (c *LRU) OnEvict(fn func(*Node)) { c.onEvict = fn }

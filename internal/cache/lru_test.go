@@ -155,18 +155,28 @@ func TestLRUDelete(t *testing.T) {
 	}
 }
 
+// lruKeys returns resident keys from least to most recently used.
+func lruKeys(c *LRU) []string {
+	var out []string
+	c.Visit(func(n *Node, _, _ uint64) bool {
+		out = append(out, n.Key)
+		return true
+	})
+	return out
+}
+
 func TestLRUVictimAndKeys(t *testing.T) {
 	c := NewLRU(100)
-	if _, ok := c.Victim(); ok {
+	if n, _ := c.Victim(); n != nil {
 		t.Fatal("empty cache has no victim")
 	}
 	c.Set("a", 1, 1)
 	c.Set("b", 1, 1)
 	c.Get("a")
-	if v, _ := c.Victim(); v != "b" {
-		t.Fatalf("victim = %q, want b", v)
+	if n, urg := c.Victim(); n.Key != "b" || urg != 0 {
+		t.Fatalf("victim = %q urgency %v, want b 0", n.Key, urg)
 	}
-	keys := c.Keys()
+	keys := lruKeys(c)
 	if len(keys) != 2 || keys[0] != "b" || keys[1] != "a" {
 		t.Fatalf("Keys = %v, want [b a]", keys)
 	}
@@ -305,7 +315,7 @@ func TestLRUMatchesModel(t *testing.T) {
 		}
 	}
 	// Final order check.
-	keys := c.Keys()
+	keys := lruKeys(c)
 	if len(keys) != len(m.order) {
 		t.Fatalf("order length %d, model %d", len(keys), len(m.order))
 	}

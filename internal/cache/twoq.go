@@ -32,7 +32,6 @@ type twoqEntryRef struct {
 }
 
 var _ Policy = (*TwoQ)(nil)
-var _ Evicter = (*TwoQ)(nil)
 
 // NewTwoQ returns a 2Q policy with the standard 25%/50% queue tuning.
 func NewTwoQ(capacity int64) *TwoQ {
@@ -175,7 +174,7 @@ func (q *TwoQ) evictResident(e *arcEntry, from twoqWhere, ghost bool) {
 	}
 }
 
-// EvictOne implements Evicter.
+// EvictOne removes the preferred victim, firing the eviction callback.
 func (q *TwoQ) EvictOne() (Entry, bool) {
 	var victim *arcEntry
 	if q.a1in.bytes > q.kin || q.am.list.Len() == 0 {

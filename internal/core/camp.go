@@ -30,15 +30,18 @@ const DefaultPrecision uint = 5
 // integerized ratios (the "∞" curve in Figure 5a).
 const PrecisionInf = rounding.PrecisionInf
 
-// Camp is the CAMP eviction policy. It is not safe for concurrent use; wrap
-// it (see the root camp package) for multi-threaded access.
+// Camp is the CAMP eviction policy: a cache.Ordering over nodes its caller
+// owns, and — through the embedded cache.Keyed — a string-keyed cache.Policy.
+// It is not safe for concurrent use; wrap it (see the root camp package) for
+// multi-threaded access.
 type Camp struct {
+	cache.Keyed
 	capacity  int64
 	used      int64
+	n         int
 	precision uint
 	conv      rounding.Converter
 
-	items  map[string]*campEntry
 	queues map[uint64]*campQueue
 	heap   *nheap.Heap[*campQueue]
 
@@ -46,39 +49,27 @@ type Camp struct {
 	seq      uint64 // insertion sequence, breaks priority ties by LRU
 	classicL bool   // L-update ablation: evicted-H instead of min-of-remaining
 
-	stats        cache.Stats
-	onEvict      cache.EvictFunc
-	maxQueues    int
-	heapUpdates  uint64 // pushes+pops+fixes+removes of the queue heap
-	queueCreates uint64
+	stats       cache.Stats
+	onEvict     func(*cache.Node)
+	maxQueues   int
+	heapUpdates uint64 // pushes+pops+fixes+removes of the queue heap
 }
 
-type campEntry struct {
-	key    string
-	size   int64
-	cost   int64
-	bucket uint64 // rounded integer cost-to-size ratio == queue id
-	h      uint64 // priority: L at last request + bucket
-	seq    uint64 // request sequence at last touch (LRU tie-break)
-	node   *ilist.Node[*campEntry]
-}
-
-// campQueue is one LRU queue holding every resident item that shares a
-// rounded cost-to-size ratio. The head (front) has the smallest priority.
+// campQueue is one LRU queue holding every resident node that shares a
+// rounded cost-to-size ratio (the node's Aux word). The head (front) has the
+// smallest priority (the node's H word; ties fall to its Seq word).
 type campQueue struct {
 	bucket  uint64
-	list    *ilist.List[*campEntry]
+	list    *ilist.List[*cache.Node]
 	heapIdx int
 }
 
-func (q *campQueue) head() *campEntry { return q.list.Front().Value }
+func (q *campQueue) head() *cache.Node { return q.list.Front().Value }
 
 var _ cache.Policy = (*Camp)(nil)
-var _ cache.VictimPeeker = (*Camp)(nil)
+var _ cache.Ordering = (*Camp)(nil)
 var _ cache.HeapVisitor = (*Camp)(nil)
 var _ cache.QueueCounter = (*Camp)(nil)
-var _ cache.PriorityOrdered = (*Camp)(nil)
-var _ cache.PriorityScaled = (*Camp)(nil)
 
 // Option configures a Camp policy.
 type Option func(*Camp)
@@ -109,16 +100,13 @@ func WithClassicLUpdate() Option {
 
 // NewCamp returns a CAMP policy with the given byte capacity.
 func NewCamp(capacity int64, opts ...Option) *Camp {
-	if capacity < 0 {
-		capacity = 0
-	}
 	c := &Camp{
-		capacity:  capacity,
+		capacity:  max(capacity, 0),
 		precision: DefaultPrecision,
-		items:     make(map[string]*campEntry),
 		queues:    make(map[uint64]*campQueue),
 		heap:      newQueueHeap(nheap.DefaultArity),
 	}
+	c.Keyed = cache.NewKeyed(c, &c.stats)
 	for _, o := range opts {
 		o(c)
 	}
@@ -127,19 +115,21 @@ func NewCamp(capacity int64, opts ...Option) *Camp {
 
 func newQueueHeap(arity int) *nheap.Heap[*campQueue] {
 	return nheap.New(
-		func(a, b *campQueue) bool {
-			ha, hb := a.head(), b.head()
-			if ha.h != hb.h {
-				return ha.h < hb.h
-			}
-			return ha.seq < hb.seq // ties broken by LRU (§2)
-		},
+		func(a, b *campQueue) bool { return before(a.head(), b.head()) },
 		nheap.WithArity[*campQueue](arity),
 		nheap.WithIndexTracking(func(q *campQueue, i int) { q.heapIdx = i }),
 	)
 }
 
-// Name implements cache.Policy.
+// before orders nodes by priority, ties broken by LRU (§2).
+func before(a, b *cache.Node) bool {
+	if a.H != b.H {
+		return a.H < b.H
+	}
+	return a.Seq < b.Seq
+}
+
+// Name implements cache.Ordering.
 func (c *Camp) Name() string { return "camp" }
 
 // Precision returns the configured rounding precision.
@@ -149,230 +139,152 @@ func (c *Camp) Precision() uint { return c.precision }
 // and diagnostics.
 func (c *Camp) L() uint64 { return c.l }
 
-// Get implements cache.Policy. On a hit the item moves to the tail of its
-// LRU queue with priority L' + ratio, where L' is the minimum priority among
-// the other resident items (Algorithm 1, line 2).
-func (c *Camp) Get(key string) bool {
-	e, ok := c.items[key]
-	if !ok {
-		c.stats.Misses++
-		return false
-	}
-	c.touch(e)
-	c.stats.Hits++
-	return true
-}
-
-// touch refreshes e's priority and recency. The heap is only updated when
-// the head of e's queue changes or the queue appears/disappears — the key
-// efficiency claim of §2.
-func (c *Camp) touch(e *campEntry) {
-	q := c.queues[e.bucket]
-	wasHead := q.list.Front() == e.node
-	onlyItem := q.list.Len() == 1
-
-	q.list.Remove(e.node)
-	switch {
-	case onlyItem:
-		c.heap.Remove(q.heapIdx)
-		c.heapUpdates++
-		delete(c.queues, e.bucket)
-	case wasHead:
-		// Head changed to a larger priority; restore heap order.
-		c.heap.Fix(q.heapIdx)
-		c.heapUpdates++
-	}
-
-	// L <- min over M \ {e} (the heap now excludes e in all cases where
-	// e could have been the minimum). The classic rule leaves L alone on
+// Touch implements cache.Ordering. On a hit the item moves to the tail of
+// its LRU queue with priority L' + ratio, where L' is the minimum priority
+// among the other resident items (Algorithm 1, line 2). The heap is only
+// updated when the head of the node's queue changes or the queue
+// appears/disappears — the key efficiency claim of §2.
+func (c *Camp) Touch(n *cache.Node) {
+	c.unlink(n)
+	// L <- min over M \ {n} (the heap now excludes n in all cases where
+	// n could have been the minimum). The classic rule leaves L alone on
 	// hits.
 	if !c.classicL {
 		c.raiseL()
 	}
-
-	e.h = c.newPriority(e.bucket)
-	c.seq++
-	e.seq = c.seq
-
-	dst, ok := c.queues[e.bucket]
-	if !ok {
-		dst = c.addQueue(e.bucket)
-		dst.list.PushBackNode(e.node)
-		c.heap.Push(dst)
-		c.heapUpdates++
-		return
-	}
-	// Appending at the tail never changes the head: no heap update.
-	dst.list.PushBackNode(e.node)
+	n.H = satAdd(c.l, n.Aux)
+	c.link(n)
+	c.stats.Hits++
 }
 
-// Set implements cache.Policy.
-func (c *Camp) Set(key string, size, cost int64) bool {
-	if size < 0 {
-		size = 0
+// Insert implements cache.Ordering: it makes room for n and links it at the
+// tail of its queue with priority L + rounded ratio.
+func (c *Camp) Insert(n *cache.Node) bool {
+	if !c.makeRoom(n.Size) {
+		return false
 	}
-	if e, ok := c.items[key]; ok {
-		// Update in place: detach, then re-admit with the new
-		// size/cost so eviction can never pick the entry itself.
-		c.detach(e)
-		if !c.admit(key, size, cost) {
-			c.stats.Rejected++
-			return false
-		}
-		c.stats.Updates++
-		return true
-	}
-	if !c.admit(key, size, cost) {
+	n.Aux = c.bucketFor(n.Cost, n.Size)
+	n.H = satAdd(c.l, n.Aux)
+	c.link(n)
+	c.admitted(n)
+	return true
+}
+
+// bucketFor integerizes and rounds a cost-to-size ratio.
+func (c *Camp) bucketFor(cost, size int64) uint64 {
+	return rounding.Round(c.conv.IntRatio(cost, size), c.precision)
+}
+
+// makeRoom evicts until size more bytes fit, counting a refusal.
+func (c *Camp) makeRoom(size int64) bool {
+	if size > c.capacity {
 		c.stats.Rejected++
 		return false
 	}
-	c.stats.Sets++
+	for c.used+size > c.capacity {
+		c.Evict()
+	}
 	return true
 }
 
-// admit makes room for (key, size, cost) and links a fresh entry at the tail
-// of its queue with priority L + rounded ratio.
-func (c *Camp) admit(key string, size, cost int64) bool {
-	if size > c.capacity {
-		return false
-	}
-	for c.used+size > c.capacity {
-		if !c.evictOne() {
-			return false
-		}
-	}
-	bucket := c.bucketFor(cost, size)
-	e := &campEntry{key: key, size: size, cost: cost, bucket: bucket}
-	e.node = &ilist.Node[*campEntry]{Value: e}
-	e.h = c.newPriority(bucket)
-	c.seq++
-	e.seq = c.seq
+func (c *Camp) admitted(n *cache.Node) {
+	c.n++
+	c.used += n.Size
+	c.stats.Sets++
+}
 
-	q, ok := c.queues[bucket]
+// link stamps n as the most recent request and appends it to the queue its
+// Aux word names, creating the queue if need be. A tail insert can only
+// change the head if the new item sorts before it, which cannot happen
+// because L is non-decreasing: no heap update unless the queue is new.
+func (c *Camp) link(n *cache.Node) {
+	c.seq++
+	n.Seq, n.Value = c.seq, n
+	q, ok := c.queues[n.Aux]
 	if !ok {
-		q = c.addQueue(bucket)
-		q.list.PushBackNode(e.node)
+		q = c.addQueue(n.Aux)
+	}
+	q.list.PushBackNode(&n.Node)
+	if !ok {
 		c.heap.Push(q)
 		c.heapUpdates++
-	} else {
-		prevHead := q.head()
-		q.list.PushBackNode(e.node)
-		// A tail insert can only change the head if the new item
-		// sorts before it, which cannot happen because L is
-		// non-decreasing; assert in debug builds via invariant tests.
-		_ = prevHead
 	}
-	c.items[key] = e
-	c.used += size
-	return true
 }
 
-// evictOne removes the item with the (approximately) smallest priority: the
-// head of the heap-minimum queue. After the eviction, L rises to the
-// minimum priority of the remaining items (Algorithm 1, line 6).
-func (c *Camp) evictOne() bool {
-	_, ok := c.EvictOne()
-	return ok
-}
-
-// EvictOne implements cache.Evicter: it evicts the head of the heap-minimum
-// LRU queue and lifts L to the new minimum.
-func (c *Camp) EvictOne() (cache.Entry, bool) {
-	q, ok := c.heap.Peek()
-	if !ok {
-		return cache.Entry{}, false
-	}
-	victim := q.head()
-	c.removeEntry(victim, q)
-	if c.classicL {
-		// Original GDS rule: L becomes the evicted item's priority.
-		if victim.h > c.l {
-			c.l = victim.h
-		}
-	} else {
-		c.raiseL()
-	}
-	c.stats.Evictions++
-	c.stats.EvictedBytes += uint64(victim.size)
-	e := cache.Entry{Key: victim.key, Size: victim.size, Cost: victim.cost}
-	if c.onEvict != nil {
-		c.onEvict(e)
-	}
-	return e, true
-}
-
-// PeekVictim implements cache.VictimPeeker: the head of the heap-minimum
-// LRU queue, with urgency H − L — the rounded cost-per-byte value the cache
-// would forfeit by evicting it now.
-func (c *Camp) PeekVictim() (cache.Entry, float64, bool) {
-	q, ok := c.heap.Peek()
-	if !ok {
-		return cache.Entry{}, 0, false
-	}
-	victim := q.head()
-	e := cache.Entry{Key: victim.key, Size: victim.size, Cost: victim.cost}
-	return e, float64(victim.h - c.l), true
-}
-
-// Delete implements cache.Policy.
-func (c *Camp) Delete(key string) bool {
-	e, ok := c.items[key]
-	if !ok {
-		return false
-	}
-	c.detach(e)
-	return true
-}
-
-// detach removes e from all structures without touching L or stats.
-func (c *Camp) detach(e *campEntry) {
-	c.removeEntry(e, c.queues[e.bucket])
-}
-
-func (c *Camp) removeEntry(e *campEntry, q *campQueue) {
-	wasHead := q.list.Front() == e.node
-	q.list.Remove(e.node)
+// unlink removes n from its queue, fixing the heap only if the queue emptied
+// or lost its head. It touches neither L nor the byte accounting.
+func (c *Camp) unlink(n *cache.Node) {
+	q := c.queues[n.Aux]
+	wasHead := q.list.Front() == &n.Node
+	q.list.Remove(&n.Node)
 	if q.list.Len() == 0 {
 		c.heap.Remove(q.heapIdx)
 		c.heapUpdates++
 		delete(c.queues, q.bucket)
 	} else if wasHead {
+		// Head changed to a larger priority; restore heap order.
 		c.heap.Fix(q.heapIdx)
 		c.heapUpdates++
 	}
-	delete(c.items, e.key)
-	c.used -= e.size
 }
 
-// Contains implements cache.Policy.
-func (c *Camp) Contains(key string) bool {
-	_, ok := c.items[key]
-	return ok
-}
-
-// Peek implements cache.Policy.
-func (c *Camp) Peek(key string) (cache.Entry, bool) {
-	e, ok := c.items[key]
-	if !ok {
-		return cache.Entry{}, false
+// Evict implements cache.Ordering: it evicts the item with the
+// (approximately) smallest priority — the head of the heap-minimum LRU
+// queue — and lifts L to the minimum priority of the remaining items
+// (Algorithm 1, line 6).
+func (c *Camp) Evict() *cache.Node {
+	victim, _ := c.Victim()
+	if victim == nil {
+		return nil
 	}
-	return cache.Entry{Key: e.key, Size: e.size, Cost: e.cost}, true
+	c.Remove(victim)
+	if c.classicL {
+		// Original GDS rule: L becomes the evicted item's priority.
+		c.l = max(c.l, victim.H)
+	} else {
+		c.raiseL()
+	}
+	c.stats.Evictions++
+	c.stats.EvictedBytes += uint64(victim.Size)
+	if c.onEvict != nil {
+		c.onEvict(victim)
+	}
+	return victim
 }
 
-// Len implements cache.Policy.
-func (c *Camp) Len() int { return len(c.items) }
+// Victim implements cache.Ordering: the head of the heap-minimum LRU queue,
+// with urgency H − L — the rounded cost-per-byte value the cache would
+// forfeit by evicting it now.
+func (c *Camp) Victim() (*cache.Node, float64) {
+	q, ok := c.heap.Peek()
+	if !ok {
+		return nil, 0
+	}
+	victim := q.head()
+	return victim, float64(victim.H - c.l)
+}
 
-// Used implements cache.Policy.
+// Remove implements cache.Ordering; L and the stats are untouched.
+func (c *Camp) Remove(n *cache.Node) {
+	c.unlink(n)
+	c.n--
+	c.used -= n.Size
+}
+
+// Len implements cache.Ordering.
+func (c *Camp) Len() int { return c.n }
+
+// Used implements cache.Ordering.
 func (c *Camp) Used() int64 { return c.used }
 
-// Capacity implements cache.Policy.
+// Capacity implements cache.Ordering.
 func (c *Camp) Capacity() int64 { return c.capacity }
 
-// Stats implements cache.Policy.
+// Stats implements cache.Ordering.
 func (c *Camp) Stats() cache.Stats { return c.stats }
 
-// SetEvictFunc implements cache.Policy.
-func (c *Camp) SetEvictFunc(fn cache.EvictFunc) { c.onEvict = fn }
+// OnEvict implements cache.Ordering.
+func (c *Camp) OnEvict(fn func(*cache.Node)) { c.onEvict = fn }
 
 // HeapVisits implements cache.HeapVisitor.
 func (c *Camp) HeapVisits() uint64 { return c.heap.Visits() }
@@ -392,38 +304,28 @@ func (c *Camp) QueueCount() int { return len(c.queues) }
 // MaxQueueCount implements cache.QueueCounter.
 func (c *Camp) MaxQueueCount() int { return c.maxQueues }
 
-// bucketFor integerizes and rounds a cost-to-size ratio.
-func (c *Camp) bucketFor(cost, size int64) uint64 {
-	return rounding.Round(c.conv.IntRatio(cost, size), c.precision)
+// Prioritized implements cache.Ordering.
+func (c *Camp) Prioritized() bool { return true }
+
+// Scale implements cache.Ordering: the ratio integerizer's adaptive scale
+// (the largest size observed), which decides how fractional cost-to-size
+// ratios map to integer queue ids. It is learned from the whole history —
+// including evicted entries — so a snapshot must carry it for a restored
+// policy to bucket future inserts exactly as the live one.
+func (c *Camp) Scale() (uint64, bool) { return uint64(c.conv.MaxSize()), true }
+
+// RestoreScale implements cache.Ordering. The scale only ever widens
+// (Observe keeps the max), so corrupt small values are harmless and replay
+// order does not matter.
+func (c *Camp) RestoreScale(scale uint64) {
+	c.conv.Observe(int64(min(scale, math.MaxInt64)))
 }
 
-// PriorityScale implements cache.PriorityScaled: the ratio integerizer's
-// adaptive scale (the largest size observed), which decides how fractional
-// cost-to-size ratios map to integer queue ids. It is learned from the
-// whole history — including evicted entries — so a snapshot must carry it
-// for a restored policy to bucket future Sets exactly as the live one.
-func (c *Camp) PriorityScale() uint64 { return uint64(c.conv.MaxSize()) }
-
-// RestorePriorityScale implements cache.PriorityScaled. The scale only ever
-// widens (Observe keeps the max), so corrupt small values are harmless and
-// replay order does not matter.
-func (c *Camp) RestorePriorityScale(scale uint64) {
-	if scale > math.MaxInt64 {
-		scale = math.MaxInt64
-	}
-	c.conv.Observe(int64(scale))
-}
-
-// newPriority computes H = L + bucket with saturating arithmetic. Reaching
-// the saturation point requires ~2^63 accumulated priority, unreachable for
-// realistic traces; if it ever happens, saturated items tie on H and fall
-// back to pure LRU ordering via seq — a graceful degradation rather than a
-// scrambled heap.
-func (c *Camp) newPriority(bucket uint64) uint64 {
-	return satAdd(c.l, bucket)
-}
-
-// satAdd returns a+b, saturating at the maximum uint64.
+// satAdd returns a+b, saturating at the maximum uint64: priorities are
+// H = L + bucket, and reaching the saturation point requires ~2^63
+// accumulated priority, unreachable for realistic traces; if it ever
+// happens, saturated items tie on H and fall back to pure LRU ordering via
+// Seq — a graceful degradation rather than a scrambled heap.
 func satAdd(a, b uint64) uint64 {
 	s := a + b
 	if s < a {
@@ -435,154 +337,89 @@ func satAdd(a, b uint64) uint64 {
 // raiseL lifts L to the minimum priority among resident queue heads. L never
 // decreases (Proposition 1).
 func (c *Camp) raiseL() {
-	q, ok := c.heap.Peek()
-	if !ok {
-		return
-	}
-	if h := q.head().h; h > c.l {
-		c.l = h
+	if q, ok := c.heap.Peek(); ok {
+		c.l = max(c.l, q.head().H)
 	}
 }
 
 func (c *Camp) addQueue(bucket uint64) *campQueue {
-	q := &campQueue{bucket: bucket, list: ilist.New[*campEntry](), heapIdx: -1}
+	q := &campQueue{bucket: bucket, list: ilist.New[*cache.Node](), heapIdx: -1}
 	c.queues[bucket] = q
-	c.queueCreates++
-	if len(c.queues) > c.maxQueues {
-		c.maxQueues = len(c.queues)
-	}
+	c.maxQueues = max(c.maxQueues, len(c.queues))
 	return q
 }
 
-// VisitEvictionOrder implements cache.EvictionOrdered with a k-way merge
-// over the per-ratio queues. Each queue is already in ascending (H, seq)
-// order, and evicting an item never changes another item's priority (only L
-// moves), so repeatedly taking the smallest (H, seq) among the queue fronts —
-// the same comparison the queue-head heap uses — reproduces the exact
-// sequence EvictOne would emit, without mutating anything.
-func (c *Camp) VisitEvictionOrder(visit func(cache.Entry) bool) {
-	c.visitOrder(func(e *campEntry) bool {
-		return visit(cache.Entry{Key: e.key, Size: e.size, Cost: e.cost})
-	})
-}
-
-// VisitEvictionPriority implements cache.PriorityOrdered: the same merge,
-// with each entry's priority offset H − L and its queue id (the rounded
-// integer ratio). The offset is what a snapshot must persist for a warm
-// start to restore the cross-queue schedule exactly: after eviction churn
-// different entries sit at different H − L (older entries were priced
+// Visit implements cache.Ordering with a k-way merge over the per-ratio
+// queues. Each queue is already in ascending (H, Seq) order, and evicting an
+// item never changes another item's priority (only L moves), so repeatedly
+// taking the smallest (H, Seq) among the queue fronts — the same comparison
+// the queue-head heap uses — reproduces the exact sequence Evict would emit,
+// without mutating anything.
+//
+// Each node comes with its priority offset H − L and its queue id (the
+// rounded integer ratio). The offset is what a snapshot must persist for a
+// warm start to restore the cross-queue schedule exactly: after eviction
+// churn different entries sit at different H − L (older entries were priced
 // against a smaller L), which re-deriving H from the cost alone collapses.
 // The queue id rides along because it cannot be re-derived either — the
 // ratio integerizer's scale is adaptive, so a fresh policy would bucket the
 // same (cost, size) differently until it re-learns the workload.
-func (c *Camp) VisitEvictionPriority(visit func(e cache.Entry, prio, class uint64) bool) {
-	c.visitOrder(func(e *campEntry) bool {
-		return visit(cache.Entry{Key: e.key, Size: e.size, Cost: e.cost}, e.h-c.l, e.bucket)
-	})
-}
-
-func (c *Camp) visitOrder(visit func(*campEntry) bool) {
-	less := func(a, b *ilist.Node[*campEntry]) bool {
-		if a.Value.h != b.Value.h {
-			return a.Value.h < b.Value.h
-		}
-		return a.Value.seq < b.Value.seq
-	}
-	cursors := nheap.New(less)
+func (c *Camp) Visit(visit func(n *cache.Node, prio, class uint64) bool) {
+	cursors := nheap.New(before)
 	for _, q := range c.queues {
-		cursors.Push(q.list.Front())
+		cursors.Push(q.head())
 	}
 	for cursors.Len() > 0 {
 		n := cursors.Pop()
-		if !visit(n.Value) {
+		if !visit(n, n.H-c.l, n.Aux) {
 			return
 		}
 		if next := n.Next(); next != nil {
-			cursors.Push(next)
+			cursors.Push(next.Value)
 		}
 	}
 }
 
-// SetWithPriority implements cache.PriorityOrdered: Set with the entry's
-// priority pinned to H = L + offset in the exported queue (class) instead
-// of the freshly derived L + ratio in a freshly bucketed queue. An offset
-// above the class — impossible in a well-formed snapshot, reachable through
-// a corrupt one — is clamped to the class so Proposition 1's
-// L ≤ H ≤ L + ratio bound always holds.
-func (c *Camp) SetWithPriority(key string, size, cost int64, prio, class uint64) bool {
-	if size < 0 {
-		size = 0
-	}
-	if e, ok := c.items[key]; ok {
-		c.detach(e)
-		if !c.admitAt(key, size, cost, prio, class) {
-			c.stats.Rejected++
-			return false
-		}
-		c.stats.Updates++
-		return true
-	}
-	if !c.admitAt(key, size, cost, prio, class) {
-		c.stats.Rejected++
+// InsertAt implements cache.Ordering: Insert with the node's priority pinned
+// to H = L + offset in the exported queue (class) instead of the freshly
+// derived L + ratio in a freshly bucketed queue. An offset above the class —
+// impossible in a well-formed snapshot, reachable through a corrupt one — is
+// clamped to the class so Proposition 1's L ≤ H ≤ L + ratio bound always
+// holds.
+//
+// Unlike Insert, the node's H may sort before existing queue members (a
+// snapshot replayed in visitation order never does — it appends at the tail
+// in O(1) — but the contract tolerates any order), so the node is linked at
+// its sorted queue position rather than blindly at the back. The ratio
+// integerizer still observes the node's size, so the adaptive scale future
+// inserts bucket with is rebuilt from the restored working set.
+func (c *Camp) InsertAt(n *cache.Node, prio, class uint64) bool {
+	if !c.makeRoom(n.Size) {
 		return false
 	}
-	c.stats.Sets++
-	return true
-}
-
-// admitAt is admit with a pinned (priority offset, queue id). Unlike admit,
-// the new entry's H may sort before existing queue members (a snapshot
-// replayed in visitation order never does — it appends at the tail in O(1) —
-// but the contract tolerates any order), so the entry is linked at its
-// sorted queue position rather than blindly at the back. The ratio
-// integerizer still observes the entry's size, so the adaptive scale future
-// Sets bucket with is rebuilt from the restored working set.
-func (c *Camp) admitAt(key string, size, cost int64, prio, class uint64) bool {
-	if size > c.capacity {
-		return false
+	if n.Size >= 1 {
+		c.conv.Observe(n.Size)
 	}
-	for c.used+size > c.capacity {
-		if !c.evictOne() {
-			return false
-		}
+	n.Aux = class
+	n.H = satAdd(c.l, min(prio, class))
+	c.link(n)
+	// n.Seq is the newest, so ties on H sort after existing entries: walk
+	// back from the tail past every member that outranks n.
+	at := n.Prev()
+	for at != nil && at.Value.H > n.H {
+		at = at.Prev()
 	}
-	if size >= 1 {
-		c.conv.Observe(size)
-	}
-	bucket := class
-	if prio > bucket {
-		prio = bucket
-	}
-	e := &campEntry{key: key, size: size, cost: cost, bucket: bucket}
-	e.h = satAdd(c.l, prio)
-	c.seq++
-	e.seq = c.seq
-
-	q, ok := c.queues[bucket]
-	if !ok {
-		q = c.addQueue(bucket)
-		e.node = &ilist.Node[*campEntry]{Value: e}
-		q.list.PushBackNode(e.node)
-		c.heap.Push(q)
+	switch q := c.queues[class]; {
+	case at == n.Prev(): // the tail is its place
+	case at == nil:
+		q.list.MoveToFront(&n.Node)
+		// The queue's head changed to a smaller priority.
+		c.heap.Fix(q.heapIdx)
 		c.heapUpdates++
-	} else {
-		// e.seq is the newest, so ties on H sort after existing entries:
-		// scan from the tail for the first member that does not outrank e.
-		at := q.list.Back()
-		for at != nil && at.Value.h > e.h {
-			at = at.Prev()
-		}
-		if at == nil {
-			e.node = q.list.PushFront(e)
-			// The queue's head changed to a smaller priority.
-			c.heap.Fix(q.heapIdx)
-			c.heapUpdates++
-		} else {
-			e.node = q.list.InsertAfter(e, at)
-		}
+	default:
+		q.list.MoveAfter(&n.Node, at)
 	}
-	c.items[key] = e
-	c.used += size
+	c.admitted(n)
 	return true
 }
 
@@ -590,11 +427,12 @@ func (c *Camp) admitAt(key string, size, cost int64, prio, class uint64) bool {
 // after every operation. It returns nil when all hold:
 //
 //  1. every queue is non-empty and registered in the heap at its heapIdx;
-//  2. within a queue, items are ordered by non-decreasing (h, seq) — the
+//  2. within a queue, items are ordered by non-decreasing (H, Seq) — the
 //     "LRU order equals priority order" observation;
 //  3. L <= H(p) <= L + ratio(p) for every resident p (Proposition 1);
 //  4. used bytes equal the sum of resident sizes and never exceed capacity;
-//  5. the items map and the queues hold exactly the same entries.
+//  5. the queues hold Len() entries, and the key index (when the keyed face
+//     is in use) holds exactly the same ones.
 func (c *Camp) CheckInvariants() error {
 	var (
 		bytes int64
@@ -614,31 +452,28 @@ func (c *Camp) CheckInvariants() error {
 		if q.heapIdx < 0 || q.heapIdx >= len(heapItems) || heapItems[q.heapIdx] != q {
 			return fmt.Errorf("queue %d heapIdx %d is stale", bucket, q.heapIdx)
 		}
-		var prev *campEntry
-		for n := q.list.Front(); n != nil; n = n.Next() {
-			e := n.Value
-			if e.bucket != bucket {
-				return fmt.Errorf("entry %q in queue %d has bucket %d", e.key, bucket, e.bucket)
+		var prev *cache.Node
+		for ln := q.list.Front(); ln != nil; ln = ln.Next() {
+			e := ln.Value
+			if e.Aux != bucket {
+				return fmt.Errorf("entry %q in queue %d has bucket %d", e.Key, bucket, e.Aux)
 			}
-			if prev != nil && (e.h < prev.h || (e.h == prev.h && e.seq < prev.seq)) {
-				return fmt.Errorf("queue %d not in priority order at %q", bucket, e.key)
+			if prev != nil && before(e, prev) {
+				return fmt.Errorf("queue %d not in priority order at %q", bucket, e.Key)
 			}
-			if e.h < c.l {
-				return fmt.Errorf("entry %q has H=%d below L=%d", e.key, e.h, c.l)
+			if e.H < c.l {
+				return fmt.Errorf("entry %q has H=%d below L=%d", e.Key, e.H, c.l)
 			}
-			if e.h > satAdd(c.l, bucket) {
-				return fmt.Errorf("entry %q has H=%d above L+ratio=%d", e.key, e.h, satAdd(c.l, bucket))
+			if e.H > satAdd(c.l, bucket) {
+				return fmt.Errorf("entry %q has H=%d above L+ratio=%d", e.Key, e.H, satAdd(c.l, bucket))
 			}
-			if got, ok := c.items[e.key]; !ok || got != e {
-				return fmt.Errorf("entry %q in queue %d missing from items map", e.key, bucket)
-			}
-			bytes += e.size
+			bytes += e.Size
 			count++
 			prev = e
 		}
 	}
-	if count != len(c.items) {
-		return fmt.Errorf("queues hold %d entries, items map %d", count, len(c.items))
+	if count != c.n {
+		return fmt.Errorf("queues hold %d entries, Len is %d", count, c.n)
 	}
 	if bytes != c.used {
 		return fmt.Errorf("accounted %d bytes, used=%d", bytes, c.used)
@@ -649,5 +484,5 @@ func (c *Camp) CheckInvariants() error {
 	if bad := c.heap.Verify(); bad != -1 {
 		return fmt.Errorf("queue heap invariant violated at slot %d", bad)
 	}
-	return nil
+	return c.CheckIndex()
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"camp/internal/cache"
@@ -20,43 +21,31 @@ import (
 // an O(log n) heap update — the overhead CAMP eliminates. The heap counts
 // visited nodes for the Figure 4 comparison.
 type GDS struct {
+	cache.Keyed
 	capacity int64
 	used     int64
 
-	items map[string]*gdsEntry
-	heap  *nheap.Heap[*gdsEntry]
+	// heap holds every resident node: H is the float64 bits of its
+	// priority, Seq the FIFO tie-break, Aux its heap slot. Priorities are
+	// never negative or NaN, and such floats order exactly as their bit
+	// patterns do, so the heap shares CAMP's integer (H, Seq) comparison.
+	heap *nheap.Heap[*cache.Node]
 
 	l   float64 // the global offset L
 	seq uint64  // FIFO tie-break counter
 
 	stats          cache.Stats
-	onEvict        cache.EvictFunc
+	onEvict        func(*cache.Node)
 	heapUpdates    uint64
 	textbookDelete bool
 }
 
-type gdsEntry struct {
-	key     string
-	size    int64
-	cost    int64
-	h       float64
-	seq     uint64 // FIFO tie-break for determinism
-	heapIdx int
-}
-
 var _ cache.Policy = (*GDS)(nil)
-var _ cache.VictimPeeker = (*GDS)(nil)
+var _ cache.Ordering = (*GDS)(nil)
 var _ cache.HeapVisitor = (*GDS)(nil)
-var _ cache.PriorityOrdered = (*GDS)(nil)
 
 // GDSOption configures a GDS policy.
 type GDSOption func(*GDS)
-
-// WithGDSHeapArity overrides the branching factor of the item heap
-// (default 8, matching CAMP's heap for a fair Figure 4 comparison).
-func WithGDSHeapArity(d int) GDSOption {
-	return func(g *GDS) { g.heap = newGDSHeap(d) }
-}
 
 // WithTextbookDelete switches heap deletions to the classical
 // bubble-to-root-then-pop method, which pays the full heap depth on every
@@ -67,205 +56,129 @@ func WithTextbookDelete() GDSOption {
 	return func(g *GDS) { g.textbookDelete = true }
 }
 
-// NewGDS returns a GDS policy with the given byte capacity.
+// NewGDS returns a GDS policy with the given byte capacity. The item heap is
+// 8-ary, matching CAMP's queue heap for a fair Figure 4 comparison.
 func NewGDS(capacity int64, opts ...GDSOption) *GDS {
-	if capacity < 0 {
-		capacity = 0
-	}
 	g := &GDS{
-		capacity: capacity,
-		items:    make(map[string]*gdsEntry),
-		heap:     newGDSHeap(nheap.DefaultArity),
+		capacity: max(capacity, 0),
+		heap: nheap.New(before,
+			nheap.WithIndexTracking(func(n *cache.Node, i int) { n.Aux = uint64(i) })),
 	}
+	g.Keyed = cache.NewKeyed(g, &g.stats)
 	for _, o := range opts {
 		o(g)
 	}
 	return g
 }
 
-func newGDSHeap(arity int) *nheap.Heap[*gdsEntry] {
-	return nheap.New(
-		func(a, b *gdsEntry) bool {
-			if a.h != b.h {
-				return a.h < b.h
-			}
-			return a.seq < b.seq
-		},
-		nheap.WithArity[*gdsEntry](arity),
-		nheap.WithIndexTracking(func(e *gdsEntry, i int) { e.heapIdx = i }),
-	)
-}
+func gdsH(n *cache.Node) float64 { return math.Float64frombits(n.H) }
 
-// Name implements cache.Policy.
+// Name implements cache.Ordering.
 func (g *GDS) Name() string { return "gds" }
 
 // L returns the current value of the global offset, for tests.
 func (g *GDS) L() float64 { return g.l }
 
-// Get implements cache.Policy.
-func (g *GDS) Get(key string) bool {
-	e, ok := g.items[key]
-	if !ok {
-		g.stats.Misses++
-		return false
-	}
-	// Algorithm 1, line 2: L <- min over M \ {e}. Temporarily removing e
+// Touch implements cache.Ordering.
+func (g *GDS) Touch(n *cache.Node) {
+	// Algorithm 1, line 2: L <- min over M \ {n}. Temporarily removing n
 	// makes the heap minimum exactly that quantity.
-	g.removeFromHeap(e)
-	g.heapUpdates++
-	if top, ok := g.heap.Peek(); ok && top.h > g.l {
-		g.l = top.h
-	}
-	e.h = g.l + ratio(e.cost, e.size)
-	e.seq = g.nextSeq()
-	g.heap.Push(e)
-	g.heapUpdates++
+	g.unlink(n)
+	g.raiseL()
+	g.link(n, g.l+ratio(n.Cost, n.Size))
 	g.stats.Hits++
-	return true
 }
 
-// Set implements cache.Policy.
-func (g *GDS) Set(key string, size, cost int64) bool {
-	if size < 0 {
-		size = 0
-	}
-	if e, ok := g.items[key]; ok {
-		g.removeEntry(e)
-		if !g.admit(key, size, cost) {
-			g.stats.Rejected++
-			return false
-		}
-		g.stats.Updates++
-		return true
-	}
-	if !g.admit(key, size, cost) {
+// Insert implements cache.Ordering (Algorithm 1, lines 4-8).
+func (g *GDS) Insert(n *cache.Node) bool {
+	return g.insert(n, ratio(n.Cost, n.Size))
+}
+
+func (g *GDS) insert(n *cache.Node, offset float64) bool {
+	if n.Size > g.capacity {
 		g.stats.Rejected++
 		return false
 	}
+	for g.used+n.Size > g.capacity {
+		g.Evict()
+	}
+	g.link(n, g.l+offset)
+	g.used += n.Size
 	g.stats.Sets++
 	return true
 }
 
-func (g *GDS) admit(key string, size, cost int64) bool {
-	if size > g.capacity {
-		return false
-	}
-	// Algorithm 1, lines 4-6.
-	for g.used+size > g.capacity {
-		if !g.evictOne() {
-			return false
-		}
-	}
-	// Lines 7-8.
-	e := &gdsEntry{
-		key:     key,
-		size:    size,
-		cost:    cost,
-		h:       g.l + ratio(cost, size),
-		seq:     g.nextSeq(),
-		heapIdx: -1,
-	}
-	g.heap.Push(e)
+func (g *GDS) link(n *cache.Node, h float64) {
+	g.seq++
+	n.H, n.Seq = math.Float64bits(h), g.seq
+	g.heap.Push(n)
 	g.heapUpdates++
-	g.items[key] = e
-	g.used += size
-	return true
 }
 
-func (g *GDS) evictOne() bool {
-	_, ok := g.EvictOne()
-	return ok
+func (g *GDS) unlink(n *cache.Node) {
+	if g.textbookDelete {
+		g.heap.RemoveViaRoot(int(n.Aux))
+	} else {
+		g.heap.Remove(int(n.Aux))
+	}
+	g.heapUpdates++
 }
 
-// EvictOne implements cache.Evicter: it pops the minimum-H item and lifts L
+// raiseL lifts L to the minimum H among resident items.
+func (g *GDS) raiseL() {
+	if top, ok := g.heap.Peek(); ok {
+		g.l = max(g.l, gdsH(top))
+	}
+}
+
+// Evict implements cache.Ordering: it pops the minimum-H item and lifts L
 // to the minimum of the remaining items (Algorithm 1, lines 5-6).
-func (g *GDS) EvictOne() (cache.Entry, bool) {
+func (g *GDS) Evict() *cache.Node {
 	if g.heap.Len() == 0 {
-		return cache.Entry{}, false
+		return nil
 	}
 	victim := g.heap.Pop()
 	g.heapUpdates++
-	delete(g.items, victim.key)
-	g.used -= victim.size
-	victim.heapIdx = -1
-	// Line 6: L <- min over the remaining items.
-	if top, ok := g.heap.Peek(); ok && top.h > g.l {
-		g.l = top.h
-	}
+	g.used -= victim.Size
+	g.raiseL()
 	g.stats.Evictions++
-	g.stats.EvictedBytes += uint64(victim.size)
-	e := cache.Entry{Key: victim.key, Size: victim.size, Cost: victim.cost}
+	g.stats.EvictedBytes += uint64(victim.Size)
 	if g.onEvict != nil {
-		g.onEvict(e)
+		g.onEvict(victim)
 	}
-	return e, true
+	return victim
 }
 
-// PeekVictim implements cache.VictimPeeker: the minimum-H item, with
-// urgency H − L — the cost-per-byte value GDS would forfeit by evicting it.
-func (g *GDS) PeekVictim() (cache.Entry, float64, bool) {
+// Victim implements cache.Ordering: the minimum-H item, with urgency H − L —
+// the cost-per-byte value GDS would forfeit by evicting it.
+func (g *GDS) Victim() (*cache.Node, float64) {
 	top, ok := g.heap.Peek()
 	if !ok {
-		return cache.Entry{}, 0, false
+		return nil, 0
 	}
-	e := cache.Entry{Key: top.key, Size: top.size, Cost: top.cost}
-	return e, top.h - g.l, true
+	return top, gdsH(top) - g.l
 }
 
-// Delete implements cache.Policy.
-func (g *GDS) Delete(key string) bool {
-	e, ok := g.items[key]
-	if !ok {
-		return false
-	}
-	g.removeEntry(e)
-	return true
+// Remove implements cache.Ordering.
+func (g *GDS) Remove(n *cache.Node) {
+	g.unlink(n)
+	g.used -= n.Size
 }
 
-func (g *GDS) removeEntry(e *gdsEntry) {
-	g.removeFromHeap(e)
-	g.heapUpdates++
-	delete(g.items, e.key)
-	g.used -= e.size
-}
+// Len implements cache.Ordering.
+func (g *GDS) Len() int { return g.heap.Len() }
 
-func (g *GDS) removeFromHeap(e *gdsEntry) {
-	if g.textbookDelete {
-		g.heap.RemoveViaRoot(e.heapIdx)
-		return
-	}
-	g.heap.Remove(e.heapIdx)
-}
-
-// Contains implements cache.Policy.
-func (g *GDS) Contains(key string) bool {
-	_, ok := g.items[key]
-	return ok
-}
-
-// Peek implements cache.Policy.
-func (g *GDS) Peek(key string) (cache.Entry, bool) {
-	e, ok := g.items[key]
-	if !ok {
-		return cache.Entry{}, false
-	}
-	return cache.Entry{Key: e.key, Size: e.size, Cost: e.cost}, true
-}
-
-// Len implements cache.Policy.
-func (g *GDS) Len() int { return len(g.items) }
-
-// Used implements cache.Policy.
+// Used implements cache.Ordering.
 func (g *GDS) Used() int64 { return g.used }
 
-// Capacity implements cache.Policy.
+// Capacity implements cache.Ordering.
 func (g *GDS) Capacity() int64 { return g.capacity }
 
-// Stats implements cache.Policy.
+// Stats implements cache.Ordering.
 func (g *GDS) Stats() cache.Stats { return g.stats }
 
-// SetEvictFunc implements cache.Policy.
-func (g *GDS) SetEvictFunc(fn cache.EvictFunc) { g.onEvict = fn }
+// OnEvict implements cache.Ordering.
+func (g *GDS) OnEvict(fn func(*cache.Node)) { g.onEvict = fn }
 
 // HeapVisits implements cache.HeapVisitor.
 func (g *GDS) HeapVisits() uint64 { return g.heap.Visits() }
@@ -276,122 +189,61 @@ func (g *GDS) ResetHeapVisits() { g.heap.ResetVisits() }
 // HeapUpdates returns the number of structural heap operations performed.
 func (g *GDS) HeapUpdates() uint64 { return g.heapUpdates }
 
-// VisitEvictionOrder implements cache.EvictionOrdered. Evictions never
-// change a surviving item's H (only L moves), so sorting all residents by
-// the heap's (H, seq) comparison yields the exact EvictOne sequence.
-func (g *GDS) VisitEvictionOrder(visit func(cache.Entry) bool) {
-	for _, e := range g.sortedEntries() {
-		if !visit(cache.Entry{Key: e.key, Size: e.size, Cost: e.cost}) {
+// Visit implements cache.Ordering. Evictions never change a surviving
+// item's H (only L moves), so sorting all residents by the heap's (H, Seq)
+// comparison yields the exact Evict sequence.
+//
+// GDS priorities are floats, so the offset H − L travels as its IEEE-754
+// bits; subtraction by a shared L is weakly monotonic in float64, so
+// replaying the offsets against a fresh L preserves the exact visitation
+// order (ties that rounding may introduce fall back to insertion order,
+// which is the visitation order). GDS has no queues, so the class is always
+// zero.
+func (g *GDS) Visit(visit func(n *cache.Node, prio, class uint64) bool) {
+	nodes := slices.Clone(g.heap.Items())
+	sort.Slice(nodes, func(i, j int) bool { return before(nodes[i], nodes[j]) })
+	for _, n := range nodes {
+		if !visit(n, math.Float64bits(gdsH(n)-g.l), 0) {
 			return
 		}
 	}
 }
 
-// VisitEvictionPriority implements cache.PriorityOrdered. GDS priorities are
-// floats, so the offset H − L travels as its IEEE-754 bits; subtraction by a
-// shared L is weakly monotonic in float64, so replaying the offsets against
-// a fresh L preserves the exact visitation order (ties that rounding may
-// introduce fall back to insertion order, which is the visitation order).
-// GDS has no queues, so the class is always zero.
-func (g *GDS) VisitEvictionPriority(visit func(e cache.Entry, prio, class uint64) bool) {
-	for _, e := range g.sortedEntries() {
-		if !visit(cache.Entry{Key: e.key, Size: e.size, Cost: e.cost}, math.Float64bits(e.h-g.l), 0) {
-			return
-		}
-	}
-}
+// Prioritized implements cache.Ordering.
+func (g *GDS) Prioritized() bool { return true }
 
-func (g *GDS) sortedEntries() []*gdsEntry {
-	entries := make([]*gdsEntry, 0, len(g.items))
-	for _, e := range g.items {
-		entries = append(entries, e)
-	}
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].h != entries[j].h {
-			return entries[i].h < entries[j].h
-		}
-		return entries[i].seq < entries[j].seq
-	})
-	return entries
-}
+// Scale implements cache.Ordering: float ratios need no learned scale.
+func (g *GDS) Scale() (uint64, bool) { return 0, false }
 
-// SetWithPriority implements cache.PriorityOrdered: Set with the entry's
-// priority pinned to H = L + the decoded offset (the class is ignored — GDS
-// has no queues). Offsets that violate Algorithm 1's L ≤ H ≤ L + ratio
-// bound — NaN, negative, or oversized bits from a corrupt snapshot — are
-// clamped into it rather than trusted.
-func (g *GDS) SetWithPriority(key string, size, cost int64, prio, _ uint64) bool {
-	if size < 0 {
-		size = 0
-	}
-	if e, ok := g.items[key]; ok {
-		g.removeEntry(e)
-		if !g.admitAt(key, size, cost, prio) {
-			g.stats.Rejected++
-			return false
-		}
-		g.stats.Updates++
-		return true
-	}
-	if !g.admitAt(key, size, cost, prio) {
-		g.stats.Rejected++
-		return false
-	}
-	g.stats.Sets++
-	return true
-}
+// RestoreScale implements cache.Ordering.
+func (g *GDS) RestoreScale(uint64) {}
 
-func (g *GDS) admitAt(key string, size, cost int64, prio uint64) bool {
-	if size > g.capacity {
-		return false
-	}
-	for g.used+size > g.capacity {
-		if !g.evictOne() {
-			return false
-		}
-	}
-	off := math.Float64frombits(prio)
-	r := ratio(cost, size)
-	if math.IsNaN(off) || off < 0 {
-		off = r
-	} else if off > r {
+// InsertAt implements cache.Ordering: Insert with the node's priority
+// pinned to H = L + the decoded offset (the class is ignored — GDS has no
+// queues). Offsets that violate Algorithm 1's L ≤ H ≤ L + ratio bound — NaN,
+// negative, or oversized bits from a corrupt snapshot — are clamped into it
+// rather than trusted.
+func (g *GDS) InsertAt(n *cache.Node, prio, _ uint64) bool {
+	off, r := math.Float64frombits(prio), ratio(n.Cost, n.Size)
+	if math.IsNaN(off) || off < 0 || off > r {
 		off = r
 	}
-	e := &gdsEntry{
-		key:     key,
-		size:    size,
-		cost:    cost,
-		h:       g.l + off,
-		seq:     g.nextSeq(),
-		heapIdx: -1,
-	}
-	g.heap.Push(e)
-	g.heapUpdates++
-	g.items[key] = e
-	g.used += size
-	return true
+	return g.insert(n, off)
 }
 
 // CheckInvariants validates internal consistency, for tests.
 func (g *GDS) CheckInvariants() error {
-	if g.heap.Len() != len(g.items) {
-		return fmt.Errorf("heap has %d items, map has %d", g.heap.Len(), len(g.items))
-	}
 	var bytes int64
-	for key, e := range g.items {
-		if e.key != key {
-			return fmt.Errorf("entry registered under %q has key %q", key, e.key)
+	for i, e := range g.heap.Items() {
+		if int(e.Aux) != i {
+			return fmt.Errorf("entry %q heap slot %d is stale, sits at %d", e.Key, e.Aux, i)
 		}
-		if e.heapIdx < 0 || e.heapIdx >= g.heap.Len() || g.heap.Items()[e.heapIdx] != e {
-			return fmt.Errorf("entry %q heapIdx %d is stale", key, e.heapIdx)
+		if h := gdsH(e); h < g.l {
+			return fmt.Errorf("entry %q has H=%v below L=%v", e.Key, h, g.l)
+		} else if top := g.l + ratio(e.Cost, e.Size); h > top+1e-9 {
+			return fmt.Errorf("entry %q has H=%v above L+ratio=%v", e.Key, h, top)
 		}
-		if e.h < g.l {
-			return fmt.Errorf("entry %q has H=%v below L=%v", key, e.h, g.l)
-		}
-		if e.h > g.l+ratio(e.cost, e.size)+1e-9 {
-			return fmt.Errorf("entry %q has H=%v above L+ratio=%v", key, e.h, g.l+ratio(e.cost, e.size))
-		}
-		bytes += e.size
+		bytes += e.Size
 	}
 	if bytes != g.used {
 		return fmt.Errorf("accounted %d bytes, used=%d", bytes, g.used)
@@ -402,12 +254,7 @@ func (g *GDS) CheckInvariants() error {
 	if bad := g.heap.Verify(); bad != -1 {
 		return fmt.Errorf("heap invariant violated at slot %d", bad)
 	}
-	return nil
-}
-
-func (g *GDS) nextSeq() uint64 {
-	g.seq++
-	return g.seq
+	return g.CheckIndex()
 }
 
 func ratio(cost, size int64) float64 {

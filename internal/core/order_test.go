@@ -8,16 +8,17 @@ import (
 	"camp/internal/cache"
 )
 
-// evictionOrdered pairs the visitor with the mutating drain for the test.
+// evictionOrdered pairs the keyed face with the ordering's visitor and
+// mutating drain for the test.
 type evictionOrdered interface {
 	cache.Policy
-	cache.Evicter
-	cache.EvictionOrdered
+	cache.Ordering
+	cache.PriorityOrdered
 }
 
 // TestVisitEvictionOrderMatchesDrain drives each policy through a random
 // mixed workload (with evictions, so L moves), then checks that
-// VisitEvictionOrder predicts exactly the sequence EvictOne produces — and
+// Visit predicts exactly the sequence Evict produces — and
 // that visiting mutated nothing.
 func TestVisitEvictionOrderMatchesDrain(t *testing.T) {
 	for _, tc := range []struct {
@@ -27,6 +28,7 @@ func TestVisitEvictionOrderMatchesDrain(t *testing.T) {
 		{name: "camp", mk: func() evictionOrdered { return NewCamp(4096) }},
 		{name: "camp-inf", mk: func() evictionOrdered { return NewCamp(4096, WithPrecision(PrecisionInf)) }},
 		{name: "gds", mk: func() evictionOrdered { return NewGDS(4096) }},
+		{name: "lru", mk: func() evictionOrdered { return cache.NewLRU(4096) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p := tc.mk()
@@ -43,16 +45,16 @@ func TestVisitEvictionOrderMatchesDrain(t *testing.T) {
 				t.Fatal("degenerate workload: nothing resident")
 			}
 			var predicted []string
-			p.VisitEvictionOrder(func(e cache.Entry) bool {
-				predicted = append(predicted, e.Key)
+			p.Visit(func(n *cache.Node, _, _ uint64) bool {
+				predicted = append(predicted, n.Key)
 				return true
 			})
 			if len(predicted) != p.Len() {
 				t.Fatalf("visited %d entries, %d resident", len(predicted), p.Len())
 			}
 			for i := 0; ; i++ {
-				victim, ok := p.EvictOne()
-				if !ok {
+				victim := p.Evict()
+				if victim == nil {
 					if i != len(predicted) {
 						t.Fatalf("drained %d entries, predicted %d", i, len(predicted))
 					}
@@ -73,7 +75,7 @@ func TestVisitEvictionOrderEarlyStop(t *testing.T) {
 		p.Set(fmt.Sprintf("k%d", i), 10, int64(i+1))
 	}
 	n := 0
-	p.VisitEvictionOrder(func(cache.Entry) bool {
+	p.Visit(func(*cache.Node, uint64, uint64) bool {
 		n++
 		return n < 5
 	})
@@ -83,22 +85,15 @@ func TestVisitEvictionOrderEarlyStop(t *testing.T) {
 }
 
 // priorityOrdered pairs the priority exporter/importer with the drain.
-type priorityOrdered interface {
-	cache.Policy
-	cache.Evicter
-	cache.PriorityOrdered
-}
+type priorityOrdered = evictionOrdered
 
-// drainKeys empties p via EvictOne, returning the victim sequence.
-func drainKeys(p priorityOrdered) []string {
+// drainKeys empties p via Evict, returning the victim sequence.
+func drainKeys(p cache.Ordering) []string {
 	var keys []string
-	for {
-		victim, ok := p.EvictOne()
-		if !ok {
-			return keys
-		}
+	for victim := p.Evict(); victim != nil; victim = p.Evict() {
 		keys = append(keys, victim.Key)
 	}
+	return keys
 }
 
 // churn drives p through a random mixed workload sized to force evictions,
@@ -134,6 +129,7 @@ func TestPriorityRoundTripExact(t *testing.T) {
 		{name: "camp-inf", mk: func() priorityOrdered { return NewCamp(4096, WithPrecision(PrecisionInf)) }},
 		{name: "camp-classicL", mk: func() priorityOrdered { return NewCamp(4096, WithClassicLUpdate()) }},
 		{name: "gds", mk: func() priorityOrdered { return NewGDS(4096) }},
+		{name: "lru", mk: func() priorityOrdered { return cache.NewLRU(4096) }},
 	}
 	for _, tc := range makers {
 		t.Run(tc.name, func(t *testing.T) {
@@ -148,11 +144,11 @@ func TestPriorityRoundTripExact(t *testing.T) {
 				// Export scale + order + offsets — exactly what a v2
 				// snapshot records — and restore into a fresh policy.
 				restored := tc.mk()
-				if ps, ok := live.(cache.PriorityScaled); ok {
-					restored.(cache.PriorityScaled).RestorePriorityScale(ps.PriorityScale())
+				if scale, ok := live.Scale(); ok {
+					restored.RestoreScale(scale)
 				}
 				n := 0
-				live.VisitEvictionPriority(func(e cache.Entry, prio, class uint64) bool {
+				live.Visit(func(e *cache.Node, prio, class uint64) bool {
 					n++
 					if !restored.SetWithPriority(e.Key, e.Size, e.Cost, prio, class) {
 						t.Fatalf("seed %d: restore rejected %q", seed, e.Key)
@@ -254,8 +250,8 @@ func TestSetWithPriorityOutOfOrder(t *testing.T) {
 		prio, class uint64
 	}
 	var exp []exported
-	live.VisitEvictionPriority(func(e cache.Entry, prio, class uint64) bool {
-		exp = append(exp, exported{e, prio, class})
+	live.Visit(func(n *cache.Node, prio, class uint64) bool {
+		exp = append(exp, exported{n.Entry(), prio, class})
 		return true
 	})
 	restored := NewCamp(4096)
@@ -282,13 +278,12 @@ func TestSetWithPriorityOutOfOrder(t *testing.T) {
 		if !ok {
 			break
 		}
-		h := q.head().h
+		h := q.head().H
 		if h < prev {
 			t.Fatalf("drain H went backwards: %d after %d", h, prev)
 		}
 		prev = h
-		victim, _ := restored.EvictOne()
-		_ = victim
+		restored.Evict()
 		wantH[h]--
 	}
 	for h, n := range wantH {

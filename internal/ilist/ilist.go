@@ -130,24 +130,16 @@ func (l *List[T]) MoveToFront(n *Node[T]) {
 	l.insert(n, &l.root)
 }
 
-// InsertBefore inserts a new node carrying v immediately before mark.
-func (l *List[T]) InsertBefore(v T, mark *Node[T]) *Node[T] {
-	if mark.list != l {
-		panic("ilist: InsertBefore with a mark from a different list")
+// MoveAfter moves n to the position immediately after mark.
+func (l *List[T]) MoveAfter(n, mark *Node[T]) {
+	if n.list != l || mark.list != l {
+		panic("ilist: MoveAfter of a node from a different list")
 	}
-	n := &Node[T]{Value: v}
-	l.insert(n, mark.prev)
-	return n
-}
-
-// InsertAfter inserts a new node carrying v immediately after mark.
-func (l *List[T]) InsertAfter(v T, mark *Node[T]) *Node[T] {
-	if mark.list != l {
-		panic("ilist: InsertAfter with a mark from a different list")
+	if n == mark || mark.next == n {
+		return
 	}
-	n := &Node[T]{Value: v}
+	l.unlink(n)
 	l.insert(n, mark)
-	return n
 }
 
 // Contains reports whether n is currently linked into l.

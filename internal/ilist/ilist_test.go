@@ -118,16 +118,19 @@ func TestMoveToFront(t *testing.T) {
 	wantOrder(t, l, []int{2, 3, 1})
 }
 
-func TestInsertBeforeAfter(t *testing.T) {
+func TestMoveAfter(t *testing.T) {
 	l := New[int]()
 	n1 := l.PushBack(1)
+	n2 := l.PushBack(2)
 	n3 := l.PushBack(3)
-	l.InsertAfter(2, n1)
-	wantOrder(t, l, []int{1, 2, 3})
-	l.InsertBefore(0, n1)
-	wantOrder(t, l, []int{0, 1, 2, 3})
-	l.InsertAfter(4, n3)
-	wantOrder(t, l, []int{0, 1, 2, 3, 4})
+	l.MoveAfter(n3, n1)
+	wantOrder(t, l, []int{1, 3, 2})
+	// Already in place, and after itself, are no-ops.
+	l.MoveAfter(n3, n1)
+	l.MoveAfter(n2, n2)
+	wantOrder(t, l, []int{1, 3, 2})
+	l.MoveAfter(n1, n2)
+	wantOrder(t, l, []int{3, 2, 1})
 }
 
 func TestNodeReuseAcrossLists(t *testing.T) {
@@ -177,8 +180,8 @@ func TestPanicsOnMisuse(t *testing.T) {
 	mustPanic("double insert", func() { l2.PushBackNode(n) })
 	mustPanic("double insert front", func() { l2.PushFrontNode(n) })
 	m := l2.PushBack(9)
-	mustPanic("InsertBefore foreign mark", func() { l1.InsertBefore(0, m) })
-	mustPanic("InsertAfter foreign mark", func() { l1.InsertAfter(0, m) })
+	mustPanic("MoveAfter foreign mark", func() { l1.MoveAfter(n, m) })
+	mustPanic("MoveAfter foreign node", func() { l1.MoveAfter(m, n) })
 }
 
 // TestRandomizedAgainstSlice cross-checks the list against a plain slice

@@ -113,6 +113,71 @@ func TestDegradedModeEndToEnd(t *testing.T) {
 	}
 }
 
+// TestHealedPrimaryForcesFullSync pins the replication half of healing. What
+// a degraded shard applies is never journaled: the healing compaction puts it
+// only in the next generation's snapshot. A follower whose feed was open
+// across the outage must therefore not be carried from the old segment into
+// the new one (it would converge on the journal and silently miss every
+// degraded-era write and delete); the primary must make it resync in full,
+// once per shard.
+func TestHealedPrimaryForcesFullSync(t *testing.T) {
+	const shards = 2
+	inj := fault.NewInjector(nil, 42)
+	pcfg := func(fs fault.FS) *PersistConfig {
+		return &PersistConfig{
+			Dir:      t.TempDir(),
+			Fsync:    persist.FsyncAlways,
+			FS:       fs,
+			ProbeMin: 5 * time.Millisecond,
+			ProbeMax: 50 * time.Millisecond,
+			Logf:     t.Logf,
+		}
+	}
+	primary := startServer(t, Config{MemoryBytes: 8 << 20, Shards: shards, Persist: pcfg(inj)})
+	fcfg := Config{MemoryBytes: 8 << 20, Shards: shards, Persist: pcfg(nil)}
+	fcfg.ReplicaOf = primary.Addr()
+	follower := startServer(t, fcfg)
+	c := dial(t, primary)
+	key := func(i int) string { return fmt.Sprintf("k%02d", i) }
+	mutate := func(lo, hi int, value string) {
+		t.Helper()
+		for i := lo; i < hi; i++ {
+			if i%4 == 3 {
+				if _, err := c.Delete(key(i)); err != nil {
+					t.Fatal(err)
+				}
+			} else if err := c.Set(key(i), []byte(value), 0, 0, int64(1+i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	for i := 0; i < 48; i++ {
+		if err := c.Set(key(i), []byte("healthy"), 0, 0, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitCaughtUp(t, primary, follower)
+	assertStateEqual(t, captureState(primary), captureState(follower))
+	served := primary.counters.replFullSyncsServed.Load()
+
+	// The first batch trips every shard over the fault; the second lands on
+	// shards already serving cache-only, new keys included.
+	inj.Fail(fault.Rule{Op: fault.OpSync, Err: fault.ErrIO})
+	mutate(0, 32, "tripping")
+	waitDegraded(t, primary, shards, 5*time.Second)
+	mutate(16, 64, "degraded")
+
+	inj.Heal()
+	waitDegraded(t, primary, 0, 10*time.Second)
+	mutate(40, 72, "healed")
+	waitCaughtUp(t, primary, follower)
+	assertStateEqual(t, captureState(primary), captureState(follower))
+	if got := primary.counters.replFullSyncsServed.Load() - served; got != shards {
+		t.Fatalf("healing served %d full syncs, want one per shard (%d)", got, shards)
+	}
+}
+
 // chaosEnv reads an integer knob for the chaos harness.
 func chaosEnv(name string, def int64) int64 {
 	if v := os.Getenv(name); v != "" {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"camp/internal/alloc"
+	"camp/internal/cache"
 )
 
 // checkStore asserts the structural invariants tying a shard's index, its
@@ -21,6 +22,48 @@ func checkStore(t *testing.T, st *store) {
 	}
 	if st.used() != used {
 		t.Fatalf("running used total %d != recomputed %d", st.used(), used)
+	}
+	// Every item's node is linked in exactly the ordering its key routes to
+	// (no item in two tenants, none in the wrong one), and each ordering's
+	// byte figure is the sum of the nodes it links. The class LRUs stand in
+	// for the slab layout, whose own Used() counts chunks, not charged sizes.
+	owner := make(map[*cache.Node]cache.Ordering, len(st.items))
+	own := func(o cache.Ordering) {
+		var bytes int64
+		o.Visit(func(n *cache.Node, _, _ uint64) bool {
+			if prev, dup := owner[n]; dup {
+				t.Fatalf("%q is linked in %s and again in %s", n.Key, prev.Name(), o.Name())
+			}
+			owner[n] = o
+			bytes += n.Size
+			return true
+		})
+		if bytes != o.Used() {
+			t.Fatalf("%s links %d bytes of nodes but reports %d used", o.Name(), bytes, o.Used())
+		}
+	}
+	if sl, ok := st.lay.(*slabLayout); ok {
+		for _, c := range sl.lru {
+			own(c)
+		}
+	} else {
+		own(st.policy)
+		for _, ts := range st.tens {
+			own(ts.policy)
+		}
+	}
+	for key, it := range st.items {
+		want, _ := st.stateFor(key)
+		if sl, ok := st.lay.(*slabLayout); ok {
+			class, err := sl.a.ClassFor(it.node.Size)
+			if err != nil {
+				t.Fatalf("%q: charged size %d fits no slab class", key, it.node.Size)
+			}
+			want = sl.lru[class]
+		}
+		if it.node.Key != key || owner[&it.node] != want {
+			t.Fatalf("%q: node keyed %q is linked in %v, its key routes to %v", key, it.node.Key, owner[&it.node], want)
+		}
 	}
 	// Every item's loc must be live in the layout, and the layout must hold
 	// nothing the index does not.
@@ -65,8 +108,8 @@ func checkStore(t *testing.T, st *store) {
 			live += int64(binary.PutUvarint(scratch[:], uint64(len(k))) + binary.PutUvarint(scratch[:], uint64(len(v))) + 12 + len(k) + len(v))
 		}
 		as := l.a.Stats()
-		if live != as.LiveBytes || as.LiveBytes+as.DeadBytes > as.HeldBytes {
-			t.Fatalf("items hold %d record bytes; arena %+v", live, as)
+		if live != as.LiveBytes || as.LiveBytes+as.DeadBytes > as.HeldBytes || as.HeldBytes > st.cfg.MemoryBytes+l.a.SegmentSize() {
+			t.Fatalf("items hold %d record bytes against a %d-byte budget; arena %+v", live, st.cfg.MemoryBytes, as)
 		}
 	default:
 		t.Fatalf("unknown layout %T", st.lay)

@@ -14,12 +14,12 @@ import (
 // one decision the rest of the server must not know: where value bytes live
 // and what an item's loc word means. The store calls it under the shard
 // lock; a layout under memory pressure frees space through the store it was
-// built for (store.evictArbitrated, store.delete).
+// built for (store.evictArbitratedBatch, store.delete).
 type layout interface {
-	// put lands one value and returns where it lives and the size its policy
-	// is to be charged for it. requester is that policy: the evictions put
-	// needs are arbitrated on its behalf.
-	put(requester cache.Policy, key string, value []byte, flags uint32, expNano int64) (loc uint64, charged int64, ok bool)
+	// put lands one value and returns where it lives and the size its
+	// ordering is to be charged for it. requester is that ordering: the
+	// evictions put needs are arbitrated on its behalf.
+	put(requester cache.Ordering, key string, value []byte, flags uint32, expNano int64) (loc uint64, charged int64, ok bool)
 	// value returns the bytes put copied to loc (copiesValues layouts only).
 	// The slice aliases layout memory that maintain and put may move: consume
 	// or copy it before the shard lock drops.
@@ -42,8 +42,8 @@ type layout interface {
 	tenantCapable() bool
 }
 
-// newLayout builds st's layout and the policy that orders its evictions.
-func newLayout(st *store) (layout, cache.Policy, error) {
+// newLayout builds st's layout and the ordering of its evictions.
+func newLayout(st *store) (layout, cache.Ordering, error) {
 	cfg := st.cfg
 	switch cfg.Mode {
 	case ModeByte:
@@ -108,7 +108,7 @@ type byteLayout struct {
 	st *store
 }
 
-func (l byteLayout) put(_ cache.Policy, key string, value []byte, _ uint32, _ int64) (uint64, int64, bool) {
+func (l byteLayout) put(_ cache.Ordering, key string, value []byte, _ uint32, _ int64) (uint64, int64, bool) {
 	return 0, l.st.itemSize(key, value), true
 }
 func (byteLayout) release(uint64)      {}
@@ -123,7 +123,7 @@ type buddyLayout struct {
 	b  *alloc.BuddyAllocator
 }
 
-func (l *buddyLayout) put(requester cache.Policy, key string, value []byte, _ uint32, _ int64) (uint64, int64, bool) {
+func (l *buddyLayout) put(requester cache.Ordering, key string, value []byte, _ uint32, _ int64) (uint64, int64, bool) {
 	// Replace any previous version first so we never evict ourselves.
 	l.st.delete(key)
 	size := l.st.itemSize(key, value)
@@ -137,7 +137,7 @@ func (l *buddyLayout) put(requester cache.Policy, key string, value []byte, _ ui
 			return uint64(off), block, true
 		}
 		// The policy picks a victim; its eviction callback frees the block.
-		if !errors.Is(err, alloc.ErrNoMemory) || !l.st.evictArbitrated(requester) {
+		if !errors.Is(err, alloc.ErrNoMemory) || !l.st.evictArbitratedBatch(requester, 1) {
 			return 0, 0, false
 		}
 	}
@@ -167,7 +167,7 @@ const arenaCompactStride = 32 << 10
 // reports false, and each eviction removes one resident entry, so a record
 // that fits the budget eventually lands and one that cannot fails once the
 // arena is drained.
-func (l *arenaLayout) put(requester cache.Policy, key string, value []byte, flags uint32, expNano int64) (uint64, int64, bool) {
+func (l *arenaLayout) put(requester cache.Ordering, key string, value []byte, flags uint32, expNano int64) (uint64, int64, bool) {
 	size := l.st.itemSize(key, value)
 	if size > l.st.cfg.MemoryBytes {
 		return 0, 0, false
@@ -177,7 +177,7 @@ func (l *arenaLayout) put(requester cache.Policy, key string, value []byte, flag
 		if err == nil {
 			return ref.Word(), size, true
 		}
-		if !l.a.CompactForce(l.alive, l.moved) && !l.st.evictArbitrated(requester) {
+		if !l.a.CompactForce(l.alive, l.moved) && !l.st.evictArbitratedBatch(requester, 1) {
 			return 0, 0, false
 		}
 	}
@@ -214,10 +214,9 @@ func (*arenaLayout) tenantCapable() bool               { return true }
 
 // slabLayout is Twemcache's layout: slab classes of equal chunks, one LRU
 // per class, random slab eviction when a class has nothing to give; loc is
-// the chunk's alloc.Handle. Recency is per class, so only the layout knows
-// which LRU a key lives in — it therefore serves as the store's eviction
-// policy too (cache.Policy, cache.EvictionOrdered), routing each call to
-// the class packed in the key's loc. The configured policy is ignored, as
+// the chunk's alloc.Handle. Recency is per class, so the layout serves as
+// the store's eviction ordering too (cache.Ordering), routing each node to
+// the class its charged size maps to. The configured policy is ignored, as
 // Twemcache ignores it.
 type slabLayout struct {
 	retained
@@ -231,7 +230,7 @@ type slabLayout struct {
 
 // put implements Twemcache's §5 strategy: a free chunk or a new slab (inside
 // Alloc), then per-class LRU eviction, then random slab eviction.
-func (l *slabLayout) put(_ cache.Policy, key string, value []byte, _ uint32, _ int64) (uint64, int64, bool) {
+func (l *slabLayout) put(_ cache.Ordering, key string, value []byte, _ uint32, _ int64) (uint64, int64, bool) {
 	// Replace any previous version first so we never evict ourselves.
 	l.st.delete(key)
 	size := l.st.itemSize(key, value)
@@ -249,7 +248,7 @@ func (l *slabLayout) put(_ cache.Policy, key string, value []byte, _ uint32, _ i
 		}
 		// The store's eviction callback unindexes the victim and releases
 		// its chunk.
-		if _, ok := l.lru[class].EvictOne(); ok {
+		if l.lru[class].Evict() != nil {
 			continue
 		}
 		owners, ok := l.a.ReassignRandomSlab(class)
@@ -259,8 +258,8 @@ func (l *slabLayout) put(_ cache.Policy, key string, value []byte, _ uint32, _ i
 		// The reassignment already emptied these chunks: unindex their items
 		// without a release.
 		for _, owner := range owners {
-			if c := l.classOf(owner); c != nil {
-				c.Delete(owner)
+			if it, ok := l.st.items[owner]; ok {
+				l.Remove(&it.node)
 				delete(l.st.items, owner)
 				l.reassigned++
 			}
@@ -270,39 +269,54 @@ func (l *slabLayout) put(_ cache.Policy, key string, value []byte, _ uint32, _ i
 func (l *slabLayout) release(loc uint64) { l.a.Free(alloc.HandleOf(loc)) }
 func (*slabLayout) tenantCapable() bool  { return false }
 
-// classOf returns the class LRU holding key, nil when key is not resident.
-func (l *slabLayout) classOf(key string) *cache.LRU {
-	it, ok := l.st.items[key]
-	if !ok {
-		return nil
-	}
-	return l.lru[alloc.HandleOf(it.loc).Class()]
+// lruFor returns the class LRU a node's charged size maps to. put has
+// already placed a chunk of that class, so the size is known to fit one.
+func (l *slabLayout) lruFor(n *cache.Node) *cache.LRU {
+	class, _ := l.a.ClassFor(n.Size)
+	return l.lru[class]
 }
 
 func (*slabLayout) Name() string { return "lru-slab" }
-func (l *slabLayout) Get(key string) bool {
-	c := l.classOf(key)
-	return c != nil && c.Get(key)
+
+// Insert records a freshly put node (put has already removed any old
+// version). The class LRUs are unbounded: the allocator owns space
+// accounting.
+func (l *slabLayout) Insert(n *cache.Node) bool                { return l.lruFor(n).Insert(n) }
+func (l *slabLayout) InsertAt(n *cache.Node, _, _ uint64) bool { return l.Insert(n) }
+func (l *slabLayout) Touch(n *cache.Node)                      { l.lruFor(n).Touch(n) }
+func (l *slabLayout) Remove(n *cache.Node)                     { l.lruFor(n).Remove(n) }
+
+// Victim and Evict name the first non-empty class's least recent node; put
+// evicts within the class it needs instead.
+func (l *slabLayout) Victim() (n *cache.Node, urgency float64) {
+	for _, c := range l.lru {
+		if n, _ := c.Victim(); n != nil {
+			return n, 0
+		}
+	}
+	return nil, 0
+}
+func (l *slabLayout) Evict() *cache.Node {
+	if n, _ := l.Victim(); n != nil {
+		return l.lruFor(n).Evict()
+	}
+	return nil
 }
 
-// Set records a freshly put key (put has already removed any old version) in
-// the LRU of the class its size maps to. The class LRUs are unbounded: the
-// allocator owns space accounting.
-func (l *slabLayout) Set(key string, size, cost int64) bool {
-	class, err := l.a.ClassFor(size)
-	return err == nil && l.lru[class].Set(key, size, cost)
-}
-func (l *slabLayout) Delete(key string) bool {
-	c := l.classOf(key)
-	return c != nil && c.Delete(key)
-}
-func (l *slabLayout) Contains(key string) bool { return l.classOf(key) != nil }
-func (l *slabLayout) Peek(key string) (cache.Entry, bool) {
-	if c := l.classOf(key); c != nil {
-		return c.Peek(key)
+// Visit walks the class LRUs in order, classes ascending, so a snapshot
+// replay rebuilds every class queue in its original order.
+func (l *slabLayout) Visit(visit func(n *cache.Node, prio, class uint64) bool) {
+	more := true
+	for i := 0; more && i < len(l.lru); i++ {
+		l.lru[i].Visit(func(n *cache.Node, _, _ uint64) bool {
+			more = visit(n, 0, 0)
+			return more
+		})
 	}
-	return cache.Entry{}, false
 }
+func (*slabLayout) Prioritized() bool     { return false }
+func (*slabLayout) Scale() (uint64, bool) { return 0, false }
+func (*slabLayout) RestoreScale(uint64)   {}
 func (l *slabLayout) Len() int {
 	n := 0
 	for _, c := range l.lru {
@@ -327,23 +341,8 @@ func (l *slabLayout) Stats() cache.Stats {
 	}
 	return s
 }
-func (l *slabLayout) SetEvictFunc(fn cache.EvictFunc) {
+func (l *slabLayout) OnEvict(fn func(*cache.Node)) {
 	for _, c := range l.lru {
-		c.SetEvictFunc(fn)
-	}
-}
-
-// VisitEvictionOrder walks the class LRUs in order, classes ascending, so a
-// snapshot replay rebuilds every class queue in its original order.
-func (l *slabLayout) VisitEvictionOrder(visit func(cache.Entry) bool) {
-	more := true
-	for _, c := range l.lru {
-		c.VisitEvictionOrder(func(e cache.Entry) bool {
-			more = visit(e)
-			return more
-		})
-		if !more {
-			return
-		}
+		c.OnEvict(fn)
 	}
 }

@@ -26,15 +26,11 @@ func captureState(s *Server) map[string]expectedItem {
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		for key, it := range sh.store.items {
-			_, meta, ok := sh.store.peek(key)
-			if !ok {
-				continue
-			}
 			out[key] = expectedItem{
 				value:   string(sh.store.valueOf(it)),
 				flags:   it.flags,
 				expires: persist.ExpiresFrom(it.expiresAt),
-				cost:    meta.Cost,
+				cost:    it.node.Cost,
 			}
 		}
 		sh.mu.Unlock()
@@ -255,10 +251,10 @@ func TestSnapshotOnlyGracefulRestart(t *testing.T) {
 	}
 	sh := s2.shardFor("k07")
 	sh.mu.Lock()
-	_, meta, ok := sh.store.peek("k07")
+	it, ok := sh.store.items["k07"]
 	sh.mu.Unlock()
-	if !ok || meta.Cost != 8 {
-		t.Fatalf("k07 after snapshot restart: ok=%v cost=%d, want cost 8", ok, meta.Cost)
+	if !ok || it.node.Cost != 8 {
+		t.Fatalf("k07 after snapshot restart: ok=%v, want cost 8", ok)
 	}
 }
 

@@ -973,7 +973,7 @@ func (s *Server) handleGet(keys [][]byte, cs *connState) error {
 		nk := cs.nsKeyFor(k)
 		sh := s.shardForBytes(nk)
 		sh.mu.Lock()
-		it, ok := sh.store.getBytes(nk, now)
+		it, ok := lookup(sh.store, nk, now)
 		if !ok {
 			if !s.cfg.DisableIQ {
 				sh.recordMissLocked(string(nk), now)
@@ -985,7 +985,7 @@ func (s *Server) handleGet(keys [][]byte, cs *connState) error {
 		}
 		value := sh.store.valueOf(it)
 		out := append(cs.out, "VALUE "...)
-		out = append(out, it.key[pfx:]...)
+		out = append(out, it.node.Key[pfx:]...)
 		out = append(out, ' ')
 		out = strconv.AppendUint(out, uint64(it.flags), 10)
 		out = append(out, ' ')
@@ -993,7 +993,7 @@ func (s *Server) handleGet(keys [][]byte, cs *connState) error {
 		out = append(out, '\r', '\n')
 		out = append(out, value...)
 		cs.out = append(out, '\r', '\n')
-		cost := it.cost
+		cost := it.node.Cost
 		sh.mu.Unlock()
 		s.counters.getHits.Add(1)
 		tn.hits.Add(1)
@@ -1319,7 +1319,7 @@ func (s *Server) handleTouch(args [][]byte, cs *connState) error {
 	// The incremental expiry sweep every mutating path pays, so a
 	// touch-heavy workload reclaims dead items too.
 	sh.store.sweepExpired(now, expirySweepProbes)
-	it, found := sh.store.get(key, now)
+	it, found := lookup(sh.store, key, now)
 	if found {
 		sh.store.touch(it, expiryFrom(ttl, now))
 		sh.journalLocked(persist.Op{
@@ -1456,7 +1456,7 @@ func (s *Server) handleStats(args [][]byte, cs *connState) error {
 	// Pending IQ miss-table entries: get misses still waiting for the set
 	// that would turn the elapsed time into a cost.
 	out = appendStatInt(out, "iq_miss_table_entries", int64(missTable))
-	out = appendStatStr(out, "policy", s.shards[0].store.policyName())
+	out = appendStatStr(out, "policy", s.shards[0].store.policy.Name())
 	out = appendStatStr(out, "mode", s.cfg.Mode)
 	out = appendStatInt(out, "shards", int64(len(s.shards)))
 	out = appendStatInt(out, "tenants", int64(s.tenants.count()))
@@ -1541,27 +1541,24 @@ func (s *Server) handleDebug(args [][]byte, cs *connState) error {
 	key := cs.nsKeyFor(args[0])
 	sh := s.shardForBytes(key)
 	sh.mu.Lock()
-	it, meta, ok := sh.store.peek(string(key))
-	var flags uint32
+	it, ok := sh.store.items[string(key)]
 	if ok {
-		flags = it.flags
+		out := append(cs.out[:0], "DEBUG "...)
+		out = append(out, args[0]...)
+		out = append(out, " size="...)
+		out = strconv.AppendInt(out, it.node.Size, 10)
+		out = append(out, " cost="...)
+		out = strconv.AppendInt(out, it.node.Cost, 10)
+		out = append(out, " flags="...)
+		out = strconv.AppendUint(out, uint64(it.flags), 10)
+		cs.out = append(out, '\r', '\n')
 	}
 	sh.mu.Unlock()
 	if !ok {
 		_, err := w.Write(replyNotFound)
 		return err
 	}
-	out := append(cs.out[:0], "DEBUG "...)
-	out = append(out, args[0]...)
-	out = append(out, " size="...)
-	out = strconv.AppendInt(out, meta.Size, 10)
-	out = append(out, " cost="...)
-	out = strconv.AppendInt(out, meta.Cost, 10)
-	out = append(out, " flags="...)
-	out = strconv.AppendUint(out, uint64(flags), 10)
-	out = append(out, '\r', '\n')
-	cs.out = out
-	_, err := w.Write(out)
+	_, err := w.Write(cs.out)
 	return err
 }
 

@@ -231,7 +231,7 @@ func (sh *shard) storeLocked(cmd storeCmd, keyBytes []byte, value []byte, flags 
 	existing, exists := sh.store.items[string(keyBytes)]
 	var key string
 	if exists {
-		key = existing.key
+		key = existing.node.Key
 	} else {
 		key = string(keyBytes)
 	}
@@ -270,7 +270,7 @@ func (sh *shard) storeLocked(cmd storeCmd, keyBytes []byte, value []byte, flags 
 			return replyTooLarge
 		}
 		if cost == 0 {
-			cost = existing.cost
+			cost = existing.node.Cost
 		}
 	}
 	if cost == 0 && !sh.srv.cfg.DisableIQ {
@@ -320,7 +320,7 @@ func (sh *shard) setLocked(key string, value []byte, flags uint32, expires time.
 // caller holds sh.mu.
 func (sh *shard) arithLocked(incr bool, key string, delta uint64, now time.Time) (val uint64, reply []byte) {
 	sh.store.sweepExpired(now, expirySweepProbes)
-	it, ok := sh.store.get(key, now)
+	it, ok := lookup(sh.store, key, now)
 	if !ok {
 		return 0, replyNotFound
 	}
@@ -337,7 +337,7 @@ func (sh *shard) arithLocked(incr bool, key string, delta uint64, now time.Time)
 	}
 	// Arithmetic keeps the item's flags, expiration and cost, as memcached
 	// does; only the payload changes.
-	if !sh.setLocked(key, strconv.AppendUint(nil, cur, 10), it.flags, it.expiresAt, it.cost, true) {
+	if !sh.setLocked(key, strconv.AppendUint(nil, cur, 10), it.flags, it.expiresAt, it.node.Cost, true) {
 		return 0, replyOOM
 	}
 	return cur, nil

@@ -453,10 +453,9 @@ func TestServerDataDirLock(t *testing.T) {
 func shardEvictionOrder(sh *shard) []string {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	eo := sh.store.policy.(cache.EvictionOrdered)
 	var keys []string
-	eo.VisitEvictionOrder(func(e cache.Entry) bool {
-		keys = append(keys, e.Key)
+	sh.store.policy.Visit(func(n *cache.Node, _, _ uint64) bool {
+		keys = append(keys, n.Key)
 		return true
 	})
 	return keys

@@ -12,43 +12,43 @@ import (
 )
 
 // item is one stored key-value pair. Callers hold the shard mutex. The key
-// is duplicated into the item so hot reads arriving as wire []byte never
-// materialize a string: the map lookup converts in place (which Go compiles
-// allocation-free) and every downstream consumer — policy bump, VALUE reply
-// — reuses this stored string. An overwrite updates the item in place, so
-// the struct is only meaningful under the lock; a value slice, once stored,
-// is never mutated. Layouts that copy values (layout.copiesValues) leave
-// value nil and locate the bytes through loc instead: read them with
-// store.valueOf, and copy what must outlive the lock.
+// lives in the embedded ordering node, so hot reads arriving as wire []byte
+// never materialize a string: the map lookup converts in place (which Go
+// compiles allocation-free) and every downstream consumer — the ordering's
+// touch, the VALUE reply — works from the item the lookup found. An
+// overwrite updates the item in place, so the struct is only meaningful
+// under the lock; a value slice, once stored, is never mutated. Layouts that
+// copy values (layout.copiesValues) leave value nil and locate the bytes
+// through loc instead: read them with store.valueOf, and copy what must
+// outlive the lock.
 type item struct {
-	key       string
+	// node carries the key, the charged size and the admission cost, and
+	// links the item into the ordering its key routes to (store.stateFor):
+	// the index entry and the eviction-order entry are one object.
+	node      cache.Node
 	value     []byte
 	flags     uint32
 	expiresAt time.Time // zero means no expiry
 	// loc is the layout's location word for the value (layouts.go); only the
 	// layout that issued it can interpret it.
 	loc uint64
-	// cost is the admission cost the policy charged for this entry, kept
-	// here so per-tenant cost-saved accounting on the get path needs no
-	// policy lookup.
-	cost int64
 }
 
-// store is one shard's index (items), its storage layout, and the eviction
-// policies that decide what stays: the default tenant's policy — which the
-// layout supplies — and, for tenant-capable layouts, one more per
-// non-default tenant in tens, with the store-level arbiter (makeRoom)
-// enforcing the shared capacity.
+// store is one shard's index (items) — the only key lookup on the request
+// path — its storage layout, and the eviction orderings that decide what
+// stays: the default tenant's — which the layout supplies — and, for
+// tenant-capable layouts, one more per non-default tenant in tens, with the
+// store-level arbiter (makeRoom) enforcing the shared capacity.
 type store struct {
 	cfg   Config
 	items map[string]*item
 	lay   layout
 
-	policy cache.Policy
+	policy cache.Ordering
 	tens   map[string]*tenantState
 
 	// totalUsed is the running store-resident byte total across the default
-	// policy and every tenant policy — what used() returns. Maintained
+	// ordering and every tenant ordering — what used() returns. Maintained
 	// incrementally (noteUsage) against per-policy cached figures so the
 	// arbiter's capacity checks are O(1) instead of O(#tenants) per probe.
 	totalUsed int64
@@ -85,7 +85,7 @@ func (st *store) reset() error {
 	if err != nil {
 		return err
 	}
-	p.SetEvictFunc(st.onPolicyEvict)
+	p.OnEvict(st.onEvict)
 	st.items, st.lay, st.policy = make(map[string]*item), lay, p
 	st.tens, st.totalUsed, st.defUsed = nil, 0, 0
 	if reg := st.cfg.tenants; reg != nil {
@@ -96,7 +96,7 @@ func (st *store) reset() error {
 	return nil
 }
 
-func buildPolicy(cfg Config, capacity int64) (cache.Policy, error) {
+func buildPolicy(cfg Config, capacity int64) (cache.Ordering, error) {
 	switch cfg.Policy {
 	case "camp":
 		return core.NewCamp(capacity, core.WithPrecision(cfg.Precision)), nil
@@ -109,11 +109,12 @@ func buildPolicy(cfg Config, capacity int64) (cache.Policy, error) {
 	}
 }
 
-// onPolicyEvict keeps the index and the layout in sync with policy evictions.
-func (st *store) onPolicyEvict(e cache.Entry) {
-	if it, ok := st.items[e.Key]; ok {
+// onEvict keeps the index and the layout in sync with an ordering's
+// evictions.
+func (st *store) onEvict(n *cache.Node) {
+	if it, ok := st.items[n.Key]; ok {
 		st.lay.release(it.loc)
-		delete(st.items, e.Key)
+		delete(st.items, n.Key)
 	}
 }
 
@@ -127,7 +128,7 @@ func (st *store) itemSize(key string, value []byte) int64 {
 // registry entry carrying its reserve and lifetime counters.
 type tenantState struct {
 	t      *tenant
-	policy cache.Policy
+	policy cache.Ordering
 	// cachedUsed is the policy's last Used() observed by noteUsage, the
 	// delta base for the store's running totalUsed.
 	cachedUsed int64
@@ -151,7 +152,7 @@ func (st *store) ensureTenant(name string) *tenantState {
 		// The config was already validated at construction.
 		panic("kvserver: tenant policy build failed: " + err.Error())
 	}
-	p.SetEvictFunc(st.onPolicyEvict)
+	p.OnEvict(st.onEvict)
 	ts := &tenantState{t: t, policy: p}
 	if st.tens == nil {
 		st.tens = make(map[string]*tenantState)
@@ -171,19 +172,13 @@ func (st *store) multiTenant() bool {
 	return reg != nil && reg.multi.Load() && st.lay.tenantCapable()
 }
 
-// policyFor routes a stored key to the policy that owns it: the tenant named
-// by the key's NUL-delimited prefix, or the default policy for bare keys.
-// With no non-default tenant registered anywhere — the single-tenant fast
-// path — the byte scan is skipped entirely: no namespaced key can be
-// resident then.
-func (st *store) policyFor(key string) cache.Policy {
-	p, _ := st.stateFor(key)
-	return p
-}
-
-// stateFor is policyFor plus the owning tenantState (nil for the default
-// tenant), the pair noteUsage needs to keep the running total exact.
-func (st *store) stateFor(key string) (cache.Policy, *tenantState) {
+// stateFor routes a stored key to the ordering that owns it — the tenant
+// named by the key's NUL-delimited prefix, or the default one for bare keys —
+// plus the owning tenantState (nil for the default tenant), the pair
+// noteUsage needs to keep the running total exact. With no non-default
+// tenant registered anywhere — the single-tenant fast path — the byte scan
+// is skipped entirely: no namespaced key can be resident then.
+func (st *store) stateFor(key string) (cache.Ordering, *tenantState) {
 	if !st.multiTenant() {
 		return st.policy, nil
 	}
@@ -200,7 +195,7 @@ func (st *store) stateFor(key string) (cache.Policy, *tenantState) {
 // policy's contents (set, delete, eviction — including evictions the policy
 // performed internally during a Set): the absolute re-read makes the resync
 // self-healing no matter how many entries one call displaced.
-func (st *store) noteUsage(p cache.Policy, ts *tenantState) {
+func (st *store) noteUsage(p cache.Ordering, ts *tenantState) {
 	cached := &st.defUsed
 	if ts != nil {
 		cached = &ts.cachedUsed
@@ -234,7 +229,7 @@ func (st *store) used() int64 { return st.totalUsed }
 // requester fits. Victims are chosen Memshare-style by evictArbitratedBatch,
 // so a false return means the insert must be rejected (nothing evictable
 // without breaking another tenant's reserve).
-func (st *store) makeRoom(requester cache.Policy, size int64) bool {
+func (st *store) makeRoom(requester cache.Ordering, size int64) bool {
 	capacity := st.cfg.MemoryBytes
 	if size > capacity {
 		return false
@@ -245,12 +240,6 @@ func (st *store) makeRoom(requester cache.Policy, size int64) bool {
 		}
 	}
 	return true
-}
-
-// evictArbitrated evicts one entry from the tenant whose next victim carries
-// the lowest marginal priority; see evictArbitratedBatch.
-func (st *store) evictArbitrated(requester cache.Policy) bool {
-	return st.evictArbitratedBatch(requester, 1)
 }
 
 // evictArbitratedBatch frees up to need bytes from the tenant whose next
@@ -267,37 +256,30 @@ func (st *store) evictArbitrated(requester cache.Policy) bool {
 // O(#tenants) walk across a batch of victims: a large insert under many
 // tenants is O(tenants + victims) instead of the old O(tenants × victims).
 // Returns false only when nothing was evictable.
-func (st *store) evictArbitratedBatch(requester cache.Policy, need int64) bool {
+func (st *store) evictArbitratedBatch(requester cache.Ordering, need int64) bool {
 	var (
 		found     bool
-		best      cache.Policy
+		best      cache.Ordering
 		bestTS    *tenantState
-		bestEv    cache.Evicter
 		bestUrg   float64
 		bestOver  int64
 		secondUrg float64
 		hasSecond bool
 	)
-	consider := func(p cache.Policy, ts *tenantState, reserveTotal int64) {
-		ev, ok := p.(cache.Evicter)
-		if !ok || p.Len() == 0 {
+	consider := func(p cache.Ordering, ts *tenantState, reserveTotal int64) {
+		if p.Len() == 0 {
 			return
 		}
 		over := p.Used() - st.shardReserve(reserveTotal)
 		if over <= 0 && p != requester {
 			return // within reserve: protected from other tenants' churn
 		}
-		urg := 0.0
-		if vp, ok := p.(cache.VictimPeeker); ok {
-			if _, u, ok := vp.PeekVictim(); ok {
-				urg = u
-			}
-		}
+		_, urg := p.Victim()
 		if !found || urg < bestUrg || (urg == bestUrg && over > bestOver) {
 			if found {
 				secondUrg, hasSecond = bestUrg, true
 			}
-			found, best, bestTS, bestEv, bestUrg, bestOver = true, p, ts, ev, urg, over
+			found, best, bestTS, bestUrg, bestOver = true, p, ts, urg, over
 		} else if !hasSecond || urg < secondUrg {
 			secondUrg, hasSecond = urg, true
 		}
@@ -319,7 +301,7 @@ func (st *store) evictArbitratedBatch(requester cache.Policy, need int64) bool {
 	}
 	evictedAny := false
 	for need > 0 {
-		if _, ok := bestEv.EvictOne(); !ok {
+		if best.Evict() == nil {
 			break
 		}
 		evictedAny = true
@@ -337,12 +319,7 @@ func (st *store) evictArbitratedBatch(requester cache.Policy, need int64) bool {
 		// Still strictly cheapest? On a tie or crossover, fall back to the
 		// caller's loop for a fresh arbitration walk.
 		if hasSecond {
-			vp, ok := best.(cache.VictimPeeker)
-			if !ok {
-				break
-			}
-			_, urg, ok := vp.PeekVictim()
-			if !ok || urg >= secondUrg {
+			if _, urg := best.Victim(); urg >= secondUrg {
 				break
 			}
 		}
@@ -363,7 +340,7 @@ func (st *store) flushTenant(name string) {
 		}
 		return
 	}
-	var p cache.Policy
+	var p cache.Ordering
 	if name == defaultTenantName {
 		p = st.policy
 	} else if ts, ok := st.tens[name]; ok {
@@ -372,12 +349,10 @@ func (st *store) flushTenant(name string) {
 		return
 	}
 	keys := make([]string, 0, p.Len())
-	if eo, ok := p.(cache.EvictionOrdered); ok {
-		eo.VisitEvictionOrder(func(e cache.Entry) bool {
-			keys = append(keys, e.Key)
-			return true
-		})
-	}
+	p.Visit(func(n *cache.Node, _, _ uint64) bool {
+		keys = append(keys, n.Key)
+		return true
+	})
 	for _, k := range keys {
 		st.delete(k)
 	}
@@ -405,36 +380,22 @@ func (st *store) visitTenantUsage(visit func(name string, used int64, items int,
 	}
 }
 
-func (st *store) get(key string, now time.Time) (*item, bool) {
-	it, ok := st.items[key]
-	if !ok {
-		return nil, false
-	}
-	return st.getResident(it, now)
-}
-
-// getBytes is get for a key still in its wire []byte form: the map access
-// compiles to a no-allocation lookup, and on a hit the item's own key
-// string serves the policy bump, so the read path never allocates.
-func (st *store) getBytes(key []byte, now time.Time) (*item, bool) {
+// lookup is the read path's index probe, for a key in either its wire
+// []byte form or as a string: the map access compiles to a no-allocation
+// lookup either way — the only key hashed on a hit — then lazy expiry, then
+// the recency/priority bump in the ordering that owns the key.
+func lookup[K ~string | ~[]byte](st *store, key K, now time.Time) (*item, bool) {
 	it, ok := st.items[string(key)]
 	if !ok {
 		return nil, false
 	}
-	return st.getResident(it, now)
-}
-
-// getResident finishes a get on a mapped item: lazy expiry, then the
-// recency/priority bump in whichever structure owns the key.
-func (st *store) getResident(it *item, now time.Time) (*item, bool) {
 	if !it.expiresAt.IsZero() && now.After(it.expiresAt) {
-		st.delete(it.key)
+		st.delete(it.node.Key)
 		st.expiredReclaimed++
 		return nil, false
 	}
-	if !st.policyFor(it.key).Get(it.key) {
-		return nil, false
-	}
+	p, _ := st.stateFor(it.node.Key)
+	p.Touch(&it.node)
 	return it, true
 }
 
@@ -488,62 +449,67 @@ func (st *store) setAbs(key string, value []byte, flags uint32, expires time.Tim
 // priority state ignore the offset — replay order alone restores them
 // exactly.
 //
-// The layout lands the bytes, then the key is admitted through the policy
+// The layout lands the bytes, then the key is admitted through the ordering
 // that owns it at the size the layout charges, so priorities, tenancy and
 // persistence behave identically across layouts. An overwrite updates the
 // resident item struct in place.
 func (st *store) setAbsPrio(key string, value []byte, flags uint32, expires time.Time, cost int64, prio, class uint64, hasPrio bool) bool {
 	p, ts := st.stateFor(key)
 	loc, charged, ok := st.lay.put(p, key, value, flags, expiryNano(expires))
-	if ok && !st.policySet(p, ts, key, charged, cost, prio, class, hasPrio) {
+	// Looked up after put rather than before: the layout's own evictions may
+	// have removed the old version meanwhile. From here on it cannot go — it
+	// is detached from its ordering while the new version is admitted, so no
+	// eviction can pick it.
+	it, exists := st.items[key]
+	if exists {
+		p.Remove(&it.node)
+	} else {
+		it = &item{node: cache.Node{Key: key}}
+	}
+	if ok && !st.admit(p, ts, &it.node, charged, cost, prio, class, hasPrio) {
 		st.lay.release(loc)
 		ok = false
 	}
+	st.noteUsage(p, ts)
 	if !ok {
 		// A failed set drops the key — whatever old version remained — in
 		// every layout: the caller journals exactly that.
-		st.delete(key)
+		if exists {
+			st.lay.release(it.loc)
+			delete(st.items, key)
+		}
 		return false
+	}
+	if exists {
+		st.lay.release(it.loc)
+	} else {
+		st.items[key] = it
 	}
 	if st.lay.copiesValues() {
 		value = nil
 	}
-	// Re-lookup rather than trusting a pre-put snapshot: the layout's
-	// compaction/eviction (or the policy's own internal evictions during
-	// admission) may have removed the old version meanwhile.
-	if old, exists := st.items[key]; exists {
-		st.lay.release(old.loc)
-		old.value, old.flags, old.expiresAt, old.cost, old.loc = value, flags, expires, cost, loc
-	} else {
-		st.items[key] = &item{key: key, value: value, flags: flags, expiresAt: expires, cost: cost, loc: loc}
-	}
+	it.value, it.flags, it.expiresAt, it.loc = value, flags, expires, loc
 	st.lay.maintain()
 	return true
 }
 
-// policySet admits key through p, the policy that owns it, pinning the
-// priority offset and class when they were recorded and the policy can
-// restore them. On the multi-tenant path the old version is dropped first so
-// the arbiter's byte accounting is exact, then makeRoom clears shared
-// capacity before the owning policy (whose own capacity is the whole shard)
-// admits the entry. Every policy mutation is followed by a noteUsage resync
-// so the store's running resident total stays exact.
-func (st *store) policySet(p cache.Policy, ts *tenantState, key string, size, cost int64, prio, class uint64, hasPrio bool) bool {
+// admit inserts a detached node into p, the ordering that owns its key,
+// pinning the priority offset and class when they were recorded. On the
+// multi-tenant path makeRoom clears shared capacity before the owning
+// ordering (whose own capacity is the whole shard) admits the entry; the
+// caller resyncs the running resident total afterwards.
+func (st *store) admit(p cache.Ordering, ts *tenantState, n *cache.Node, size, cost int64, prio, class uint64, hasPrio bool) bool {
 	if st.multiTenant() {
-		p.Delete(key)
 		st.noteUsage(p, ts)
 		if !st.makeRoom(p, size) {
 			return false
 		}
 	}
-	var ok bool
-	if po, isPrio := p.(cache.PriorityOrdered); hasPrio && isPrio {
-		ok = po.SetWithPriority(key, size, cost, prio, class)
-	} else {
-		ok = p.Set(key, size, cost)
+	n.Size, n.Cost = size, cost
+	if hasPrio {
+		return p.InsertAt(n, prio, class)
 	}
-	st.noteUsage(p, ts)
-	return ok
+	return p.Insert(n)
 }
 
 // expiryNano converts an absolute expiry to the layout's form: unix
@@ -571,31 +537,18 @@ func (st *store) touch(it *item, expires time.Time) {
 	st.lay.touch(it.loc, expiryNano(expires))
 }
 
-// delete removes key from its policy, the layout and the index. It tolerates
-// a policy that has already dropped the key (a refused Set does), so it is
-// also how a failed set tears the old version down.
+// delete removes key from its ordering, the layout and the index.
 func (st *store) delete(key string) bool {
 	it, ok := st.items[key]
 	if !ok {
 		return false
 	}
 	p, ts := st.stateFor(key)
-	p.Delete(key)
+	p.Remove(&it.node)
 	st.noteUsage(p, ts)
 	st.lay.release(it.loc)
 	delete(st.items, key)
 	return true
-}
-
-// peek returns a resident item and its policy metadata (charged size and
-// cost) without touching recency.
-func (st *store) peek(key string) (*item, cache.Entry, bool) {
-	it, ok := st.items[key]
-	if !ok {
-		return nil, cache.Entry{}, false
-	}
-	e, ok := st.policyFor(key).Peek(key)
-	return it, e, ok
 }
 
 func (st *store) flush() {
@@ -617,8 +570,8 @@ func (st *store) evictions() uint64 {
 	return st.evictedBase + ev
 }
 
-func (st *store) policyName() string { return st.policy.Name() }
-
+// queueCount is the number of non-empty CAMP queues across tenants, -1 when
+// the configured ordering has none to count.
 func (st *store) queueCount() int {
 	qc, ok := st.policy.(cache.QueueCounter)
 	if !ok {
@@ -626,9 +579,7 @@ func (st *store) queueCount() int {
 	}
 	n := qc.QueueCount()
 	for _, ts := range st.tens {
-		if tq, ok := ts.policy.(cache.QueueCounter); ok {
-			n += tq.QueueCount()
-		}
+		n += ts.policy.(cache.QueueCounter).QueueCount()
 	}
 	return n
 }
@@ -673,13 +624,9 @@ func (st *store) restore(op persist.Op) error {
 	case persist.KindScale:
 		// The scale only ever widens, so installing one source's scale in
 		// every policy is safe and keeps tenant replay order-independent.
-		if ps, ok := st.policy.(cache.PriorityScaled); ok {
-			ps.RestorePriorityScale(op.Scale)
-		}
+		st.policy.RestoreScale(op.Scale)
 		for _, ts := range st.tens {
-			if ps, ok := ts.policy.(cache.PriorityScaled); ok {
-				ps.RestorePriorityScale(op.Scale)
-			}
+			ts.policy.RestoreScale(op.Scale)
 		}
 	case persist.KindTenant:
 		if reg := st.cfg.tenants; reg != nil {
@@ -709,28 +656,6 @@ func (st *store) restore(op persist.Op) error {
 func (st *store) collectOps() []persist.Op {
 	ops := make([]persist.Op, 0, len(st.items))
 	copies := st.lay.copiesValues()
-	add := func(key string, cost int64, prio, class uint64, kind persist.Kind) bool {
-		it, ok := st.items[key]
-		if !ok {
-			return true
-		}
-		value := st.valueOf(it)
-		if copies {
-			value = append([]byte(nil), value...)
-		}
-		ops = append(ops, persist.Op{
-			Kind:     kind,
-			Key:      key,
-			Value:    value,
-			Flags:    it.flags,
-			Expires:  persist.ExpiresFrom(it.expiresAt),
-			Size:     st.itemSize(key, value),
-			Cost:     cost,
-			Priority: prio,
-			Class:    class,
-		})
-		return true
-	}
 	// Tenant identity and quotas go first, so replay re-creates every tenant
 	// — including ones with no resident keys — before any entry lands or any
 	// keyed flush needs a namespace to clear.
@@ -742,19 +667,35 @@ func (st *store) collectOps() []persist.Op {
 			ops = append(ops, persist.Op{Kind: persist.KindTenant, Key: t.name, Reserve: t.reserve.Load()})
 		}
 	}
-	emitPolicy := func(p cache.Policy) {
-		if po, ok := p.(cache.PriorityOrdered); ok {
-			// The adaptive scale goes first so replay buckets every
-			// subsequent Set with the live workload's learned state.
-			if ps, ok := p.(cache.PriorityScaled); ok {
-				ops = append(ops, persist.Op{Kind: persist.KindScale, Scale: ps.PriorityScale()})
-			}
-			po.VisitEvictionPriority(func(e cache.Entry, prio, class uint64) bool {
-				return add(e.Key, e.Cost, prio, class, persist.KindSetPrio)
-			})
-		} else if eo, ok := p.(cache.EvictionOrdered); ok {
-			eo.VisitEvictionOrder(func(e cache.Entry) bool { return add(e.Key, e.Cost, 0, 0, persist.KindSet) })
+	emitPolicy := func(p cache.Ordering) {
+		// The adaptive scale goes first so replay buckets every subsequent
+		// Set with the live workload's learned state.
+		if scale, ok := p.Scale(); ok {
+			ops = append(ops, persist.Op{Kind: persist.KindScale, Scale: scale})
 		}
+		kind := persist.KindSet
+		if p.Prioritized() {
+			kind = persist.KindSetPrio
+		}
+		p.Visit(func(n *cache.Node, prio, class uint64) bool {
+			it := st.items[n.Key]
+			value := st.valueOf(it)
+			if copies {
+				value = append([]byte(nil), value...)
+			}
+			ops = append(ops, persist.Op{
+				Kind:     kind,
+				Key:      n.Key,
+				Value:    value,
+				Flags:    it.flags,
+				Expires:  persist.ExpiresFrom(it.expiresAt),
+				Size:     st.itemSize(n.Key, value),
+				Cost:     n.Cost,
+				Priority: prio,
+				Class:    class,
+			})
+			return true
+		})
 	}
 	emitPolicy(st.policy)
 	names := make([]string, 0, len(st.tens))

@@ -104,6 +104,12 @@ type Manager struct {
 	// replication readers so GC retains the generations they still need.
 	notify  chan struct{}
 	tailers map[*TailReader]struct{}
+	// tailFloor is the lowest generation a journal tail may read. A segment
+	// switch that follows Detach is a discontinuity: whatever the caller
+	// applied while detached was never journaled and exists only in the new
+	// generation's snapshot, so a tail must not run from an older segment
+	// into the new one as if nothing were missing.
+	tailFloor uint64
 
 	// runID is a fresh random identity per Open. A replication position is
 	// only meaningful against the journal run that produced it: a restart
@@ -485,6 +491,8 @@ func (m *Manager) BeginCompact() (*Compaction, error) {
 		}
 		if old != nil {
 			old.Close() // best-effort: already synced above
+		} else {
+			m.tailFloor = newGen // reattaching after Detach
 		}
 	}
 	m.gen = newGen

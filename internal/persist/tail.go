@@ -19,8 +19,9 @@ const SegmentHeaderLen = fileHeaderLen
 var (
 	// ErrStalePosition reports a replication position that can no longer be
 	// served incrementally — the generation was compacted away, skews past
-	// the live journal, or the offset overruns its segment. The follower must
-	// fall back to a full resync (snapshot + journal bootstrap).
+	// the live journal, precedes a stretch the journal was detached for, or
+	// the offset overruns its segment. The follower must fall back to a full
+	// resync (snapshot + journal bootstrap).
 	ErrStalePosition = errors.New("persist: stale replication position")
 	// ErrTailTimeout reports that Next's wait elapsed with no new record; the
 	// journal is simply idle.
@@ -84,8 +85,8 @@ func (m *Manager) tailFromLocked(gen uint64, off int64) (*TailReader, error) {
 	if m.opts.DisableAOF {
 		return nil, errors.New("persist: journaling disabled")
 	}
-	if gen == 0 || gen > m.gen {
-		return nil, fmt.Errorf("%w: generation %d (journal at %d)", ErrStalePosition, gen, m.gen)
+	if gen == 0 || gen > m.gen || gen < m.tailFloor {
+		return nil, fmt.Errorf("%w: generation %d (journal at %d, unbroken from %d)", ErrStalePosition, gen, m.gen, m.tailFloor)
 	}
 	if off < fileHeaderLen {
 		return nil, fmt.Errorf("%w: offset %d before segment header", ErrStalePosition, off)
@@ -335,6 +336,9 @@ func (tr *TailReader) atEOF() (ev TailEvent, outcome int, waitCh <-chan struct{}
 	}
 	if st.Size() > tr.fileOff {
 		return ev, eofRetry, nil, nil
+	}
+	if tr.gen < m.tailFloor {
+		return ev, 0, nil, fmt.Errorf("%w: journal detached after generation %d", ErrStalePosition, tr.gen)
 	}
 	if tr.end > tr.start {
 		return ev, 0, nil, fmt.Errorf("%w: retired segment %d ends mid-record", ErrCorruptRecord, tr.gen)

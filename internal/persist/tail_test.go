@@ -257,3 +257,55 @@ func TestFullSyncMatchesRecovery(t *testing.T) {
 		}
 	}
 }
+
+// TestTailStopsAtDetachDiscontinuity: whatever the caller applied while the
+// journal was detached is in no segment, only in the healing compaction's
+// snapshot, so neither an open tail nor a later TailFrom may carry a follower
+// from the old generation into the new one. A compaction with the journal
+// attached stays crossable.
+func TestTailStopsAtDetachDiscontinuity(t *testing.T) {
+	st := newMapStore()
+	m, _ := openTest(t, t.TempDir(), Options{Fsync: FsyncNo}, st)
+	defer m.Close()
+	emit := func(func(Op) error) error { return nil }
+
+	open, err := m.TailFrom(1, SegmentHeaderLen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer open.Close()
+	if err := m.Append(setOp("a", "1")); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Compact(emit); err != nil { // attached switch 1 -> 2
+		t.Fatal(err)
+	}
+	if op, ev := nextRecord(t, open, time.Second); op.Key != "a" || ev.Gen != 1 {
+		t.Fatalf("first record %+v at gen %d", op, ev.Gen)
+	}
+	if ev, err := open.Next(0); err != nil || ev.Record != nil || ev.Gen != 2 {
+		t.Fatalf("attached switch: event %+v, err %v; want a move to generation 2", ev, err)
+	}
+
+	m.Detach()
+	if err := m.Compact(emit); err != nil { // healing switch 2 -> 3
+		t.Fatal(err)
+	}
+	if err := m.Append(setOp("b", "2")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := open.Next(0); !errors.Is(err, ErrStalePosition) {
+		t.Fatalf("open tail crossed the detach: err %v, want ErrStalePosition", err)
+	}
+	if _, err := m.TailFrom(2, SegmentHeaderLen); !errors.Is(err, ErrStalePosition) {
+		t.Fatalf("TailFrom below the detach: err %v, want ErrStalePosition", err)
+	}
+	fresh, err := m.TailFrom(3, SegmentHeaderLen)
+	if err != nil {
+		t.Fatalf("TailFrom the healed generation: %v", err)
+	}
+	defer fresh.Close()
+	if op, _ := nextRecord(t, fresh, time.Second); op.Key != "b" {
+		t.Fatalf("healed generation's first record %+v", op)
+	}
+}

@@ -47,47 +47,42 @@ func (c *Cache) emitEntries(write func(persist.Op) error) error {
 
 // emitLocked writes one shard's entries. The caller holds s.mu.
 func (s *shard) emitLocked(write func(persist.Op) error) error {
+	o, ok := s.policy.(cache.Ordering)
+	if !ok {
+		// No enumerable order; map order still round-trips every entry.
+		for key, value := range s.values {
+			if meta, ok := s.policy.Peek(key); ok {
+				if err := write(persist.Op{Key: key, Value: value, Size: meta.Size, Cost: meta.Cost}); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	}
+	// The adaptive scale first, so a replay buckets later Sets with the live
+	// workload's learned state.
+	if scale, ok := o.Scale(); ok {
+		if err := write(persist.Op{Kind: persist.KindScale, Scale: scale}); err != nil {
+			return err
+		}
+	}
+	kind := persist.KindSet
+	if o.Prioritized() {
+		kind = persist.KindSetPrio
+	}
 	var err error
-	emit := func(e Entry, prio, class uint64, kind persist.Kind) bool {
+	o.Visit(func(n *cache.Node, prio, class uint64) bool {
 		err = write(persist.Op{
 			Kind:     kind,
-			Key:      e.Key,
-			Value:    s.values[e.Key],
-			Size:     e.Size,
-			Cost:     e.Cost,
+			Key:      n.Key,
+			Value:    s.values[n.Key],
+			Size:     n.Size,
+			Cost:     n.Cost,
 			Priority: prio,
 			Class:    class,
 		})
 		return err == nil
-	}
-	switch p := s.policy.(type) {
-	case cache.PriorityOrdered:
-		// The adaptive scale first, so a replay buckets later Sets with
-		// the live workload's learned state.
-		if ps, ok := s.policy.(cache.PriorityScaled); ok {
-			if err := write(persist.Op{Kind: persist.KindScale, Scale: ps.PriorityScale()}); err != nil {
-				return err
-			}
-		}
-		p.VisitEvictionPriority(func(e Entry, prio, class uint64) bool {
-			return emit(e, prio, class, persist.KindSetPrio)
-		})
-	case cache.EvictionOrdered:
-		p.VisitEvictionOrder(func(e Entry) bool {
-			return emit(e, 0, 0, persist.KindSet)
-		})
-	default:
-		// No enumerable order; map order still round-trips every entry.
-		for key, value := range s.values {
-			meta, ok := s.policy.Peek(key)
-			if !ok {
-				continue
-			}
-			if err = write(persist.Op{Key: key, Value: value, Size: meta.Size, Cost: meta.Cost}); err != nil {
-				return err
-			}
-		}
-	}
+	})
 	return err
 }
 
@@ -126,8 +121,8 @@ func (c *Cache) LoadSnapshot(r io.Reader) (int, error) {
 			// for the single-shard default).
 			for _, s := range c.shards {
 				s.mu.Lock()
-				if ps, ok := s.policy.(cache.PriorityScaled); ok {
-					ps.RestorePriorityScale(op.Scale)
+				if o, ok := s.policy.(cache.Ordering); ok {
+					o.RestoreScale(op.Scale)
 				}
 				s.mu.Unlock()
 			}
