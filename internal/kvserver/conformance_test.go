@@ -1,6 +1,7 @@
 package kvserver
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
 	"io"
@@ -35,6 +36,42 @@ func session(t *testing.T, s *Server, script string) string {
 	return string(reply)
 }
 
+// steppedSession sends script one command at a time, reading each reply to
+// its end before sending the next — the request/response client whose
+// transcript a pipelined one must match byte for byte.
+func steppedSession(t *testing.T, s *Server, script []string) string {
+	t.Helper()
+	conn := rawDial(t, s)
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(30 * time.Second))
+	r := bufio.NewReader(conn)
+	var reply strings.Builder
+	for _, cmd := range script {
+		if _, err := io.WriteString(conn, cmd); err != nil {
+			t.Fatal(err)
+		}
+		head := cmd[:strings.Index(cmd, "\r\n")]
+		if strings.HasSuffix(head, " noreply") || head == "quit" {
+			continue
+		}
+		for {
+			line, err := r.ReadString('\n')
+			if err != nil {
+				t.Fatalf("reply to %q: %v (so far %q)", head, err, reply.String())
+			}
+			reply.WriteString(line)
+			if !strings.HasPrefix(head, "get ") || line == "END\r\n" {
+				break
+			}
+		}
+	}
+	rest, err := io.ReadAll(r)
+	if err != nil || len(rest) != 0 {
+		t.Fatalf("after quit: read %q, %v; want a clean close", rest, err)
+	}
+	return reply.String()
+}
+
 // storeCmdLine renders one storage command with its data block.
 func storeCmdLine(verb, key string, flags uint32, exptime int, value string) string {
 	return fmt.Sprintf("%s %s %d %d %d\r\n%s\r\n", verb, key, flags, exptime, len(value), value)
@@ -45,10 +82,13 @@ func storeCmdLine(verb, key string, flags uint32, exptime int, value string) str
 // negative exptimes, an overwrite too large for the cache, flush_all —
 // against all four layouts, sized so nothing evicts. The layout decides
 // where bytes live, never what the client sees: every transcript must be
-// byte-identical to byte mode's.
+// byte-identical to byte mode's. Nor does how the commands arrive: each mode
+// runs the session pipelined down one Write and again one command at a time,
+// and the reply streams must be the same bytes — only their grouping into
+// socket writes may differ.
 func TestLayoutConformance(t *testing.T) {
 	const mem = 4 << 20
-	script := strings.Join([]string{
+	script := []string{
 		storeCmdLine("set", "a", 1, 0, "hello"),
 		storeCmdLine("add", "a", 0, 0, "x"),
 		storeCmdLine("add", "b", 2, 0, "foo"),
@@ -88,12 +128,15 @@ func TestLayoutConformance(t *testing.T) {
 		storeCmdLine("set", "after", 7, 0, "z"),
 		"get after\r\n",
 		"quit\r\n",
-	}, "")
+	}
 	var want string
 	for _, cfg := range layoutConfigs(mem) {
 		t.Run(cfg.Mode, func(t *testing.T) {
 			s := startServer(t, cfg)
-			got := session(t, s, script)
+			got := session(t, s, strings.Join(script, ""))
+			if stepped := steppedSession(t, startServer(t, cfg), script); stepped != got {
+				t.Fatalf("pipelined and command-at-a-time transcripts differ\npipelined: %q\n  stepped: %q", got, stepped)
+			}
 			if cfg.Mode == ModeByte {
 				want = got
 				if !strings.Contains(got, "VALUE a 1 14\r\n>> hello world\r\n") ||
@@ -177,7 +220,7 @@ func TestReplyStagingBounded(t *testing.T) {
 				m, _ := io.Copy(io.Discard, cliEnd)
 				received <- m
 			}()
-			cs := getConnState(srvEnd)
+			cs := getConnState(&countedConn{Conn: srvEnd, srv: s})
 			if err := s.handleGet(keys, cs); err != nil {
 				t.Fatal(err)
 			}

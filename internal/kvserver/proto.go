@@ -2,7 +2,6 @@ package kvserver
 
 import (
 	"bufio"
-	"net"
 	"strconv"
 	"sync"
 
@@ -27,9 +26,6 @@ type connState struct {
 	r  *bufio.Reader
 	w  *bufio.Writer
 	lr *proto.LineReader
-	// conn is the underlying connection, kept so long-lived handlers (the
-	// replication feed) can set write deadlines.
-	conn net.Conn
 
 	tokens [][]byte
 	out    []byte
@@ -112,18 +108,19 @@ var connStatePool = sync.Pool{
 	},
 }
 
-func getConnState(conn net.Conn) *connState {
+// getConnState binds pooled scratch to conn and hands conn the writer its
+// Read flushes (see countedConn).
+func getConnState(conn *countedConn) *connState {
 	cs := connStatePool.Get().(*connState)
 	cs.r.Reset(conn)
 	cs.w.Reset(conn)
-	cs.conn = conn
+	conn.w = cs.w
 	return cs
 }
 
 func putConnState(cs *connState) {
 	cs.r.Reset(nil)
 	cs.w.Reset(nil)
-	cs.conn = nil
 	if cap(cs.out) > maxPooledScratch {
 		cs.out = make([]byte, 0, 512)
 	}

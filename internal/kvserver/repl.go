@@ -134,11 +134,6 @@ const (
 	// records before emitting a keepalive ping; the follower's read timeout
 	// is a few multiples of it.
 	replTailPoll = time.Second
-	// replWriteTimeout is the primary feed's idle write timeout: each
-	// underlying socket write refreshes it (see idleConn), so a transfer of
-	// any size stays alive while bytes move, and a wedged follower stalls
-	// the feed (and pins journal segments) for at most this long.
-	replWriteTimeout = 30 * time.Second
 	// replDialTimeout bounds the follower's dial + handshake.
 	replDialTimeout = 5 * time.Second
 	// replReadTimeout is the follower's idle read timeout, refreshed per
@@ -156,34 +151,18 @@ const (
 	replStaleMax = 3
 )
 
-// idleConn turns absolute socket deadlines into idle timeouts: every Read
-// and Write refreshes the matching deadline first, so what bounds a
-// replication transfer is progress, not total size — a dead peer still
-// fails within the timeout, but a multi-gigabyte snapshot over a slow link
-// streams for as long as bytes keep moving. A zero timeout leaves that
-// direction unbounded.
-type idleConn struct {
-	net.Conn
-	readTimeout  time.Duration
-	writeTimeout time.Duration
-}
+// idleConn turns the absolute socket read deadline into an idle timeout:
+// every Read refreshes it first, so what bounds a replication transfer is
+// progress, not total size — a dead peer still fails within the timeout, but
+// a multi-gigabyte snapshot over a slow link streams for as long as bytes
+// keep moving. (The primary's side is countedConn.Write: a deadline per write.)
+type idleConn struct{ net.Conn }
 
-func (c *idleConn) Read(p []byte) (int, error) {
-	if c.readTimeout > 0 {
-		if err := c.Conn.SetReadDeadline(time.Now().Add(c.readTimeout)); err != nil {
-			return 0, err
-		}
+func (c idleConn) Read(p []byte) (int, error) {
+	if err := c.Conn.SetReadDeadline(time.Now().Add(replReadTimeout)); err != nil {
+		return 0, err
 	}
 	return c.Conn.Read(p)
-}
-
-func (c *idleConn) Write(p []byte) (int, error) {
-	if c.writeTimeout > 0 {
-		if err := c.Conn.SetWriteDeadline(time.Now().Add(c.writeTimeout)); err != nil {
-			return 0, err
-		}
-	}
-	return c.Conn.Write(p)
 }
 
 // ---------------------------------------------------------------------------
@@ -339,14 +318,10 @@ func (s *Server) handleSync(args [][]byte, cs *connState) error {
 		return errCloseConn
 	}
 	mgr := s.shards[idx].mgr
-	// All feed writes — reply line, snapshot bytes, frames — go through a
-	// deadline-refreshing wrapper: progress, not total transfer size, is
-	// what keeps the connection alive, and a wedged follower can stall the
-	// feed (and pin journal segments) for at most replWriteTimeout.
-	w := cs.w
-	if cs.conn != nil {
-		w = bufio.NewWriterSize(&idleConn{Conn: cs.conn, writeTimeout: replWriteTimeout}, connBufSize)
-	}
+	// All feed writes — reply line, snapshot bytes, frames — go through the
+	// connection's own writer: behind any reply a pipelined follower is still
+	// owed (REPLOK before CONTINUE), and under countedConn's per-write
+	// deadline, so a wedged follower stalls the feed for connWriteTimeout.
 	var (
 		tr       *persist.TailReader
 		announce bool
@@ -371,7 +346,7 @@ func (s *Server) handleSync(args [][]byte, cs *connState) error {
 			out = strconv.AppendUint(out, mgr.RunID(), 10)
 			out = append(out, '\r', '\n')
 			cs.out = out
-			if _, werr := w.Write(out); werr != nil {
+			if _, werr := cs.w.Write(out); werr != nil {
 				t.Close()
 				return werr
 			}
@@ -401,9 +376,9 @@ func (s *Server) handleSync(args [][]byte, cs *connState) error {
 		out = strconv.AppendUint(out, mgr.RunID(), 10)
 		out = append(out, '\r', '\n')
 		cs.out = out
-		_, werr := w.Write(out)
+		_, werr := cs.w.Write(out)
 		if werr == nil {
-			_, werr = w.Write(snap)
+			_, werr = cs.w.Write(snap)
 		}
 		if werr != nil {
 			t.Close()
@@ -428,9 +403,9 @@ func (s *Server) handleSync(args [][]byte, cs *connState) error {
 		out = strconv.AppendUint(out, mgr.RunID(), 10)
 		out = append(out, '\r', '\n')
 		cs.out = out
-		_, werr := w.Write(out)
+		_, werr := cs.w.Write(out)
 		if werr == nil && fs.Snapshot != nil {
-			_, werr = io.Copy(w, fs.Snapshot)
+			_, werr = io.Copy(cs.w, fs.Snapshot)
 		}
 		if werr != nil {
 			fs.Close()
@@ -449,7 +424,7 @@ func (s *Server) handleSync(args [][]byte, cs *connState) error {
 	defer s.replFeeds.Add(-1)
 	feed := s.registerFeed(idx)
 	defer s.unregisterFeed(feed)
-	err := s.streamJournal(tr, w, announce, feed, filter)
+	err := s.streamJournal(tr, cs.w, announce, feed, filter)
 	if err != nil && !errors.Is(err, persist.ErrClosed) {
 		s.logf("kvserver: sync feed shard %d ended: %v", idx, err)
 	}
@@ -902,7 +877,7 @@ func (sr *shardReplica) syncOnce() (progressed bool, err error) {
 	// replTailPoll while idle, so silence means a dead peer, while a large
 	// record or snapshot streams for as long as chunks keep arriving.
 	bw := bufio.NewWriterSize(conn, connBufSize)
-	br := bufio.NewReaderSize(&idleConn{Conn: conn, readTimeout: replReadTimeout}, connBufSize)
+	br := bufio.NewReaderSize(idleConn{conn}, connBufSize)
 	lr := proto.NewLineReader(br)
 
 	conn.SetWriteDeadline(time.Now().Add(replDialTimeout))

@@ -284,6 +284,8 @@ type Server struct {
 	// Fault tests use it to inject handler panics; it is never set in
 	// production, so the request path pays one nil check.
 	testHookCmd func(toks [][]byte)
+	// writeTimeout is connWriteTimeout; tests shorten it before Start.
+	writeTimeout time.Duration
 }
 
 // New validates cfg and creates a Server (not yet listening). With
@@ -359,11 +361,12 @@ func New(cfg Config) (*Server, error) {
 	}
 	cfg.tenants = newTenantRegistry()
 	s := &Server{
-		cfg:     cfg,
-		tenants: cfg.tenants,
-		conns:   make(map[net.Conn]struct{}),
-		feeds:   make(map[*feedStat]struct{}),
-		started: time.Now(),
+		cfg:          cfg,
+		tenants:      cfg.tenants,
+		conns:        make(map[net.Conn]struct{}),
+		feeds:        make(map[*feedStat]struct{}),
+		started:      time.Now(),
+		writeTimeout: connWriteTimeout,
 	}
 	if th := cfg.SlowlogThreshold; th != 0 {
 		s.metrics.slowlog.SetThreshold(th)
@@ -723,19 +726,40 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// countedConn charges socket traffic to the server-wide byte counters.
+// connWriteTimeout bounds each socket write of every accepted connection,
+// client or replication feed: one Conn.Write — a full buffer, or a larger
+// value or filtered snapshot that bufio passes through whole — must complete
+// within it. A stream of writes has no total limit; a peer that stops reading
+// pins its goroutine, its staging (on a feed, journal segments) this long.
+const connWriteTimeout = 30 * time.Second
+
+// countedConn is the server's end of one accepted connection. It charges
+// socket traffic to the server-wide byte counters, arms connWriteTimeout on
+// every socket write, and owns the one flush rule: replies staged in w (the
+// connState's writer) leave immediately before a socket read — the only
+// place the request loop waits for the peer, whether for a command line, a
+// payload or a drained data block — so no handler flushes. A pipelined
+// client's replies go out grouped per read; a request/response client's
+// buffer is empty again before each read, so it sees no change.
 type countedConn struct {
 	net.Conn
 	srv *Server
+	w   *bufio.Writer
 }
 
 func (c *countedConn) Read(p []byte) (int, error) {
+	if err := c.w.Flush(); err != nil { // a no-op when nothing is staged
+		return 0, err
+	}
 	n, err := c.Conn.Read(p)
 	c.srv.counters.bytesRead.Add(uint64(n))
 	return n, err
 }
 
 func (c *countedConn) Write(p []byte) (int, error) {
+	if err := c.Conn.SetWriteDeadline(time.Now().Add(c.srv.writeTimeout)); err != nil {
+		return 0, err
+	}
 	n, err := c.Conn.Write(p)
 	c.srv.counters.bytesWritten.Add(uint64(n))
 	return n, err
@@ -747,7 +771,7 @@ func (c *countedConn) Write(p []byte) (int, error) {
 // impossible and continuing would misread payload bytes as commands.
 var errCloseConn = errors.New("kvserver: close connection")
 
-func (s *Server) serveConn(conn net.Conn) {
+func (s *Server) serveConn(conn *countedConn) {
 	defer s.wg.Done()
 	defer func() {
 		// Blast-radius containment: a panic anywhere in this connection's
@@ -765,7 +789,13 @@ func (s *Server) serveConn(conn net.Conn) {
 		conn.Close()
 	}()
 	cs := getConnState(conn)
-	defer putConnState(cs)
+	// quit, a fatal handler error and an over-long line end the loop without
+	// another socket read: what they leave staged (the final CLIENT_ERROR,
+	// every earlier pipelined reply) goes out here, before the close.
+	defer func() {
+		cs.w.Flush()
+		putConnState(cs)
+	}()
 	for {
 		line, err := cs.lr.ReadLine()
 		if err != nil {
@@ -776,15 +806,10 @@ func (s *Server) serveConn(conn net.Conn) {
 				// a storage command, a data block may follow, so
 				// continuing would desync anyway).
 				cs.w.Write(replyLineTooLong)
-				cs.w.Flush()
 			}
 			return
 		}
-		quit, err := s.dispatch(line, cs)
-		// Flush even on a fatal error so the final CLIENT_ERROR reaches the
-		// client before the close.
-		ferr := cs.w.Flush()
-		if quit || err != nil || ferr != nil {
+		if quit, err := s.dispatch(line, cs); quit || err != nil {
 			return
 		}
 	}
