@@ -17,8 +17,8 @@ ARENA_ALLOCS_BUDGET ?= 2
 # The committed ceiling on non-test Go lines in internal/kvserver (`wc -l`).
 # ROADMAP item 2 is a net-negative refactor: each of its PRs lowers this to
 # its own result, so the package can only shrink (6367 before PR 12, 6257
-# after it, 6194 after PR 15).
-KVSERVER_LOC_BUDGET ?= 6191
+# after it, 6194 after PR 15, 6191 after PR 17).
+KVSERVER_LOC_BUDGET ?= 6189
 
 # pipefail so `go test | tee` recipes fail when go test fails, not when tee
 # does — otherwise a panicking benchmark still passes its gate.
@@ -56,8 +56,8 @@ race:
 # the full sweep — NOT -short, which would silently drop -race coverage for
 # every Short-skipped test, not just the replication ones.
 race-all:
-	$(GO) test -race -run 'TestRepl|TestSyncReplies|TestFailover|TestDialWithReplica|TestSnapshotOrderFidelity|TestCrashRecovery' ./internal/kvserver/
-	$(GO) test -race -run 'TestGolden|TestV1Reader|TestWritersAlways|TestJournalCarries' ./internal/persist/
+	$(GO) test -race -run 'TestRepl|TestSyncReplies|TestFailover|TestDialWithReplica|TestSnapshotOrderFidelity|TestCrashRecovery|TestJournalWriteCount|TestNoByteLeavesBeforeJournalWrite|TestAcknowledgedSurvivesKill|TestDeferredJournalWriteFailure' ./internal/kvserver/
+	$(GO) test -race -run 'TestGolden|TestV1Reader|TestWritersAlways|TestJournalCarries|TestFlush|TestTornFlush|TestAppendBatchNotSplit|TestFailedFlush' ./internal/persist/
 	$(GO) test -race ./...
 
 # Randomized fault-injection harness under the race detector: a

@@ -2,7 +2,11 @@ package kvserver
 
 import (
 	"encoding/binary"
+	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
+	"time"
 
 	"camp/internal/alloc"
 	"camp/internal/cache"
@@ -22,6 +26,20 @@ func checkStore(t *testing.T, st *store) {
 	}
 	if st.used() != used {
 		t.Fatalf("running used total %d != recomputed %d", st.used(), used)
+	}
+	// expiring is exactly the items that carry a TTL.
+	withTTL := 0
+	for key, it := range st.items {
+		if it.expiresAt.IsZero() {
+			continue
+		}
+		withTTL++
+		if st.expiring[key] != it {
+			t.Fatalf("%q expires at %v but is not filed under expiring", key, it.expiresAt)
+		}
+	}
+	if withTTL != len(st.expiring) {
+		t.Fatalf("expiring holds %d entries, the index %d items with a TTL", len(st.expiring), withTTL)
 	}
 	// Every item's node is linked in exactly the ordering its key routes to
 	// (no item in two tenants, none in the wrong one), and each ordering's
@@ -116,12 +134,39 @@ func checkStore(t *testing.T, st *store) {
 	}
 }
 
-// checkServer locks every shard in turn and runs checkStore on it.
+// checkServer locks every shard in turn and runs checkStore on it, then
+// checks that the server, idle, holds no journal record back.
 func checkServer(t *testing.T, s *Server) {
 	t.Helper()
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		checkStore(t, sh.store)
 		sh.mu.Unlock()
+	}
+	checkJournalsFlushed(t, s)
+}
+
+// checkJournalsFlushed asserts that no healthy shard's manager holds pending
+// records: what it counts as journal (file plus buffer) is what the live
+// segment file holds. The callers' servers are idle, but a follower may be
+// between two reads of its link, so the comparison is retried for a while.
+func checkJournalsFlushed(t *testing.T, s *Server) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for i, sh := range s.shards {
+		for sh.mgr != nil && !sh.degraded.Load() {
+			info := sh.mgr.Info()
+			if !info.AOFEnabled {
+				break
+			}
+			st, err := os.Stat(filepath.Join(sh.mgr.Dir(), fmt.Sprintf("aof-%08d.log", info.Generation)))
+			if err == nil && st.Size() == info.AOFSize {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("shard %d: idle, yet the journal counts %d bytes and its segment file holds %v (%v)", i, info.AOFSize, st, err)
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
 	}
 }

@@ -86,18 +86,28 @@ func (c *spyConn) Write(p []byte) (int, error) {
 	return c.Conn.Write(p)
 }
 
-// servePipe runs serveConn over one end of a net.Pipe wrapped in a spyConn,
-// doing acceptLoop's bookkeeping, and returns the spy and the client's end.
-func servePipe(t *testing.T, s *Server) (*spyConn, net.Conn) {
+// servePipe runs serveConn over one end of a net.Pipe, wrapped by wrap, doing
+// acceptLoop's bookkeeping, and returns the client's end.
+func servePipe(t *testing.T, s *Server, wrap func(net.Conn) net.Conn) net.Conn {
 	t.Helper()
 	srvEnd, cliEnd := net.Pipe()
-	spy := &spyConn{Conn: srvEnd, t: t, srv: s}
 	s.counters.currConns.Add(1)
 	s.wg.Add(1)
-	go s.serveConn(&countedConn{Conn: spy, srv: s})
+	go s.serveConn(&countedConn{Conn: wrap(srvEnd), srv: s})
 	t.Cleanup(func() { cliEnd.Close() })
 	cliEnd.SetDeadline(time.Now().Add(10 * time.Second))
-	return spy, cliEnd
+	return cliEnd
+}
+
+// serveSpied is servePipe with the server's end wrapped in a spyConn.
+func serveSpied(t *testing.T, s *Server) (*spyConn, net.Conn) {
+	t.Helper()
+	spy := &spyConn{t: t, srv: s}
+	cli := servePipe(t, s, func(c net.Conn) net.Conn {
+		spy.Conn = c
+		return spy
+	})
+	return spy, cli
 }
 
 // TestPipelineWriteCount is the grouping itself: commands that arrive in one
@@ -112,7 +122,7 @@ func TestPipelineWriteCount(t *testing.T) {
 		fmt.Fprintf(&pipelined, "get k%02d\r\n", i)
 	}
 
-	spy, cli := servePipe(t, s)
+	spy, cli := serveSpied(t, s)
 	go io.WriteString(cli, pipelined.String())
 	if got := readN(t, cli, n*len(miss)); got != strings.Repeat(miss, n) {
 		t.Fatalf("pipelined replies = %q", got)
@@ -121,7 +131,7 @@ func TestPipelineWriteCount(t *testing.T) {
 		t.Fatalf("%d pipelined gets in one read caused %d socket writes, want 1", n, got)
 	}
 
-	spy, cli = servePipe(t, s)
+	spy, cli = serveSpied(t, s)
 	for i := 0; i < n; i++ {
 		go fmt.Fprintf(cli, "get k%02d\r\n", i)
 		if got := readN(t, cli, len(miss)); got != miss {
@@ -141,7 +151,7 @@ func TestNoSocketWriteUnderShardLock(t *testing.T) {
 	for _, mode := range []string{ModeByte, ModeArena} {
 		t.Run(mode, func(t *testing.T) {
 			s := startServer(t, Config{MemoryBytes: 8 << 20, Shards: 4, Mode: mode})
-			spy, cli := servePipe(t, s)
+			spy, cli := serveSpied(t, s)
 			var script bytes.Buffer
 			big := strings.Repeat("v", 3*connBufSize/2)
 			for i := 0; i < 8; i++ {

@@ -118,6 +118,15 @@ func getConnState(conn *countedConn) *connState {
 	return cs
 }
 
+// reply stages b unless the command said noreply.
+func (cs *connState) reply(noreply bool, b []byte) error {
+	if noreply {
+		return nil
+	}
+	_, err := cs.w.Write(b)
+	return err
+}
+
 func putConnState(cs *connState) {
 	cs.r.Reset(nil)
 	cs.w.Reset(nil)

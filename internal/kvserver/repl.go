@@ -156,9 +156,16 @@ const (
 // progress, not total size — a dead peer still fails within the timeout, but
 // a multi-gigabyte snapshot over a slow link streams for as long as bytes
 // keep moving. (The primary's side is countedConn.Write: a deadline per write.)
-type idleConn struct{ net.Conn }
+// It is also the follower's journal flush point: the ops and positions applied
+// from the last read reach the file, in order and in one write, before the
+// link waits on the primary again.
+type idleConn struct {
+	net.Conn
+	srv *Server
+}
 
 func (c idleConn) Read(p []byte) (int, error) {
+	c.srv.flushJournals()
 	if err := c.Conn.SetReadDeadline(time.Now().Add(replReadTimeout)); err != nil {
 		return 0, err
 	}
@@ -338,15 +345,8 @@ func (s *Server) handleSync(args [][]byte, cs *connState) error {
 		switch {
 		case err == nil:
 			tr = t
-			out := append(cs.out[:0], "CONTINUE "...)
-			out = strconv.AppendUint(out, gen, 10)
-			out = append(out, ' ')
-			out = strconv.AppendInt(out, off, 10)
-			out = append(out, ' ')
-			out = strconv.AppendUint(out, mgr.RunID(), 10)
-			out = append(out, '\r', '\n')
-			cs.out = out
-			if _, werr := cs.w.Write(out); werr != nil {
+			cs.out = appendSyncLine(cs.out[:0], "CONTINUE ", gen, off, mgr.RunID())
+			if _, werr := cs.w.Write(cs.out); werr != nil {
 				t.Close()
 				return werr
 			}
@@ -368,15 +368,8 @@ func (s *Server) handleSync(args [][]byte, cs *connState) error {
 			cs.w.Write(replySyncFailed)
 			return errCloseConn
 		}
-		out := append(cs.out[:0], "FULLSYNC "...)
-		out = strconv.AppendUint(out, snapGen, 10)
-		out = append(out, ' ')
-		out = strconv.AppendInt(out, int64(len(snap)), 10)
-		out = append(out, ' ')
-		out = strconv.AppendUint(out, mgr.RunID(), 10)
-		out = append(out, '\r', '\n')
-		cs.out = out
-		_, werr := cs.w.Write(out)
+		cs.out = appendSyncLine(cs.out[:0], "FULLSYNC ", snapGen, int64(len(snap)), mgr.RunID())
+		_, werr := cs.w.Write(cs.out)
 		if werr == nil {
 			_, werr = cs.w.Write(snap)
 		}
@@ -395,15 +388,8 @@ func (s *Server) handleSync(args [][]byte, cs *connState) error {
 			cs.w.Write(replySyncFailed)
 			return errCloseConn
 		}
-		out := append(cs.out[:0], "FULLSYNC "...)
-		out = strconv.AppendUint(out, fs.SnapGen, 10)
-		out = append(out, ' ')
-		out = strconv.AppendInt(out, fs.SnapSize, 10)
-		out = append(out, ' ')
-		out = strconv.AppendUint(out, mgr.RunID(), 10)
-		out = append(out, '\r', '\n')
-		cs.out = out
-		_, werr := cs.w.Write(out)
+		cs.out = appendSyncLine(cs.out[:0], "FULLSYNC ", fs.SnapGen, fs.SnapSize, mgr.RunID())
+		_, werr := cs.w.Write(cs.out)
 		if werr == nil && fs.Snapshot != nil {
 			_, werr = io.Copy(cs.w, fs.Snapshot)
 		}
@@ -431,6 +417,15 @@ func (s *Server) handleSync(args [][]byte, cs *connState) error {
 	return errCloseConn
 }
 
+// appendSyncLine renders a sync reply, "<verb><a> <b> <runID>\r\n" — the
+// line parseSyncReply reads.
+func appendSyncLine(out []byte, verb string, a uint64, b int64, runID uint64) []byte {
+	out = strconv.AppendUint(append(out, verb...), a, 10)
+	out = strconv.AppendInt(append(out, ' '), b, 10)
+	out = strconv.AppendUint(append(out, ' '), runID, 10)
+	return append(out, '\r', '\n')
+}
+
 // fullSyncFiltered builds a filtered full resync: a synthesized in-memory
 // snapshot holding only the subset's live ops (their KindTenant records and
 // every KindScale record included) plus a journal tail opened at the exact
@@ -442,8 +437,13 @@ func (s *Server) handleSync(args [][]byte, cs *connState) error {
 func (s *Server) fullSyncFiltered(idx int, names []string) (snap []byte, snapGen uint64, tr *persist.TailReader, err error) {
 	sh := s.shards[idx]
 	sh.mu.Lock()
+	// The tail opens at the head of the file, so the file must hold every
+	// record the snapshot below reflects.
+	err = sh.mgr.Flush()
 	info := sh.mgr.Info()
-	tr, err = sh.mgr.TailFrom(info.Generation, info.AOFSize)
+	if err == nil {
+		tr, err = sh.mgr.TailFrom(info.Generation, info.AOFSize)
+	}
 	var ops []persist.Op
 	if err == nil {
 		ops = sh.store.collectOpsFiltered(names)
@@ -877,7 +877,7 @@ func (sr *shardReplica) syncOnce() (progressed bool, err error) {
 	// replTailPoll while idle, so silence means a dead peer, while a large
 	// record or snapshot streams for as long as chunks keep arriving.
 	bw := bufio.NewWriterSize(conn, connBufSize)
-	br := bufio.NewReaderSize(idleConn{conn}, connBufSize)
+	br := bufio.NewReaderSize(idleConn{conn, s}, connBufSize)
 	lr := proto.NewLineReader(br)
 
 	conn.SetWriteDeadline(time.Now().Add(replDialTimeout))
@@ -1062,7 +1062,7 @@ func (sr *shardReplica) bootstrap(r io.Reader, size int64) error {
 	// record leading the batch resets recovery's position tracking the same
 	// way, so a crash here resyncs instead of resuming somewhere stale.
 	sh.replPos = persist.Position{}
-	if sh.journalBatchLocked(batch) {
+	if sh.journalLocked(batch...) {
 		// The flush+entries batch rewrote the journaled state wholesale,
 		// so any earlier append gap no longer matters: positions are
 		// trustworthy again.
@@ -1094,7 +1094,7 @@ func (sr *shardReplica) apply(op persist.Op, pos persist.Position) {
 	switch {
 	case sh.canPersistPosLocked():
 		batch = append(batch, persist.Op{Kind: persist.KindPosition, Pos: pos})
-		if sh.journalBatchLocked(batch) {
+		if sh.journalLocked(batch...) {
 			sh.replPos = pos
 		} else {
 			// The journal may now be missing this op: never persist a
@@ -1106,7 +1106,7 @@ func (sr *shardReplica) apply(op persist.Op, pos persist.Position) {
 	case len(batch) > 0:
 		// No durable position (no AOF, or past a gap): keep the
 		// best-effort op journaling a replica always did.
-		sh.journalBatchLocked(batch)
+		sh.journalLocked(batch...)
 	}
 	sh.mu.Unlock()
 	sr.batch = batch
@@ -1120,7 +1120,7 @@ func (sr *shardReplica) persistPos(pos persist.Position) {
 	sr.batch = append(sr.batch[:0], persist.Op{Kind: persist.KindPosition, Pos: pos})
 	sh.mu.Lock()
 	if sh.canPersistPosLocked() {
-		if sh.journalBatchLocked(sr.batch) {
+		if sh.journalLocked(sr.batch...) {
 			sh.replPos = pos
 		} else {
 			sh.markDivergedLocked()

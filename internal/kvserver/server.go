@@ -432,6 +432,7 @@ func New(cfg Config) (*Server, error) {
 		t.reserve.Store(res)
 		s.journalTenant(t)
 	}
+	s.flushJournals()
 	// Quotas are deployment config, never journaled: attach them to the
 	// registry entries so every connection's resolved *tenant carries its
 	// limits and the hot path pays one nil check.
@@ -548,17 +549,24 @@ func (s *Server) Close() error {
 		if s.cfg.Persist.DisableAOF {
 			s.Snapshot()
 		}
-		for _, sh := range s.shards {
-			if sh.mgr == nil {
-				continue
-			}
-			if cerr := sh.mgr.Close(); cerr != nil && err == nil {
-				err = cerr
-			}
+		err = s.closeJournals(err)
+	}
+	return err
+}
+
+// closeJournals closes every shard's manager (flushing and syncing its
+// journal) and releases the data directory, keeping the first error.
+func (s *Server) closeJournals(err error) error {
+	for _, sh := range s.shards {
+		if sh.mgr == nil {
+			continue
 		}
-		if rerr := s.rootLock.Release(); rerr != nil && err == nil {
-			err = rerr
+		if cerr := sh.mgr.Close(); cerr != nil && err == nil {
+			err = cerr
 		}
+	}
+	if rerr := s.rootLock.Release(); rerr != nil && err == nil {
+		err = rerr
 	}
 	return err
 }
@@ -614,17 +622,7 @@ func (s *Server) Shutdown(grace time.Duration) error {
 	}
 	if s.cfg.Persist != nil {
 		s.Snapshot()
-		for _, sh := range s.shards {
-			if sh.mgr == nil {
-				continue
-			}
-			if cerr := sh.mgr.Close(); cerr != nil && err == nil {
-				err = cerr
-			}
-		}
-		if rerr := s.rootLock.Release(); rerr != nil && err == nil {
-			err = rerr
-		}
+		err = s.closeJournals(err)
 	}
 	return err
 }
@@ -740,7 +738,11 @@ const connWriteTimeout = 30 * time.Second
 // place the request loop waits for the peer, whether for a command line, a
 // payload or a drained data block — so no handler flushes. A pipelined
 // client's replies go out grouped per read; a request/response client's
-// buffer is empty again before each read, so it sees no change.
+// buffer is empty again before each read, so it sees no change. Journal
+// records follow the same rule one step earlier (flushJournals): before the
+// wait, and before any byte goes to the socket — including a large reply that
+// spills from w mid-pipeline — so nothing a client has been told or shown is
+// absent from the OS (under -fsync always, from the disk).
 type countedConn struct {
 	net.Conn
 	srv *Server
@@ -748,6 +750,7 @@ type countedConn struct {
 }
 
 func (c *countedConn) Read(p []byte) (int, error) {
+	c.srv.flushJournals()
 	if err := c.w.Flush(); err != nil { // a no-op when nothing is staged
 		return 0, err
 	}
@@ -757,6 +760,7 @@ func (c *countedConn) Read(p []byte) (int, error) {
 }
 
 func (c *countedConn) Write(p []byte) (int, error) {
+	c.srv.flushJournals()
 	if err := c.Conn.SetWriteDeadline(time.Now().Add(c.srv.writeTimeout)); err != nil {
 		return 0, err
 	}
@@ -791,8 +795,10 @@ func (s *Server) serveConn(conn *countedConn) {
 	cs := getConnState(conn)
 	// quit, a fatal handler error and an over-long line end the loop without
 	// another socket read: what they leave staged (the final CLIENT_ERROR,
-	// every earlier pipelined reply) goes out here, before the close.
+	// every earlier pipelined reply) goes out here, before the close — and so
+	// do the records of noreply mutations nothing was staged for.
 	defer func() {
+		s.flushJournals()
 		cs.w.Flush()
 		putConnState(cs)
 	}()
@@ -922,11 +928,7 @@ func (s *Server) rejectReadOnly(cs *connState, noreply bool) (rejected bool, err
 	if !s.readOnly.Load() {
 		return false, nil
 	}
-	if noreply {
-		return true, nil
-	}
-	_, err = cs.w.Write(replyReadOnly)
-	return true, err
+	return true, cs.reply(noreply, replyReadOnly)
 }
 
 // handleFlushAll empties every shard — all of it when t is nil (the
@@ -1041,11 +1043,7 @@ func (s *Server) handleGet(keys [][]byte, cs *connState) error {
 // impossible, and the connection closes after the reply, as memcached does.
 func (s *Server) handleStore(cmd storeCmd, args [][]byte, cs *connState) error {
 	w := cs.w
-	noreply := false
-	if n := len(args); n > 0 && string(args[n-1]) == "noreply" {
-		noreply = true
-		args = args[:n-1]
-	}
+	args, noreply := trimNoreply(args)
 	var nbytes int64 = -1
 	if len(args) >= 4 {
 		if v, ok := proto.ParseInt(args[3]); ok && v >= 0 {
@@ -1149,11 +1147,15 @@ func (s *Server) handleStore(cmd storeCmd, args [][]byte, cs *connState) error {
 	sh.lockHist.Observe(time.Since(lockStart))
 	tn.quota.releaseBytes(nbytes)
 
-	if noreply {
-		return nil
+	return cs.reply(noreply, reply)
+}
+
+// trimNoreply strips a command's trailing "noreply" token.
+func trimNoreply(args [][]byte) (rest [][]byte, noreply bool) {
+	if n := len(args); n > 0 && string(args[n-1]) == "noreply" {
+		return args[:n-1], true
 	}
-	_, err := w.Write(reply)
-	return err
+	return args, false
 }
 
 // storeError reports a malformed storage command. With a parsed <bytes> the
@@ -1233,35 +1235,19 @@ func (s *Server) handleArith(incr bool, args [][]byte, cs *connState) error {
 	if incr {
 		name = "incr"
 	}
-	noreply := false
-	if n := len(args); n > 0 && string(args[n-1]) == "noreply" {
-		noreply = true
-		args = args[:n-1]
-	}
+	args, noreply := trimNoreply(args)
 	if len(args) != 2 {
-		if noreply {
-			return nil
-		}
 		cs.out = appendClientError(cs.out[:0], "bad", name, "command")
-		_, err := w.Write(cs.out)
-		return err
+		return cs.reply(noreply, cs.out)
 	}
 	delta, ok := proto.ParseUint(args[1])
 	if !ok {
-		if noreply {
-			return nil
-		}
-		_, err := w.Write(replyBadDelta)
-		return err
+		return cs.reply(noreply, replyBadDelta)
 	}
 	// Key validity before the replica gate, matching handleStore's ordering:
 	// a malformed key is a client error on any role.
 	if bytes.IndexByte(args[0], 0) >= 0 {
-		if noreply {
-			return nil
-		}
-		_, err := w.Write(replyBadKey)
-		return err
+		return cs.reply(noreply, replyBadKey)
 	}
 	if rejected, err := s.rejectReadOnly(cs, noreply); rejected || err != nil {
 		return err
@@ -1298,36 +1284,19 @@ func (s *Server) handleArith(incr bool, args [][]byte, cs *connState) error {
 
 // handleTouch covers touch <key> <exptime> [noreply].
 func (s *Server) handleTouch(args [][]byte, cs *connState) error {
-	w := cs.w
-	noreply := false
-	if n := len(args); n > 0 && string(args[n-1]) == "noreply" {
-		noreply = true
-		args = args[:n-1]
-	}
+	args, noreply := trimNoreply(args)
 	if len(args) != 2 {
-		if noreply {
-			return nil
-		}
-		_, err := w.Write(replyBadTouch)
-		return err
+		return cs.reply(noreply, replyBadTouch)
 	}
 	ttl, ok := proto.ParseInt(args[1])
 	if !ok {
-		if noreply {
-			return nil
-		}
-		_, err := w.Write(replyBadExptime)
-		return err
+		return cs.reply(noreply, replyBadExptime)
 	}
 	// Key validity before the replica gate, matching handleStore/handleArith:
 	// a malformed key is a client error on any role. (touch used to gate the
 	// other way around, so a replica leaked its role to a NUL-forged key.)
 	if bytes.IndexByte(args[0], 0) >= 0 {
-		if noreply {
-			return nil
-		}
-		_, err := w.Write(replyBadKey)
-		return err
+		return cs.reply(noreply, replyBadKey)
 	}
 	if rejected, err := s.rejectReadOnly(cs, noreply); rejected || err != nil {
 		return err
@@ -1355,40 +1324,23 @@ func (s *Server) handleTouch(args [][]byte, cs *connState) error {
 	}
 	sh.mu.Unlock()
 	sh.lockHist.Observe(time.Since(lockStart))
-	if noreply {
-		return nil
-	}
 	reply := replyNotFound
 	if found {
 		reply = replyTouched
 	}
-	_, err := w.Write(reply)
-	return err
+	return cs.reply(noreply, reply)
 }
 
 func (s *Server) handleDelete(args [][]byte, cs *connState) error {
-	w := cs.w
-	noreply := false
-	if n := len(args); n > 0 && string(args[n-1]) == "noreply" {
-		noreply = true
-		args = args[:n-1]
-	}
+	args, noreply := trimNoreply(args)
 	if len(args) != 1 {
-		if noreply {
-			return nil
-		}
-		_, err := w.Write(replyBadDelete)
-		return err
+		return cs.reply(noreply, replyBadDelete)
 	}
 	// Key validity before the replica gate (same order as handleStore,
 	// handleArith and handleTouch): a malformed key is a client error on any
 	// role.
 	if bytes.IndexByte(args[0], 0) >= 0 {
-		if noreply {
-			return nil
-		}
-		_, err := w.Write(replyBadKey)
-		return err
+		return cs.reply(noreply, replyBadKey)
 	}
 	if rejected, err := s.rejectReadOnly(cs, noreply); rejected || err != nil {
 		return err
@@ -1407,15 +1359,11 @@ func (s *Server) handleDelete(args [][]byte, cs *connState) error {
 	}
 	sh.mu.Unlock()
 	sh.lockHist.Observe(time.Since(lockStart))
-	if noreply {
-		return nil
-	}
 	reply := replyNotFound
 	if ok {
 		reply = replyDeleted
 	}
-	_, err := w.Write(reply)
-	return err
+	return cs.reply(noreply, reply)
 }
 
 func (s *Server) handleStats(args [][]byte, cs *connState) error {

@@ -103,9 +103,11 @@ type shard struct {
 	// restarted follower resumes with CONTINUE instead of a full resync.
 	// Zero (RunID 0) on primaries, on followers that have not yet
 	// bootstrapped, and on followers without an AOF to persist it in.
-	// It is only ever set after the journal write that records it
-	// succeeded: a position the journal does not hold must never be
-	// reported (or snapshotted) as durable.
+	// It is only ever set after the journal accepted the record that holds
+	// it, so in memory it may lead the file by at most one buffer: every
+	// reader outside the process sees it after flushJournals, and it is
+	// snapshotted only after BeginCompact's flush succeeded. A failed flush
+	// clears it (markDivergedLocked).
 	replPos persist.Position
 	// replDiverged marks the local journal as no longer a faithful prefix
 	// of the applied stream: an op+position append failed, so an op may be
@@ -117,6 +119,9 @@ type shard struct {
 	replDiverged bool
 
 	mgr *persist.Manager // nil without persistence
+	// journaled says journalLocked has buffered records since flushJournals
+	// last asked this shard's journal whether it needs compacting.
+	journaled atomic.Bool
 
 	// degraded marks this shard as serving cache-only after a persistence
 	// failure: the journal handle has been dropped, mutations skip journaling,
@@ -343,32 +348,16 @@ func (sh *shard) arithLocked(incr bool, key string, delta uint64, now time.Time)
 	return cur, nil
 }
 
-// journalLocked appends one mutation to this shard's AOF. The caller holds
-// sh.mu. A journal failure degrades the shard to cache-only operation
-// (enterDegraded) instead of failing the client op: the server keeps
-// serving, the error surfaces through persist_errors and persist_degraded,
-// and the prober re-enters healthy once the disk recovers. An over-limit
-// journal schedules an off-lock compaction instead of paying for one inline.
-func (sh *shard) journalLocked(op persist.Op) {
-	if sh.mgr == nil || sh.degraded.Load() {
-		return
-	}
-	if err := sh.mgr.Append(op); err != nil {
-		sh.enterDegraded("journal append", err)
-		return
-	}
-	if sh.mgr.NeedsCompaction() {
-		sh.srv.requestCompact(sh)
-	}
-}
-
-// journalBatchLocked appends a group of mutations as one journal write (one
-// fsync under FsyncAlways) — the bulk form of journalLocked a replica's
-// bootstrap swap uses. ok reports whether the batch reached the journal
-// (vacuously true without one, false while degraded); the replication path
-// uses it to stop trusting positions after a failed append. The caller holds
-// sh.mu.
-func (sh *shard) journalBatchLocked(ops []persist.Op) (ok bool) {
+// journalLocked buffers mutations in this shard's AOF as one group, adjacent
+// and in order. The caller holds sh.mu. They reach the file at the next flush
+// point (Server.flushJournals) — before anything that reflects them leaves the
+// process. ok reports whether the journal took them (vacuously true without
+// one, false while degraded); the replication path uses it to stop trusting
+// positions after a failed append. A journal failure degrades the shard to
+// cache-only operation (enterDegraded) instead of failing the client op: the
+// server keeps serving, the error surfaces through persist_errors and
+// persist_degraded, and the prober re-enters healthy once the disk recovers.
+func (sh *shard) journalLocked(ops ...persist.Op) (ok bool) {
 	if sh.mgr == nil {
 		return true
 	}
@@ -376,13 +365,40 @@ func (sh *shard) journalBatchLocked(ops []persist.Op) (ok bool) {
 		return false
 	}
 	if err := sh.mgr.AppendBatch(ops); err != nil {
-		sh.enterDegraded("journal batch", err)
+		sh.enterDegraded("journal append", err)
 		return false
 	}
-	if sh.mgr.NeedsCompaction() {
-		sh.srv.requestCompact(sh)
-	}
+	sh.journaled.Store(true)
 	return true
+}
+
+// flushJournals is the journal's flush rule: every shard's buffered records
+// are written (and, under -fsync always, synced) before the calling goroutine
+// lets a byte out of the process or waits for one. Every shard, not the ones
+// the caller dirtied: connection B's get may have read what connection A's
+// still-buffered set stored, and B's reply must not leave ahead of A's
+// record. An idle journal costs one atomic load; a flush that wrote asks once
+// whether the journal needs compacting; a failed one is a failed append found
+// late — on a follower a gap, so its position goes. Callers hold no shard lock.
+func (s *Server) flushJournals() {
+	for _, sh := range s.shards {
+		if sh.mgr == nil || sh.degraded.Load() {
+			continue
+		}
+		if err := sh.mgr.Flush(); err != nil {
+			if s.repl != nil {
+				sh.mu.Lock()
+				sh.markDivergedLocked()
+				sh.mu.Unlock()
+			}
+			sh.enterDegraded("journal flush", err)
+		} else if sh.journaled.Load() {
+			sh.journaled.Store(false)
+			if sh.mgr.NeedsCompaction() {
+				s.requestCompact(sh)
+			}
+		}
+	}
 }
 
 // canPersistPosLocked reports whether this shard can durably record

@@ -42,7 +42,11 @@ type item struct {
 type store struct {
 	cfg   Config
 	items map[string]*item
-	lay   layout
+	// expiring is the subset of items with a TTL — the only ones sweepExpired
+	// has any reason to probe (Redis's expires dict). Kept in step with
+	// item.expiresAt by setExpiry and forget.
+	expiring map[string]*item
+	lay      layout
 
 	policy cache.Ordering
 	tens   map[string]*tenantState
@@ -86,7 +90,7 @@ func (st *store) reset() error {
 		return err
 	}
 	p.OnEvict(st.onEvict)
-	st.items, st.lay, st.policy = make(map[string]*item), lay, p
+	st.items, st.expiring, st.lay, st.policy = make(map[string]*item), make(map[string]*item), lay, p
 	st.tens, st.totalUsed, st.defUsed = nil, 0, 0
 	if reg := st.cfg.tenants; reg != nil {
 		for _, t := range reg.list() {
@@ -114,8 +118,27 @@ func buildPolicy(cfg Config, capacity int64) (cache.Ordering, error) {
 func (st *store) onEvict(n *cache.Node) {
 	if it, ok := st.items[n.Key]; ok {
 		st.lay.release(it.loc)
-		delete(st.items, n.Key)
+		st.forget(it)
 	}
+}
+
+// forget drops it from the index and, if it has a TTL, from expiring.
+func (st *store) forget(it *item) {
+	delete(st.items, it.node.Key)
+	if !it.expiresAt.IsZero() {
+		delete(st.expiring, it.node.Key)
+	}
+}
+
+// setExpiry assigns an indexed item's deadline, filing it under expiring or
+// taking it out; an item that had no TTL and gets none touches only itself.
+func (st *store) setExpiry(it *item, expires time.Time) {
+	if !expires.IsZero() {
+		st.expiring[it.node.Key] = it
+	} else if !it.expiresAt.IsZero() {
+		delete(st.expiring, it.node.Key)
+	}
+	it.expiresAt = expires
 }
 
 func (st *store) itemSize(key string, value []byte) int64 {
@@ -399,20 +422,21 @@ func lookup[K ~string | ~[]byte](st *store, key K, now time.Time) (*item, bool) 
 	return it, true
 }
 
-// sweepExpired probes up to n items for passed TTLs and reclaims them,
-// counting each in expired_reclaimed. Go's randomized map iteration starts
-// every call at a fresh bucket, so the few probes each mutation pays walk
-// the whole table over time — the memcached/Redis-style incremental sweep
-// that stops expired-but-untouched items from pinning capacity (and
-// inflating curr_items/bytes) forever. Runs under the already-held shard
-// lock; n stays small so no single request stalls.
+// sweepExpired probes up to n items that have a TTL and reclaims the ones
+// whose TTL has passed, counting each in expired_reclaimed. Go's randomized
+// map iteration starts every call at a fresh bucket, so the few probes each
+// mutation pays walk all of expiring over time — the memcached/Redis-style
+// incremental sweep that stops expired-but-untouched items from pinning
+// capacity (and inflating curr_items/bytes) forever; a store that uses no
+// TTLs pays nothing for it. Runs under the already-held shard lock; n stays
+// small so no single request stalls.
 func (st *store) sweepExpired(now time.Time, n int) {
-	for key, it := range st.items {
+	for key, it := range st.expiring {
 		if n <= 0 {
 			return
 		}
 		n--
-		if !it.expiresAt.IsZero() && now.After(it.expiresAt) {
+		if now.After(it.expiresAt) {
 			st.delete(key)
 			st.expiredReclaimed++
 		}
@@ -476,7 +500,7 @@ func (st *store) setAbsPrio(key string, value []byte, flags uint32, expires time
 		// every layout: the caller journals exactly that.
 		if exists {
 			st.lay.release(it.loc)
-			delete(st.items, key)
+			st.forget(it)
 		}
 		return false
 	}
@@ -488,7 +512,8 @@ func (st *store) setAbsPrio(key string, value []byte, flags uint32, expires time
 	if st.lay.copiesValues() {
 		value = nil
 	}
-	it.value, it.flags, it.expiresAt, it.loc = value, flags, expires, loc
+	it.value, it.flags, it.loc = value, flags, loc
+	st.setExpiry(it, expires)
 	st.lay.maintain()
 	return true
 }
@@ -533,7 +558,7 @@ func (st *store) valueOf(it *item) []byte {
 // touch updates an item's expiry everywhere it lives: the item struct and
 // the layout's own record of it.
 func (st *store) touch(it *item, expires time.Time) {
-	it.expiresAt = expires
+	st.setExpiry(it, expires)
 	st.lay.touch(it.loc, expiryNano(expires))
 }
 
@@ -547,7 +572,7 @@ func (st *store) delete(key string) bool {
 	p.Remove(&it.node)
 	st.noteUsage(p, ts)
 	st.lay.release(it.loc)
-	delete(st.items, key)
+	st.forget(it)
 	return true
 }
 

@@ -51,6 +51,7 @@ func TestCrashBetweenBeginCompactAndCommit(t *testing.T) {
 		if err := m.Append(op); err != nil {
 			t.Fatal(err)
 		}
+		flushTest(t, m)
 	}
 	journal(setOp("old", "1"))
 	journal(setOp("gone", "x"))
@@ -89,6 +90,7 @@ func TestCrashDuringCommitLeavesTempSnapshot(t *testing.T) {
 		if err := m.Append(op); err != nil {
 			t.Fatal(err)
 		}
+		flushTest(t, m)
 	}
 	journal(setOp("a", "1"))
 	if _, err := m.BeginCompact(); err != nil {
@@ -126,6 +128,7 @@ func TestCrashAfterSnapshotRenameBeforeGC(t *testing.T) {
 		if err := m.Append(op); err != nil {
 			t.Fatal(err)
 		}
+		flushTest(t, m)
 	}
 	journal(setOp("stale", "old-value"))
 	journal(Op{Kind: KindDelete, Key: "stale"})
@@ -180,6 +183,7 @@ func TestCrashTornNewSegmentHeader(t *testing.T) {
 		if err := m.Append(op); err != nil {
 			t.Fatal(err)
 		}
+		flushTest(t, m)
 	}
 	journal(setOp("a", "1"))
 	if _, err := m.BeginCompact(); err != nil {

@@ -44,6 +44,7 @@ func TestENOSPCMidAppendBatchRecoverable(t *testing.T) {
 		if err := m.Append(op); err != nil {
 			t.Fatalf("append %d: %v", i, err)
 		}
+		flushTest(t, m)
 		acked[op.Key] = string(op.Value)
 	}
 
@@ -53,8 +54,13 @@ func TestENOSPCMidAppendBatchRecoverable(t *testing.T) {
 	for i := range batch {
 		batch[i] = faultSetOp(100 + i)
 	}
-	if err := m.AppendBatch(batch); !errors.Is(err, fault.ErrNoSpace) {
-		t.Fatalf("AppendBatch err = %v, want ENOSPC", err)
+	// The batch is only buffered; the write fails where its ack would be.
+	err := m.AppendBatch(batch)
+	if err == nil {
+		err = m.Flush()
+	}
+	if !errors.Is(err, fault.ErrNoSpace) {
+		t.Fatalf("AppendBatch+Flush err = %v, want ENOSPC", err)
 	}
 	if got := m.Info().AppendErrors; got == 0 {
 		t.Fatal("append error not counted")
@@ -146,6 +152,7 @@ func TestSnapshotFailureMidCommitRecoverable(t *testing.T) {
 		if err := m.Append(op); err != nil {
 			t.Fatal(err)
 		}
+		flushTest(t, m)
 		acked[op.Key] = string(op.Value)
 	}
 
@@ -159,6 +166,7 @@ func TestSnapshotFailureMidCommitRecoverable(t *testing.T) {
 	if err := m.Append(op); err != nil {
 		t.Fatal(err)
 	}
+	flushTest(t, m)
 	acked[op.Key] = string(op.Value)
 	if err := c.Commit(emit); !errors.Is(err, fault.ErrIO) {
 		t.Fatalf("Commit err = %v, want EIO", err)

@@ -266,6 +266,7 @@ func TestJournalCarriesPositionRecords(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	flushTest(t, m)
 	m.Kill()
 
 	var got []Op

@@ -101,6 +101,7 @@ func TestBeginCommitCompaction(t *testing.T) {
 	if err := m.Append(post); err != nil {
 		t.Fatal(err)
 	}
+	flushTest(t, m)
 	if _, err := m.BeginCompact(); !errors.Is(err, errCompacting) {
 		t.Fatalf("overlapping BeginCompact: got %v", err)
 	}
@@ -148,6 +149,7 @@ func TestRecoverySurvivesSegmentSwitchWithoutSnapshot(t *testing.T) {
 	if err := m.Append(Op{Kind: KindSet, Key: "new", Value: []byte("v"), Size: 10, Cost: 1}); err != nil {
 		t.Fatal(err)
 	}
+	flushTest(t, m)
 	m.Kill()
 
 	st2 := newMapStore()

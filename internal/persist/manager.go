@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"camp/internal/fault"
@@ -16,8 +17,9 @@ import (
 
 // Fsync policies for the append-only log, mirroring Redis' appendfsync.
 const (
-	// FsyncAlways syncs after every append: no acknowledged mutation is
-	// ever lost, at a syscall per op.
+	// FsyncAlways syncs in every Flush that wrote something: no acknowledged
+	// mutation is ever lost, at one write and one fsync per flush (group
+	// commit).
 	FsyncAlways = "always"
 	// FsyncEverySec groups syncs on a one-second timer: a crash loses at
 	// most the last second of mutations. The default.
@@ -90,16 +92,20 @@ type Manager struct {
 	gen        uint64 // current AOF generation
 	snapGen    uint64 // newest on-disk snapshot generation (0 = none)
 	aof        fault.File
-	aofLen     int64
+	aofLen     int64 // bytes in the segment file — what a TailReader may read; buf is not counted
 	dirty      bool
 	closed     bool
 	compacting bool
-	buf        []byte
+	buf        []byte // encoded records Flush has yet to write
+
+	// idle lets Flush return without m.mu: true only while the segment is
+	// attached, the manager open and buf empty. Written under m.mu.
+	idle atomic.Bool
 
 	compactions  uint64
 	appendErrors uint64
 
-	// notify is closed and replaced on every append, generation switch and
+	// notify is closed and replaced on every flush, generation switch and
 	// close, waking blocked TailReaders; tailers holds the attached
 	// replication readers so GC retains the generations they still need.
 	notify  chan struct{}
@@ -302,26 +308,63 @@ func (m *Manager) Info() Info {
 		Generation:   m.gen,
 		SnapshotGen:  m.snapGen,
 		AOFEnabled:   !m.opts.DisableAOF,
-		AOFSize:      m.aofLen,
+		AOFSize:      m.aofLen + int64(len(m.buf)),
 		Fsync:        m.opts.Fsync,
 		Compactions:  m.compactions,
 		AppendErrors: m.appendErrors,
 	}
 }
 
-// Append journals one mutation. With FsyncAlways the record is on disk when
-// Append returns; otherwise it is in the OS page cache awaiting the next
-// group sync. Append is a no-op when the AOF is disabled.
+// flushAt is the buffered size at which Append and AppendBatch write the buffer
+// out themselves instead of waiting for the caller's Flush. It is checked once
+// per call, after the call's last record is encoded, so the records of one
+// call are never split across two writes.
+const flushAt = 64 << 10
+
+// Append journals one mutation: the record is encoded into the manager's
+// buffer and reaches the file — with every record buffered before it, in one
+// write — at the next Flush. Append is a no-op when the AOF is disabled.
 //
-// The record goes straight to the file: every append must reach the OS
-// anyway (for durability and size accounting), so a user-space buffer would
-// only add a copy without ever batching.
+// The caller owns the flush rule: call Flush before anything that reflects the
+// mutation becomes visible outside the process (a reply, a value read back, a
+// replication position), and the promise of each fsync policy holds at that
+// moment exactly as if every Append had written. Until then a crash loses the
+// record, which nobody was told about. BeginCompact, Close and the everysec
+// tick flush first; Detach and Kill drop the buffer.
 func (m *Manager) Append(op Op) error {
 	if m.opts.DisableAOF {
 		return nil
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if err := m.attachedLocked(); err != nil {
+		return err
+	}
+	m.buf = AppendRecord(m.buf, op)
+	return m.bufferedLocked()
+}
+
+// AppendBatch is Append for a group of ops that must stay together: they are
+// encoded back to back, so whichever write carries one carries all of them in
+// order (a replica's op and the position record that accounts for it).
+func (m *Manager) AppendBatch(ops []Op) error {
+	if m.opts.DisableAOF || len(ops) == 0 {
+		return nil
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if err := m.attachedLocked(); err != nil {
+		return err
+	}
+	for _, op := range ops {
+		m.buf = AppendRecord(m.buf, op)
+	}
+	return m.bufferedLocked()
+}
+
+// attachedLocked reports why the journal cannot take records or writes right
+// now, if it cannot. The caller holds m.mu.
+func (m *Manager) attachedLocked() error {
 	if m.closed {
 		return ErrClosed
 	}
@@ -330,13 +373,60 @@ func (m *Manager) Append(op Op) error {
 		m.appendErrors++
 		return errors.New("persist: journal segment unavailable")
 	}
-	m.buf = AppendRecord(m.buf[:0], op)
+	return nil
+}
+
+// bufferedLocked ends an append: Flush has work now, and a buffer past flushAt
+// is written here. The caller holds m.mu.
+func (m *Manager) bufferedLocked() error {
+	m.idle.Store(false)
+	if len(m.buf) < flushAt {
+		return nil
+	}
+	return m.flushLocked()
+}
+
+// Flush writes every buffered record with one Write and, under FsyncAlways,
+// one Sync, then wakes the journal's tailers. When it returns nil, every
+// record appended before the call is in the OS (on disk, under FsyncAlways).
+// With nothing buffered it is one atomic load. On a detached or closed
+// manager it returns an error and writes nothing.
+func (m *Manager) Flush() error {
+	if m.idle.Load() || m.opts.DisableAOF {
+		return nil
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if err := m.attachedLocked(); err != nil {
+		return err
+	}
+	if err := m.flushLocked(); err != nil {
+		return err
+	}
+	m.idle.Store(true)
+	return nil
+}
+
+// flushLocked writes the buffer to the attached segment. A failed write keeps
+// the bytes that did not reach the file, so a later flush continues the
+// segment where this one stopped instead of leaving a hole behind a torn
+// record; callers that give up on the segment Detach, which drops them. The
+// caller holds m.mu and has checked m.aof.
+func (m *Manager) flushLocked() error {
+	if len(m.buf) == 0 {
+		return nil
+	}
 	n, err := m.aof.Write(m.buf)
 	m.aofLen += int64(n)
 	if err != nil {
+		m.buf = m.buf[:copy(m.buf, m.buf[n:])]
 		m.appendErrors++
 		return fmt.Errorf("persist: aof append: %w", err)
 	}
+	if cap(m.buf) > 4*flushAt {
+		m.buf = nil // don't pin an outsized buffer past the batch that grew it
+	}
+	m.buf = m.buf[:0]
 	if m.opts.Fsync == FsyncAlways {
 		if err := m.aof.Sync(); err != nil {
 			m.appendErrors++
@@ -349,10 +439,10 @@ func (m *Manager) Append(op Op) error {
 	return nil
 }
 
-// broadcastLocked wakes every blocked TailReader: the journal grew, switched
+// broadcastLocked wakes every blocked TailReader: the file grew, switched
 // generations, or closed. With no tailers attached it is a no-op — a waiter
 // can only hold m.notify after TailFrom registered it under this same mutex
-// — so servers without followers pay no per-append channel churn. The
+// — so servers without followers pay no per-flush channel churn. The
 // caller holds m.mu.
 func (m *Manager) broadcastLocked() {
 	if len(m.tailers) == 0 {
@@ -378,61 +468,9 @@ func newRunID() uint64 {
 	return uint64(time.Now().UnixNano()) | 1
 }
 
-// batchChunk is the encode-buffer threshold AppendBatch writes at.
-const batchChunk = 256 << 10
-
-// AppendBatch journals ops as one group: records are encoded into a few
-// large writes and synced once under FsyncAlways, instead of a write (and
-// sync) per op. This is the bulk path a replica's bootstrap re-journaling
-// uses — per-record appends there would hold the caller's store lock across
-// one fsync per entry.
-func (m *Manager) AppendBatch(ops []Op) error {
-	if m.opts.DisableAOF || len(ops) == 0 {
-		return nil
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return ErrClosed
-	}
-	if m.aof == nil {
-		m.appendErrors++
-		return errors.New("persist: journal segment unavailable")
-	}
-	buf := m.buf[:0]
-	for i, op := range ops {
-		buf = AppendRecord(buf, op)
-		if len(buf) < batchChunk && i != len(ops)-1 {
-			continue
-		}
-		n, err := m.aof.Write(buf)
-		m.aofLen += int64(n)
-		if err != nil {
-			m.appendErrors++
-			return fmt.Errorf("persist: aof append: %w", err)
-		}
-		buf = buf[:0]
-	}
-	if cap(buf) <= batchChunk {
-		m.buf = buf[:0]
-	} else {
-		m.buf = nil // don't pin an outsized scratch past the batch
-	}
-	if m.opts.Fsync == FsyncAlways {
-		if err := m.aof.Sync(); err != nil {
-			m.appendErrors++
-			return fmt.Errorf("persist: aof sync: %w", err)
-		}
-	} else {
-		m.dirty = true
-	}
-	m.broadcastLocked()
-	return nil
-}
-
-// NeedsCompaction reports whether the AOF has outgrown Options.AOFLimit, or
-// is detached after a failed segment switch (compacting again reattaches
-// it).
+// NeedsCompaction reports whether the AOF — file plus buffered records — has
+// outgrown Options.AOFLimit, or is detached after a failed segment switch
+// (compacting again reattaches it).
 func (m *Manager) NeedsCompaction() bool {
 	if m.opts.DisableAOF {
 		return false
@@ -442,7 +480,7 @@ func (m *Manager) NeedsCompaction() bool {
 	if m.closed {
 		return false
 	}
-	return m.aof == nil || m.aofLen > m.opts.AOFLimit
+	return m.aof == nil || m.aofLen+int64(len(m.buf)) > m.opts.AOFLimit
 }
 
 // Compaction is an in-flight snapshot-then-truncate cycle started by
@@ -454,8 +492,8 @@ type Compaction struct {
 	done bool
 }
 
-// BeginCompact retires the current journal segment — sync, close, open the
-// next generation's segment — and returns a Compaction whose Commit writes
+// BeginCompact retires the current journal segment — flush, sync, close, open
+// the next generation's segment — and returns a Compaction whose Commit writes
 // the anchoring snapshot. The caller holds its store lock across BeginCompact
 // (so the segment switch is consistent with the apply order) but calls
 // Commit after releasing it: the expensive snapshot serialization then
@@ -475,8 +513,12 @@ func (m *Manager) BeginCompact() (*Compaction, error) {
 	if m.compacting {
 		return nil, errCompacting
 	}
-	// Settle the old segment first: a sync failure here aborts cleanly.
+	// Settle the old segment first: every buffered record belongs to it, and
+	// a write or sync failure here aborts cleanly.
 	if m.aof != nil {
+		if err := m.flushLocked(); err != nil {
+			return nil, err
+		}
 		if err := m.aof.Sync(); err != nil {
 			return nil, fmt.Errorf("persist: aof sync: %w", err)
 		}
@@ -535,8 +577,9 @@ func (m *Manager) Compact(emit func(write func(Op) error) error) error {
 	return c.Commit(emit)
 }
 
-// Detach closes and drops the current journal segment handle without closing
-// the manager: appends start failing fast ("journal segment unavailable")
+// Detach closes and drops the current journal segment handle — and whatever
+// records were still buffered for it — without closing the manager: appends
+// and flushes start failing fast ("journal segment unavailable")
 // instead of hammering a broken disk, and NeedsCompaction reports true so the
 // next compaction opens a fresh segment. A degraded shard calls this when the
 // disk starts returning errors; the manager itself stays usable so the
@@ -549,6 +592,8 @@ func (m *Manager) Detach() {
 		m.aof = nil
 		m.aofLen = 0
 	}
+	m.buf = m.buf[:0]
+	m.idle.Store(false)
 }
 
 // Probe tests whether the data directory can take durable writes again:
@@ -601,6 +646,7 @@ func (m *Manager) Close() error {
 		return nil
 	}
 	m.closed = true
+	m.idle.Store(false)
 	m.broadcastLocked()
 	m.mu.Unlock()
 	close(m.stop)
@@ -611,8 +657,8 @@ func (m *Manager) Close() error {
 	if m.aof == nil {
 		return nil
 	}
-	var first error
-	if err := m.aof.Sync(); err != nil {
+	first := m.flushLocked()
+	if err := m.aof.Sync(); err != nil && first == nil {
 		first = err
 	}
 	if err := m.aof.Close(); err != nil && first == nil {
@@ -623,8 +669,9 @@ func (m *Manager) Close() error {
 }
 
 // Kill releases the manager without flushing or syncing anything, simulating
-// a crash for recovery tests and demos: whatever the fsync policy already
-// put on disk is all a restart will see. Orderly shutdown is Close.
+// a crash for recovery tests and demos: buffered records are gone with the
+// process, and whatever the fsync policy already put on disk is all a restart
+// will see. Orderly shutdown is Close.
 func (m *Manager) Kill() {
 	m.mu.Lock()
 	if m.closed {
@@ -632,12 +679,14 @@ func (m *Manager) Kill() {
 		return
 	}
 	m.closed = true
+	m.idle.Store(false)
 	m.broadcastLocked()
 	m.mu.Unlock()
 	close(m.stop)
 	m.wg.Wait()
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	m.buf = nil
 	if m.aof != nil {
 		m.aof.Close()
 		m.aof = nil
@@ -657,12 +706,18 @@ func (m *Manager) syncLoop() {
 			return
 		case <-t.C:
 			m.mu.Lock()
-			if m.dirty && m.aof != nil {
-				if err := m.aof.Sync(); err != nil {
-					m.appendErrors++
-					m.logf("persist: background aof sync: %v", err)
-				} else {
-					m.dirty = false
+			if m.aof != nil {
+				// A record nobody flushed (no caller has made it visible yet)
+				// still goes out within the second the policy promises.
+				if err := m.flushLocked(); err != nil {
+					m.logf("persist: background aof flush: %v", err)
+				} else if m.dirty {
+					if err := m.aof.Sync(); err != nil {
+						m.appendErrors++
+						m.logf("persist: background aof sync: %v", err)
+					} else {
+						m.dirty = false
+					}
 				}
 			}
 			m.mu.Unlock()

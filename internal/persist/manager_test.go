@@ -56,6 +56,16 @@ func openTest(t *testing.T, dir string, opts Options, st *mapStore) (*Manager, R
 	return m, stats
 }
 
+// flushTest is the acknowledgement point of a test's mutations: a server
+// flushes here, before the reply leaves, and from here on a Kill must lose
+// none of what was appended.
+func flushTest(t *testing.T, m *Manager) {
+	t.Helper()
+	if err := m.Flush(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestManagerAppendRecover(t *testing.T) {
 	for _, fsync := range []string{FsyncAlways, FsyncEverySec, FsyncNo} {
 		t.Run(fsync, func(t *testing.T) {
@@ -113,6 +123,7 @@ func TestManagerHardStopFsyncAlways(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	flushTest(t, m)
 	// No Close: Kill drops the journal without any final sync, as in a
 	// SIGKILL (it also releases the dir flock, which a real process death
 	// would release implicitly — within one test process it must be
@@ -336,7 +347,8 @@ func TestManagerFlushRecord(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	m.Kill() // crash without flushing
+	flushTest(t, m)
+	m.Kill() // crash without syncing
 
 	st2 := newMapStore()
 	m2, stats := openTest(t, dir, Options{}, st2)

@@ -53,6 +53,7 @@ func TestTailReaderFollowsAppends(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	flushTest(t, m)
 	for i, w := range want {
 		got, ev := nextRecord(t, tr, time.Second)
 		if got.Kind != w.Kind || got.Key != w.Key || !bytes.Equal(got.Value, w.Value) {
@@ -72,6 +73,7 @@ func TestTailReaderFollowsAppends(t *testing.T) {
 	if err := m.Append(setOp("late", "x")); err != nil {
 		t.Fatal(err)
 	}
+	flushTest(t, m)
 	select {
 	case op := <-done:
 		if op.Key != "late" {
@@ -93,6 +95,7 @@ func TestTailReaderCrossesGenerations(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	flushTest(t, m)
 	tr, err := m.TailFrom(1, SegmentHeaderLen)
 	if err != nil {
 		t.Fatal(err)
@@ -107,6 +110,7 @@ func TestTailReaderCrossesGenerations(t *testing.T) {
 	if err := m.Append(setOp("c", "3")); err != nil {
 		t.Fatal(err)
 	}
+	flushTest(t, m)
 
 	ev, err := tr.Next(time.Second)
 	if err != nil {
@@ -209,6 +213,7 @@ func TestFullSyncMatchesRecovery(t *testing.T) {
 		if err := m.Append(op); err != nil {
 			t.Fatal(err)
 		}
+		flushTest(t, m)
 	}
 	journal(setOp("a", "1"))
 	journal(setOp("b", "2"))
@@ -294,6 +299,7 @@ func TestTailStopsAtDetachDiscontinuity(t *testing.T) {
 	if err := m.Append(setOp("b", "2")); err != nil {
 		t.Fatal(err)
 	}
+	flushTest(t, m)
 	if _, err := open.Next(0); !errors.Is(err, ErrStalePosition) {
 		t.Fatalf("open tail crossed the detach: err %v, want ErrStalePosition", err)
 	}
