@@ -12,13 +12,21 @@ import (
 	"camp/internal/persist"
 )
 
+// degradedShards counts the shards serving cache-only.
+func degradedShards(s *Server) (n int64) {
+	for _, sh := range s.shards {
+		n += b2i(sh.degraded.Load())
+	}
+	return n
+}
+
 // waitDegraded polls until exactly want shards report persist-degraded.
 func waitDegraded(t *testing.T, s *Server, want int64, within time.Duration) {
 	t.Helper()
 	deadline := time.Now().Add(within)
-	for s.degradedShards() != want {
+	for degradedShards(s) != want {
 		if time.Now().After(deadline) {
-			t.Fatalf("degraded shards = %d, want %d (after %v)", s.degradedShards(), want, within)
+			t.Fatalf("degraded shards = %d, want %d (after %v)", degradedShards(s), want, within)
 		}
 		time.Sleep(2 * time.Millisecond)
 	}

@@ -56,18 +56,6 @@ func (s *Server) anyDegraded() bool {
 	return false
 }
 
-// degradedShards counts shards currently serving cache-only, for the
-// persist_degraded stat and the per-shard gauge.
-func (s *Server) degradedShards() int64 {
-	var n int64
-	for _, sh := range s.shards {
-		if sh.degraded.Load() {
-			n++
-		}
-	}
-	return n
-}
-
 // proberLoop runs for the server's whole life when persistence is on. It
 // sleeps until a shard degrades, then probes the degraded set on a jittered
 // exponential backoff: every heal resets the backoff (a recovering disk

@@ -15,62 +15,9 @@ import (
 	"camp/internal/metrics"
 )
 
-// requiredFamilies are the metric families every server must expose,
-// regardless of role or persistence: the CI metrics-gate checks the same
-// list against a live scrape.
-var requiredFamilies = []string{
-	"camp_uptime_seconds",
-	"camp_limit_bytes",
-	"camp_cmd_total",
-	"camp_get_hits_total",
-	"camp_get_misses_total",
-	"camp_connections_current",
-	"camp_connections_total",
-	"camp_bytes_read_total",
-	"camp_bytes_written_total",
-	"camp_latency_seconds",
-	"camp_shard_latency_seconds",
-	"camp_shard_lock_hold_seconds",
-	"camp_shard_items",
-	"camp_shard_bytes",
-	"camp_shard_evictions_total",
-	"camp_shard_rejected_sets_total",
-	"camp_shard_expired_reclaimed_total",
-	"camp_shard_iq_miss_table",
-	"camp_shard_arena_live_bytes",
-	"camp_shard_arena_dead_bytes",
-	"camp_shard_arena_held_bytes",
-	"camp_shard_arena_segments",
-	"camp_shard_arena_compactions_total",
-	"camp_shard_arena_relocated_bytes_total",
-	"camp_shard_journal_generation",
-	"camp_shard_journal_bytes",
-	"camp_shard_compactions_total",
-	"camp_shard_persist_degraded",
-	"camp_conn_panics_total",
-	"camp_accept_rejected_maxconns_total",
-	"camp_persist_errors_total",
-	"camp_slowlog_entries",
-	"camp_slowlog_threshold_seconds",
-	"camp_repl_feed_generation",
-	"camp_repl_feed_offset_bytes",
-	"camp_repl_feed_lag_bytes",
-	"camp_repl_connected",
-	"camp_repl_applied_ops_total",
-	"camp_repl_lag_seconds",
-	"camp_repl_durable_position",
-	"camp_tenant_bytes",
-	"camp_tenant_items",
-	"camp_tenant_evictions_total",
-	"camp_tenant_reserved_bytes",
-	"camp_tenant_hits_total",
-	"camp_tenant_misses_total",
-	"camp_tenant_cost_saved_total",
-}
-
 // TestMetricsGate is the live-scrape gate `make metrics-gate` runs in CI: a
 // server with -metrics-addr must serve syntactically valid Prometheus text
-// with every required family, per-verb latency histogram samples, per-shard
+// with every family testdata/stats_surface.golden pins, per-verb latency histogram samples, per-shard
 // gauges — and a working pprof endpoint, CPU profile included.
 func TestMetricsGate(t *testing.T) {
 	s := startServer(t, Config{
@@ -104,7 +51,7 @@ func TestMetricsGate(t *testing.T) {
 	if err != nil {
 		t.Fatalf("/metrics output invalid: %v", err)
 	}
-	if err := metrics.RequireFamilies(fams, requiredFamilies...); err != nil {
+	if err := metrics.RequireFamilies(fams, goldenFamilies(t)...); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
@@ -147,8 +94,9 @@ func TestMetricsGate(t *testing.T) {
 }
 
 // TestStatsLineSet pins the exact key set of the main stats reply on a
-// volatile (non-persist, non-replica) server, so a stat silently vanishing
-// or changing name fails loudly. New stats are fine — add them here.
+// volatile (non-persist, non-replica) server to the one
+// testdata/stats_surface.golden records for the same configuration, and
+// checks the identity, connection and miss-table values.
 func TestStatsLineSet(t *testing.T) {
 	s := startServer(t, Config{MemoryBytes: 1 << 20, Shards: 2})
 	c := dial(t, s)
@@ -159,24 +107,12 @@ func TestStatsLineSet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{
-		"uptime", "version", "pointer_size",
-		"curr_connections", "total_connections", "bytes_read", "bytes_written",
-		"cmd_get", "cmd_set", "cmd_add", "cmd_replace", "cmd_append",
-		"cmd_prepend", "cmd_incr", "cmd_decr", "cmd_touch", "cmd_delete",
-		"get_hits", "get_misses", "set_rejected",
-		"conn_panics", "accept_rejected_maxconns",
-		"curr_items", "bytes", "limit_maxbytes", "evictions",
-		"expired_reclaimed", "iq_miss_table_entries",
-		"policy", "mode", "shards", "role", "rejected_sets", "camp_queues",
-		"tenants",
-	}
+	want := goldenBlock(t, "byte, 2 shards", "stats (sorted)")
 	got := make([]string, 0, len(stats))
 	for k := range stats {
 		got = append(got, k)
 	}
 	sort.Strings(got)
-	sort.Strings(want)
 	if strings.Join(got, ",") != strings.Join(want, ",") {
 		t.Fatalf("stats key set changed:\n got %v\nwant %v", got, want)
 	}
@@ -484,6 +420,7 @@ func TestMetricsStressRace(t *testing.T) {
 	}()
 
 	// Scraper 2: /metrics, validating the exposition format under load.
+	families := goldenFamilies(t)
 	scrapersWg.Add(1)
 	go func() {
 		defer scrapersWg.Done()
@@ -510,7 +447,7 @@ func TestMetricsStressRace(t *testing.T) {
 				t.Errorf("mid-run /metrics invalid: %v", verr)
 				return
 			}
-			if err := metrics.RequireFamilies(fams, requiredFamilies...); err != nil {
+			if err := metrics.RequireFamilies(fams, families...); err != nil {
 				t.Error(err)
 				return
 			}

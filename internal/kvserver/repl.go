@@ -577,21 +577,15 @@ func (s *Server) handleReplica(args [][]byte, cs *connState) error {
 		_, err := cs.w.Write(replyOK)
 		return err
 	case "status":
-		out := cs.out[:0]
-		role := "primary"
-		if s.readOnly.Load() {
-			role = "replica"
-		}
-		out = appendStatStr(out, "role", role)
+		out := appendStatStr(cs.out[:0], "role", s.role())
 		if s.repl != nil {
 			out = appendStatStr(out, "primary_addr", s.repl.primary)
-			for _, sr := range s.repl.reps {
-				out = sr.appendStatus(out)
+			for i, x := range s.sampleFollowers() {
+				out = appendStats(out, shardPrefix(i), followerStats, &x)
 			}
 		}
-		out = append(out, replyEnd...)
-		cs.out = out
-		_, err := cs.w.Write(out)
+		cs.out = append(out, replyEnd...)
+		_, err := cs.w.Write(cs.out)
 		return err
 	default:
 		_, err := cs.w.Write(replyBadReplica)
@@ -769,55 +763,6 @@ func (sr *shardReplica) setConnected(v bool) {
 	sr.mu.Lock()
 	sr.connected = v
 	sr.mu.Unlock()
-}
-
-// appendStatus renders this shard's replication state as STAT lines.
-func (sr *shardReplica) appendStatus(out []byte) []byte {
-	sh := sr.sh
-	sh.mu.Lock()
-	durable := sh.replPos
-	sh.mu.Unlock()
-	sr.mu.Lock()
-	defer sr.mu.Unlock()
-	prefix := "shard" + strconv.Itoa(sr.idx) + "_"
-	conn := uint64(0)
-	if sr.connected {
-		conn = 1
-	}
-	out = appendStat(out, prefix+"connected", conn)
-	out = appendStat(out, prefix+"gen", sr.gen)
-	out = appendStatInt(out, prefix+"offset", sr.off)
-	out = appendStat(out, prefix+"run_id", sr.runID)
-	// The position a restart would resume from (journaled atomically with
-	// the applied ops); durable=0 means none is persisted and a restart
-	// would full-resync.
-	dur := uint64(0)
-	if durable.RunID != 0 {
-		dur = 1
-	}
-	out = appendStat(out, prefix+"durable", dur)
-	out = appendStat(out, prefix+"durable_gen", durable.Gen)
-	out = appendStatInt(out, prefix+"durable_offset", durable.Off)
-	out = appendStat(out, prefix+"full_syncs", sr.fullSyncs)
-	out = appendStat(out, prefix+"reconnects", sr.reconnects)
-	out = appendStat(out, prefix+"applied_ops", sr.applied)
-	// Cache-only operation after a local persistence failure: applied ops
-	// are not journaled and the durable position is frozen until the disk
-	// heals.
-	degraded := uint64(0)
-	if sh.degraded.Load() {
-		degraded = 1
-	}
-	out = appendStat(out, prefix+"persist_degraded", degraded)
-	// Staleness: time since the stream last delivered a frame or ping
-	// (the primary pings every second while idle, so a healthy stream
-	// stays near zero). -1 before the first successful handshake.
-	ageMS := int64(-1)
-	if last := sr.lastFrame.Load(); last != 0 {
-		ageMS = time.Since(time.Unix(0, last)).Milliseconds()
-	}
-	out = appendStatInt(out, prefix+"last_frame_age_ms", ageMS)
-	return out
 }
 
 // run is the shard's replication loop: connect, sync, apply until the stream
@@ -1110,7 +1055,6 @@ func (sr *shardReplica) apply(op persist.Op, pos persist.Position) {
 	}
 	sh.mu.Unlock()
 	sr.batch = batch
-	sr.rs.s.counters.replAppliedOps.Add(1)
 }
 
 // persistPos records a position change that carries no op: a generation

@@ -861,19 +861,19 @@ func (s *Server) dispatchCmd(toks [][]byte, cs *connState) (quit bool, fatal err
 	case "get", "gets":
 		return false, s.handleGet(toks[1:], cs)
 	case "set":
-		return false, s.handleStore(cmdSet, toks[1:], cs)
+		return false, s.handleStore(verbSet, toks[1:], cs)
 	case "add":
-		return false, s.handleStore(cmdAdd, toks[1:], cs)
+		return false, s.handleStore(verbAdd, toks[1:], cs)
 	case "replace":
-		return false, s.handleStore(cmdReplace, toks[1:], cs)
+		return false, s.handleStore(verbReplace, toks[1:], cs)
 	case "append":
-		return false, s.handleStore(cmdAppend, toks[1:], cs)
+		return false, s.handleStore(verbAppend, toks[1:], cs)
 	case "prepend":
-		return false, s.handleStore(cmdPrepend, toks[1:], cs)
+		return false, s.handleStore(verbPrepend, toks[1:], cs)
 	case "incr":
-		return false, s.handleArith(true, toks[1:], cs)
+		return false, s.handleArith(verbIncr, toks[1:], cs)
 	case "decr":
-		return false, s.handleArith(false, toks[1:], cs)
+		return false, s.handleArith(verbDecr, toks[1:], cs)
 	case "touch":
 		return false, s.handleTouch(toks[1:], cs)
 	case "delete":
@@ -974,7 +974,7 @@ func (s *Server) handleGet(keys [][]byte, cs *connState) error {
 	// tenant (pooled scratch, no allocation); a key containing the NUL
 	// namespace delimiter could forge another tenant's prefix, so it is
 	// answered as a miss without touching the store.
-	s.counters.cmdGet.Add(1)
+	s.counters.cmds[verbGet].Add(1)
 	tn := s.tenantOf(cs)
 	pfx := cs.keyPrefixLen()
 	cs.shardIdx = shardIndex(cs.nsKeyFor(keys[0]), len(s.shards))
@@ -1041,7 +1041,7 @@ func (s *Server) handleGet(keys [][]byte, cs *connState) error {
 // bytes would be misread as command lines. When <bytes> itself is missing
 // or unparsable the payload length is unknown, resynchronization is
 // impossible, and the connection closes after the reply, as memcached does.
-func (s *Server) handleStore(cmd storeCmd, args [][]byte, cs *connState) error {
+func (s *Server) handleStore(cmd verbID, args [][]byte, cs *connState) error {
 	w := cs.w
 	args, noreply := trimNoreply(args)
 	var nbytes int64 = -1
@@ -1138,7 +1138,7 @@ func (s *Server) handleStore(cmd storeCmd, args [][]byte, cs *connState) error {
 	if shed, err := s.shedOp(cs, tn, now, nbytes, noreply); shed || err != nil {
 		return err
 	}
-	s.counters.storeCounter(cmd).Add(1)
+	s.counters.cmds[cmd].Add(1)
 	sh := s.shardForOpBytes(cs.keyBuf, cs)
 	sh.mu.Lock()
 	lockStart := time.Now()
@@ -1163,7 +1163,7 @@ func trimNoreply(args [][]byte) (rest [][]byte, noreply bool) {
 // the connection must close (errCloseConn) because the stream cannot be
 // resynchronized. A drained payload whose own terminator is garbage also
 // closes the connection, for the same reason.
-func (s *Server) storeError(cs *connState, cmd storeCmd, nbytes int64, noreply bool, what string) error {
+func (s *Server) storeError(cs *connState, cmd verbID, nbytes int64, noreply bool, what string) error {
 	badChunk := false
 	if nbytes >= 0 {
 		var err error
@@ -1173,7 +1173,7 @@ func (s *Server) storeError(cs *connState, cmd storeCmd, nbytes int64, noreply b
 		}
 	}
 	if !noreply {
-		cs.out = appendClientError(cs.out[:0], "bad", cmd.String(), what)
+		cs.out = appendClientError(cs.out[:0], "bad", verbNames[cmd], what)
 		if _, err := cs.w.Write(cs.out); err != nil {
 			return err
 		}
@@ -1229,15 +1229,11 @@ func readDataTerminator(r *bufio.Reader) error {
 }
 
 // handleArith covers incr/decr: <cmd> <key> <delta> [noreply].
-func (s *Server) handleArith(incr bool, args [][]byte, cs *connState) error {
+func (s *Server) handleArith(v verbID, args [][]byte, cs *connState) error {
 	w := cs.w
-	name := "decr"
-	if incr {
-		name = "incr"
-	}
 	args, noreply := trimNoreply(args)
 	if len(args) != 2 {
-		cs.out = appendClientError(cs.out[:0], "bad", name, "command")
+		cs.out = appendClientError(cs.out[:0], "bad", verbNames[v], "command")
 		return cs.reply(noreply, cs.out)
 	}
 	delta, ok := proto.ParseUint(args[1])
@@ -1257,15 +1253,11 @@ func (s *Server) handleArith(incr bool, args [][]byte, cs *connState) error {
 	if shed, err := s.shedOp(cs, s.tenantOf(cs), now, 0, noreply); shed || err != nil {
 		return err
 	}
-	if incr {
-		s.counters.cmdIncr.Add(1)
-	} else {
-		s.counters.cmdDecr.Add(1)
-	}
+	s.counters.cmds[v].Add(1)
 	sh := s.shardForOp(key, cs)
 	sh.mu.Lock()
 	lockStart := time.Now()
-	val, reply := sh.arithLocked(incr, key, delta, now)
+	val, reply := sh.arithLocked(v == verbIncr, key, delta, now)
 	sh.mu.Unlock()
 	sh.lockHist.Observe(time.Since(lockStart))
 	if noreply {
@@ -1306,7 +1298,7 @@ func (s *Server) handleTouch(args [][]byte, cs *connState) error {
 	if shed, err := s.shedOp(cs, s.tenantOf(cs), now, 0, noreply); shed || err != nil {
 		return err
 	}
-	s.counters.cmdTouch.Add(1)
+	s.counters.cmds[verbTouch].Add(1)
 	sh := s.shardForOp(key, cs)
 	sh.mu.Lock()
 	lockStart := time.Now()
@@ -1349,7 +1341,7 @@ func (s *Server) handleDelete(args [][]byte, cs *connState) error {
 	if shed, err := s.shedOp(cs, s.tenantOf(cs), time.Now(), 0, noreply); shed || err != nil {
 		return err
 	}
-	s.counters.cmdDelete.Add(1)
+	s.counters.cmds[verbDelete].Add(1)
 	sh := s.shardForOp(key, cs)
 	sh.mu.Lock()
 	lockStart := time.Now()
@@ -1364,141 +1356,6 @@ func (s *Server) handleDelete(args [][]byte, cs *connState) error {
 		reply = replyDeleted
 	}
 	return cs.reply(noreply, reply)
-}
-
-func (s *Server) handleStats(args [][]byte, cs *connState) error {
-	if len(args) > 0 {
-		switch string(args[0]) {
-		case "latency":
-			return s.handleStatsLatency(cs)
-		case "shards":
-			return s.handleStatsShards(cs)
-		case "tenants":
-			return s.handleStatsTenants(cs)
-		default:
-			_, err := cs.w.Write(replyBadStats)
-			return err
-		}
-	}
-	out := cs.out[:0]
-	// Identity and connection stats first, as memcached orders them.
-	out = appendStatInt(out, "uptime", int64(time.Since(s.started)/time.Second))
-	out = appendStatStr(out, "version", serverVersion)
-	out = appendStatInt(out, "pointer_size", strconv.IntSize)
-	out = appendStatInt(out, "curr_connections", s.counters.currConns.Load())
-	out = appendStat(out, "total_connections", s.counters.totalConns.Load())
-	out = appendStat(out, "bytes_read", s.counters.bytesRead.Load())
-	out = appendStat(out, "bytes_written", s.counters.bytesWritten.Load())
-	for _, l := range s.counters.lines() {
-		out = appendStat(out, l.key, l.val)
-	}
-	// Aggregate store-level numbers shard by shard, holding one shard lock
-	// at a time: stats never stall the whole keyspace.
-	var (
-		items     int
-		bytes     int64
-		evictions uint64
-		rejected  uint64
-		reclaimed uint64
-		missTable int
-		queues    = -1
-	)
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		items += sh.store.len()
-		bytes += sh.store.used()
-		evictions += sh.store.evictions()
-		rejected += sh.store.rejected()
-		reclaimed += sh.store.reclaimed()
-		missTable += len(sh.missedAt)
-		if qc := sh.store.queueCount(); qc >= 0 {
-			if queues < 0 {
-				queues = 0
-			}
-			queues += qc
-		}
-		sh.mu.Unlock()
-	}
-	out = appendStatInt(out, "curr_items", int64(items))
-	out = appendStatInt(out, "bytes", bytes)
-	out = appendStatInt(out, "limit_maxbytes", s.cfg.MemoryBytes)
-	out = appendStat(out, "evictions", evictions)
-	// Expired items reclaimed lazily: on access plus the incremental sweep
-	// the mutation path runs.
-	out = appendStat(out, "expired_reclaimed", reclaimed)
-	// Pending IQ miss-table entries: get misses still waiting for the set
-	// that would turn the elapsed time into a cost.
-	out = appendStatInt(out, "iq_miss_table_entries", int64(missTable))
-	out = appendStatStr(out, "policy", s.shards[0].store.policy.Name())
-	out = appendStatStr(out, "mode", s.cfg.Mode)
-	out = appendStatInt(out, "shards", int64(len(s.shards)))
-	out = appendStatInt(out, "tenants", int64(s.tenants.count()))
-	role := "primary"
-	if s.readOnly.Load() {
-		role = "replica"
-	}
-	out = appendStatStr(out, "role", role)
-	if s.repl != nil {
-		connected := int64(0)
-		for _, sr := range s.repl.reps {
-			sr.mu.Lock()
-			if sr.connected {
-				connected++
-			}
-			sr.mu.Unlock()
-		}
-		out = appendStatInt(out, "repl_connected_shards", connected)
-		out = appendStat(out, "repl_applied_ops", s.counters.replAppliedOps.Load())
-	}
-	// Admission pressure: how many stores the eviction policy refused.
-	out = appendStat(out, "rejected_sets", rejected)
-	if queues >= 0 {
-		out = appendStatInt(out, "camp_queues", int64(queues))
-	}
-	if s.cfg.Persist != nil {
-		var (
-			gen         uint64
-			aofBytes    int64
-			compactions uint64
-			fsync       string
-			aofEnabled  bool
-		)
-		for _, sh := range s.shards {
-			if sh.mgr == nil {
-				continue
-			}
-			info := sh.mgr.Info()
-			if info.Generation > gen {
-				gen = info.Generation
-			}
-			aofBytes += info.AOFSize
-			compactions += info.Compactions
-			fsync = info.Fsync
-			aofEnabled = info.AOFEnabled
-		}
-		aof := uint64(0)
-		if aofEnabled {
-			aof = 1
-		}
-		out = appendStat(out, "repl_syncs_served", s.counters.replSyncsServed.Load())
-		out = appendStat(out, "repl_full_syncs_served", s.counters.replFullSyncsServed.Load())
-		out = appendStatInt(out, "repl_live_feeds", s.replFeeds.Load())
-		out = appendStat(out, "persist_gen", gen)
-		out = appendStat(out, "aof_enabled", aof)
-		out = appendStatInt(out, "aof_bytes", aofBytes)
-		out = appendStatStr(out, "aof_fsync", fsync)
-		out = appendStat(out, "persist_compactions", compactions)
-		out = appendStat(out, "persist_errors", s.counters.persistErrors.Load())
-		out = appendStatInt(out, "persist_degraded", s.degradedShards())
-		out = appendStat(out, "persist_snapshots", s.counters.persistSnapshots.Load())
-		out = appendStatInt(out, "restored_snapshot_ops", int64(s.recovered.SnapshotOps))
-		out = appendStatInt(out, "restored_aof_ops", int64(s.recovered.ReplayedOps))
-		out = appendStatInt(out, "restored_truncated_bytes", s.recovered.TruncatedBytes)
-	}
-	out = append(out, replyEnd...)
-	cs.out = out
-	_, err := cs.w.Write(out)
-	return err
 }
 
 func (s *Server) handleDebug(args [][]byte, cs *connState) error {

@@ -50,36 +50,6 @@ var (
 	replySyncFailed    = []byte("SERVER_ERROR sync failed\r\n")
 )
 
-// storeCmd enumerates the storage verbs so dispatch resolves the command
-// once, from the wire bytes, and the handlers never re-compare strings.
-type storeCmd uint8
-
-const (
-	cmdSet storeCmd = iota
-	cmdAdd
-	cmdReplace
-	cmdAppend
-	cmdPrepend
-)
-
-// String returns the protocol verb (a constant, so error formatting stays
-// allocation-free).
-func (c storeCmd) String() string {
-	switch c {
-	case cmdSet:
-		return "set"
-	case cmdAdd:
-		return "add"
-	case cmdReplace:
-		return "replace"
-	case cmdAppend:
-		return "append"
-	case cmdPrepend:
-		return "prepend"
-	}
-	return "store"
-}
-
 // shard is one independent slice of the server: its own store (policy,
 // allocator, items map), its own IQ miss table, its own mutex, and — when
 // persistence is on — its own journal and snapshot generations under
@@ -231,7 +201,7 @@ const expirySweepProbes = 4
 // The key arrives in wire []byte form: the item-map lookup converts in place
 // (allocation-free), an overwrite reuses the resident item's interned key
 // string, and only a brand-new key materializes one. The caller holds sh.mu.
-func (sh *shard) storeLocked(cmd storeCmd, keyBytes []byte, value []byte, flags uint32, ttl, cost int64, now time.Time) []byte {
+func (sh *shard) storeLocked(cmd verbID, keyBytes []byte, value []byte, flags uint32, ttl, cost int64, now time.Time) []byte {
 	sh.store.sweepExpired(now, expirySweepProbes)
 	existing, exists := sh.store.items[string(keyBytes)]
 	var key string
@@ -246,15 +216,15 @@ func (sh *shard) storeLocked(cmd storeCmd, keyBytes []byte, value []byte, flags 
 		existing, exists = nil, false
 	}
 	switch cmd {
-	case cmdAdd:
+	case verbAdd:
 		if exists {
 			return replyNotStored
 		}
-	case cmdReplace:
+	case verbReplace:
 		if !exists {
 			return replyNotStored
 		}
-	case cmdAppend, cmdPrepend:
+	case verbAppend, verbPrepend:
 		if !exists {
 			return replyNotStored
 		}
@@ -262,7 +232,7 @@ func (sh *shard) storeLocked(cmd storeCmd, keyBytes []byte, value []byte, flags 
 		// just grows. The fresh slice is built while the lock pins the old
 		// bytes.
 		old := sh.store.valueOf(existing)
-		if cmd == cmdAppend {
+		if cmd == verbAppend {
 			value = append(append(make([]byte, 0, len(old)+len(value)), old...), value...)
 		} else {
 			value = append(append(make([]byte, 0, len(old)+len(value)), value...), old...)

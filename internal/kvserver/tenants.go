@@ -202,34 +202,6 @@ func keyInAnyTenant(names []string, key string) bool {
 	return false
 }
 
-// tenantTotals is the cross-shard aggregate handleStatsTenants and the
-// Prometheus collectors share.
-type tenantTotals struct {
-	used      map[string]int64
-	items     map[string]int64
-	evictions map[string]uint64
-}
-
-// collectTenantTotals sums per-tenant residency across shards, one shard
-// lock at a time.
-func (s *Server) collectTenantTotals() tenantTotals {
-	tt := tenantTotals{
-		used:      make(map[string]int64),
-		items:     make(map[string]int64),
-		evictions: make(map[string]uint64),
-	}
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		sh.store.visitTenantUsage(func(name string, u int64, n int, ev uint64) {
-			tt.used[name] += u
-			tt.items[name] += int64(n)
-			tt.evictions[name] += ev
-		})
-		sh.mu.Unlock()
-	}
-	return tt
-}
-
 // handleTenant serves the connection-scoped tenant verb:
 //
 //	tenant          → TENANT <current>
@@ -297,36 +269,4 @@ func (s *Server) journalTenant(t *tenant) {
 		sh.journalLocked(op)
 		sh.mu.Unlock()
 	}
-}
-
-// handleStatsTenants serves "stats tenants": per-tenant residency (bytes,
-// items, evictions summed across shards, one shard lock at a time), the
-// configured reserve, and the lifetime read counters. Lines are emitted in
-// registry order (default first, then by name) so tests can pin them.
-func (s *Server) handleStatsTenants(cs *connState) error {
-	tenants := s.tenants.list()
-	tt := s.collectTenantTotals()
-	out := cs.out[:0]
-	name := make([]byte, 0, 64)
-	stat := func(t *tenant, field string, v int64) {
-		name = append(name[:0], "tenant:"...)
-		name = append(name, t.name...)
-		name = append(name, ':')
-		name = append(name, field...)
-		out = appendStatInt(out, string(name), v)
-	}
-	for _, t := range tenants {
-		stat(t, "bytes", tt.used[t.name])
-		stat(t, "reserved_bytes", t.reserve.Load())
-		stat(t, "items", tt.items[t.name])
-		stat(t, "hits", int64(t.hits.Load()))
-		stat(t, "misses", int64(t.misses.Load()))
-		stat(t, "cost_saved", int64(t.costSaved.Load()))
-		stat(t, "evictions", int64(tt.evictions[t.name]))
-		stat(t, "quota_shed", int64(t.quotaShed.Load()))
-	}
-	out = append(out, replyEnd...)
-	cs.out = out
-	_, err := cs.w.Write(out)
-	return err
 }

@@ -288,15 +288,22 @@ func TestTenantFlushScoping(t *testing.T) {
 	}
 }
 
+// tenantTotals is per-tenant residency summed across shards, by tenant name.
+type tenantTotals struct {
+	used, items, evictions map[string]int64
+}
+
 // tenantSnapshot captures the per-tenant accounting a restart or a FULLSYNC
 // must reproduce byte-exactly.
 func tenantSnapshot(s *Server) (names []string, reserves map[string]int64, totals tenantTotals) {
 	reserves = make(map[string]int64)
-	for _, tn := range s.tenants.list() {
-		names = append(names, tn.name)
-		reserves[tn.name] = tn.reserve.Load()
+	totals = tenantTotals{used: map[string]int64{}, items: map[string]int64{}, evictions: map[string]int64{}}
+	for _, x := range s.sampleTenants() {
+		names = append(names, x.t.name)
+		reserves[x.t.name] = x.t.reserve.Load()
+		totals.used[x.t.name], totals.items[x.t.name], totals.evictions[x.t.name] = x.bytes, x.items, x.evictions
 	}
-	return names, reserves, s.collectTenantTotals()
+	return names, reserves, totals
 }
 
 // TestTenantWarmRestart fills several tenants — one via config reserve, one
