@@ -399,46 +399,6 @@ func TestNegativeExptimeSurvivesReplayAndReplication(t *testing.T) {
 	}
 }
 
-// TestTouchBadKeyBeforeReplicaGate is the regression test for the touch
-// gate-order bug: a NUL-forged key is a client error on any role, but touch
-// used to check the replica gate first, leaking the server's role (and a
-// different error class) to a malformed command. handleStore and handleArith
-// already gated in the right order; touch must match.
-func TestTouchBadKeyBeforeReplicaGate(t *testing.T) {
-	p := startServer(t, Config{
-		MemoryBytes: 1 << 20,
-		Policy:      "camp",
-		DisableIQ:   true,
-		Persist:     &PersistConfig{Dir: t.TempDir(), Fsync: persist.FsyncNo, Logf: t.Logf},
-	})
-	f := startReplica(t, p, Config{MemoryBytes: 1 << 20, Policy: "camp", DisableIQ: true})
-	waitCaughtUp(t, p, f)
-
-	for _, tc := range []struct {
-		role string
-		srv  *Server
-	}{
-		{role: "primary", srv: p},
-		{role: "replica", srv: f},
-	} {
-		for _, cmd := range []string{"touch bad\x00key 60", "delete bad\x00key"} {
-			conn := rawDial(t, tc.srv)
-			got := sendLine(t, conn, cmd)
-			conn.Close()
-			if got != "CLIENT_ERROR bad key" {
-				t.Fatalf("%s %q: got %q, want CLIENT_ERROR bad key", tc.role, cmd, got)
-			}
-		}
-	}
-
-	// A well-formed touch is still refused by the replica gate.
-	conn := rawDial(t, f)
-	defer conn.Close()
-	if got := sendLine(t, conn, "touch realkey 60"); !strings.Contains(got, "read-only") {
-		t.Fatalf("replica touch with good key: got %q, want read-only error", got)
-	}
-}
-
 // TestUsedTotalsInvariantUnderChurn cross-checks the arbiter's running
 // store-resident total against a recomputation after a mixed single- and
 // multi-tenant workload with evictions — the batched arbiter only walks

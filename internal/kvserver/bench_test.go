@@ -23,7 +23,7 @@ import (
 // the wire (client command building and response parsing, server parse,
 // store and reply), so the steady state is just the per-set allocations the
 // store itself makes (value buffer, key string, item, policy node). The
-// checked-in budget is enforced by `make alloc-gate`.
+// budget is enforced by TestAllocBudget.
 func BenchmarkServerOps(b *testing.B) {
 	for _, shards := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
@@ -36,8 +36,8 @@ func BenchmarkServerOps(b *testing.B) {
 // engine. The interesting metric is allocs/op: the arena copies set payloads
 // into pooled scratch and packed segments instead of retaining per-item
 // slices, so the steady state drops from byte mode's ~20 allocs per 20-op
-// batch to the policy-node floor. `make alloc-gate` enforces the arena
-// budget separately (ARENA_ALLOCS_BUDGET).
+// batch to the policy-node floor. TestAllocBudget enforces the arena budget
+// separately.
 func BenchmarkServerOpsArena(b *testing.B) {
 	for _, shards := range []int{1, 4} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {

@@ -1,12 +1,12 @@
 // Server-side metrics: per-verb and per-shard latency histograms and the
 // slowlog (stats.go renders them to the wire and to /metrics).
 //
-// Everything on the request path is allocation-free: dispatch resolves the
-// verb with the same string-switch trick the command dispatch uses, copies
-// the key into pooled per-connection scratch before the payload read
-// invalidates the tokens, and records wall time with two atomic adds per
-// histogram. The scrape paths — "stats latency", "stats shards", "slowlog
-// get" and /metrics — copy the atomic state out and may allocate freely.
+// Everything on the request path is allocation-free: dispatch (verbs.go)
+// resolves the verb from the command table, copies the key into pooled
+// per-connection scratch before the payload read invalidates the tokens, and
+// records wall time with two atomic adds per histogram. The scrape paths —
+// "stats latency", "stats shards", "slowlog get" and /metrics — copy the
+// atomic state out and may allocate freely.
 package kvserver
 
 import (
@@ -16,68 +16,6 @@ import (
 	"camp/internal/metrics"
 	"camp/internal/proto"
 )
-
-// verbID indexes the per-verb latency histograms and command counters; the
-// storage handlers take verbSet..verbPrepend as their command.
-type verbID int8
-
-const (
-	verbGet verbID = iota
-	verbSet
-	verbAdd
-	verbReplace
-	verbAppend
-	verbPrepend
-	verbIncr
-	verbDecr
-	verbTouch
-	verbDelete
-	verbOther
-	numVerbs
-
-	// verbNone marks commands excluded from latency accounting: quit, and
-	// the replication handshake verbs whose handlers hold the connection
-	// open for the stream's lifetime (their "latency" would be the feed's).
-	verbNone verbID = -1
-)
-
-// verbNames are the histogram labels, indexed by verbID. They are
-// constants, so slowlog entries can retain them without copying.
-var verbNames = [numVerbs]string{
-	"get", "set", "add", "replace", "append", "prepend",
-	"incr", "decr", "touch", "delete", "other",
-}
-
-// verbOf maps a command token to its verb. The string conversion in the
-// switch compiles allocation-free, exactly like dispatch's.
-func verbOf(tok []byte) verbID {
-	switch string(tok) {
-	case "get", "gets":
-		return verbGet
-	case "set":
-		return verbSet
-	case "add":
-		return verbAdd
-	case "replace":
-		return verbReplace
-	case "append":
-		return verbAppend
-	case "prepend":
-		return verbPrepend
-	case "incr":
-		return verbIncr
-	case "decr":
-		return verbDecr
-	case "touch":
-		return verbTouch
-	case "delete":
-		return verbDelete
-	case "quit", "replconf", "sync":
-		return verbNone
-	default:
-		return verbOther
-	}
-}
 
 // DefaultSlowlogThreshold is the slowlog threshold when the config leaves
 // it zero.
@@ -129,16 +67,13 @@ func (s *Server) appendLatency(out []byte) []byte {
 // with "-" standing in for an empty key, then END. The threshold changes
 // take effect immediately, no restart needed.
 func (s *Server) handleSlowlog(args [][]byte, cs *connState) error {
-	w := cs.w
 	if len(args) == 0 {
-		_, err := w.Write(replyBadSlowlog)
-		return err
+		return cs.send(replyBadSlowlog)
 	}
 	switch string(args[0]) {
 	case "get":
 		if len(args) != 1 {
-			_, err := w.Write(replyBadSlowlog)
-			return err
+			return cs.send(replyBadSlowlog)
 		}
 		out := cs.out[:0]
 		for _, e := range s.metrics.slowlog.Entries() {
@@ -160,31 +95,24 @@ func (s *Server) handleSlowlog(args [][]byte, cs *connState) error {
 		}
 		out = append(out, replyEnd...)
 		cs.out = out
-		_, err := w.Write(out)
-		return err
+		return cs.send(out)
 	case "reset":
 		if len(args) != 1 {
-			_, err := w.Write(replyBadSlowlog)
-			return err
+			return cs.send(replyBadSlowlog)
 		}
 		s.metrics.slowlog.Reset()
-		_, err := w.Write(replyOK)
-		return err
+		return cs.send(replyOK)
 	case "threshold":
 		if len(args) != 2 {
-			_, err := w.Write(replyBadSlowlog)
-			return err
+			return cs.send(replyBadSlowlog)
 		}
 		ms, ok := proto.ParseUint(args[1])
 		if !ok {
-			_, err := w.Write(replyBadSlowlog)
-			return err
+			return cs.send(replyBadSlowlog)
 		}
 		s.metrics.slowlog.SetThreshold(time.Duration(ms) * time.Millisecond)
-		_, err := w.Write(replyOK)
-		return err
+		return cs.send(replyOK)
 	default:
-		_, err := w.Write(replyBadSlowlog)
-		return err
+		return cs.send(replyBadSlowlog)
 	}
 }

@@ -37,6 +37,10 @@ type connState struct {
 	// commands, keeping the set path allocation-free.
 	keyBuf []byte
 	valBuf []byte
+	// op is the keyed mutation in flight (verbs.go). It lives here, not on
+	// mutate's stack, because handing a local to a func-valued body would
+	// make it escape: one allocation per mutation.
+	op mutation
 
 	// Instrumentation scratch dispatch fills per command: the shard the
 	// command routed to (-1 when none) so its latency histogram can be
@@ -118,13 +122,18 @@ func getConnState(conn *countedConn) *connState {
 	return cs
 }
 
+// send stages b in the connection's writer; replies leave at the next flush.
+func (cs *connState) send(b []byte) error {
+	_, err := cs.w.Write(b)
+	return err
+}
+
 // reply stages b unless the command said noreply.
 func (cs *connState) reply(noreply bool, b []byte) error {
 	if noreply {
 		return nil
 	}
-	_, err := cs.w.Write(b)
-	return err
+	return cs.send(b)
 }
 
 func putConnState(cs *connState) {
@@ -141,6 +150,7 @@ func putConnState(cs *connState) {
 		cs.valBuf = nil
 	}
 	cs.valBuf = cs.valBuf[:0]
+	cs.op = mutation{} // a pooled state must not pin the last value
 	cs.tenant = nil
 	cs.replTenants = nil
 	if cap(cs.nsKey) > maxPooledScratch {

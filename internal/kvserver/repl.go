@@ -184,38 +184,31 @@ func (s *Server) handleReplconf(args [][]byte, cs *connState) error {
 	if len(args) == 2 && string(args[0]) == "tenants" {
 		names, ok := parseReplTenants(args[1])
 		if !ok {
-			_, err := cs.w.Write(replyBadReplconf)
-			return err
+			return cs.send(replyBadReplconf)
 		}
 		cs.replTenants = names
-		_, err := cs.w.Write(replyReplokTenants)
-		return err
+		return cs.send(replyReplokTenants)
 	}
 	if len(args) != 2 || string(args[0]) != "shards" {
-		_, err := cs.w.Write(replyBadReplconf)
-		return err
+		return cs.send(replyBadReplconf)
 	}
 	n, ok := proto.ParseUint(args[1])
 	if !ok {
-		_, err := cs.w.Write(replyBadReplconf)
-		return err
+		return cs.send(replyBadReplconf)
 	}
 	if s.cfg.Persist == nil || s.cfg.Persist.DisableAOF {
-		_, err := cs.w.Write(replyNoJournal)
-		return err
+		return cs.send(replyNoJournal)
 	}
 	if int(n) != len(s.shards) {
 		cs.out = appendClientError(cs.out[:0], "shard count mismatch: primary has",
 			strconv.Itoa(len(s.shards)))
-		_, err := cs.w.Write(cs.out)
-		return err
+		return cs.send(cs.out)
 	}
 	out := append(cs.out[:0], "REPLOK "...)
 	out = strconv.AppendInt(out, int64(len(s.shards)), 10)
 	out = append(out, '\r', '\n')
 	cs.out = out
-	_, err := cs.w.Write(out)
-	return err
+	return cs.send(out)
 }
 
 // parseReplTenants parses the "replconf tenants" CSV: comma-separated tenant
@@ -564,18 +557,15 @@ func (s *Server) streamJournal(tr *persist.TailReader, w *bufio.Writer, announce
 // "replica status".
 func (s *Server) handleReplica(args [][]byte, cs *connState) error {
 	if len(args) != 1 {
-		_, err := cs.w.Write(replyBadReplica)
-		return err
+		return cs.send(replyBadReplica)
 	}
 	switch string(args[0]) {
 	case "promote":
 		if err := s.Promote(); err != nil {
 			cs.out = appendClientError(cs.out[:0], err.Error())
-			_, werr := cs.w.Write(cs.out)
-			return werr
+			return cs.send(cs.out)
 		}
-		_, err := cs.w.Write(replyOK)
-		return err
+		return cs.send(replyOK)
 	case "status":
 		out := appendStatStr(cs.out[:0], "role", s.role())
 		if s.repl != nil {
@@ -585,11 +575,9 @@ func (s *Server) handleReplica(args [][]byte, cs *connState) error {
 			}
 		}
 		cs.out = append(out, replyEnd...)
-		_, err := cs.w.Write(cs.out)
-		return err
+		return cs.send(cs.out)
 	default:
-		_, err := cs.w.Write(replyBadReplica)
-		return err
+		return cs.send(replyBadReplica)
 	}
 }
 

@@ -55,7 +55,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"runtime/debug"
@@ -815,123 +814,32 @@ func (s *Server) serveConn(conn *countedConn) {
 			}
 			return
 		}
-		if quit, err := s.dispatch(line, cs); quit || err != nil {
+		if err := s.dispatch(line, cs); err != nil {
 			return
 		}
 	}
 }
 
-// dispatch handles one command line; it returns quit=true for "quit" and a
-// non-nil error when the connection must close. It wraps dispatchCmd with
-// the latency instrumentation: verb resolution, a key copy into pooled
-// scratch (the tokens alias the read buffer, which a payload read
-// invalidates), and — after the handler returns — per-verb and per-shard
-// histogram observations plus the slowlog threshold check. All of it is
-// atomic adds and a memcpy into reused scratch, so the request loop stays
-// allocation-free.
-func (s *Server) dispatch(line []byte, cs *connState) (quit bool, fatal error) {
-	cs.tokens = proto.Tokenize(line, cs.tokens[:0])
-	toks := cs.tokens
-	if len(toks) == 0 {
-		_, err := cs.w.Write(replyError)
-		return false, err
-	}
-	v := verbOf(toks[0])
-	if v == verbNone {
-		return s.dispatchCmd(toks, cs)
-	}
-	cs.shardIdx = -1
-	if len(toks) > 1 {
-		cs.slowKey = append(cs.slowKey[:0], toks[1]...)
-	} else {
-		cs.slowKey = cs.slowKey[:0]
-	}
-	start := time.Now()
-	quit, fatal = s.dispatchCmd(toks, cs)
-	s.observe(v, cs.shardIdx, cs.slowKey, time.Since(start), start)
-	return quit, fatal
-}
-
-// dispatchCmd routes one tokenized command to its handler.
-func (s *Server) dispatchCmd(toks [][]byte, cs *connState) (quit bool, fatal error) {
-	if s.testHookCmd != nil {
-		s.testHookCmd(toks)
-	}
-	switch string(toks[0]) {
-	case "get", "gets":
-		return false, s.handleGet(toks[1:], cs)
-	case "set":
-		return false, s.handleStore(verbSet, toks[1:], cs)
-	case "add":
-		return false, s.handleStore(verbAdd, toks[1:], cs)
-	case "replace":
-		return false, s.handleStore(verbReplace, toks[1:], cs)
-	case "append":
-		return false, s.handleStore(verbAppend, toks[1:], cs)
-	case "prepend":
-		return false, s.handleStore(verbPrepend, toks[1:], cs)
-	case "incr":
-		return false, s.handleArith(verbIncr, toks[1:], cs)
-	case "decr":
-		return false, s.handleArith(verbDecr, toks[1:], cs)
-	case "touch":
-		return false, s.handleTouch(toks[1:], cs)
-	case "delete":
-		return false, s.handleDelete(toks[1:], cs)
-	case "stats":
-		return false, s.handleStats(toks[1:], cs)
-	case "slowlog":
-		return false, s.handleSlowlog(toks[1:], cs)
-	case "tenant":
-		return false, s.handleTenant(toks[1:], cs)
-	case "flush_all":
-		// Bare flush_all scopes to the connection's tenant; the explicit
-		// "flush_all all" admin form clears every tenant.
-		if rejected, err := s.rejectReadOnly(cs, false); rejected || err != nil {
-			return false, err
-		}
-		switch {
-		case len(toks) == 1:
-			s.handleFlushAll(s.tenantOf(cs))
-		case len(toks) == 2 && string(toks[1]) == "all":
-			s.handleFlushAll(nil)
-		default:
-			_, err := cs.w.Write(replyBadFlush)
-			return false, err
-		}
-		_, err := cs.w.Write(replyOK)
-		return false, err
-	case "version":
-		_, err := cs.w.Write(replyVersion)
-		return false, err
-	case "debug":
-		return false, s.handleDebug(toks[1:], cs)
-	case "replconf":
-		return false, s.handleReplconf(toks[1:], cs)
-	case "sync":
-		return false, s.handleSync(toks[1:], cs)
-	case "replica":
-		return false, s.handleReplica(toks[1:], cs)
-	case "quit":
-		return true, nil
+// handleFlushAll serves "flush_all" (the connection's tenant) and the
+// "flush_all all" admin form (every tenant): grammar first, then the replica
+// gate, the order mutate keeps for the keyed mutations.
+func (s *Server) handleFlushAll(args [][]byte, cs *connState) error {
+	t := s.tenantOf(cs)
+	switch {
+	case len(args) == 0:
+	case len(args) == 1 && string(args[0]) == "all":
+		t = nil
 	default:
-		_, err := cs.w.Write(replyError)
-		return false, err
+		return cs.send(replyBadFlush)
 	}
+	if s.readOnly.Load() {
+		return cs.send(replyReadOnly)
+	}
+	s.flushAll(t)
+	return cs.send(replyOK)
 }
 
-// rejectReadOnly answers a mutating command on a replica: rejected reports
-// whether the caller must stop (the write was refused), and — as with every
-// error reply — noreply suppresses the SERVER_ERROR line. The one gate for
-// every mutating verb, so the noreply subtlety lives in one place.
-func (s *Server) rejectReadOnly(cs *connState, noreply bool) (rejected bool, err error) {
-	if !s.readOnly.Load() {
-		return false, nil
-	}
-	return true, cs.reply(noreply, replyReadOnly)
-}
-
-// handleFlushAll empties every shard — all of it when t is nil (the
+// flushAll empties every shard — all of it when t is nil (the
 // "flush_all all" admin form, journaled as the legacy keyless flush record),
 // or one tenant's namespace when t names one (journaled keyed, so replicas
 // and warm restarts replay the same scoping). Each shard flushes atomically
@@ -939,7 +847,7 @@ func (s *Server) rejectReadOnly(cs *connState, noreply bool) (rejected bool, err
 // even if the compaction below fails); across shards the flush is not a
 // single atomic point — a concurrent writer may land a set on an
 // already-flushed shard — matching multi-node memcached semantics.
-func (s *Server) handleFlushAll(t *tenant) {
+func (s *Server) flushAll(t *tenant) {
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		if t == nil {
@@ -963,10 +871,8 @@ func (s *Server) handleFlushAll(t *tenant) {
 }
 
 func (s *Server) handleGet(keys [][]byte, cs *connState) error {
-	w := cs.w
 	if len(keys) == 0 {
-		_, err := w.Write(replyGetNoKey)
-		return err
+		return cs.send(replyGetNoKey)
 	}
 	// One cmd_get per command, as memcached counts it; hits and misses stay
 	// per-key. A multiget charges the first key's shard, one histogram
@@ -981,8 +887,7 @@ func (s *Server) handleGet(keys [][]byte, cs *connState) error {
 	now := time.Now()
 	if tq := tn.quota; tq != nil && tq.shedReads && !tq.allowOp(now.UnixNano()) {
 		tn.quotaShed.Add(1)
-		_, err := w.Write(replyOverQuota)
-		return err
+		return cs.send(replyOverQuota)
 	}
 	// Items are rewritten in place and a copying layout relocates value
 	// bytes, so nothing read here survives the shard lock: each hit's whole
@@ -1027,346 +932,15 @@ func (s *Server) handleGet(keys [][]byte, cs *connState) error {
 		tn.costSaved.Add(uint64(cost))
 	}
 	cs.out = append(cs.out, replyEnd...)
-	_, err := w.Write(cs.out)
-	return err
-}
-
-// handleStore covers set, add, replace, append and prepend:
-//
-//	<cmd> <key> <flags> <exptime> <bytes> [cost] [noreply]\r\n<data>\r\n
-//
-// Malformed command lines must not desynchronize the stream: the client has
-// already committed to sending <bytes>+2 payload bytes, so whenever <bytes>
-// parsed, the payload is drained before the error reply — otherwise those
-// bytes would be misread as command lines. When <bytes> itself is missing
-// or unparsable the payload length is unknown, resynchronization is
-// impossible, and the connection closes after the reply, as memcached does.
-func (s *Server) handleStore(cmd verbID, args [][]byte, cs *connState) error {
-	w := cs.w
-	args, noreply := trimNoreply(args)
-	var nbytes int64 = -1
-	if len(args) >= 4 {
-		if v, ok := proto.ParseInt(args[3]); ok && v >= 0 {
-			nbytes = v
-		}
-	}
-	if len(args) != 4 && len(args) != 5 {
-		return s.storeError(cs, cmd, nbytes, noreply, "command")
-	}
-	if nbytes < 0 {
-		return s.storeError(cs, cmd, nbytes, noreply, "arguments")
-	}
-	flags, okFlags := proto.ParseUint32(args[1])
-	ttl, okTTL := proto.ParseInt(args[2])
-	var cost int64
-	okCost := true
-	if len(args) == 5 {
-		cost, okCost = proto.ParseInt(args[4])
-	}
-	if !okFlags || !okTTL || !okCost || cost < 0 {
-		return s.storeError(cs, cmd, nbytes, noreply, "arguments")
-	}
-	if nbytes > s.cfg.MaxValueBytes {
-		// Drain and discard the payload to keep the stream in sync.
-		badChunk, err := drainData(cs.r, nbytes)
-		if err != nil {
-			return err
-		}
-		if !noreply {
-			reply := replyTooLarge
-			if badChunk {
-				reply = replyBadDataChunk
-			}
-			if _, err := w.Write(reply); err != nil {
-				return err
-			}
-		}
-		if badChunk {
-			return errCloseConn
-		}
-		return nil
-	}
-	if bytes.IndexByte(args[0], 0) >= 0 {
-		// A NUL could forge another tenant's namespace prefix.
-		return s.storeError(cs, cmd, nbytes, noreply, "key")
-	}
-	// The tokens alias the read buffer: copy the (namespaced) key into
-	// pooled scratch before the payload read below invalidates them. No
-	// string is materialized here — storeLocked reuses the resident item's
-	// interned key on overwrite, so only brand-new keys pay the allocation.
-	cs.keyBuf = append(cs.keyBuf[:0], cs.nsKeyFor(args[0])...)
-	var value []byte
-	if s.copiesValues {
-		// The layout copies the payload into its own memory under the shard
-		// lock and the journal serializes it before Append returns, so pooled
-		// scratch is safe to reuse for the next command — the zero-alloc half
-		// of the arena set path.
-		if cap(cs.valBuf) < int(nbytes) {
-			cs.valBuf = make([]byte, nbytes)
-		}
-		value = cs.valBuf[:nbytes]
-	} else {
-		// The other layouts retain the slice in the item, so it must be
-		// freshly allocated.
-		value = make([]byte, nbytes)
-	}
-	if _, err := io.ReadFull(cs.r, value); err != nil {
-		return err
-	}
-	if err := readDataTerminator(cs.r); err != nil {
-		if err != errBadDataChunk {
-			return err
-		}
-		// The terminator bytes were garbage; the stream position is
-		// unknowable, so report (noreply suppresses even this, as
-		// memcached's out_string does) and close.
-		if !noreply {
-			w.Write(replyBadDataChunk)
-		}
-		return errCloseConn
-	}
-
-	// The payload is consumed (stream aligned) before the replica gate and
-	// the quota gate, so a rejected or shed write never desynchronizes the
-	// connection.
-	if rejected, err := s.rejectReadOnly(cs, noreply); rejected || err != nil {
-		return err
-	}
-
-	now := time.Now()
-	tn := s.tenantOf(cs)
-	if shed, err := s.shedOp(cs, tn, now, nbytes, noreply); shed || err != nil {
-		return err
-	}
-	s.counters.cmds[cmd].Add(1)
-	sh := s.shardForOpBytes(cs.keyBuf, cs)
-	sh.mu.Lock()
-	lockStart := time.Now()
-	reply := sh.storeLocked(cmd, cs.keyBuf, value, flags, ttl, cost, now)
-	sh.mu.Unlock()
-	sh.lockHist.Observe(time.Since(lockStart))
-	tn.quota.releaseBytes(nbytes)
-
-	return cs.reply(noreply, reply)
-}
-
-// trimNoreply strips a command's trailing "noreply" token.
-func trimNoreply(args [][]byte) (rest [][]byte, noreply bool) {
-	if n := len(args); n > 0 && string(args[n-1]) == "noreply" {
-		return args[:n-1], true
-	}
-	return args, false
-}
-
-// storeError reports a malformed storage command. With a parsed <bytes> the
-// in-flight payload is drained first so the connection survives; without one
-// the connection must close (errCloseConn) because the stream cannot be
-// resynchronized. A drained payload whose own terminator is garbage also
-// closes the connection, for the same reason.
-func (s *Server) storeError(cs *connState, cmd verbID, nbytes int64, noreply bool, what string) error {
-	badChunk := false
-	if nbytes >= 0 {
-		var err error
-		badChunk, err = drainData(cs.r, nbytes)
-		if err != nil {
-			return err
-		}
-	}
-	if !noreply {
-		cs.out = appendClientError(cs.out[:0], "bad", verbNames[cmd], what)
-		if _, err := cs.w.Write(cs.out); err != nil {
-			return err
-		}
-	}
-	if nbytes < 0 || badChunk {
-		return errCloseConn
-	}
-	return nil
-}
-
-// drainData discards a data block and its terminator, keeping the stream
-// aligned for the next command line. The terminator is parsed, not assumed
-// to be two bytes, so bare-LF framing drains correctly too; badChunk
-// reports terminator garbage (the caller must close — the stream position
-// past it is unknowable).
-func drainData(r *bufio.Reader, nbytes int64) (badChunk bool, err error) {
-	if err := discard(r, nbytes); err != nil {
-		return false, err
-	}
-	if err := readDataTerminator(r); err != nil {
-		if err == errBadDataChunk {
-			return true, nil
-		}
-		return false, err
-	}
-	return false, nil
-}
-
-var errBadDataChunk = errors.New("kvserver: bad data chunk")
-
-// readDataTerminator consumes the terminator after a data block: exactly
-// "\r\n", or a bare "\n". Anything else — including the "\r\r\n" a
-// TrimRight-based reader used to accept — is errBadDataChunk.
-func readDataTerminator(r *bufio.Reader) error {
-	b, err := r.ReadByte()
-	if err != nil {
-		return err
-	}
-	if b == '\n' {
-		return nil
-	}
-	if b != '\r' {
-		return errBadDataChunk
-	}
-	b, err = r.ReadByte()
-	if err != nil {
-		return err
-	}
-	if b != '\n' {
-		return errBadDataChunk
-	}
-	return nil
-}
-
-// handleArith covers incr/decr: <cmd> <key> <delta> [noreply].
-func (s *Server) handleArith(v verbID, args [][]byte, cs *connState) error {
-	w := cs.w
-	args, noreply := trimNoreply(args)
-	if len(args) != 2 {
-		cs.out = appendClientError(cs.out[:0], "bad", verbNames[v], "command")
-		return cs.reply(noreply, cs.out)
-	}
-	delta, ok := proto.ParseUint(args[1])
-	if !ok {
-		return cs.reply(noreply, replyBadDelta)
-	}
-	// Key validity before the replica gate, matching handleStore's ordering:
-	// a malformed key is a client error on any role.
-	if bytes.IndexByte(args[0], 0) >= 0 {
-		return cs.reply(noreply, replyBadKey)
-	}
-	if rejected, err := s.rejectReadOnly(cs, noreply); rejected || err != nil {
-		return err
-	}
-	key := string(cs.nsKeyFor(args[0]))
-	now := time.Now()
-	if shed, err := s.shedOp(cs, s.tenantOf(cs), now, 0, noreply); shed || err != nil {
-		return err
-	}
-	s.counters.cmds[v].Add(1)
-	sh := s.shardForOp(key, cs)
-	sh.mu.Lock()
-	lockStart := time.Now()
-	val, reply := sh.arithLocked(v == verbIncr, key, delta, now)
-	sh.mu.Unlock()
-	sh.lockHist.Observe(time.Since(lockStart))
-	if noreply {
-		return nil
-	}
-	if reply != nil {
-		_, err := w.Write(reply)
-		return err
-	}
-	out := strconv.AppendUint(cs.out[:0], val, 10)
-	out = append(out, '\r', '\n')
-	cs.out = out
-	_, err := w.Write(out)
-	return err
-}
-
-// handleTouch covers touch <key> <exptime> [noreply].
-func (s *Server) handleTouch(args [][]byte, cs *connState) error {
-	args, noreply := trimNoreply(args)
-	if len(args) != 2 {
-		return cs.reply(noreply, replyBadTouch)
-	}
-	ttl, ok := proto.ParseInt(args[1])
-	if !ok {
-		return cs.reply(noreply, replyBadExptime)
-	}
-	// Key validity before the replica gate, matching handleStore/handleArith:
-	// a malformed key is a client error on any role. (touch used to gate the
-	// other way around, so a replica leaked its role to a NUL-forged key.)
-	if bytes.IndexByte(args[0], 0) >= 0 {
-		return cs.reply(noreply, replyBadKey)
-	}
-	if rejected, err := s.rejectReadOnly(cs, noreply); rejected || err != nil {
-		return err
-	}
-	key := string(cs.nsKeyFor(args[0]))
-	now := time.Now()
-	if shed, err := s.shedOp(cs, s.tenantOf(cs), now, 0, noreply); shed || err != nil {
-		return err
-	}
-	s.counters.cmds[verbTouch].Add(1)
-	sh := s.shardForOp(key, cs)
-	sh.mu.Lock()
-	lockStart := time.Now()
-	// The incremental expiry sweep every mutating path pays, so a
-	// touch-heavy workload reclaims dead items too.
-	sh.store.sweepExpired(now, expirySweepProbes)
-	it, found := lookup(sh.store, key, now)
-	if found {
-		sh.store.touch(it, expiryFrom(ttl, now))
-		sh.journalLocked(persist.Op{
-			Kind:    persist.KindTouch,
-			Key:     key,
-			Expires: persist.ExpiresFrom(it.expiresAt),
-		})
-	}
-	sh.mu.Unlock()
-	sh.lockHist.Observe(time.Since(lockStart))
-	reply := replyNotFound
-	if found {
-		reply = replyTouched
-	}
-	return cs.reply(noreply, reply)
-}
-
-func (s *Server) handleDelete(args [][]byte, cs *connState) error {
-	args, noreply := trimNoreply(args)
-	if len(args) != 1 {
-		return cs.reply(noreply, replyBadDelete)
-	}
-	// Key validity before the replica gate (same order as handleStore,
-	// handleArith and handleTouch): a malformed key is a client error on any
-	// role.
-	if bytes.IndexByte(args[0], 0) >= 0 {
-		return cs.reply(noreply, replyBadKey)
-	}
-	if rejected, err := s.rejectReadOnly(cs, noreply); rejected || err != nil {
-		return err
-	}
-	key := string(cs.nsKeyFor(args[0]))
-	if shed, err := s.shedOp(cs, s.tenantOf(cs), time.Now(), 0, noreply); shed || err != nil {
-		return err
-	}
-	s.counters.cmds[verbDelete].Add(1)
-	sh := s.shardForOp(key, cs)
-	sh.mu.Lock()
-	lockStart := time.Now()
-	ok := sh.store.delete(key)
-	if ok {
-		sh.journalLocked(persist.Op{Kind: persist.KindDelete, Key: key})
-	}
-	sh.mu.Unlock()
-	sh.lockHist.Observe(time.Since(lockStart))
-	reply := replyNotFound
-	if ok {
-		reply = replyDeleted
-	}
-	return cs.reply(noreply, reply)
+	return cs.send(cs.out)
 }
 
 func (s *Server) handleDebug(args [][]byte, cs *connState) error {
-	w := cs.w
 	if len(args) != 1 {
-		_, err := w.Write(replyDebugNoKey)
-		return err
+		return cs.send(replyDebugNoKey)
 	}
 	if bytes.IndexByte(args[0], 0) >= 0 {
-		_, err := w.Write(replyNotFound)
-		return err
+		return cs.send(replyNotFound)
 	}
 	key := cs.nsKeyFor(args[0])
 	sh := s.shardForBytes(key)
@@ -1385,16 +959,9 @@ func (s *Server) handleDebug(args [][]byte, cs *connState) error {
 	}
 	sh.mu.Unlock()
 	if !ok {
-		_, err := w.Write(replyNotFound)
-		return err
+		return cs.send(replyNotFound)
 	}
-	_, err := w.Write(cs.out)
-	return err
-}
-
-func discard(r *bufio.Reader, n int64) error {
-	_, err := io.CopyN(io.Discard, r, n)
-	return err
+	return cs.send(cs.out)
 }
 
 var errBadConfig = errors.New("kvserver: bad configuration")

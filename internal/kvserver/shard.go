@@ -34,8 +34,6 @@ var (
 	replyNonNumeric    = []byte("CLIENT_ERROR cannot increment or decrement non-numeric value\r\n")
 	replyBadDelta      = []byte("CLIENT_ERROR invalid numeric delta argument\r\n")
 	replyBadExptime    = []byte("CLIENT_ERROR invalid exptime argument\r\n")
-	replyBadTouch      = []byte("CLIENT_ERROR bad touch command\r\n")
-	replyBadDelete     = []byte("CLIENT_ERROR bad delete command\r\n")
 	replyGetNoKey      = []byte("CLIENT_ERROR get requires a key\r\n")
 	replyLineTooLong   = []byte("CLIENT_ERROR line too long\r\n")
 	replyDebugNoKey    = []byte("CLIENT_ERROR debug requires a key\r\n")
@@ -138,22 +136,6 @@ func (s *Server) shardFor(key string) *shard {
 	return s.shards[shardIndex(key, len(s.shards))]
 }
 
-// shardForOp routes a key and records the shard index in the connection
-// scratch, so dispatch can charge the command to the shard's latency
-// histogram after the handler returns.
-func (s *Server) shardForOp(key string, cs *connState) *shard {
-	i := shardIndex(key, len(s.shards))
-	cs.shardIdx = i
-	return s.shards[i]
-}
-
-// shardForOpBytes is shardForOp for a key still in wire []byte form.
-func (s *Server) shardForOpBytes(key []byte, cs *connState) *shard {
-	i := shardIndex(key, len(s.shards))
-	cs.shardIdx = i
-	return s.shards[i]
-}
-
 func (s *Server) shardForBytes(key []byte) *shard {
 	return s.shards[shardIndex(key, len(s.shards))]
 }
@@ -202,18 +184,12 @@ const expirySweepProbes = 4
 // (allocation-free), an overwrite reuses the resident item's interned key
 // string, and only a brand-new key materializes one. The caller holds sh.mu.
 func (sh *shard) storeLocked(cmd verbID, keyBytes []byte, value []byte, flags uint32, ttl, cost int64, now time.Time) []byte {
-	sh.store.sweepExpired(now, expirySweepProbes)
-	existing, exists := sh.store.items[string(keyBytes)]
+	existing, exists := resident(sh.store, keyBytes, now)
 	var key string
 	if exists {
 		key = existing.node.Key
 	} else {
 		key = string(keyBytes)
-	}
-	if exists && !existing.expiresAt.IsZero() && now.After(existing.expiresAt) {
-		sh.store.delete(key)
-		sh.store.expiredReclaimed++
-		existing, exists = nil, false
 	}
 	switch cmd {
 	case verbAdd:
@@ -293,8 +269,7 @@ func (sh *shard) setLocked(key string, value []byte, flags uint32, expires time.
 // arithLocked applies incr/decr. A nil reply means success and val is the
 // new value for the caller to format; otherwise reply is the error. The
 // caller holds sh.mu.
-func (sh *shard) arithLocked(incr bool, key string, delta uint64, now time.Time) (val uint64, reply []byte) {
-	sh.store.sweepExpired(now, expirySweepProbes)
+func (sh *shard) arithLocked(incr bool, key []byte, delta uint64, now time.Time) (val uint64, reply []byte) {
 	it, ok := lookup(sh.store, key, now)
 	if !ok {
 		return 0, replyNotFound
@@ -312,7 +287,7 @@ func (sh *shard) arithLocked(incr bool, key string, delta uint64, now time.Time)
 	}
 	// Arithmetic keeps the item's flags, expiration and cost, as memcached
 	// does; only the payload changes.
-	if !sh.setLocked(key, strconv.AppendUint(nil, cur, 10), it.flags, it.expiresAt, it.node.Cost, true) {
+	if !sh.setLocked(it.node.Key, strconv.AppendUint(nil, cur, 10), it.flags, it.expiresAt, it.node.Cost, true) {
 		return 0, replyOOM
 	}
 	return cur, nil

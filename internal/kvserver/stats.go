@@ -452,12 +452,10 @@ func (s *Server) handleStats(args [][]byte, cs *connState) error {
 			out = appendStats(out, "tenant:"+x.t.name+":", tenantStats, &x)
 		}
 	default:
-		_, err := cs.w.Write(replyBadStats)
-		return err
+		return cs.send(replyBadStats)
 	}
 	cs.out = append(out, replyEnd...)
-	_, err := cs.w.Write(cs.out)
-	return err
+	return cs.send(cs.out)
 }
 
 // buildRegistry wires every metric family into the Prometheus registry: one

@@ -403,11 +403,11 @@ func (st *store) visitTenantUsage(visit func(name string, used int64, items int,
 	}
 }
 
-// lookup is the read path's index probe, for a key in either its wire
-// []byte form or as a string: the map access compiles to a no-allocation
-// lookup either way — the only key hashed on a hit — then lazy expiry, then
-// the recency/priority bump in the ordering that owns the key.
-func lookup[K ~string | ~[]byte](st *store, key K, now time.Time) (*item, bool) {
+// resident is the index probe, for a key in either its wire []byte form or
+// as a string: the map access compiles to a no-allocation lookup either way —
+// the only key hashed on a hit — then lazy expiry, which reclaims an item
+// whose TTL has passed and reports it absent.
+func resident[K ~string | ~[]byte](st *store, key K, now time.Time) (*item, bool) {
 	it, ok := st.items[string(key)]
 	if !ok {
 		return nil, false
@@ -417,9 +417,18 @@ func lookup[K ~string | ~[]byte](st *store, key K, now time.Time) (*item, bool) 
 		st.expiredReclaimed++
 		return nil, false
 	}
-	p, _ := st.stateFor(it.node.Key)
-	p.Touch(&it.node)
 	return it, true
+}
+
+// lookup is the read path's probe: resident, then the recency/priority bump
+// in the ordering that owns the key.
+func lookup[K ~string | ~[]byte](st *store, key K, now time.Time) (*item, bool) {
+	it, ok := resident(st, key, now)
+	if ok {
+		p, _ := st.stateFor(it.node.Key)
+		p.Touch(&it.node)
+	}
+	return it, ok
 }
 
 // sweepExpired probes up to n items that have a TTL and reclaims the ones

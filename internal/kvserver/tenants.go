@@ -211,18 +211,15 @@ func keyInAnyTenant(names []string, key string) bool {
 // Switching is connection state only — it is resolved here, once, into
 // connState, so the per-op hot path pays no lookup and no allocation.
 func (s *Server) handleTenant(args [][]byte, cs *connState) error {
-	w := cs.w
 	if len(args) == 0 {
 		return s.replyTenant(cs, s.tenantOf(cs).name)
 	}
 	if len(args) != 1 {
-		_, err := w.Write(replyBadTenant)
-		return err
+		return cs.send(replyBadTenant)
 	}
 	name, ok := parseTenantName(args[0])
 	if !ok {
-		_, err := w.Write(replyBadTenant)
-		return err
+		return cs.send(replyBadTenant)
 	}
 	if name == defaultTenantName {
 		cs.tenant = nil
@@ -231,8 +228,7 @@ func (s *Server) handleTenant(args [][]byte, cs *connState) error {
 	if !s.tenantCapable {
 		// The layout has no per-tenant policies to arbitrate between;
 		// refuse rather than silently share.
-		_, err := w.Write(replyTenantMode)
-		return err
+		return cs.send(replyTenantMode)
 	}
 	cs.tenant = s.ensureTenantDurable(name)
 	return s.replyTenant(cs, name)
@@ -243,8 +239,7 @@ func (s *Server) replyTenant(cs *connState, name string) error {
 	out = append(out, name...)
 	out = append(out, '\r', '\n')
 	cs.out = out
-	_, err := cs.w.Write(out)
-	return err
+	return cs.send(out)
 }
 
 // ensureTenantDurable returns the named tenant, journaling its creation to
