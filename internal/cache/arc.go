@@ -1,7 +1,5 @@
 package cache
 
-import "camp/internal/ilist"
-
 // ARC is a byte-weighted adaptation of Megiddo and Modha's Adaptive
 // Replacement Cache (FAST'03), one of the recency/frequency-adaptive
 // policies §5 contrasts CAMP against. ARC balances a recency list (T1) and
@@ -16,55 +14,53 @@ type ARC struct {
 	capacity int64
 	p        int64 // adaptation target for T1, in bytes
 
-	t1, t2, b1, b2 *arcList
+	t1, t2, b1, b2 arcList
 	entries        map[string]*arcEntry
 
 	stats   Stats
 	onEvict EvictFunc
 }
 
-type arcWhere int
+// listID names the list an arcEntry is in.
+type listID int
 
+// ARC's lists.
 const (
-	inT1 arcWhere = iota + 1
+	inT1 listID = iota + 1
 	inT2
 	inB1
 	inB2
 )
 
+// arcEntry is a key in one of ARC's (or 2Q's) lists, linked through its
+// node.
 type arcEntry struct {
-	key   string
-	size  int64
-	cost  int64
-	where arcWhere
-	node  *ilist.Node[*arcEntry]
+	Node
+	where listID
 }
 
 type arcList struct {
-	list  *ilist.List[*arcEntry]
+	Queue
 	bytes int64
 }
 
-func newArcList() *arcList { return &arcList{list: ilist.New[*arcEntry]()} }
-
 func (l *arcList) pushMRU(e *arcEntry) {
-	e.node = &ilist.Node[*arcEntry]{Value: e}
-	l.list.PushBackNode(e.node)
-	l.bytes += e.size
+	l.PushBack(&e.Node)
+	l.bytes += e.Size
 }
 
 func (l *arcList) remove(e *arcEntry) {
-	l.list.Remove(e.node)
-	l.bytes -= e.size
-	e.node = nil
+	l.Remove(&e.Node)
+	l.bytes -= e.Size
 }
 
-func (l *arcList) lru() *arcEntry {
-	n := l.list.Front()
-	if n == nil {
-		return nil
+// lru returns l's least recently used entry, found through the policy's key
+// index; nil when l is empty.
+func (l *arcList) lru(entries map[string]*arcEntry) *arcEntry {
+	if n := l.Front(); n != nil {
+		return entries[n.Key]
 	}
-	return n.Value
+	return nil
 }
 
 var _ Policy = (*ARC)(nil)
@@ -76,10 +72,6 @@ func NewARC(capacity int64) *ARC {
 	}
 	return &ARC{
 		capacity: capacity,
-		t1:       newArcList(),
-		t2:       newArcList(),
-		b1:       newArcList(),
-		b2:       newArcList(),
 		entries:  make(map[string]*arcEntry),
 	}
 }
@@ -117,7 +109,7 @@ func (a *ARC) Set(key string, size, cost int64) bool {
 	case ok && (e.where == inT1 || e.where == inT2):
 		// Resident update: adjust size in place and promote.
 		a.listOf(e.where).remove(e)
-		e.size, e.cost = size, cost
+		e.Size, e.Cost = size, cost
 		e.where = inT2
 		for a.residentBytes()+size > a.capacity {
 			if !a.replace(false) {
@@ -131,9 +123,9 @@ func (a *ARC) Set(key string, size, cost int64) bool {
 		return true
 	case ok && e.where == inB1:
 		// Case II: ghost hit in B1 -> grow the recency target.
-		a.p = minInt64(a.capacity, a.p+maxInt64(e.size, a.b2.bytes/maxInt64(a.b1.bytes, 1)*e.size))
+		a.p = minInt64(a.capacity, a.p+maxInt64(e.Size, a.b2.bytes/maxInt64(a.b1.bytes, 1)*e.Size))
 		a.b1.remove(e)
-		e.size, e.cost = size, cost
+		e.Size, e.Cost = size, cost
 		for a.residentBytes()+size > a.capacity {
 			if !a.replace(false) {
 				delete(a.entries, key)
@@ -147,9 +139,9 @@ func (a *ARC) Set(key string, size, cost int64) bool {
 		return true
 	case ok && e.where == inB2:
 		// Case III: ghost hit in B2 -> grow the frequency target.
-		a.p = maxInt64(0, a.p-maxInt64(e.size, a.b1.bytes/maxInt64(a.b2.bytes, 1)*e.size))
+		a.p = maxInt64(0, a.p-maxInt64(e.Size, a.b1.bytes/maxInt64(a.b2.bytes, 1)*e.Size))
 		a.b2.remove(e)
-		e.size, e.cost = size, cost
+		e.Size, e.Cost = size, cost
 		for a.residentBytes()+size > a.capacity {
 			if !a.replace(true) {
 				delete(a.entries, key)
@@ -165,15 +157,15 @@ func (a *ARC) Set(key string, size, cost int64) bool {
 		// Case IV: brand-new key.
 		if a.t1.bytes+a.b1.bytes >= a.capacity {
 			if a.t1.bytes < a.capacity {
-				a.dropGhostLRU(a.b1, inB1)
-			} else if lru := a.t1.lru(); lru != nil {
+				a.dropGhostLRU(&a.b1, inB1)
+			} else if lru := a.t1.lru(a.entries); lru != nil {
 				// B1 is empty and T1 fills the cache: evict
 				// T1's LRU outright.
 				a.evict(lru, false)
 			}
 		} else if total := a.residentBytes() + a.b1.bytes + a.b2.bytes; total >= a.capacity {
 			if total >= 2*a.capacity {
-				a.dropGhostLRU(a.b2, inB2)
+				a.dropGhostLRU(&a.b2, inB2)
 			}
 		}
 		for a.residentBytes()+size > a.capacity {
@@ -182,7 +174,7 @@ func (a *ARC) Set(key string, size, cost int64) bool {
 				return false
 			}
 		}
-		ne := &arcEntry{key: key, size: size, cost: cost, where: inT1}
+		ne := &arcEntry{Node: Node{Key: key, Size: size, Cost: cost}, where: inT1}
 		a.entries[key] = ne
 		a.t1.pushMRU(ne)
 		a.stats.Sets++
@@ -194,12 +186,12 @@ func (a *ARC) Set(key string, size, cost int64) bool {
 // (or ties it on a B2 ghost hit), else from T2. The victim's key moves to
 // the corresponding ghost list.
 func (a *ARC) replace(b2Hit bool) bool {
-	t1LRU := a.t1.lru()
+	t1LRU := a.t1.lru(a.entries)
 	if t1LRU != nil && (a.t1.bytes > a.p || (b2Hit && a.t1.bytes >= a.p)) {
 		a.evict(t1LRU, true)
 		return true
 	}
-	if t2LRU := a.t2.lru(); t2LRU != nil {
+	if t2LRU := a.t2.lru(a.entries); t2LRU != nil {
 		a.evict(t2LRU, true)
 		return true
 	}
@@ -214,8 +206,8 @@ func (a *ARC) replace(b2Hit bool) bool {
 // in the matching ghost list.
 func (a *ARC) evict(e *arcEntry, ghost bool) {
 	a.stats.Evictions++
-	a.stats.EvictedBytes += uint64(e.size)
-	ev := Entry{Key: e.key, Size: e.size, Cost: e.cost}
+	a.stats.EvictedBytes += uint64(e.Size)
+	ev := e.Entry()
 	from := e.where
 	a.listOf(from).remove(e)
 	if ghost {
@@ -227,7 +219,7 @@ func (a *ARC) evict(e *arcEntry, ghost bool) {
 			a.b2.pushMRU(e)
 		}
 	} else {
-		delete(a.entries, e.key)
+		delete(a.entries, e.Key)
 	}
 	if a.onEvict != nil {
 		a.onEvict(ev)
@@ -238,26 +230,26 @@ func (a *ARC) evict(e *arcEntry, ghost bool) {
 func (a *ARC) EvictOne() (Entry, bool) {
 	var victim *arcEntry
 	if a.t1.bytes > a.p {
-		victim = a.t1.lru()
+		victim = a.t1.lru(a.entries)
 	}
 	if victim == nil {
-		victim = a.t2.lru()
+		victim = a.t2.lru(a.entries)
 	}
 	if victim == nil {
-		victim = a.t1.lru()
+		victim = a.t1.lru(a.entries)
 	}
 	if victim == nil {
 		return Entry{}, false
 	}
-	e := Entry{Key: victim.key, Size: victim.size, Cost: victim.cost}
+	e := victim.Entry()
 	a.evict(victim, true)
 	return e, true
 }
 
-func (a *ARC) dropGhostLRU(l *arcList, where arcWhere) {
-	if lru := l.lru(); lru != nil && lru.where == where {
+func (a *ARC) dropGhostLRU(l *arcList, where listID) {
+	if lru := l.lru(a.entries); lru != nil && lru.where == where {
 		l.remove(lru)
-		delete(a.entries, lru.key)
+		delete(a.entries, lru.Key)
 	}
 }
 
@@ -294,12 +286,12 @@ func (a *ARC) Peek(key string) (Entry, bool) {
 	if !ok || (e.where != inT1 && e.where != inT2) {
 		return Entry{}, false
 	}
-	return Entry{Key: e.key, Size: e.size, Cost: e.cost}, true
+	return e.Entry(), true
 }
 
 // Len implements Policy (resident items only).
 func (a *ARC) Len() int {
-	return a.t1.list.Len() + a.t2.list.Len()
+	return a.t1.Len() + a.t2.Len()
 }
 
 // Used implements Policy.
@@ -319,16 +311,16 @@ func (a *ARC) Target() int64 { return a.p }
 
 func (a *ARC) residentBytes() int64 { return a.t1.bytes + a.t2.bytes }
 
-func (a *ARC) listOf(w arcWhere) *arcList {
+func (a *ARC) listOf(w listID) *arcList {
 	switch w {
 	case inT1:
-		return a.t1
+		return &a.t1
 	case inT2:
-		return a.t2
+		return &a.t2
 	case inB1:
-		return a.b1
+		return &a.b1
 	default:
-		return a.b2
+		return &a.b2
 	}
 }
 

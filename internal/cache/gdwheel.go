@@ -1,9 +1,6 @@
 package cache
 
-import (
-	"camp/internal/ilist"
-	"camp/internal/rounding"
-)
+import "camp/internal/rounding"
 
 // GDWheel approximates Greedy-Dual-Size with hierarchical timing wheels,
 // after Li and Cox's GD-Wheel (§5 related work). Priorities H = T + d (T
@@ -17,9 +14,9 @@ type GDWheel struct {
 	capacity int64
 	used     int64
 
-	slots   [][]*ilist.List[*gdwEntry] // [level][slot]
-	counts  []int                      // non-empty slot count per level
-	t       uint64                     // global clock (the GDS "L")
+	slots   [gdwLevels][gdwWheelWidth]Queue
+	counts  [gdwLevels]int // non-empty slot count per level
+	t       uint64         // global clock (the GDS "L")
 	conv    rounding.Converter
 	items   map[string]*gdwEntry
 	stats   Stats
@@ -33,14 +30,11 @@ const gdwWheelWidth = 256
 // the outermost wheel.
 const gdwLevels = 3
 
+// gdwEntry is a resident key, linked into the wheel slot its priority (the
+// node's H word) falls in.
 type gdwEntry struct {
-	key   string
-	size  int64
-	cost  int64
-	h     uint64
-	level int
-	slot  int
-	node  *ilist.Node[*gdwEntry]
+	Node
+	level, slot int
 }
 
 var _ Policy = (*GDWheel)(nil)
@@ -50,19 +44,7 @@ func NewGDWheel(capacity int64) *GDWheel {
 	if capacity < 0 {
 		capacity = 0
 	}
-	g := &GDWheel{
-		capacity: capacity,
-		slots:    make([][]*ilist.List[*gdwEntry], gdwLevels),
-		counts:   make([]int, gdwLevels),
-		items:    make(map[string]*gdwEntry),
-	}
-	for l := range g.slots {
-		g.slots[l] = make([]*ilist.List[*gdwEntry], gdwWheelWidth)
-		for s := range g.slots[l] {
-			g.slots[l][s] = ilist.New[*gdwEntry]()
-		}
-	}
-	return g
+	return &GDWheel{capacity: capacity, items: make(map[string]*gdwEntry)}
 }
 
 // Name implements Policy.
@@ -97,34 +79,32 @@ func (g *GDWheel) base(level int) uint64 {
 
 // place links e into the wheel slot covering its priority.
 func (g *GDWheel) place(e *gdwEntry) {
-	d := e.h - g.t
+	d := e.H - g.t
 	level := 0
-	for level < gdwLevels-1 && e.h >= g.base(level)+span(level) {
+	for level < gdwLevels-1 && e.H >= g.base(level)+span(level) {
 		level++
 	}
 	if d >= span(gdwLevels-1) {
 		// Clamp far-future priorities into the outermost window.
-		e.h = g.base(gdwLevels-1) + span(gdwLevels-1) - 1
+		e.H = g.base(gdwLevels-1) + span(gdwLevels-1) - 1
 	}
 	gr := granularity(level)
-	slot := int(e.h / gr % gdwWheelWidth)
+	slot := int(e.H / gr % gdwWheelWidth)
 	e.level, e.slot = level, slot
-	lst := g.slots[level][slot]
+	lst := &g.slots[level][slot]
 	if lst.Len() == 0 {
 		g.counts[level]++
 	}
-	e.node = &ilist.Node[*gdwEntry]{Value: e}
-	lst.PushBackNode(e.node)
+	lst.PushBack(&e.Node)
 }
 
 // unlink removes e from its slot.
 func (g *GDWheel) unlink(e *gdwEntry) {
-	lst := g.slots[e.level][e.slot]
-	lst.Remove(e.node)
+	lst := &g.slots[e.level][e.slot]
+	lst.Remove(&e.Node)
 	if lst.Len() == 0 {
 		g.counts[e.level]--
 	}
-	e.node = nil
 }
 
 // Get implements Policy.
@@ -135,7 +115,7 @@ func (g *GDWheel) Get(key string) bool {
 		return false
 	}
 	g.unlink(e)
-	e.h = g.t + g.ratio(e.cost, e.size)
+	e.H = g.t + g.ratio(e.Cost, e.Size)
 	g.place(e)
 	g.stats.Hits++
 	return true
@@ -157,7 +137,7 @@ func (g *GDWheel) Set(key string, size, cost int64) bool {
 	if e, ok := g.items[key]; ok {
 		g.unlink(e)
 		delete(g.items, key)
-		g.used -= e.size
+		g.used -= e.Size
 		if !g.admit(key, size, cost) {
 			g.stats.Rejected++
 			return false
@@ -182,7 +162,7 @@ func (g *GDWheel) admit(key string, size, cost int64) bool {
 			return false
 		}
 	}
-	e := &gdwEntry{key: key, size: size, cost: cost, h: g.t + g.ratio(cost, size)}
+	e := &gdwEntry{Node: Node{Key: key, Size: size, Cost: cost, H: g.t + g.ratio(cost, size)}}
 	g.place(e)
 	g.items[key] = e
 	g.used += size
@@ -200,11 +180,11 @@ func (g *GDWheel) EvictOne() (Entry, bool) {
 	if e == nil {
 		return Entry{}, false
 	}
-	delete(g.items, e.key)
-	g.used -= e.size
+	delete(g.items, e.Key)
+	g.used -= e.Size
 	g.stats.Evictions++
-	g.stats.EvictedBytes += uint64(e.size)
-	out := Entry{Key: e.key, Size: e.size, Cost: e.cost}
+	g.stats.EvictedBytes += uint64(e.Size)
+	out := e.Entry()
 	if g.onEvict != nil {
 		g.onEvict(out)
 	}
@@ -218,11 +198,11 @@ func (g *GDWheel) popMin() *gdwEntry {
 		if g.counts[0] > 0 {
 			start := int(g.t % gdwWheelWidth)
 			for s := start; s < gdwWheelWidth; s++ {
-				lst := g.slots[0][s]
+				lst := &g.slots[0][s]
 				if lst.Len() == 0 {
 					continue
 				}
-				e := lst.Front().Value
+				e := g.items[lst.Front().Key]
 				g.unlink(e)
 				// The hand advances to the evicted slot.
 				g.t = g.base(0) + uint64(s)
@@ -248,7 +228,7 @@ func (g *GDWheel) migrate() bool {
 		gr := granularity(level)
 		start := int(g.t / gr % gdwWheelWidth)
 		for s := start; s < gdwWheelWidth; s++ {
-			lst := g.slots[level][s]
+			lst := &g.slots[level][s]
 			if lst.Len() == 0 {
 				continue
 			}
@@ -260,13 +240,13 @@ func (g *GDWheel) migrate() bool {
 			}
 			var moved []*gdwEntry
 			for lst.Len() > 0 {
-				e := lst.Front().Value
+				e := g.items[lst.Front().Key]
 				g.unlink(e)
 				moved = append(moved, e)
 			}
 			for _, e := range moved {
-				if e.h < g.t {
-					e.h = g.t // stale clamp; preserves order approximately
+				if e.H < g.t {
+					e.H = g.t // stale clamp; preserves order approximately
 				}
 				g.place(e)
 			}
@@ -280,7 +260,7 @@ func (g *GDWheel) migrate() bool {
 	// smallest priority directly.
 	var min *gdwEntry
 	for _, e := range g.items {
-		if min == nil || e.h < min.h {
+		if min == nil || e.H < min.H {
 			min = e
 		}
 	}
@@ -288,7 +268,7 @@ func (g *GDWheel) migrate() bool {
 		return false
 	}
 	// Rebuild the wheels around the new clock.
-	g.t = min.h
+	g.t = min.H
 	all := make([]*gdwEntry, 0, len(g.items))
 	for _, e := range g.items {
 		g.unlink(e)
@@ -298,8 +278,8 @@ func (g *GDWheel) migrate() bool {
 		g.counts[l] = 0
 	}
 	for _, e := range all {
-		if e.h < g.t {
-			e.h = g.t
+		if e.H < g.t {
+			e.H = g.t
 		}
 		g.place(e)
 	}
@@ -314,7 +294,7 @@ func (g *GDWheel) Delete(key string) bool {
 	}
 	g.unlink(e)
 	delete(g.items, key)
-	g.used -= e.size
+	g.used -= e.Size
 	return true
 }
 
@@ -330,7 +310,7 @@ func (g *GDWheel) Peek(key string) (Entry, bool) {
 	if !ok {
 		return Entry{}, false
 	}
-	return Entry{Key: e.key, Size: e.size, Cost: e.cost}, true
+	return e.Entry(), true
 }
 
 // Len implements Policy.

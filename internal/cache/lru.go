@@ -1,7 +1,5 @@
 package cache
 
-import "camp/internal/ilist"
-
 // LRU is the classic least-recently-used policy over variable-sized items:
 // a single recency queue, evicting from the front (least recently used)
 // until the incoming item fits. It ignores cost entirely, which is exactly
@@ -11,7 +9,7 @@ type LRU struct {
 	Keyed
 	capacity int64
 	used     int64
-	queue    *ilist.List[*Node]
+	queue    Queue
 	stats    Stats
 	onEvict  func(*Node)
 }
@@ -23,7 +21,7 @@ var (
 
 // NewLRU returns an LRU policy with the given byte capacity.
 func NewLRU(capacity int64) *LRU {
-	c := &LRU{capacity: max(capacity, 0), queue: ilist.New[*Node]()}
+	c := &LRU{capacity: max(capacity, 0)}
 	c.Keyed = NewKeyed(c, &c.stats)
 	return c
 }
@@ -40,8 +38,7 @@ func (c *LRU) Insert(n *Node) bool {
 	for c.used+n.Size > c.capacity {
 		c.Evict()
 	}
-	n.Value = n
-	c.queue.PushBackNode(&n.Node)
+	c.queue.PushBack(n)
 	c.used += n.Size
 	c.stats.Sets++
 	return true
@@ -53,24 +50,19 @@ func (c *LRU) InsertAt(n *Node, _, _ uint64) bool { return c.Insert(n) }
 
 // Touch implements Ordering.
 func (c *LRU) Touch(n *Node) {
-	c.queue.MoveToBack(&n.Node)
+	c.queue.MoveToBack(n)
 	c.stats.Hits++
 }
 
 // Remove implements Ordering.
 func (c *LRU) Remove(n *Node) {
-	c.queue.Remove(&n.Node)
+	c.queue.Remove(n)
 	c.used -= n.Size
 }
 
 // Victim implements Ordering: the least recently used item, with urgency 0 —
 // LRU has no notion of one victim being worth more than another.
-func (c *LRU) Victim() (*Node, float64) {
-	if front := c.queue.Front(); front != nil {
-		return front.Value, 0
-	}
-	return nil, 0
-}
+func (c *LRU) Victim() (*Node, float64) { return c.queue.Front(), 0 }
 
 // Evict implements Ordering: it evicts the least recently used item.
 func (c *LRU) Evict() *Node {
@@ -90,7 +82,7 @@ func (c *LRU) Evict() *Node {
 // Visit implements Ordering: the recency queue is the eviction order, least
 // recently used first.
 func (c *LRU) Visit(visit func(n *Node, prio, class uint64) bool) {
-	for n := c.queue.Front(); n != nil && visit(n.Value, 0, 0); n = n.Next() {
+	for n := c.queue.Front(); n != nil && visit(n, 0, 0); n = n.Next() {
 	}
 }
 

@@ -1,19 +1,14 @@
 package cache
 
-import (
-	"fmt"
-
-	"camp/internal/ilist"
-)
+import "fmt"
 
 // Node is one resident entry's metadata and its place in an Ordering. The
 // caller owns the node — a store embeds it in its item, so the item its
 // index finds is the thing the ordering links — and fills Key, Size and
 // Cost before inserting it. A node is in at most one ordering at a time.
 type Node struct {
-	// Node links the entry into the ordering's queue; Value points back at
-	// the enclosing Node. Orderings set both.
-	ilist.Node[*Node]
+	// prev and next link the node into its ordering's Queue.
+	prev, next *Node
 
 	Key  string
 	Size int64

@@ -11,25 +11,19 @@ type TwoQ struct {
 	kin      int64 // byte budget for A1in (default capacity/4)
 	kout     int64 // byte budget for A1out ghosts (default capacity/2)
 
-	a1in, am, a1out *arcList // reuse the byte-counting list helper
-	entries         map[string]*twoqEntryRef
+	a1in, am, a1out arcList // reuse the byte-counting list helper
+	entries         map[string]*arcEntry
 
 	stats   Stats
 	onEvict EvictFunc
 }
 
-type twoqWhere int
-
+// 2Q's lists.
 const (
-	inA1in twoqWhere = iota + 1
+	inA1in listID = iota + 1
 	inAm
 	inA1out
 )
-
-type twoqEntryRef struct {
-	entry *arcEntry
-	where twoqWhere
-}
 
 var _ Policy = (*TwoQ)(nil)
 
@@ -42,10 +36,7 @@ func NewTwoQ(capacity int64) *TwoQ {
 		capacity: capacity,
 		kin:      capacity / 4,
 		kout:     capacity / 2,
-		a1in:     newArcList(),
-		am:       newArcList(),
-		a1out:    newArcList(),
-		entries:  make(map[string]*twoqEntryRef),
+		entries:  make(map[string]*arcEntry),
 	}
 }
 
@@ -61,7 +52,7 @@ func (q *TwoQ) Get(key string) bool {
 	}
 	switch r.where {
 	case inAm:
-		q.am.list.MoveToBack(r.entry.node)
+		q.am.MoveToBack(&r.Node)
 	case inA1in:
 		// 2Q leaves probation items in place on a hit; promotion
 		// happens only via the ghost queue.
@@ -83,27 +74,27 @@ func (q *TwoQ) Set(key string, size, cost int64) bool {
 		switch r.where {
 		case inA1out:
 			// Ghost hit: promote into Am.
-			q.a1out.remove(r.entry)
-			r.entry.size, r.entry.cost = size, cost
+			q.a1out.remove(r)
+			r.Size, r.Cost = size, cost
 			if !q.makeRoom(size) {
 				delete(q.entries, key)
 				q.stats.Rejected++
 				return false
 			}
 			r.where = inAm
-			q.am.pushMRU(r.entry)
+			q.am.pushMRU(r)
 			q.stats.Sets++
 			return true
 		default:
 			// Resident update.
-			q.listFor(r.where).remove(r.entry)
-			r.entry.size, r.entry.cost = size, cost
+			q.listFor(r.where).remove(r)
+			r.Size, r.Cost = size, cost
 			if !q.makeRoom(size) {
 				delete(q.entries, key)
 				q.stats.Rejected++
 				return false
 			}
-			q.listFor(r.where).pushMRU(r.entry)
+			q.listFor(r.where).pushMRU(r)
 			q.stats.Updates++
 			return true
 		}
@@ -112,8 +103,8 @@ func (q *TwoQ) Set(key string, size, cost int64) bool {
 		q.stats.Rejected++
 		return false
 	}
-	e := &arcEntry{key: key, size: size, cost: cost}
-	q.entries[key] = &twoqEntryRef{entry: e, where: inA1in}
+	e := &arcEntry{Node: Node{Key: key, Size: size, Cost: cost}, where: inA1in}
+	q.entries[key] = e
 	q.a1in.pushMRU(e)
 	q.stats.Sets++
 	return true
@@ -132,15 +123,15 @@ func (q *TwoQ) makeRoom(size int64) bool {
 func (q *TwoQ) reclaim() bool {
 	// If A1in exceeds its share, demote its FIFO head to the ghost list;
 	// otherwise evict the main queue's LRU.
-	if q.a1in.bytes > q.kin || q.am.list.Len() == 0 {
-		head := q.a1in.lru()
+	if q.a1in.bytes > q.kin || q.am.Len() == 0 {
+		head := q.a1in.lru(q.entries)
 		if head == nil {
 			return false
 		}
 		q.evictResident(head, inA1in, true)
 		return true
 	}
-	lru := q.am.lru()
+	lru := q.am.lru(q.entries)
 	if lru == nil {
 		return false
 	}
@@ -150,24 +141,24 @@ func (q *TwoQ) reclaim() bool {
 
 // evictResident removes a resident entry; A1in victims are remembered in
 // the ghost queue.
-func (q *TwoQ) evictResident(e *arcEntry, from twoqWhere, ghost bool) {
+func (q *TwoQ) evictResident(e *arcEntry, from listID, ghost bool) {
 	q.listFor(from).remove(e)
 	q.stats.Evictions++
-	q.stats.EvictedBytes += uint64(e.size)
-	ev := Entry{Key: e.key, Size: e.size, Cost: e.cost}
+	q.stats.EvictedBytes += uint64(e.Size)
+	ev := e.Entry()
 	if ghost {
-		q.entries[e.key].where = inA1out
+		e.where = inA1out
 		q.a1out.pushMRU(e)
 		for q.a1out.bytes > q.kout {
-			old := q.a1out.lru()
+			old := q.a1out.lru(q.entries)
 			if old == nil {
 				break
 			}
 			q.a1out.remove(old)
-			delete(q.entries, old.key)
+			delete(q.entries, old.Key)
 		}
 	} else {
-		delete(q.entries, e.key)
+		delete(q.entries, e.Key)
 	}
 	if q.onEvict != nil {
 		q.onEvict(ev)
@@ -177,21 +168,20 @@ func (q *TwoQ) evictResident(e *arcEntry, from twoqWhere, ghost bool) {
 // EvictOne removes the preferred victim, firing the eviction callback.
 func (q *TwoQ) EvictOne() (Entry, bool) {
 	var victim *arcEntry
-	if q.a1in.bytes > q.kin || q.am.list.Len() == 0 {
-		victim = q.a1in.lru()
+	if q.a1in.bytes > q.kin || q.am.Len() == 0 {
+		victim = q.a1in.lru(q.entries)
 	}
 	if victim == nil {
-		victim = q.am.lru()
+		victim = q.am.lru(q.entries)
 	}
 	if victim == nil {
-		victim = q.a1in.lru()
+		victim = q.a1in.lru(q.entries)
 	}
 	if victim == nil {
 		return Entry{}, false
 	}
-	e := Entry{Key: victim.key, Size: victim.size, Cost: victim.cost}
-	r := q.entries[victim.key]
-	q.evictResident(victim, r.where, r.where == inA1in)
+	e := victim.Entry()
+	q.evictResident(victim, victim.where, victim.where == inA1in)
 	return e, true
 }
 
@@ -201,7 +191,7 @@ func (q *TwoQ) Delete(key string) bool {
 	if !ok {
 		return false
 	}
-	q.listFor(r.where).remove(r.entry)
+	q.listFor(r.where).remove(r)
 	delete(q.entries, key)
 	return r.where != inA1out
 }
@@ -218,11 +208,11 @@ func (q *TwoQ) Peek(key string) (Entry, bool) {
 	if !ok || r.where == inA1out {
 		return Entry{}, false
 	}
-	return Entry{Key: r.entry.key, Size: r.entry.size, Cost: r.entry.cost}, true
+	return r.Entry(), true
 }
 
 // Len implements Policy (resident items only).
-func (q *TwoQ) Len() int { return q.a1in.list.Len() + q.am.list.Len() }
+func (q *TwoQ) Len() int { return q.a1in.Len() + q.am.Len() }
 
 // Used implements Policy.
 func (q *TwoQ) Used() int64 { return q.a1in.bytes + q.am.bytes }
@@ -236,13 +226,13 @@ func (q *TwoQ) Stats() Stats { return q.stats }
 // SetEvictFunc implements Policy.
 func (q *TwoQ) SetEvictFunc(fn EvictFunc) { q.onEvict = fn }
 
-func (q *TwoQ) listFor(w twoqWhere) *arcList {
+func (q *TwoQ) listFor(w listID) *arcList {
 	switch w {
 	case inA1in:
-		return q.a1in
+		return &q.a1in
 	case inAm:
-		return q.am
+		return &q.am
 	default:
-		return q.a1out
+		return &q.a1out
 	}
 }

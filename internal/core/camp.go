@@ -17,7 +17,6 @@ import (
 	"math"
 
 	"camp/internal/cache"
-	"camp/internal/ilist"
 	"camp/internal/nheap"
 	"camp/internal/rounding"
 )
@@ -59,12 +58,12 @@ type Camp struct {
 // rounded cost-to-size ratio (the node's Aux word). The head (front) has the
 // smallest priority (the node's H word; ties fall to its Seq word).
 type campQueue struct {
+	cache.Queue
 	bucket  uint64
-	list    *ilist.List[*cache.Node]
 	heapIdx int
 }
 
-func (q *campQueue) head() *cache.Node { return q.list.Front().Value }
+func (q *campQueue) head() *cache.Node { return q.Front() }
 
 var _ cache.Policy = (*Camp)(nil)
 var _ cache.Ordering = (*Camp)(nil)
@@ -142,18 +141,34 @@ func (c *Camp) L() uint64 { return c.l }
 // Touch implements cache.Ordering. On a hit the item moves to the tail of
 // its LRU queue with priority L' + ratio, where L' is the minimum priority
 // among the other resident items (Algorithm 1, line 2). The heap is only
-// updated when the head of the node's queue changes or the queue
-// appears/disappears — the key efficiency claim of §2.
+// updated when the head of the node's queue changes — the key efficiency
+// claim of §2 — or n is its queue's only member, which leaves the heap while
+// L is raised and re-enters it with n's new priority. The node never leaves
+// its queue, so a hit allocates nothing.
 func (c *Camp) Touch(n *cache.Node) {
-	c.unlink(n)
-	// L <- min over M \ {n} (the heap now excludes n in all cases where
-	// n could have been the minimum). The classic rule leaves L alone on
-	// hits.
+	q := c.queues[n.Aux]
+	sole, wasHead := q.Len() == 1, q.Front() == n
+	q.MoveToBack(n)
+	if sole {
+		c.heap.Remove(q.heapIdx)
+		c.heapUpdates++
+	} else if wasHead {
+		// Head changed to a larger priority; restore heap order.
+		c.heap.Fix(q.heapIdx)
+		c.heapUpdates++
+	}
+	// L <- min over M \ {n} (n is no queue's head now, so the heap excludes
+	// it). The classic rule leaves L alone on hits.
 	if !c.classicL {
 		c.raiseL()
 	}
 	n.H = satAdd(c.l, n.Aux)
-	c.link(n)
+	c.seq++
+	n.Seq = c.seq
+	if sole {
+		c.heap.Push(q)
+		c.heapUpdates++
+	}
 	c.stats.Hits++
 }
 
@@ -194,30 +209,32 @@ func (c *Camp) admitted(n *cache.Node) {
 }
 
 // link stamps n as the most recent request and appends it to the queue its
-// Aux word names, creating the queue if need be. A tail insert can only
-// change the head if the new item sorts before it, which cannot happen
-// because L is non-decreasing: no heap update unless the queue is new.
-func (c *Camp) link(n *cache.Node) {
+// Aux word names, creating the queue if need be, and returns that queue. A
+// tail insert can only change the head if the new item sorts before it,
+// which cannot happen because L is non-decreasing: no heap update unless the
+// queue is new.
+func (c *Camp) link(n *cache.Node) *campQueue {
 	c.seq++
-	n.Seq, n.Value = c.seq, n
+	n.Seq = c.seq
 	q, ok := c.queues[n.Aux]
 	if !ok {
 		q = c.addQueue(n.Aux)
 	}
-	q.list.PushBackNode(&n.Node)
+	q.PushBack(n)
 	if !ok {
 		c.heap.Push(q)
 		c.heapUpdates++
 	}
+	return q
 }
 
 // unlink removes n from its queue, fixing the heap only if the queue emptied
 // or lost its head. It touches neither L nor the byte accounting.
 func (c *Camp) unlink(n *cache.Node) {
 	q := c.queues[n.Aux]
-	wasHead := q.list.Front() == &n.Node
-	q.list.Remove(&n.Node)
-	if q.list.Len() == 0 {
+	wasHead := q.Front() == n
+	q.Remove(n)
+	if q.Len() == 0 {
 		c.heap.Remove(q.heapIdx)
 		c.heapUpdates++
 		delete(c.queues, q.bucket)
@@ -343,7 +360,7 @@ func (c *Camp) raiseL() {
 }
 
 func (c *Camp) addQueue(bucket uint64) *campQueue {
-	q := &campQueue{bucket: bucket, list: ilist.New[*cache.Node](), heapIdx: -1}
+	q := &campQueue{bucket: bucket, heapIdx: -1}
 	c.queues[bucket] = q
 	c.maxQueues = max(c.maxQueues, len(c.queues))
 	return q
@@ -375,7 +392,7 @@ func (c *Camp) Visit(visit func(n *cache.Node, prio, class uint64) bool) {
 			return
 		}
 		if next := n.Next(); next != nil {
-			cursors.Push(next.Value)
+			cursors.Push(next)
 		}
 	}
 }
@@ -402,22 +419,20 @@ func (c *Camp) InsertAt(n *cache.Node, prio, class uint64) bool {
 	}
 	n.Aux = class
 	n.H = satAdd(c.l, min(prio, class))
-	c.link(n)
+	q := c.link(n)
 	// n.Seq is the newest, so ties on H sort after existing entries: walk
 	// back from the tail past every member that outranks n.
 	at := n.Prev()
-	for at != nil && at.Value.H > n.H {
+	for at != nil && at.H > n.H {
 		at = at.Prev()
 	}
-	switch q := c.queues[class]; {
-	case at == n.Prev(): // the tail is its place
-	case at == nil:
-		q.list.MoveToFront(&n.Node)
-		// The queue's head changed to a smaller priority.
-		c.heap.Fix(q.heapIdx)
-		c.heapUpdates++
-	default:
-		q.list.MoveAfter(&n.Node, at)
+	if at != n.Prev() { // else the tail is its place
+		q.MoveAfter(n, at)
+		if at == nil {
+			// The queue's head changed to a smaller priority.
+			c.heap.Fix(q.heapIdx)
+			c.heapUpdates++
+		}
 	}
 	c.admitted(n)
 	return true
@@ -426,7 +441,8 @@ func (c *Camp) InsertAt(n *cache.Node, prio, class uint64) bool {
 // CheckInvariants validates the §2 data-structure invariants; tests call it
 // after every operation. It returns nil when all hold:
 //
-//  1. every queue is non-empty and registered in the heap at its heapIdx;
+//  1. every queue is non-empty, linked the same both ways, holds only nodes
+//     of its ratio, and is registered in the heap at its heapIdx;
 //  2. within a queue, items are ordered by non-decreasing (H, Seq) — the
 //     "LRU order equals priority order" observation;
 //  3. L <= H(p) <= L + ratio(p) for every resident p (Proposition 1);
@@ -446,15 +462,18 @@ func (c *Camp) CheckInvariants() error {
 		if q.bucket != bucket {
 			return fmt.Errorf("queue registered under %d has bucket %d", bucket, q.bucket)
 		}
-		if q.list.Len() == 0 {
+		if q.Len() == 0 {
 			return fmt.Errorf("queue %d is empty but registered", bucket)
 		}
 		if q.heapIdx < 0 || q.heapIdx >= len(heapItems) || heapItems[q.heapIdx] != q {
 			return fmt.Errorf("queue %d heapIdx %d is stale", bucket, q.heapIdx)
 		}
 		var prev *cache.Node
-		for ln := q.list.Front(); ln != nil; ln = ln.Next() {
-			e := ln.Value
+		linked := 0
+		for e := q.Front(); e != nil; e = e.Next() {
+			if e.Prev() != prev {
+				return fmt.Errorf("queue %d: %q's back link is broken", bucket, e.Key)
+			}
 			if e.Aux != bucket {
 				return fmt.Errorf("entry %q in queue %d has bucket %d", e.Key, bucket, e.Aux)
 			}
@@ -468,9 +487,13 @@ func (c *Camp) CheckInvariants() error {
 				return fmt.Errorf("entry %q has H=%d above L+ratio=%d", e.Key, e.H, satAdd(c.l, bucket))
 			}
 			bytes += e.Size
-			count++
+			linked++
 			prev = e
 		}
+		if linked != q.Len() || q.Back() != prev {
+			return fmt.Errorf("queue %d links %d entries front to back, its length is %d", bucket, linked, q.Len())
+		}
+		count += linked
 	}
 	if count != c.n {
 		return fmt.Errorf("queues hold %d entries, Len is %d", count, c.n)

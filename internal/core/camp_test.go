@@ -476,6 +476,39 @@ func TestCampHeapArityOption(t *testing.T) {
 	}
 }
 
+// TestCampTouchSoleMemberAllocatesNothing pins the hit path on a queue of
+// one: the queue leaves the heap and re-enters it (two heap updates, as when
+// it was deleted and rebuilt), but it is never freed and reallocated.
+func TestCampTouchSoleMemberAllocatesNothing(t *testing.T) {
+	c := NewCamp(1000)
+	nodes := make([]*cache.Node, 3)
+	for i, cost := range []int64{1, 100, 10000} {
+		nodes[i] = &cache.Node{Key: fmt.Sprint(cost), Size: 10, Cost: cost}
+		if !c.Insert(nodes[i]) {
+			t.Fatalf("insert %s refused", nodes[i].Key)
+		}
+	}
+	if c.QueueCount() != 3 {
+		t.Fatalf("%d queues, want one per cost", c.QueueCount())
+	}
+	before := c.HeapUpdates()
+	const runs = 100
+	i := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		c.Touch(nodes[i%len(nodes)])
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("a hit on a queue of one allocates %v times", allocs)
+	}
+	if got := c.HeapUpdates() - before; got != 2*uint64(i) {
+		t.Fatalf("%d hits made %d heap updates, want 2 each", i, got)
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestCampFarFewerHeapOpsThanGDS verifies the efficiency claim of §2: CAMP
 // touches its heap only when a queue head changes, so on a skewed workload
 // it performs a small fraction of GDS's heap updates and node visits.

@@ -98,7 +98,7 @@ func TestIncrDecr(t *testing.T) {
 }
 
 func TestTouch(t *testing.T) {
-	s := startServer(t, Config{MemoryBytes: 1 << 20})
+	s, clk := startServerWithClock(t, Config{MemoryBytes: 1 << 20})
 	c := dial(t, s)
 
 	if ok, err := c.Touch("k", 100); err != nil || ok {
@@ -111,7 +111,7 @@ func TestTouch(t *testing.T) {
 	if ok, err := c.Touch("k", 60); err != nil || !ok {
 		t.Fatalf("Touch = %v, %v", ok, err)
 	}
-	time.Sleep(1200 * time.Millisecond)
+	clk.advance(1200 * time.Millisecond)
 	if _, ok, _ := c.Get("k"); !ok {
 		t.Fatal("touched key should have outlived its original TTL")
 	}
@@ -186,7 +186,7 @@ func TestCmdGetCountsCommands(t *testing.T) {
 // without any access, so curr_items/bytes fall back to the live set and the
 // expired_reclaimed stat accounts for every one.
 func TestExpiredItemsReclaimed(t *testing.T) {
-	s := startServer(t, Config{MemoryBytes: 1 << 20, Shards: 1, DisableIQ: true})
+	s, clk := startServerWithClock(t, Config{MemoryBytes: 1 << 20, Shards: 1, DisableIQ: true})
 	c := dial(t, s)
 	const expiring = 50
 	for i := 0; i < expiring; i++ {
@@ -197,7 +197,7 @@ func TestExpiredItemsReclaimed(t *testing.T) {
 	if err := c.Set("live", []byte("v"), 0, 0, 1); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(1100 * time.Millisecond)
+	clk.advance(1100 * time.Millisecond)
 	// Only mutations from here on — never touch the dead keys. Each set
 	// probes a few random items, so repeated writes to one key drain the
 	// whole expired population.
@@ -237,8 +237,8 @@ func TestMissTableFullAdmitsFresh(t *testing.T) {
 		t.Fatal(err)
 	}
 	sh := s.shards[0]
-	now := time.Now()
-	stale := now.Add(-2 * missTableTTL)
+	now := time.Now().UnixNano()
+	stale := now - 2*int64(missTableTTL)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	for i := 0; len(sh.missedAt) < missTableMax; i++ {

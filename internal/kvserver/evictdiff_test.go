@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
-	"time"
 
 	"camp/internal/cache"
 )
@@ -63,8 +62,8 @@ func TestEvictionDifferential(t *testing.T) {
 				}
 				st := srv.shards[0].store
 				s := &subject{name: mode, visit: st.policy.Visit}
-				s.set = func(key string, value []byte, cost int64) { st.setAbs(key, value, 0, time.Time{}, cost) }
-				s.get = func(key string) { lookup(st, key, time.Time{}) }
+				s.set = func(key string, value []byte, cost int64) { st.setAbs(key, value, 0, 0, cost) }
+				s.get = func(key string) { lookup(st, key, 0) }
 				s.del = func(key string) { st.delete(key) }
 				st.policy.OnEvict(func(n *cache.Node) {
 					s.victims = append(s.victims, n.Key)

@@ -209,7 +209,7 @@ func TestAppendPrependMaxValueRecheck(t *testing.T) {
 // now opportunistically reclaims expired neighbors and feeds the shard's
 // lock-hold histogram, like every other mutating verb.
 func TestTouchSweepsExpiredAndSamplesLock(t *testing.T) {
-	s := startServer(t, Config{MemoryBytes: 1 << 20, Shards: 1})
+	s, clk := startServerWithClock(t, Config{MemoryBytes: 1 << 20, Shards: 1})
 	c := dial(t, s)
 	for i := 0; i < 32; i++ {
 		if err := c.Set(fmt.Sprintf("ttl%02d", i), []byte("v"), 0, 1, 1); err != nil {
@@ -223,7 +223,7 @@ func TestTouchSweepsExpiredAndSamplesLock(t *testing.T) {
 	sh.mu.Lock()
 	lockBefore := sh.lockHist.Snapshot().Count
 	sh.mu.Unlock()
-	time.Sleep(1100 * time.Millisecond)
+	clk.advance(1100 * time.Millisecond)
 	for i := 0; i < 16; i++ {
 		if ok, err := c.Touch("durable", 60); err != nil || !ok {
 			t.Fatalf("touch = %v/%v", ok, err)

@@ -7,10 +7,24 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+	"unsafe"
 
 	"camp/internal/alloc"
 	"camp/internal/cache"
 )
+
+// TestItemFootprint pins what a resident key costs the heap: Go rounds an
+// object up to its size class, so an item over 128 B lands in the 160-B class
+// and every key pays 32 B more. A new field on item or cache.Node must fit,
+// or the change must say why keys should cost more.
+func TestItemFootprint(t *testing.T) {
+	if got := unsafe.Sizeof(cache.Node{}); got > 72 {
+		t.Errorf("cache.Node is %d B, over its 72-B share of a 128-B item", got)
+	}
+	if got := unsafe.Sizeof(item{}); got > 120 {
+		t.Errorf("item is %d B, over its 120-B budget in the 128-B size class (the next class is 160 B)", got)
+	}
+}
 
 // checkStore asserts the structural invariants tying a shard's index, its
 // policies and its layout together. The caller holds the shard mutex.
@@ -30,12 +44,12 @@ func checkStore(t *testing.T, st *store) {
 	// expiring is exactly the items that carry a TTL.
 	withTTL := 0
 	for key, it := range st.items {
-		if it.expiresAt.IsZero() {
+		if it.expires == 0 {
 			continue
 		}
 		withTTL++
 		if st.expiring[key] != it {
-			t.Fatalf("%q expires at %v but is not filed under expiring", key, it.expiresAt)
+			t.Fatalf("%q expires at %d but is not filed under expiring", key, it.expires)
 		}
 	}
 	if withTTL != len(st.expiring) {
@@ -120,7 +134,7 @@ func checkStore(t *testing.T, st *store) {
 		var scratch [binary.MaxVarintLen64]byte
 		for key, it := range st.items {
 			k, v, flags, exp := l.a.Record(alloc.RefOf(it.loc))
-			if string(k) != key || flags != it.flags || exp != expiryNano(it.expiresAt) || it.value != nil {
+			if string(k) != key || flags != it.flags || exp != it.expires || it.value != nil {
 				t.Fatalf("%q: record holds key %q flags %d expiry %d", key, k, flags, exp)
 			}
 			live += int64(binary.PutUvarint(scratch[:], uint64(len(k))) + binary.PutUvarint(scratch[:], uint64(len(v))) + 12 + len(k) + len(v))

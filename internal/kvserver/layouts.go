@@ -260,7 +260,7 @@ func (l *slabLayout) put(_ cache.Ordering, key string, value []byte, _ uint32, _
 		for _, owner := range owners {
 			if it, ok := l.st.items[owner]; ok {
 				l.Remove(&it.node)
-				delete(l.st.items, owner)
+				l.st.forget(it)
 				l.reassigned++
 			}
 		}

@@ -29,7 +29,7 @@ func captureState(s *Server) map[string]expectedItem {
 			out[key] = expectedItem{
 				value:   string(sh.store.valueOf(it)),
 				flags:   it.flags,
-				expires: persist.ExpiresFrom(it.expiresAt),
+				expires: it.expires,
 				cost:    it.node.Cost,
 			}
 		}
@@ -354,7 +354,7 @@ func TestArithPreservesExpiry(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s: counter missing", when)
 		}
-		if it.expiresAt.IsZero() {
+		if it.expires == 0 {
 			t.Fatalf("%s: incr cleared the expiration", when)
 		}
 		if it.flags != 9 {

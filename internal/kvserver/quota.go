@@ -108,12 +108,12 @@ func (tq *tenantQuota) releaseBytes(n int64) {
 // the shed and writes the over-quota error (suppressed under noreply, like
 // every other error on a noreply mutation). nbytes is the payload size a
 // store op carries; 0 for payload-less mutations.
-func (s *Server) shedOp(cs *connState, t *tenant, now time.Time, nbytes int64, noreply bool) (shed bool, err error) {
+func (s *Server) shedOp(cs *connState, t *tenant, now, nbytes int64, noreply bool) (shed bool, err error) {
 	tq := t.quota
 	if tq == nil {
 		return false, nil
 	}
-	if tq.allowOp(now.UnixNano()) && tq.acquireBytes(nbytes) {
+	if tq.allowOp(now) && tq.acquireBytes(nbytes) {
 		return false, nil
 	}
 	t.quotaShed.Add(1)

@@ -989,7 +989,7 @@ func (sr *shardReplica) bootstrap(r io.Reader, size int64) error {
 	staged.evictedBase += oldEv
 	staged.rejectedBase += oldRej
 	sh.store = staged
-	sh.missedAt = make(map[string]time.Time)
+	sh.missedAt = make(map[string]int64)
 	// The old position described the old store; the bootstrap's stream
 	// position is unknown until the first generation frame. The flush
 	// record leading the batch resets recovery's position tracking the same

@@ -285,6 +285,10 @@ type Server struct {
 	testHookCmd func(toks [][]byte)
 	// writeTimeout is connWriteTimeout; tests shorten it before Start.
 	writeTimeout time.Duration
+	// now is the clock expiry reads, in unix nanoseconds: mutate and
+	// handleGet read it once per command. Tests replace it before Start to
+	// make a TTL lapse without sleeping.
+	now func() int64
 }
 
 // New validates cfg and creates a Server (not yet listening). With
@@ -366,6 +370,7 @@ func New(cfg Config) (*Server, error) {
 		feeds:        make(map[*feedStat]struct{}),
 		started:      time.Now(),
 		writeTimeout: connWriteTimeout,
+		now:          func() int64 { return time.Now().UnixNano() },
 	}
 	if th := cfg.SlowlogThreshold; th != 0 {
 		s.metrics.slowlog.SetThreshold(th)
@@ -390,7 +395,7 @@ func New(cfg Config) (*Server, error) {
 		s.shards = append(s.shards, &shard{
 			srv:      s,
 			store:    st,
-			missedAt: make(map[string]time.Time),
+			missedAt: make(map[string]int64),
 		})
 	}
 	lay := s.shards[0].store.lay
@@ -852,7 +857,7 @@ func (s *Server) flushAll(t *tenant) {
 		sh.mu.Lock()
 		if t == nil {
 			sh.store.flush()
-			sh.missedAt = make(map[string]time.Time)
+			sh.missedAt = make(map[string]int64)
 			sh.journalLocked(persist.Op{Kind: persist.KindFlush})
 		} else {
 			sh.store.flushTenant(t.name)
@@ -884,8 +889,8 @@ func (s *Server) handleGet(keys [][]byte, cs *connState) error {
 	tn := s.tenantOf(cs)
 	pfx := cs.keyPrefixLen()
 	cs.shardIdx = shardIndex(cs.nsKeyFor(keys[0]), len(s.shards))
-	now := time.Now()
-	if tq := tn.quota; tq != nil && tq.shedReads && !tq.allowOp(now.UnixNano()) {
+	now := s.now()
+	if tq := tn.quota; tq != nil && tq.shedReads && !tq.allowOp(now) {
 		tn.quotaShed.Add(1)
 		return cs.send(replyOverQuota)
 	}

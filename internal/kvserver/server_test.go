@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -20,11 +21,38 @@ func startServer(t *testing.T, cfg Config) *Server {
 	if err != nil {
 		t.Fatal(err)
 	}
+	serve(t, s)
+	return s
+}
+
+// serve starts s and closes it when the test ends.
+func serve(t *testing.T, s *Server) {
+	t.Helper()
 	if err := s.Start(); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { s.Close() })
-	return s
+}
+
+// testClock is an expiry clock (Server.now) that moves only when the test
+// advances it.
+type testClock struct{ ns atomic.Int64 }
+
+func (c *testClock) advance(d time.Duration) { c.ns.Add(int64(d)) }
+
+// startServerWithClock is startServer with expiry read from a testClock, so
+// a TTL lapses without the test sleeping through it.
+func startServerWithClock(t *testing.T, cfg Config) (*Server, *testClock) {
+	t.Helper()
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clk := &testClock{}
+	clk.ns.Store(time.Now().UnixNano())
+	s.now = clk.ns.Load
+	serve(t, s)
+	return s, clk
 }
 
 func dial(t *testing.T, s *Server) *kvclient.Client {
@@ -212,7 +240,7 @@ func TestCostAwareEviction(t *testing.T) {
 }
 
 func TestTTLExpiry(t *testing.T) {
-	s := startServer(t, Config{MemoryBytes: 1 << 20})
+	s, clk := startServerWithClock(t, Config{MemoryBytes: 1 << 20})
 	c := dial(t, s)
 	if err := c.Set("ephemeral", []byte("x"), 0, 1, 5); err != nil {
 		t.Fatal(err)
@@ -220,7 +248,7 @@ func TestTTLExpiry(t *testing.T) {
 	if _, ok, _ := c.Get("ephemeral"); !ok {
 		t.Fatal("fresh item should be readable")
 	}
-	time.Sleep(1100 * time.Millisecond)
+	clk.advance(1100 * time.Millisecond)
 	if _, ok, _ := c.Get("ephemeral"); ok {
 		t.Fatal("expired item should miss")
 	}
@@ -643,4 +671,42 @@ func TestSlabCalcificationEndToEnd(t *testing.T) {
 	if _, ok, _ := c.Get("large"); !ok {
 		t.Fatal("large item should be resident")
 	}
+}
+
+// TestSlabReassignmentForgetsExpiry pins random slab eviction's unindexing:
+// a TTL'd item it drops must leave expiring too. A stale entry there pinned
+// the dropped item, and once its deadline passed the sweep deleted by key
+// whatever lived under that name by then — here a live re-set with no TTL.
+func TestSlabReassignmentForgetsExpiry(t *testing.T) {
+	s, err := New(Config{MemoryBytes: 4 << 14, Mode: ModeSlab, SlabSize: 1 << 14, ItemOverhead: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := s.shards[0].store
+	const deadline = int64(1000) // unix nanoseconds; any fixed clock will do
+	var small []string
+	for i := 0; i < 700; i++ {
+		small = append(small, fmt.Sprintf("small%d", i))
+		st.setAbs(small[i], make([]byte, 80), 0, deadline, 1)
+	}
+	// A large item needs a class with no slab and nothing to evict: only
+	// random slab eviction can place it, dropping a slab of TTL'd items.
+	if !st.setAbs("large", make([]byte, 8000), 0, 0, 1) {
+		t.Fatal("large set should trigger random slab eviction")
+	}
+	dropped := ""
+	for _, k := range small {
+		if _, ok := st.items[k]; !ok {
+			dropped = k
+		}
+	}
+	checkStore(t, st)
+	if !st.setAbs(dropped, []byte("v"), 0, 0, 1) {
+		t.Fatalf("re-set of %q refused", dropped)
+	}
+	st.sweepExpired(deadline+1, len(st.expiring))
+	if _, ok := resident(st, dropped, deadline+1); !ok {
+		t.Fatalf("%q, re-set with no TTL, was swept at its dropped version's deadline", dropped)
+	}
+	checkStore(t, st)
 }

@@ -60,7 +60,7 @@ type shard struct {
 
 	mu       sync.Mutex
 	store    *store
-	missedAt map[string]time.Time
+	missedAt map[string]int64
 
 	// replPos is this shard's durable replication position — the primary
 	// journal (run, generation, offset) every applied op up to now came
@@ -156,7 +156,7 @@ const (
 // walk the whole table incrementally. The previous full-table sweep here
 // was O(64k) under sh.mu on the get path: one unlucky get could stall its
 // shard for milliseconds. The caller holds sh.mu.
-func (sh *shard) recordMissLocked(key string, now time.Time) {
+func (sh *shard) recordMissLocked(key string, now int64) {
 	if len(sh.missedAt) >= missTableMax {
 		probes := missTableProbes
 		for k, at := range sh.missedAt {
@@ -164,7 +164,7 @@ func (sh *shard) recordMissLocked(key string, now time.Time) {
 				break
 			}
 			probes--
-			if now.Sub(at) > missTableTTL {
+			if now-at > int64(missTableTTL) {
 				delete(sh.missedAt, k)
 			}
 		}
@@ -183,7 +183,7 @@ const expirySweepProbes = 4
 // The key arrives in wire []byte form: the item-map lookup converts in place
 // (allocation-free), an overwrite reuses the resident item's interned key
 // string, and only a brand-new key materializes one. The caller holds sh.mu.
-func (sh *shard) storeLocked(cmd verbID, keyBytes []byte, value []byte, flags uint32, ttl, cost int64, now time.Time) []byte {
+func (sh *shard) storeLocked(cmd verbID, keyBytes []byte, value []byte, flags uint32, ttl, cost, now int64) []byte {
 	existing, exists := resident(sh.store, keyBytes, now)
 	var key string
 	if exists {
@@ -226,7 +226,7 @@ func (sh *shard) storeLocked(cmd verbID, keyBytes []byte, value []byte, flags ui
 	}
 	if cost == 0 && !sh.srv.cfg.DisableIQ {
 		if at, ok := sh.missedAt[key]; ok {
-			cost = now.Sub(at).Microseconds()
+			cost = (now - at) / int64(time.Microsecond)
 			if cost < 1 {
 				cost = 1
 			}
@@ -246,7 +246,7 @@ func (sh *shard) storeLocked(cmd verbID, keyBytes []byte, value []byte, flags ui
 // any existing version of the key (store.setAbsPrio); that removal is
 // journaled too, or recovery and replicas would resurrect the old value. The
 // caller holds sh.mu.
-func (sh *shard) setLocked(key string, value []byte, flags uint32, expires time.Time, cost int64, existed bool) bool {
+func (sh *shard) setLocked(key string, value []byte, flags uint32, expires, cost int64, existed bool) bool {
 	if !sh.store.setAbs(key, value, flags, expires, cost) {
 		sh.srv.counters.setRejected.Add(1)
 		if existed {
@@ -259,7 +259,7 @@ func (sh *shard) setLocked(key string, value []byte, flags uint32, expires time.
 		Key:     key,
 		Value:   value,
 		Flags:   flags,
-		Expires: persist.ExpiresFrom(expires),
+		Expires: expires,
 		Size:    sh.store.itemSize(key, value),
 		Cost:    cost,
 	})
@@ -269,7 +269,7 @@ func (sh *shard) setLocked(key string, value []byte, flags uint32, expires time.
 // arithLocked applies incr/decr. A nil reply means success and val is the
 // new value for the caller to format; otherwise reply is the error. The
 // caller holds sh.mu.
-func (sh *shard) arithLocked(incr bool, key []byte, delta uint64, now time.Time) (val uint64, reply []byte) {
+func (sh *shard) arithLocked(incr bool, key []byte, delta uint64, now int64) (val uint64, reply []byte) {
 	it, ok := lookup(sh.store, key, now)
 	if !ok {
 		return 0, replyNotFound
@@ -287,7 +287,7 @@ func (sh *shard) arithLocked(incr bool, key []byte, delta uint64, now time.Time)
 	}
 	// Arithmetic keeps the item's flags, expiration and cost, as memcached
 	// does; only the payload changes.
-	if !sh.setLocked(it.node.Key, strconv.AppendUint(nil, cur, 10), it.flags, it.expiresAt, it.node.Cost, true) {
+	if !sh.setLocked(it.node.Key, strconv.AppendUint(nil, cur, 10), it.flags, it.expires, it.node.Cost, true) {
 		return 0, replyOOM
 	}
 	return cur, nil

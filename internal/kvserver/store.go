@@ -25,10 +25,12 @@ type item struct {
 	// node carries the key, the charged size and the admission cost, and
 	// links the item into the ordering its key routes to (store.stateFor):
 	// the index entry and the eviction-order entry are one object.
-	node      cache.Node
-	value     []byte
-	flags     uint32
-	expiresAt time.Time // zero means no expiry
+	node  cache.Node
+	value []byte
+	flags uint32
+	// expires is the absolute expiry in unix nanoseconds, 0 meaning none —
+	// the form the layouts, the journal and persist.Op carry too.
+	expires int64
 	// loc is the layout's location word for the value (layouts.go); only the
 	// layout that issued it can interpret it.
 	loc uint64
@@ -44,7 +46,7 @@ type store struct {
 	items map[string]*item
 	// expiring is the subset of items with a TTL — the only ones sweepExpired
 	// has any reason to probe (Redis's expires dict). Kept in step with
-	// item.expiresAt by setExpiry and forget.
+	// item.expires by setExpiry and forget.
 	expiring map[string]*item
 	lay      layout
 
@@ -125,20 +127,20 @@ func (st *store) onEvict(n *cache.Node) {
 // forget drops it from the index and, if it has a TTL, from expiring.
 func (st *store) forget(it *item) {
 	delete(st.items, it.node.Key)
-	if !it.expiresAt.IsZero() {
+	if it.expires != 0 {
 		delete(st.expiring, it.node.Key)
 	}
 }
 
 // setExpiry assigns an indexed item's deadline, filing it under expiring or
 // taking it out; an item that had no TTL and gets none touches only itself.
-func (st *store) setExpiry(it *item, expires time.Time) {
-	if !expires.IsZero() {
+func (st *store) setExpiry(it *item, expires int64) {
+	if expires != 0 {
 		st.expiring[it.node.Key] = it
-	} else if !it.expiresAt.IsZero() {
+	} else if it.expires != 0 {
 		delete(st.expiring, it.node.Key)
 	}
-	it.expiresAt = expires
+	it.expires = expires
 }
 
 func (st *store) itemSize(key string, value []byte) int64 {
@@ -406,13 +408,13 @@ func (st *store) visitTenantUsage(visit func(name string, used int64, items int,
 // resident is the index probe, for a key in either its wire []byte form or
 // as a string: the map access compiles to a no-allocation lookup either way —
 // the only key hashed on a hit — then lazy expiry, which reclaims an item
-// whose TTL has passed and reports it absent.
-func resident[K ~string | ~[]byte](st *store, key K, now time.Time) (*item, bool) {
+// whose TTL has passed and reports it absent. now is unix nanoseconds.
+func resident[K ~string | ~[]byte](st *store, key K, now int64) (*item, bool) {
 	it, ok := st.items[string(key)]
 	if !ok {
 		return nil, false
 	}
-	if !it.expiresAt.IsZero() && now.After(it.expiresAt) {
+	if it.expires != 0 && now > it.expires {
 		st.delete(it.node.Key)
 		st.expiredReclaimed++
 		return nil, false
@@ -422,7 +424,7 @@ func resident[K ~string | ~[]byte](st *store, key K, now time.Time) (*item, bool
 
 // lookup is the read path's probe: resident, then the recency/priority bump
 // in the ordering that owns the key.
-func lookup[K ~string | ~[]byte](st *store, key K, now time.Time) (*item, bool) {
+func lookup[K ~string | ~[]byte](st *store, key K, now int64) (*item, bool) {
 	it, ok := resident(st, key, now)
 	if ok {
 		p, _ := st.stateFor(it.node.Key)
@@ -439,39 +441,39 @@ func lookup[K ~string | ~[]byte](st *store, key K, now time.Time) (*item, bool) 
 // capacity (and inflating curr_items/bytes) forever; a store that uses no
 // TTLs pays nothing for it. Runs under the already-held shard lock; n stays
 // small so no single request stalls.
-func (st *store) sweepExpired(now time.Time, n int) {
+func (st *store) sweepExpired(now int64, n int) {
 	for key, it := range st.expiring {
 		if n <= 0 {
 			return
 		}
 		n--
-		if now.After(it.expiresAt) {
+		if now > it.expires {
 			st.delete(key)
 			st.expiredReclaimed++
 		}
 	}
 }
 
-// expiryFrom converts a memcached relative TTL to an absolute deadline.
-// Negative exptime means "already expired" (memcached's invalidation idiom),
+// expiryFrom converts a memcached relative TTL in seconds to an absolute
+// deadline in unix nanoseconds, 0 meaning none. Negative exptime means "already expired" (memcached's invalidation idiom),
 // not "no expiry": mapping it to immortal let `set k 0 -1 3` pin an
 // unexpirable item and made `touch k -1` immortalize instead of invalidate.
 // The deadline lands just behind now, so the entry is born expired and the
 // next access or sweep reclaims it — and since journals and replication
 // carry this deadline (not the TTL), replay reproduces the invalidation.
-func expiryFrom(ttl int64, now time.Time) time.Time {
+func expiryFrom(ttl, now int64) int64 {
 	if ttl > 0 {
-		return now.Add(time.Duration(ttl) * time.Second)
+		return now + ttl*int64(time.Second)
 	}
 	if ttl < 0 {
-		return now.Add(-time.Nanosecond)
+		return now - 1
 	}
-	return time.Time{}
+	return 0
 }
 
 // setAbs is set with an absolute expiry, the form recovery needs: journals
 // record deadlines, not TTLs, so restarts do not extend item lifetimes.
-func (st *store) setAbs(key string, value []byte, flags uint32, expires time.Time, cost int64) bool {
+func (st *store) setAbs(key string, value []byte, flags uint32, expires, cost int64) bool {
 	return st.setAbsPrio(key, value, flags, expires, cost, 0, 0, false)
 }
 
@@ -486,9 +488,9 @@ func (st *store) setAbs(key string, value []byte, flags uint32, expires time.Tim
 // that owns it at the size the layout charges, so priorities, tenancy and
 // persistence behave identically across layouts. An overwrite updates the
 // resident item struct in place.
-func (st *store) setAbsPrio(key string, value []byte, flags uint32, expires time.Time, cost int64, prio, class uint64, hasPrio bool) bool {
+func (st *store) setAbsPrio(key string, value []byte, flags uint32, expires, cost int64, prio, class uint64, hasPrio bool) bool {
 	p, ts := st.stateFor(key)
-	loc, charged, ok := st.lay.put(p, key, value, flags, expiryNano(expires))
+	loc, charged, ok := st.lay.put(p, key, value, flags, expires)
 	// Looked up after put rather than before: the layout's own evictions may
 	// have removed the old version meanwhile. From here on it cannot go — it
 	// is detached from its ordering while the new version is admitted, so no
@@ -546,15 +548,6 @@ func (st *store) admit(p cache.Ordering, ts *tenantState, n *cache.Node, size, c
 	return p.Insert(n)
 }
 
-// expiryNano converts an absolute expiry to the layout's form: unix
-// nanoseconds, zero meaning no expiry.
-func expiryNano(expires time.Time) int64 {
-	if expires.IsZero() {
-		return 0
-	}
-	return expires.UnixNano()
-}
-
 // valueOf returns an item's stored value. Under a copying layout the slice
 // aliases layout memory: consume or copy it before the shard lock drops.
 func (st *store) valueOf(it *item) []byte {
@@ -566,9 +559,9 @@ func (st *store) valueOf(it *item) []byte {
 
 // touch updates an item's expiry everywhere it lives: the item struct and
 // the layout's own record of it.
-func (st *store) touch(it *item, expires time.Time) {
+func (st *store) touch(it *item, expires int64) {
 	st.setExpiry(it, expires)
-	st.lay.touch(it.loc, expiryNano(expires))
+	st.lay.touch(it.loc, expires)
 }
 
 // delete removes key from its ordering, the layout and the index.
@@ -635,14 +628,14 @@ func (st *store) rejected() uint64 {
 func (st *store) restore(op persist.Op) error {
 	switch op.Kind {
 	case persist.KindSet:
-		st.setAbs(op.Key, op.Value, op.Flags, op.ExpiresAt(), op.Cost)
+		st.setAbs(op.Key, op.Value, op.Flags, op.Expires, op.Cost)
 	case persist.KindSetPrio:
-		st.setAbsPrio(op.Key, op.Value, op.Flags, op.ExpiresAt(), op.Cost, op.Priority, op.Class, true)
+		st.setAbsPrio(op.Key, op.Value, op.Flags, op.Expires, op.Cost, op.Priority, op.Class, true)
 	case persist.KindDelete:
 		st.delete(op.Key)
 	case persist.KindTouch:
 		if it, ok := st.items[op.Key]; ok {
-			st.touch(it, op.ExpiresAt())
+			st.touch(it, op.Expires)
 		}
 	case persist.KindFlush:
 		// Keyless flushes clear the whole store (the only form before
@@ -722,7 +715,7 @@ func (st *store) collectOps() []persist.Op {
 				Key:      n.Key,
 				Value:    value,
 				Flags:    it.flags,
-				Expires:  persist.ExpiresFrom(it.expiresAt),
+				Expires:  it.expires,
 				Size:     st.itemSize(n.Key, value),
 				Cost:     n.Cost,
 				Priority: prio,

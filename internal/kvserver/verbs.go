@@ -130,7 +130,7 @@ type mutation struct {
 	ttl   int64
 	cost  int64
 	delta uint64
-	now   time.Time
+	now   int64 // Server.now, read once per command
 }
 
 // dispatch handles one command line; a non-nil error closes the connection
@@ -263,7 +263,7 @@ func (s *Server) mutate(cmd *command, args [][]byte, cs *connState) error {
 		return cs.reply(noreply, replyReadOnly)
 	}
 
-	m.now = time.Now()
+	m.now = s.now()
 	tn := s.tenantOf(cs)
 	if shed, err := s.shedOp(cs, tn, m.now, nbytes, noreply); shed || err != nil {
 		return err
@@ -377,7 +377,7 @@ func touchBody(sh *shard, cs *connState) []byte {
 	sh.journalLocked(persist.Op{
 		Kind:    persist.KindTouch,
 		Key:     it.node.Key,
-		Expires: persist.ExpiresFrom(it.expiresAt),
+		Expires: it.expires,
 	})
 	return replyTouched
 }

@@ -16,7 +16,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"time"
 )
 
 // Kind discriminates journal records.
@@ -104,22 +103,6 @@ type Op struct {
 	// Reserve is the tenant's reserved-byte quota carried by KindTenant
 	// records (whose Key is the tenant name); zero for every other kind.
 	Reserve int64
-}
-
-// ExpiresAt converts the Expires field to a time.Time (zero when unset).
-func (op Op) ExpiresAt() time.Time {
-	if op.Expires == 0 {
-		return time.Time{}
-	}
-	return time.Unix(0, op.Expires)
-}
-
-// ExpiresFrom sets Expires from a time.Time (zero time means no expiry).
-func ExpiresFrom(t time.Time) int64 {
-	if t.IsZero() {
-		return 0
-	}
-	return t.UnixNano()
 }
 
 // Wire limits. Records beyond these are rejected as corrupt rather than

@@ -89,17 +89,3 @@ func TestDecodeCorruptRecord(t *testing.T) {
 func crcOf(payload []byte) uint32 {
 	return crc32.Checksum(payload, crcTable)
 }
-
-func TestExpiresRoundTrip(t *testing.T) {
-	if !(Op{}).ExpiresAt().IsZero() {
-		t.Fatal("zero Expires should map to zero time")
-	}
-	now := time.Now()
-	op := Op{Expires: ExpiresFrom(now)}
-	if !op.ExpiresAt().Equal(now) {
-		t.Fatalf("expiry round-trip: got %v want %v", op.ExpiresAt(), now)
-	}
-	if ExpiresFrom(time.Time{}) != 0 {
-		t.Fatal("zero time should map to Expires 0")
-	}
-}
