@@ -5,24 +5,31 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 	"unsafe"
 
 	"camp/internal/alloc"
 	"camp/internal/cache"
+	"camp/internal/itab"
 )
 
-// TestItemFootprint pins what a resident key costs the heap: Go rounds an
-// object up to its size class, so an item over 128 B lands in the 160-B class
-// and every key pays 32 B more. A new field on item or cache.Node must fit,
-// or the change must say why keys should cost more.
+// TestItemFootprint pins what a resident key costs the heap. Items are not
+// heap objects of their own: they sit in itab chunks of itab.ChunkLen, so a
+// key costs exactly unsafe.Sizeof(item), and a chunk is a whole number of
+// 8-KiB pages (1024 × 120 B = 15 pages), so no span tail is wasted. A new
+// field on item or cache.Node must fit the 120-B budget, or the change must
+// say why every key should cost more.
 func TestItemFootprint(t *testing.T) {
 	if got := unsafe.Sizeof(cache.Node{}); got > 72 {
-		t.Errorf("cache.Node is %d B, over its 72-B share of a 128-B item", got)
+		t.Errorf("cache.Node is %d B, over its 72-B share of a 120-B item", got)
 	}
 	if got := unsafe.Sizeof(item{}); got > 120 {
-		t.Errorf("item is %d B, over its 120-B budget in the 128-B size class (the next class is 160 B)", got)
+		t.Errorf("item is %d B, over its 120-B budget", got)
+	}
+	if chunk := itab.ChunkLen * unsafe.Sizeof(item{}); chunk%(8<<10) != 0 {
+		t.Errorf("an item chunk is %d B, not a whole number of 8-KiB pages", chunk)
 	}
 }
 
@@ -35,15 +42,34 @@ func checkStore(t *testing.T, st *store) {
 		n += ts.policy.Len()
 		used += ts.policy.Used()
 	}
-	if len(st.items) != n {
-		t.Fatalf("index holds %d items, the policies %d", len(st.items), n)
+	if st.items.Len() != n {
+		t.Fatalf("index holds %d items, the policies %d", st.items.Len(), n)
+	}
+	// Every indexed item sits at the ref it records, every ref handed out is
+	// indexed or free, and a free slot is the zero item, holding no key or
+	// value for the GC to keep.
+	for it := range st.items.All() {
+		if st.items.At(it.ref) != it {
+			t.Fatalf("%q records ref %d, which holds %q", it.node.Key, it.ref, st.items.At(it.ref).node.Key)
+		}
+	}
+	free := 0
+	for ref := range st.items.FreeRefs() {
+		free++
+		if it := st.items.At(ref); !reflect.ValueOf(*it).IsZero() {
+			t.Fatalf("free ref %d still holds %q (%d value bytes)", ref, it.node.Key, len(it.value))
+		}
+	}
+	if st.items.Len()+free != st.items.Refs() {
+		t.Fatalf("%d indexed + %d free items, %d refs handed out", st.items.Len(), free, st.items.Refs())
 	}
 	if st.used() != used {
 		t.Fatalf("running used total %d != recomputed %d", st.used(), used)
 	}
 	// expiring is exactly the items that carry a TTL.
 	withTTL := 0
-	for key, it := range st.items {
+	for it := range st.items.All() {
+		key := it.node.Key
 		if it.expires == 0 {
 			continue
 		}
@@ -59,7 +85,7 @@ func checkStore(t *testing.T, st *store) {
 	// (no item in two tenants, none in the wrong one), and each ordering's
 	// byte figure is the sum of the nodes it links. The class LRUs stand in
 	// for the slab layout, whose own Used() counts chunks, not charged sizes.
-	owner := make(map[*cache.Node]cache.Ordering, len(st.items))
+	owner := make(map[*cache.Node]cache.Ordering, st.items.Len())
 	own := func(o cache.Ordering) {
 		var bytes int64
 		o.Visit(func(n *cache.Node, _, _ uint64) bool {
@@ -84,7 +110,8 @@ func checkStore(t *testing.T, st *store) {
 			own(ts.policy)
 		}
 	}
-	for key, it := range st.items {
+	for it := range st.items.All() {
+		key := it.node.Key
 		want, _ := st.stateFor(key)
 		if sl, ok := st.lay.(*slabLayout); ok {
 			class, err := sl.a.ClassFor(it.node.Size)
@@ -106,7 +133,8 @@ func checkStore(t *testing.T, st *store) {
 			t.Fatal(err)
 		}
 		var blocks int64
-		for key, it := range st.items {
+		for it := range st.items.All() {
+			key := it.node.Key
 			b, err := l.b.BlockSize(st.itemSize(key, it.value))
 			if err != nil {
 				t.Fatalf("%q: %v", key, err)
@@ -117,7 +145,8 @@ func checkStore(t *testing.T, st *store) {
 			t.Fatalf("items occupy %d block bytes, the allocator has %d in use", blocks, l.b.Used())
 		}
 	case *slabLayout:
-		for key, it := range st.items {
+		for it := range st.items.All() {
+			key := it.node.Key
 			if owner, ok := l.a.Owner(alloc.HandleOf(it.loc)); !ok || owner != key {
 				t.Fatalf("%q: chunk owned by %q (allocated=%v)", key, owner, ok)
 			}
@@ -126,13 +155,14 @@ func checkStore(t *testing.T, st *store) {
 		for _, cs := range l.a.Stats() {
 			chunks += cs.UsedChunks
 		}
-		if chunks != len(st.items) {
-			t.Fatalf("%d chunks in use for %d items", chunks, len(st.items))
+		if chunks != st.items.Len() {
+			t.Fatalf("%d chunks in use for %d items", chunks, st.items.Len())
 		}
 	case *arenaLayout:
 		var live int64
 		var scratch [binary.MaxVarintLen64]byte
-		for key, it := range st.items {
+		for it := range st.items.All() {
+			key := it.node.Key
 			k, v, flags, exp := l.a.Record(alloc.RefOf(it.loc))
 			if string(k) != key || flags != it.flags || exp != it.expires || it.value != nil {
 				t.Fatalf("%q: record holds key %q flags %d expiry %d", key, k, flags, exp)

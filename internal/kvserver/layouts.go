@@ -7,6 +7,7 @@ import (
 
 	"camp/internal/alloc"
 	"camp/internal/cache"
+	"camp/internal/itab"
 )
 
 // layout is one of the four memory-management schemes (the paper's §5
@@ -146,7 +147,7 @@ func (l *buddyLayout) release(loc uint64) { l.b.Free(int64(loc)) }
 func (*buddyLayout) tenantCapable() bool  { return false }
 
 // arenaLayout packs key and value into per-shard log-structured segments
-// (alloc.Arena); loc is the record's alloc.Ref and the store's item map
+// (alloc.Arena); loc is the record's alloc.Ref and the store's item index
 // doubles as the hash→record index. Overwrites and deletes only mark bytes
 // dead; every mutation donates one bounded compaction step.
 type arenaLayout struct {
@@ -184,12 +185,12 @@ func (l *arenaLayout) put(requester cache.Ordering, key string, value []byte, fl
 }
 
 func (l *arenaLayout) isAlive(key []byte, ref alloc.Ref) bool {
-	it, ok := l.st.items[string(key)]
-	return ok && it.loc == ref.Word()
+	it := itab.Lookup(l.st.items, key)
+	return it != nil && it.loc == ref.Word()
 }
 
 func (l *arenaLayout) relocated(key []byte, ref alloc.Ref) {
-	if it, ok := l.st.items[string(key)]; ok {
+	if it := itab.Lookup(l.st.items, key); it != nil {
 		it.loc = ref.Word()
 	}
 }
@@ -258,7 +259,7 @@ func (l *slabLayout) put(_ cache.Ordering, key string, value []byte, _ uint32, _
 		// The reassignment already emptied these chunks: unindex their items
 		// without a release.
 		for _, owner := range owners {
-			if it, ok := l.st.items[owner]; ok {
+			if it := itab.Lookup(l.st.items, owner); it != nil {
 				l.Remove(&it.node)
 				l.st.forget(it)
 				l.reassigned++

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"camp/internal/itab"
 	"camp/internal/kvclient"
 	"camp/internal/persist"
 	"camp/internal/trace"
@@ -25,8 +26,8 @@ func captureState(s *Server) map[string]expectedItem {
 	out := make(map[string]expectedItem)
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		for key, it := range sh.store.items {
-			out[key] = expectedItem{
+		for it := range sh.store.items.All() {
+			out[it.node.Key] = expectedItem{
 				value:   string(sh.store.valueOf(it)),
 				flags:   it.flags,
 				expires: it.expires,
@@ -251,10 +252,10 @@ func TestSnapshotOnlyGracefulRestart(t *testing.T) {
 	}
 	sh := s2.shardFor("k07")
 	sh.mu.Lock()
-	it, ok := sh.store.items["k07"]
+	it := itab.Lookup(sh.store.items, "k07")
 	sh.mu.Unlock()
-	if !ok || it.node.Cost != 8 {
-		t.Fatalf("k07 after snapshot restart: ok=%v, want cost 8", ok)
+	if it == nil || it.node.Cost != 8 {
+		t.Fatalf("k07 after snapshot restart: found=%v, want cost 8", it != nil)
 	}
 }
 
@@ -349,9 +350,9 @@ func TestArithPreservesExpiry(t *testing.T) {
 		t.Helper()
 		sh := s.shardFor("counter")
 		sh.mu.Lock()
-		it, ok := sh.store.items["counter"]
+		it := itab.Lookup(sh.store.items, "counter")
 		sh.mu.Unlock()
-		if !ok {
+		if it == nil {
 			t.Fatalf("%s: counter missing", when)
 		}
 		if it.expires == 0 {

@@ -975,7 +975,7 @@ func (sr *shardReplica) bootstrap(r io.Reader, size int64) error {
 	// One flush record plus every staged entry, journaled as a single batch:
 	// one write pass and at most one fsync, instead of a per-entry append
 	// (each an fsync under FsyncAlways) with the shard lock held.
-	batch := make([]persist.Op, 0, len(staged.items)+1)
+	batch := make([]persist.Op, 0, staged.items.Len()+1)
 	batch = append(batch, persist.Op{Kind: persist.KindFlush})
 	batch = append(batch, staged.collectOps()...)
 	sh.mu.Lock()

@@ -47,7 +47,7 @@
 // straight from the wire bytes, per-connection scratch (token slots, reply
 // staging, value read buffer) lives in a pooled connection state, and replies
 // are built by appending to a reusable buffer — keys only materialize as Go
-// strings at the item-map boundary, on writes and IQ miss records.
+// strings at the item-table boundary, on writes and IQ miss records.
 package kvserver
 
 import (
@@ -950,8 +950,8 @@ func (s *Server) handleDebug(args [][]byte, cs *connState) error {
 	key := cs.nsKeyFor(args[0])
 	sh := s.shardForBytes(key)
 	sh.mu.Lock()
-	it, ok := sh.store.items[string(key)]
-	if ok {
+	reply := replyNotFound
+	if it, ok := resident(sh.store, key, s.now()); ok {
 		out := append(cs.out[:0], "DEBUG "...)
 		out = append(out, args[0]...)
 		out = append(out, " size="...)
@@ -961,12 +961,10 @@ func (s *Server) handleDebug(args [][]byte, cs *connState) error {
 		out = append(out, " flags="...)
 		out = strconv.AppendUint(out, uint64(it.flags), 10)
 		cs.out = append(out, '\r', '\n')
+		reply = cs.out
 	}
 	sh.mu.Unlock()
-	if !ok {
-		return cs.send(replyNotFound)
-	}
-	return cs.send(cs.out)
+	return cs.send(reply)
 }
 
 var errBadConfig = errors.New("kvserver: bad configuration")

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"camp/internal/itab"
 	"camp/internal/kvclient"
 )
 
@@ -249,6 +250,11 @@ func TestTTLExpiry(t *testing.T) {
 		t.Fatal("fresh item should be readable")
 	}
 	clk.advance(1100 * time.Millisecond)
+	// debug honours lazy expiry as get does. It asks first: a get would
+	// reclaim the item before debug could see it.
+	if _, found, err := c.Debug("ephemeral"); err != nil || found {
+		t.Fatalf("debug of an expired item: found=%v, %v", found, err)
+	}
 	if _, ok, _ := c.Get("ephemeral"); ok {
 		t.Fatal("expired item should miss")
 	}
@@ -696,7 +702,7 @@ func TestSlabReassignmentForgetsExpiry(t *testing.T) {
 	}
 	dropped := ""
 	for _, k := range small {
-		if _, ok := st.items[k]; !ok {
+		if itab.Lookup(st.items, k) == nil {
 			dropped = k
 		}
 	}

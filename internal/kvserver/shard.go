@@ -49,7 +49,7 @@ var (
 )
 
 // shard is one independent slice of the server: its own store (policy,
-// allocator, items map), its own IQ miss table, its own mutex, and — when
+// allocator, item table), its own IQ miss table, its own mutex, and — when
 // persistence is on — its own journal and snapshot generations under
 // data-dir/shard-NNN/. Every command touches exactly one shard (flush_all
 // and stats walk all of them), so N shards serve N cores without sharing a
@@ -180,7 +180,7 @@ func (sh *shard) recordMissLocked(key string, now int64) {
 const expirySweepProbes = 4
 
 // storeLocked applies one storage command and returns the protocol reply.
-// The key arrives in wire []byte form: the item-map lookup converts in place
+// The key arrives in wire []byte form: the index probe hashes it in place
 // (allocation-free), an overwrite reuses the resident item's interned key
 // string, and only a brand-new key materializes one. The caller holds sh.mu.
 func (sh *shard) storeLocked(cmd verbID, keyBytes []byte, value []byte, flags uint32, ttl, cost, now int64) []byte {

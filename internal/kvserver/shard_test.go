@@ -47,7 +47,7 @@ func TestShardedRoundTrip(t *testing.T) {
 	// Every shard should own part of the keyspace.
 	for i, sh := range s.shards {
 		sh.mu.Lock()
-		n := sh.store.len()
+		n := sh.store.items.Len()
 		sh.mu.Unlock()
 		if n == 0 {
 			t.Fatalf("shard %d is empty after 200 sets", i)

@@ -236,7 +236,7 @@ func (s *Server) sampleShards() []shardSample {
 		x := &xs[i]
 		sh.mu.Lock()
 		st := sh.store
-		x.items, x.bytes, x.missTable = int64(st.len()), st.used(), int64(len(sh.missedAt))
+		x.items, x.bytes, x.missTable = int64(st.items.Len()), st.used(), int64(len(sh.missedAt))
 		x.queues = int64(st.queueCount())
 		x.evictions, x.rejected, x.reclaimed = st.evictions(), st.rejected(), st.reclaimed()
 		x.arena, x.packed = st.lay.stats()

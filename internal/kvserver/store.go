@@ -8,19 +8,18 @@ import (
 
 	"camp/internal/cache"
 	"camp/internal/core"
+	"camp/internal/itab"
 	"camp/internal/persist"
 )
 
-// item is one stored key-value pair. Callers hold the shard mutex. The key
-// lives in the embedded ordering node, so hot reads arriving as wire []byte
-// never materialize a string: the map lookup converts in place (which Go
-// compiles allocation-free) and every downstream consumer — the ordering's
-// touch, the VALUE reply — works from the item the lookup found. An
-// overwrite updates the item in place, so the struct is only meaningful
-// under the lock; a value slice, once stored, is never mutated. Layouts that
-// copy values (layout.copiesValues) leave value nil and locate the bytes
-// through loc instead: read them with store.valueOf, and copy what must
-// outlive the lock.
+// item is one stored key-value pair. Callers hold the shard mutex. Items
+// live in fixed chunks under a flat index (itab), which finds a wire []byte
+// key or a string without materializing either. An overwrite updates the
+// item in place, and a deleted item is zeroed and its slot reused, so hold
+// no *item past the lock or a call that may remove it. A value slice, once
+// stored, is never mutated. Layouts that copy values (layout.copiesValues)
+// leave value nil and locate the bytes through loc instead: read them with
+// store.valueOf, and copy what must outlive the lock.
 type item struct {
 	// node carries the key, the charged size and the admission cost, and
 	// links the item into the ordering its key routes to (store.stateFor):
@@ -28,6 +27,7 @@ type item struct {
 	node  cache.Node
 	value []byte
 	flags uint32
+	ref   uint32 // the item's slot in store.items
 	// expires is the absolute expiry in unix nanoseconds, 0 meaning none —
 	// the form the layouts, the journal and persist.Op carry too.
 	expires int64
@@ -36,14 +36,17 @@ type item struct {
 	loc uint64
 }
 
-// store is one shard's index (items) — the only key lookup on the request
-// path — its storage layout, and the eviction orderings that decide what
-// stays: the default tenant's — which the layout supplies — and, for
+// Key is the key the item is indexed under.
+func (it *item) Key() string { return it.node.Key }
+
+// store is one shard's items and their index — the only key lookup on the
+// request path — its storage layout, and the eviction orderings that decide
+// what stays: the default tenant's — which the layout supplies — and, for
 // tenant-capable layouts, one more per non-default tenant in tens, with the
 // store-level arbiter (makeRoom) enforcing the shared capacity.
 type store struct {
 	cfg   Config
-	items map[string]*item
+	items *itab.Table[item, *item]
 	// expiring is the subset of items with a TTL — the only ones sweepExpired
 	// has any reason to probe (Redis's expires dict). Kept in step with
 	// item.expires by setExpiry and forget.
@@ -92,7 +95,7 @@ func (st *store) reset() error {
 		return err
 	}
 	p.OnEvict(st.onEvict)
-	st.items, st.expiring, st.lay, st.policy = make(map[string]*item), make(map[string]*item), lay, p
+	st.items, st.expiring, st.lay, st.policy = itab.New[item](), make(map[string]*item), lay, p
 	st.tens, st.totalUsed, st.defUsed = nil, 0, 0
 	if reg := st.cfg.tenants; reg != nil {
 		for _, t := range reg.list() {
@@ -118,18 +121,16 @@ func buildPolicy(cfg Config, capacity int64) (cache.Ordering, error) {
 // onEvict keeps the index and the layout in sync with an ordering's
 // evictions.
 func (st *store) onEvict(n *cache.Node) {
-	if it, ok := st.items[n.Key]; ok {
+	if it := itab.Lookup(st.items, n.Key); it != nil {
 		st.lay.release(it.loc)
 		st.forget(it)
 	}
 }
 
-// forget drops it from the index and, if it has a TTL, from expiring.
+// forget drops it from expiring, if it has a TTL, and frees it.
 func (st *store) forget(it *item) {
-	delete(st.items, it.node.Key)
-	if it.expires != 0 {
-		delete(st.expiring, it.node.Key)
-	}
+	st.setExpiry(it, 0)
+	st.items.Delete(it.ref)
 }
 
 // setExpiry assigns an indexed item's deadline, filing it under expiring or
@@ -406,20 +407,17 @@ func (st *store) visitTenantUsage(visit func(name string, used int64, items int,
 }
 
 // resident is the index probe, for a key in either its wire []byte form or
-// as a string: the map access compiles to a no-allocation lookup either way —
-// the only key hashed on a hit — then lazy expiry, which reclaims an item
-// whose TTL has passed and reports it absent. now is unix nanoseconds.
+// as a string, allocation-free either way — the only key hashed on a hit —
+// then lazy expiry, which reclaims an item whose TTL has passed and reports
+// it absent. now is unix nanoseconds.
 func resident[K ~string | ~[]byte](st *store, key K, now int64) (*item, bool) {
-	it, ok := st.items[string(key)]
-	if !ok {
-		return nil, false
-	}
-	if it.expires != 0 && now > it.expires {
+	it := itab.Lookup(st.items, key)
+	if it != nil && it.expires != 0 && now > it.expires {
 		st.delete(it.node.Key)
 		st.expiredReclaimed++
-		return nil, false
+		it = nil
 	}
-	return it, true
+	return it, it != nil
 }
 
 // lookup is the read path's probe: resident, then the recency/priority bump
@@ -487,7 +485,7 @@ func (st *store) setAbs(key string, value []byte, flags uint32, expires, cost in
 // The layout lands the bytes, then the key is admitted through the ordering
 // that owns it at the size the layout charges, so priorities, tenancy and
 // persistence behave identically across layouts. An overwrite updates the
-// resident item struct in place.
+// resident item struct in place; a new key's item is indexed once admitted.
 func (st *store) setAbsPrio(key string, value []byte, flags uint32, expires, cost int64, prio, class uint64, hasPrio bool) bool {
 	p, ts := st.stateFor(key)
 	loc, charged, ok := st.lay.put(p, key, value, flags, expires)
@@ -495,11 +493,13 @@ func (st *store) setAbsPrio(key string, value []byte, flags uint32, expires, cos
 	// have removed the old version meanwhile. From here on it cannot go — it
 	// is detached from its ordering while the new version is admitted, so no
 	// eviction can pick it.
-	it, exists := st.items[key]
+	it := itab.Lookup(st.items, key)
+	exists := it != nil
 	if exists {
 		p.Remove(&it.node)
 	} else {
-		it = &item{node: cache.Node{Key: key}}
+		ref, fresh := st.items.Alloc()
+		fresh.node.Key, fresh.ref, it = key, ref, fresh
 	}
 	if ok && !st.admit(p, ts, &it.node, charged, cost, prio, class, hasPrio) {
 		st.lay.release(loc)
@@ -512,13 +512,15 @@ func (st *store) setAbsPrio(key string, value []byte, flags uint32, expires, cos
 		if exists {
 			st.lay.release(it.loc)
 			st.forget(it)
+		} else {
+			st.items.Release(it.ref)
 		}
 		return false
 	}
 	if exists {
 		st.lay.release(it.loc)
 	} else {
-		st.items[key] = it
+		st.items.Insert(it.ref)
 	}
 	if st.lay.copiesValues() {
 		value = nil
@@ -566,8 +568,8 @@ func (st *store) touch(it *item, expires int64) {
 
 // delete removes key from its ordering, the layout and the index.
 func (st *store) delete(key string) bool {
-	it, ok := st.items[key]
-	if !ok {
+	it := itab.Lookup(st.items, key)
+	if it == nil {
 		return false
 	}
 	p, ts := st.stateFor(key)
@@ -589,8 +591,6 @@ func (st *store) flush() {
 		panic("kvserver: flush rebuild failed: " + err.Error())
 	}
 }
-
-func (st *store) len() int { return len(st.items) }
 
 func (st *store) evictions() uint64 {
 	ev, _ := st.policyLifetime()
@@ -634,7 +634,7 @@ func (st *store) restore(op persist.Op) error {
 	case persist.KindDelete:
 		st.delete(op.Key)
 	case persist.KindTouch:
-		if it, ok := st.items[op.Key]; ok {
+		if it := itab.Lookup(st.items, op.Key); it != nil {
 			st.touch(it, op.Expires)
 		}
 	case persist.KindFlush:
@@ -681,7 +681,7 @@ func (st *store) restore(op persist.Op) error {
 // exception: its housekeeping DOES move the bytes, so they are copied out
 // here, under the lock.
 func (st *store) collectOps() []persist.Op {
-	ops := make([]persist.Op, 0, len(st.items))
+	ops := make([]persist.Op, 0, st.items.Len())
 	copies := st.lay.copiesValues()
 	// Tenant identity and quotas go first, so replay re-creates every tenant
 	// — including ones with no resident keys — before any entry lands or any
@@ -705,7 +705,7 @@ func (st *store) collectOps() []persist.Op {
 			kind = persist.KindSetPrio
 		}
 		p.Visit(func(n *cache.Node, prio, class uint64) bool {
-			it := st.items[n.Key]
+			it := itab.Lookup(st.items, n.Key)
 			value := st.valueOf(it)
 			if copies {
 				value = append([]byte(nil), value...)
