@@ -1,7 +1,5 @@
 package cache
 
-import "hash/maphash"
-
 // Admission gates inserts into an inner policy with a frequency sketch,
 // prototyping the §6 future-work direction: "admission control policies in
 // conjunction with CAMP ... should enhance the performance of CAMP by not
@@ -99,10 +97,12 @@ func (a *Admission) Stats() Stats {
 func (a *Admission) SetEvictFunc(fn EvictFunc) { a.inner.SetEvictFunc(fn) }
 
 // freqSketch is a 4-row count-min sketch of 4-bit counters with periodic
-// halving, sized for ~width distinct hot keys.
+// halving, sized for ~width distinct hot keys. Each key is hashed once, with
+// a fixed function, and its rows are picked by double hashing: the same
+// stream of keys always yields the same counts, so every admission decision
+// repeats from run to run.
 type freqSketch struct {
 	rows  [4][]uint8
-	seeds [4]maphash.Seed
 	mask  uint64
 	ops   int
 	reset int
@@ -115,16 +115,32 @@ func newFreqSketch(width int) *freqSketch {
 	s := &freqSketch{mask: uint64(width - 1), reset: width * 8}
 	for i := range s.rows {
 		s.rows[i] = make([]uint8, width)
-		s.seeds[i] = maphash.MakeSeed()
 	}
 	return s
 }
 
+// fnv1a is the 64-bit FNV-1a hash of key.
+func fnv1a(key string) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(key); i++ {
+		h ^= uint64(key[i])
+		h *= 1099511628211
+	}
+	return h
+}
+
+// counter returns row i's counter for a key hashed to h: the row index is
+// h1 + i·h2, the halves of h with h2 odd.
+func (s *freqSketch) counter(i int, h uint64) *uint8 {
+	h1, h2 := h&0xffffffff, h>>32|1
+	return &s.rows[i][(h1+uint64(i)*h2)&s.mask]
+}
+
 func (s *freqSketch) bump(key string) {
+	h := fnv1a(key)
 	for i := range s.rows {
-		idx := maphash.String(s.seeds[i], key) & s.mask
-		if s.rows[i][idx] < 15 {
-			s.rows[i][idx]++
+		if c := s.counter(i, h); *c < 15 {
+			*c++
 		}
 	}
 	s.ops++
@@ -135,14 +151,12 @@ func (s *freqSketch) bump(key string) {
 }
 
 func (s *freqSketch) estimate(key string) uint8 {
-	min := uint8(255)
+	h := fnv1a(key)
+	est := uint8(255)
 	for i := range s.rows {
-		idx := maphash.String(s.seeds[i], key) & s.mask
-		if c := s.rows[i][idx]; c < min {
-			min = c
-		}
+		est = min(est, *s.counter(i, h))
 	}
-	return min
+	return est
 }
 
 // halve ages every counter so stale popularity decays.

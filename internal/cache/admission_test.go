@@ -160,3 +160,37 @@ func TestAdmissionImprovesScanWorkload(t *testing.T) {
 		t.Fatalf("admission hit rate %.3f should beat plain %.3f on scans", admitted, plain)
 	}
 }
+
+// TestAdmissionRepeatable feeds two sketches and two filters the same
+// stream: every estimate and every admission decision must agree, or the
+// figures built on them change from run to run.
+func TestAdmissionRepeatable(t *testing.T) {
+	s1, s2 := newFreqSketch(1<<14), newFreqSketch(1<<14)
+	for i := 0; i < 60_000; i++ {
+		key := fmt.Sprintf("k%d", (i*7919)%30_000)
+		s1.bump(key)
+		s2.bump(key)
+	}
+	for i := 0; i < 30_000; i++ {
+		key := fmt.Sprintf("k%d", i)
+		if e1, e2 := s1.estimate(key), s2.estimate(key); e1 != e2 {
+			t.Fatalf("estimate(%s): %d vs %d", key, e1, e2)
+		}
+	}
+
+	a1, a2 := NewAdmission(NewLRU(2000)), NewAdmission(NewLRU(2000))
+	for i := 0; i < 60_000; i++ {
+		key := fmt.Sprintf("k%d", (i*i+i*31)%3000)
+		if a1.Get(key) != a2.Get(key) {
+			t.Fatalf("op %d: Get(%s) disagrees", i, key)
+		}
+		if !a1.Contains(key) {
+			if a1.Set(key, 10+int64(i%7), 1) != a2.Set(key, 10+int64(i%7), 1) {
+				t.Fatalf("op %d: Set(%s) disagrees", i, key)
+			}
+		}
+	}
+	if a1.Stats() != a2.Stats() {
+		t.Fatalf("stats differ: %+v vs %+v", a1.Stats(), a2.Stats())
+	}
+}
