@@ -15,9 +15,9 @@ func TestFig9All(t *testing.T) {
 		t.Fatalf("got %d tables, want 3", len(tables))
 	}
 	costMiss, runtime, missRate := tables[0], tables[1], tables[2]
-	checkTable(t, costMiss, len(Fig9Ratios), 2)
-	checkTable(t, runtime, len(Fig9Ratios), 2)
-	checkTable(t, missRate, len(Fig9Ratios), 2)
+	checkShape(t, costMiss, len(Fig9Ratios), 2)
+	checkShape(t, runtime, len(Fig9Ratios), 2)
+	checkShape(t, missRate, len(Fig9Ratios), 2)
 	ratiosInUnitRange(t, costMiss)
 	ratiosInUnitRange(t, missRate)
 

@@ -1,9 +1,14 @@
 package figures
 
 import (
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/figures/*.golden from the tables the tests compute")
 
 // tiny returns a configuration small enough for unit tests (~1s total).
 func tiny() Config {
@@ -18,7 +23,37 @@ func tiny() Config {
 	}
 }
 
+// checkTable checks tb's shape and compares its text with
+// testdata/figures/<id>.golden, so a change that moves any cell of a figure
+// shows up as a diff; regenerate the goldens with
+//
+//	go test ./internal/figures -update
+//
+// and read the diff. Tables that time something (fig9) use checkShape alone.
 func checkTable(t *testing.T, tb *Table, wantRows, wantSeries int) {
+	t.Helper()
+	checkShape(t, tb, wantRows, wantSeries)
+	path := filepath.Join("testdata", "figures", tb.ID+".golden")
+	got := tb.Format()
+	if *updateGolden {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	if got != string(want) {
+		t.Fatalf("%s moved from %s:\n got:\n%s\nwant:\n%s", tb.ID, path, got, want)
+	}
+}
+
+func checkShape(t *testing.T, tb *Table, wantRows, wantSeries int) {
 	t.Helper()
 	if tb.ID == "" || tb.Title == "" || tb.XLabel == "" {
 		t.Fatalf("table metadata incomplete: %+v", tb)
