@@ -11,14 +11,19 @@ package cache
 // key is admitted only when the cache has free room or the key has been
 // seen at least MinFrequency times; updates to resident keys always pass
 // through. One-hit wonders therefore never displace resident items.
+//
+// Admission keeps no index: it is its inner policy, whose Get and Set it
+// shadows — an ordering never sees a miss, so the sketch must sit in front of
+// the keyed face. Everything else, the Ordering included, is the inner
+// policy's; a snapshot replay through SetWithPriority is not filtered.
 type Admission struct {
-	inner   Policy
-	sketch  *freqSketch
-	minHits uint8
-	stats   Stats
+	KeyedOrdering
+	sketch   *freqSketch
+	minHits  uint8
+	rejected uint64
 }
 
-var _ Policy = (*Admission)(nil)
+var _ KeyedOrdering = (*Admission)(nil)
 
 // AdmissionOption configures NewAdmission.
 type AdmissionOption func(*Admission)
@@ -26,20 +31,15 @@ type AdmissionOption func(*Admission)
 // WithMinFrequency sets the admission threshold (default 2: a key must be
 // requested at least twice before it may displace resident data).
 func WithMinFrequency(n uint8) AdmissionOption {
-	return func(a *Admission) {
-		if n < 1 {
-			n = 1
-		}
-		a.minHits = n
-	}
+	return func(a *Admission) { a.minHits = max(n, 1) }
 }
 
 // NewAdmission wraps inner with a frequency-based admission filter.
-func NewAdmission(inner Policy, opts ...AdmissionOption) *Admission {
+func NewAdmission(inner KeyedOrdering, opts ...AdmissionOption) *Admission {
 	a := &Admission{
-		inner:   inner,
-		sketch:  newFreqSketch(1 << 14),
-		minHits: 2,
+		KeyedOrdering: inner,
+		sketch:        newFreqSketch(1 << 14),
+		minHits:       2,
 	}
 	for _, o := range opts {
 		o(a)
@@ -48,53 +48,30 @@ func NewAdmission(inner Policy, opts ...AdmissionOption) *Admission {
 }
 
 // Name implements Policy.
-func (a *Admission) Name() string { return a.inner.Name() + "+admit" }
+func (a *Admission) Name() string { return a.KeyedOrdering.Name() + "+admit" }
 
 // Get implements Policy.
 func (a *Admission) Get(key string) bool {
 	a.sketch.bump(key)
-	return a.inner.Get(key)
+	return a.KeyedOrdering.Get(key)
 }
 
 // Set implements Policy.
 func (a *Admission) Set(key string, size, cost int64) bool {
-	if !a.inner.Contains(key) && a.inner.Used()+size > a.inner.Capacity() {
-		if a.sketch.estimate(key) < a.minHits {
-			a.stats.Rejected++
-			return false
-		}
+	if !a.Contains(key) && a.Used()+size > a.Capacity() && a.sketch.estimate(key) < a.minHits {
+		a.rejected++
+		return false
 	}
-	return a.inner.Set(key, size, cost)
+	return a.KeyedOrdering.Set(key, size, cost)
 }
-
-// Delete implements Policy.
-func (a *Admission) Delete(key string) bool { return a.inner.Delete(key) }
-
-// Contains implements Policy.
-func (a *Admission) Contains(key string) bool { return a.inner.Contains(key) }
-
-// Peek implements Policy.
-func (a *Admission) Peek(key string) (Entry, bool) { return a.inner.Peek(key) }
-
-// Len implements Policy.
-func (a *Admission) Len() int { return a.inner.Len() }
-
-// Used implements Policy.
-func (a *Admission) Used() int64 { return a.inner.Used() }
-
-// Capacity implements Policy.
-func (a *Admission) Capacity() int64 { return a.inner.Capacity() }
 
 // Stats implements Policy: the inner policy's counters plus this filter's
 // rejections.
 func (a *Admission) Stats() Stats {
-	st := a.inner.Stats()
-	st.Rejected += a.stats.Rejected
+	st := a.KeyedOrdering.Stats()
+	st.Rejected += a.rejected
 	return st
 }
-
-// SetEvictFunc implements Policy.
-func (a *Admission) SetEvictFunc(fn EvictFunc) { a.inner.SetEvictFunc(fn) }
 
 // freqSketch is a 4-row count-min sketch of 4-bit counters with periodic
 // halving, sized for ~width distinct hot keys. Each key is hashed once, with

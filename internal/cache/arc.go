@@ -10,308 +10,235 @@ package cache
 // The classic algorithm assumes uniform page sizes; this adaptation
 // measures list lengths and the adaptation target p in bytes, the standard
 // generalization for variable-sized items.
+//
+// It is an Ordering, with each resident node's list in its Aux word; the
+// embedded Keyed makes it a Policy. The ghosts are ARC's own nodes: an
+// evicted node goes back to its caller, and only its key and size stay.
 type ARC struct {
+	Keyed
 	capacity int64
 	p        int64 // adaptation target for T1, in bytes
 
 	t1, t2, b1, b2 arcList
-	entries        map[string]*arcEntry
+	ghosts         map[string]*Node // the keys in B1 and B2: non-residents only
 
 	stats   Stats
-	onEvict EvictFunc
+	onEvict func(*Node)
 }
 
-// listID names the list an arcEntry is in.
-type listID int
-
-// ARC's lists.
+// ARC's lists, as a node's Aux word holds them; 0 is a fresh node.
 const (
-	inT1 listID = iota + 1
+	inT1 = iota + 1
 	inT2
 	inB1
 	inB2
 )
 
-// arcEntry is a key in one of ARC's (or 2Q's) lists, linked through its
-// node.
-type arcEntry struct {
-	Node
-	where listID
-}
-
+// arcList is one of ARC's (or 2Q's) lists, with its bytes.
 type arcList struct {
 	Queue
 	bytes int64
 }
 
-func (l *arcList) pushMRU(e *arcEntry) {
-	l.PushBack(&e.Node)
-	l.bytes += e.Size
+func (l *arcList) push(n *Node) {
+	l.PushBack(n)
+	l.bytes += n.Size
 }
 
-func (l *arcList) remove(e *arcEntry) {
-	l.Remove(&e.Node)
-	l.bytes -= e.Size
+func (l *arcList) remove(n *Node) {
+	l.Remove(n)
+	l.bytes -= n.Size
 }
 
-// lru returns l's least recently used entry, found through the policy's key
-// index; nil when l is empty.
-func (l *arcList) lru(entries map[string]*arcEntry) *arcEntry {
-	if n := l.Front(); n != nil {
-		return entries[n.Key]
+// visitLists calls visit in the order ARC and 2Q evict: first's least
+// recently used nodes while first holds more than budget bytes, then all of
+// second, then the rest of first.
+func visitLists(first *arcList, budget int64, second *arcList, visit func(n *Node, prio, class uint64) bool) {
+	n, rest := first.Front(), first.bytes
+	for ; n != nil && rest > budget; n = n.Next() {
+		if !visit(n, 0, 0) {
+			return
+		}
+		rest -= n.Size
 	}
-	return nil
+	for m := second.Front(); m != nil; m = m.Next() {
+		if !visit(m, 0, 0) {
+			return
+		}
+	}
+	for ; n != nil && visit(n, 0, 0); n = n.Next() {
+	}
 }
 
-var _ Policy = (*ARC)(nil)
+var (
+	_ Policy   = (*ARC)(nil)
+	_ Ordering = (*ARC)(nil)
+)
 
 // NewARC returns a byte-weighted ARC policy.
 func NewARC(capacity int64) *ARC {
-	if capacity < 0 {
-		capacity = 0
-	}
-	return &ARC{
-		capacity: capacity,
-		entries:  make(map[string]*arcEntry),
-	}
+	a := &ARC{capacity: max(capacity, 0), ghosts: make(map[string]*Node)}
+	a.Keyed = NewKeyed(a, &a.stats)
+	return a
 }
 
-// Name implements Policy.
+// Name implements Ordering.
 func (a *ARC) Name() string { return "arc" }
 
-// Get implements Policy.
-func (a *ARC) Get(key string) bool {
-	e, ok := a.entries[key]
-	if !ok || (e.where != inT1 && e.where != inT2) {
-		a.stats.Misses++
-		return false
-	}
-	// Case I: hit in T1 or T2 promotes to T2 MRU.
-	a.listOf(e.where).remove(e)
-	e.where = inT2
-	a.t2.pushMRU(e)
+// Touch implements Ordering: a hit in T1 or T2 promotes to T2's MRU end
+// (case I).
+func (a *ARC) Touch(n *Node) {
+	a.listOf(n.Aux).remove(n)
+	n.Aux = inT2
+	a.t2.push(n)
 	a.stats.Hits++
-	return true
 }
 
-// Set implements Policy.
-func (a *ARC) Set(key string, size, cost int64) bool {
-	if size < 0 {
-		size = 0
-	}
-	if size > a.capacity {
-		a.dropIfGhost(key)
+// Insert implements Ordering. A resident update (a node Removed from T1 or
+// T2) goes to T2; a fresh node whose key is a ghost adapts the target and
+// goes to T2 (cases II and III); any other fresh node goes to T1 (case IV).
+func (a *ARC) Insert(n *Node) bool {
+	if n.Size > a.capacity {
+		a.dropGhost(a.ghosts[n.Key])
 		a.stats.Rejected++
 		return false
 	}
-	e, ok := a.entries[key]
-	switch {
-	case ok && (e.where == inT1 || e.where == inT2):
-		// Resident update: adjust size in place and promote.
-		a.listOf(e.where).remove(e)
-		e.Size, e.Cost = size, cost
-		e.where = inT2
-		for a.residentBytes()+size > a.capacity {
-			if !a.replace(false) {
-				delete(a.entries, key)
-				a.stats.Rejected++
-				return false
+	where, b2Hit := uint64(inT2), false
+	if n.Aux == 0 {
+		switch g := a.ghosts[n.Key]; {
+		case g != nil && g.Aux == inB1:
+			// Case II: ghost hit in B1 -> grow the recency target.
+			a.p = min(a.capacity, a.p+max(g.Size, a.b2.bytes/max(a.b1.bytes, 1)*g.Size))
+			a.dropGhost(g)
+		case g != nil:
+			// Case III: ghost hit in B2 -> grow the frequency target.
+			a.p = max(0, a.p-max(g.Size, a.b1.bytes/max(a.b2.bytes, 1)*g.Size))
+			a.dropGhost(g)
+			b2Hit = true
+		default:
+			// Case IV: brand-new key.
+			where = inT1
+			if a.t1.bytes+a.b1.bytes >= a.capacity {
+				if a.t1.bytes < a.capacity {
+					a.dropGhost(a.b1.Front())
+				} else if lru := a.t1.Front(); lru != nil {
+					// B1 is empty and T1 fills the cache: evict
+					// T1's LRU outright.
+					a.evict(lru, false)
+				}
+			} else if a.residentBytes()+a.b1.bytes+a.b2.bytes >= 2*a.capacity {
+				a.dropGhost(a.b2.Front())
 			}
 		}
-		a.t2.pushMRU(e)
-		a.stats.Updates++
-		return true
-	case ok && e.where == inB1:
-		// Case II: ghost hit in B1 -> grow the recency target.
-		a.p = minInt64(a.capacity, a.p+maxInt64(e.Size, a.b2.bytes/maxInt64(a.b1.bytes, 1)*e.Size))
-		a.b1.remove(e)
-		e.Size, e.Cost = size, cost
-		for a.residentBytes()+size > a.capacity {
-			if !a.replace(false) {
-				delete(a.entries, key)
-				a.stats.Rejected++
-				return false
-			}
-		}
-		e.where = inT2
-		a.t2.pushMRU(e)
-		a.stats.Sets++
-		return true
-	case ok && e.where == inB2:
-		// Case III: ghost hit in B2 -> grow the frequency target.
-		a.p = maxInt64(0, a.p-maxInt64(e.Size, a.b1.bytes/maxInt64(a.b2.bytes, 1)*e.Size))
-		a.b2.remove(e)
-		e.Size, e.Cost = size, cost
-		for a.residentBytes()+size > a.capacity {
-			if !a.replace(true) {
-				delete(a.entries, key)
-				a.stats.Rejected++
-				return false
-			}
-		}
-		e.where = inT2
-		a.t2.pushMRU(e)
-		a.stats.Sets++
-		return true
-	default:
-		// Case IV: brand-new key.
-		if a.t1.bytes+a.b1.bytes >= a.capacity {
-			if a.t1.bytes < a.capacity {
-				a.dropGhostLRU(&a.b1, inB1)
-			} else if lru := a.t1.lru(a.entries); lru != nil {
-				// B1 is empty and T1 fills the cache: evict
-				// T1's LRU outright.
-				a.evict(lru, false)
-			}
-		} else if total := a.residentBytes() + a.b1.bytes + a.b2.bytes; total >= a.capacity {
-			if total >= 2*a.capacity {
-				a.dropGhostLRU(&a.b2, inB2)
-			}
-		}
-		for a.residentBytes()+size > a.capacity {
-			if !a.replace(false) {
-				a.stats.Rejected++
-				return false
-			}
-		}
-		ne := &arcEntry{Node: Node{Key: key, Size: size, Cost: cost}, where: inT1}
-		a.entries[key] = ne
-		a.t1.pushMRU(ne)
-		a.stats.Sets++
-		return true
 	}
+	for a.residentBytes()+n.Size > a.capacity {
+		victim := a.victim(b2Hit)
+		if victim == nil {
+			a.stats.Rejected++
+			return false
+		}
+		a.evict(victim, true)
+	}
+	n.Aux = where
+	a.listOf(where).push(n)
+	a.stats.Sets++
+	return true
 }
 
-// replace implements ARC's REPLACE: evict from T1 if it exceeds the target
-// (or ties it on a B2 ghost hit), else from T2. The victim's key moves to
-// the corresponding ghost list.
-func (a *ARC) replace(b2Hit bool) bool {
-	t1LRU := a.t1.lru(a.entries)
-	if t1LRU != nil && (a.t1.bytes > a.p || (b2Hit && a.t1.bytes >= a.p)) {
-		a.evict(t1LRU, true)
-		return true
+// InsertAt implements Ordering: ARC has no priority to pin.
+func (a *ARC) InsertAt(n *Node, _, _ uint64) bool { return a.Insert(n) }
+
+// Remove implements Ordering.
+func (a *ARC) Remove(n *Node) { a.listOf(n.Aux).remove(n) }
+
+// victim is ARC's REPLACE choice: T1's LRU if T1 exceeds the target (or ties
+// it on a B2 ghost hit), else T2's LRU, else T1's; nil when nothing is
+// resident.
+func (a *ARC) victim(b2Hit bool) *Node {
+	n := a.t1.Front()
+	if n == nil || !(a.t1.bytes > a.p || b2Hit && a.t1.bytes >= a.p) {
+		if m := a.t2.Front(); m != nil {
+			n = m
+		}
 	}
-	if t2LRU := a.t2.lru(a.entries); t2LRU != nil {
-		a.evict(t2LRU, true)
-		return true
-	}
-	if t1LRU != nil {
-		a.evict(t1LRU, true)
-		return true
-	}
-	return false
+	return n
 }
 
-// evict removes a resident entry; when ghost is true the key is remembered
-// in the matching ghost list.
-func (a *ARC) evict(e *arcEntry, ghost bool) {
+// Victim implements Ordering, with urgency 0: ARC is cost-oblivious.
+func (a *ARC) Victim() (*Node, float64) { return a.victim(false), 0 }
+
+// Evict implements Ordering: the victim's key moves to its ghost list.
+func (a *ARC) Evict() *Node {
+	n := a.victim(false)
+	if n != nil {
+		a.evict(n, true)
+	}
+	return n
+}
+
+// evict removes a resident node; when ghost is true its key is remembered in
+// the matching ghost list. The callback fires last.
+func (a *ARC) evict(n *Node, ghost bool) {
 	a.stats.Evictions++
-	a.stats.EvictedBytes += uint64(e.Size)
-	ev := e.Entry()
-	from := e.where
-	a.listOf(from).remove(e)
+	a.stats.EvictedBytes += uint64(n.Size)
+	a.listOf(n.Aux).remove(n)
 	if ghost {
-		if from == inT1 {
-			e.where = inB1
-			a.b1.pushMRU(e)
-		} else {
-			e.where = inB2
-			a.b2.pushMRU(e)
+		g := &Node{Key: n.Key, Size: n.Size, Aux: inB1}
+		if n.Aux == inT2 {
+			g.Aux = inB2
 		}
-	} else {
-		delete(a.entries, e.Key)
+		a.ghosts[g.Key] = g
+		a.listOf(g.Aux).push(g)
 	}
 	if a.onEvict != nil {
-		a.onEvict(ev)
+		a.onEvict(n)
 	}
 }
 
-// EvictOne removes the preferred victim, firing the eviction callback.
-func (a *ARC) EvictOne() (Entry, bool) {
-	var victim *arcEntry
-	if a.t1.bytes > a.p {
-		victim = a.t1.lru(a.entries)
-	}
-	if victim == nil {
-		victim = a.t2.lru(a.entries)
-	}
-	if victim == nil {
-		victim = a.t1.lru(a.entries)
-	}
-	if victim == nil {
-		return Entry{}, false
-	}
-	e := victim.Entry()
-	a.evict(victim, true)
-	return e, true
-}
-
-func (a *ARC) dropGhostLRU(l *arcList, where listID) {
-	if lru := l.lru(a.entries); lru != nil && lru.where == where {
-		l.remove(lru)
-		delete(a.entries, lru.Key)
+// dropGhost forgets a ghost; nil is a no-op.
+func (a *ARC) dropGhost(g *Node) {
+	if g != nil {
+		a.listOf(g.Aux).remove(g)
+		delete(a.ghosts, g.Key)
 	}
 }
 
-func (a *ARC) dropIfGhost(key string) {
-	if e, ok := a.entries[key]; ok {
-		if e.where == inB1 || e.where == inB2 {
-			a.listOf(e.where).remove(e)
-			delete(a.entries, key)
-		}
-	}
+// Visit implements Ordering, in the order successive Evicts would take the
+// residents.
+func (a *ARC) Visit(visit func(n *Node, prio, class uint64) bool) {
+	visitLists(&a.t1, a.p, &a.t2, visit)
 }
 
-// Delete implements Policy.
-func (a *ARC) Delete(key string) bool {
-	e, ok := a.entries[key]
-	if !ok {
-		return false
-	}
-	resident := e.where == inT1 || e.where == inT2
-	a.listOf(e.where).remove(e)
-	delete(a.entries, key)
-	return resident
-}
+// Prioritized implements Ordering.
+func (a *ARC) Prioritized() bool { return false }
 
-// Contains implements Policy.
-func (a *ARC) Contains(key string) bool {
-	e, ok := a.entries[key]
-	return ok && (e.where == inT1 || e.where == inT2)
-}
+// Scale implements Ordering.
+func (a *ARC) Scale() (uint64, bool) { return 0, false }
 
-// Peek implements Policy.
-func (a *ARC) Peek(key string) (Entry, bool) {
-	e, ok := a.entries[key]
-	if !ok || (e.where != inT1 && e.where != inT2) {
-		return Entry{}, false
-	}
-	return e.Entry(), true
-}
+// RestoreScale implements Ordering.
+func (a *ARC) RestoreScale(uint64) {}
 
-// Len implements Policy (resident items only).
-func (a *ARC) Len() int {
-	return a.t1.Len() + a.t2.Len()
-}
+// Len implements Ordering (resident items only).
+func (a *ARC) Len() int { return a.t1.Len() + a.t2.Len() }
 
-// Used implements Policy.
+// Used implements Ordering.
 func (a *ARC) Used() int64 { return a.residentBytes() }
 
-// Capacity implements Policy.
+// Capacity implements Ordering.
 func (a *ARC) Capacity() int64 { return a.capacity }
 
-// Stats implements Policy.
+// Stats implements Ordering.
 func (a *ARC) Stats() Stats { return a.stats }
 
-// SetEvictFunc implements Policy.
-func (a *ARC) SetEvictFunc(fn EvictFunc) { a.onEvict = fn }
+// OnEvict implements Ordering.
+func (a *ARC) OnEvict(fn func(*Node)) { a.onEvict = fn }
 
 // Target returns the current byte target for T1, for tests.
 func (a *ARC) Target() int64 { return a.p }
 
 func (a *ARC) residentBytes() int64 { return a.t1.bytes + a.t2.bytes }
 
-func (a *ARC) listOf(w listID) *arcList {
+func (a *ARC) listOf(w uint64) *arcList {
 	switch w {
 	case inT1:
 		return &a.t1
@@ -322,18 +249,4 @@ func (a *ARC) listOf(w listID) *arcList {
 	default:
 		return &a.b2
 	}
-}
-
-func minInt64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxInt64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

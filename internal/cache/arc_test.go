@@ -80,16 +80,16 @@ func TestARCEvictOne(t *testing.T) {
 	a := NewARC(30)
 	a.Set("a", 10, 1)
 	a.Set("b", 10, 1)
-	e, ok := a.EvictOne()
-	if !ok || e.Key == "" {
-		t.Fatal("EvictOne should return a victim")
+	n := a.Evict()
+	if n == nil || n.Key == "" {
+		t.Fatal("Evict should return a victim")
 	}
 	if a.Len() != 1 {
-		t.Fatalf("Len = %d after EvictOne", a.Len())
+		t.Fatalf("Len = %d after Evict", a.Len())
 	}
-	a.EvictOne()
-	if _, ok := a.EvictOne(); ok {
-		t.Fatal("EvictOne on empty cache should fail")
+	a.Evict()
+	if a.Evict() != nil {
+		t.Fatal("Evict on empty cache should fail")
 	}
 }
 

@@ -8,10 +8,12 @@
 // package), which keeps the policies directly usable by the trace-driven
 // simulator without materializing values.
 //
-// LRU, CAMP and GDS are written once, as an Ordering over Nodes the caller
-// owns (ordering.go): a store that already indexes its items embeds a Node in
-// each and never pays for a second key lookup. Keyed adds the one key index
-// that turns such an ordering into a string-keyed Policy.
+// Every policy — LRU, ARC, 2Q, LFU, GD-Wheel and Pooled LRU here, CAMP and
+// GDS in core — is written once, as an Ordering over Nodes the caller owns
+// (ordering.go): a store that already indexes its items embeds a Node in
+// each and never pays for a second key lookup. Keyed adds the one index of
+// resident keys that turns such an ordering into a string-keyed Policy;
+// Admission filters one in front of its Keyed face.
 package cache
 
 // Entry describes a cached key-value pair's metadata.

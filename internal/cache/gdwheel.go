@@ -10,17 +10,22 @@ import "camp/internal/rounding"
 // ratio, and must migrate slots from outer wheels to inner ones as the
 // clock advances. It is implemented here as the paper's foil: CAMP achieves
 // the same O(1) flavor without migrations and with a provable bound.
+//
+// It is an Ordering: a node's H word is its priority and its Aux word the
+// wheel slot it is linked in (level·W + slot). The embedded Keyed makes it a
+// Policy.
 type GDWheel struct {
+	Keyed
 	capacity int64
 	used     int64
+	n        int
 
 	slots   [gdwLevels][gdwWheelWidth]Queue
 	counts  [gdwLevels]int // non-empty slot count per level
 	t       uint64         // global clock (the GDS "L")
 	conv    rounding.Converter
-	items   map[string]*gdwEntry
 	stats   Stats
-	onEvict EvictFunc
+	onEvict func(*Node)
 }
 
 // gdwWheelWidth is the number of slots per wheel level.
@@ -30,24 +35,19 @@ const gdwWheelWidth = 256
 // the outermost wheel.
 const gdwLevels = 3
 
-// gdwEntry is a resident key, linked into the wheel slot its priority (the
-// node's H word) falls in.
-type gdwEntry struct {
-	Node
-	level, slot int
-}
-
-var _ Policy = (*GDWheel)(nil)
+var (
+	_ Policy   = (*GDWheel)(nil)
+	_ Ordering = (*GDWheel)(nil)
+)
 
 // NewGDWheel returns a GD-Wheel policy with the given byte capacity.
 func NewGDWheel(capacity int64) *GDWheel {
-	if capacity < 0 {
-		capacity = 0
-	}
-	return &GDWheel{capacity: capacity, items: make(map[string]*gdwEntry)}
+	g := &GDWheel{capacity: max(capacity, 0)}
+	g.Keyed = NewKeyed(g, &g.stats)
+	return g
 }
 
-// Name implements Policy.
+// Name implements Ordering.
 func (g *GDWheel) Name() string { return "gdwheel" }
 
 // Clock returns the wheel clock (GDS's L analog), for tests.
@@ -77,145 +77,123 @@ func (g *GDWheel) base(level int) uint64 {
 	return g.t / sp * sp
 }
 
-// place links e into the wheel slot covering its priority.
-func (g *GDWheel) place(e *gdwEntry) {
-	d := e.H - g.t
+// place links n into the wheel slot covering its priority.
+func (g *GDWheel) place(n *Node) {
+	d := n.H - g.t
 	level := 0
-	for level < gdwLevels-1 && e.H >= g.base(level)+span(level) {
+	for level < gdwLevels-1 && n.H >= g.base(level)+span(level) {
 		level++
 	}
 	if d >= span(gdwLevels-1) {
 		// Clamp far-future priorities into the outermost window.
-		e.H = g.base(gdwLevels-1) + span(gdwLevels-1) - 1
+		n.H = g.base(gdwLevels-1) + span(gdwLevels-1) - 1
 	}
-	gr := granularity(level)
-	slot := int(e.H / gr % gdwWheelWidth)
-	e.level, e.slot = level, slot
+	slot := n.H / granularity(level) % gdwWheelWidth
+	n.Aux = uint64(level)*gdwWheelWidth + slot
 	lst := &g.slots[level][slot]
 	if lst.Len() == 0 {
 		g.counts[level]++
 	}
-	lst.PushBack(&e.Node)
+	lst.PushBack(n)
 }
 
-// unlink removes e from its slot.
-func (g *GDWheel) unlink(e *gdwEntry) {
-	lst := &g.slots[e.level][e.slot]
-	lst.Remove(&e.Node)
+// unlink removes n from its slot.
+func (g *GDWheel) unlink(n *Node) {
+	level := n.Aux / gdwWheelWidth
+	lst := &g.slots[level][n.Aux%gdwWheelWidth]
+	lst.Remove(n)
 	if lst.Len() == 0 {
-		g.counts[e.level]--
+		g.counts[level]--
 	}
 }
 
-// Get implements Policy.
-func (g *GDWheel) Get(key string) bool {
-	e, ok := g.items[key]
-	if !ok {
-		g.stats.Misses++
-		return false
-	}
-	g.unlink(e)
-	e.H = g.t + g.ratio(e.Cost, e.Size)
-	g.place(e)
+// Touch implements Ordering.
+func (g *GDWheel) Touch(n *Node) {
+	g.unlink(n)
+	n.H = g.t + g.conv.IntRatio(n.Cost, n.Size)
+	g.place(n)
 	g.stats.Hits++
-	return true
 }
 
-func (g *GDWheel) ratio(cost, size int64) uint64 {
-	d := g.conv.IntRatio(cost, size)
-	if d == 0 {
-		return 0
-	}
-	return d
-}
-
-// Set implements Policy.
-func (g *GDWheel) Set(key string, size, cost int64) bool {
-	if size < 0 {
-		size = 0
-	}
-	if e, ok := g.items[key]; ok {
-		g.unlink(e)
-		delete(g.items, key)
-		g.used -= e.Size
-		if !g.admit(key, size, cost) {
-			g.stats.Rejected++
-			return false
-		}
-		g.stats.Updates++
-		return true
-	}
-	if !g.admit(key, size, cost) {
+// Insert implements Ordering.
+func (g *GDWheel) Insert(n *Node) bool {
+	if n.Size > g.capacity {
 		g.stats.Rejected++
 		return false
 	}
+	for g.used+n.Size > g.capacity {
+		if g.Evict() == nil {
+			g.stats.Rejected++
+			return false
+		}
+	}
+	n.H = g.t + g.conv.IntRatio(n.Cost, n.Size)
+	g.place(n)
+	g.used += n.Size
+	g.n++
 	g.stats.Sets++
 	return true
 }
 
-func (g *GDWheel) admit(key string, size, cost int64) bool {
-	if size > g.capacity {
-		return false
-	}
-	for g.used+size > g.capacity {
-		if _, ok := g.EvictOne(); !ok {
-			return false
-		}
-	}
-	e := &gdwEntry{Node: Node{Key: key, Size: size, Cost: cost, H: g.t + g.ratio(cost, size)}}
-	g.place(e)
-	g.items[key] = e
-	g.used += size
-	return true
+// InsertAt implements Ordering: the wheel re-derives priorities from its
+// clock, so none is pinned.
+func (g *GDWheel) InsertAt(n *Node, _, _ uint64) bool { return g.Insert(n) }
+
+// Remove implements Ordering.
+func (g *GDWheel) Remove(n *Node) {
+	g.unlink(n)
+	g.used -= n.Size
+	g.n--
 }
 
-// EvictOne evicts one victim on demand: advance the hand to the next non-empty
-// level-0 slot (migrating outer wheels inward as windows are crossed) and
-// evict that slot's FIFO head.
-func (g *GDWheel) EvictOne() (Entry, bool) {
-	if len(g.items) == 0 {
-		return Entry{}, false
-	}
-	e := g.popMin()
-	if e == nil {
-		return Entry{}, false
-	}
-	delete(g.items, e.Key)
-	g.used -= e.Size
-	g.stats.Evictions++
-	g.stats.EvictedBytes += uint64(e.Size)
-	out := e.Entry()
-	if g.onEvict != nil {
-		g.onEvict(out)
-	}
-	return out, true
-}
-
-// popMin finds the approximately-minimum-priority entry.
-func (g *GDWheel) popMin() *gdwEntry {
-	for attempts := 0; attempts < gdwWheelWidth*gdwLevels+2; attempts++ {
+// victim finds the approximately-minimum-priority node and its level-0
+// slot, migrating outer wheels inward until the hand's window holds one.
+func (g *GDWheel) victim() (*Node, uint64) {
+	for attempts := 0; g.n > 0 && attempts < gdwWheelWidth*gdwLevels+2; attempts++ {
 		// Scan the level-0 window from the hand forward.
 		if g.counts[0] > 0 {
-			start := int(g.t % gdwWheelWidth)
-			for s := start; s < gdwWheelWidth; s++ {
-				lst := &g.slots[0][s]
-				if lst.Len() == 0 {
-					continue
+			for s := g.t % gdwWheelWidth; s < gdwWheelWidth; s++ {
+				if n := g.slots[0][s].Front(); n != nil {
+					return n, s
 				}
-				e := g.items[lst.Front().Key]
-				g.unlink(e)
-				// The hand advances to the evicted slot.
-				g.t = g.base(0) + uint64(s)
-				return e
 			}
 		}
 		// Level 0 exhausted for this window: pull the next non-empty
 		// outer slot's window down.
 		if !g.migrate() {
-			return nil
+			return nil, 0
 		}
 	}
-	return nil
+	return nil, 0
+}
+
+// Victim implements Ordering, with urgency 0. Finding the victim may
+// migrate an outer wheel's slot inward, GD-Wheel's own lazy step, which
+// moves the clock to that slot's window.
+func (g *GDWheel) Victim() (*Node, float64) {
+	n, _ := g.victim()
+	return n, 0
+}
+
+// Evict implements Ordering: advance the hand to the next non-empty level-0
+// slot (migrating outer wheels inward as windows are crossed) and evict
+// that slot's FIFO head.
+func (g *GDWheel) Evict() *Node {
+	n, s := g.victim()
+	if n == nil {
+		return nil
+	}
+	g.unlink(n)
+	// The hand advances to the evicted slot.
+	g.t = g.base(0) + s
+	g.used -= n.Size
+	g.n--
+	g.stats.Evictions++
+	g.stats.EvictedBytes += uint64(n.Size)
+	if g.onEvict != nil {
+		g.onEvict(n)
+	}
+	return n
 }
 
 // migrate advances the clock to the next outer-wheel slot holding items and
@@ -238,92 +216,85 @@ func (g *GDWheel) migrate() bool {
 			if winBase > g.t {
 				g.t = winBase
 			}
-			var moved []*gdwEntry
+			var moved []*Node
 			for lst.Len() > 0 {
-				e := g.items[lst.Front().Key]
-				g.unlink(e)
-				moved = append(moved, e)
+				n := lst.Front()
+				g.unlink(n)
+				moved = append(moved, n)
 			}
-			for _, e := range moved {
-				if e.H < g.t {
-					e.H = g.t // stale clamp; preserves order approximately
+			for _, n := range moved {
+				if n.H < g.t {
+					n.H = g.t // stale clamp; preserves order approximately
 				}
-				g.place(e)
+				g.place(n)
 			}
 			return true
 		}
 		// The remainder of this level's window is empty; fall
 		// through to the next outer level.
 	}
-	// All outer windows exhausted: wrap every level's window forward.
-	// Items must exist somewhere (the caller checked), so advance to the
-	// smallest priority directly.
-	var min *gdwEntry
-	for _, e := range g.items {
-		if min == nil || e.H < min.H {
-			min = e
+	// All outer windows exhausted: rebuild the wheels around the smallest
+	// priority, taking every slot's nodes in wheel order.
+	var all []*Node
+	for level := range g.slots {
+		for s := range g.slots[level] {
+			for lst := &g.slots[level][s]; lst.Len() > 0; {
+				n := lst.Front()
+				g.unlink(n)
+				all = append(all, n)
+			}
 		}
 	}
-	if min == nil {
+	if len(all) == 0 {
 		return false
 	}
-	// Rebuild the wheels around the new clock.
-	g.t = min.H
-	all := make([]*gdwEntry, 0, len(g.items))
-	for _, e := range g.items {
-		g.unlink(e)
-		all = append(all, e)
+	g.t = all[0].H
+	for _, n := range all {
+		g.t = min(g.t, n.H)
 	}
-	for l := range g.counts {
-		g.counts[l] = 0
-	}
-	for _, e := range all {
-		if e.H < g.t {
-			e.H = g.t
-		}
-		g.place(e)
+	for _, n := range all {
+		g.place(n)
 	}
 	return true
 }
 
-// Delete implements Policy.
-func (g *GDWheel) Delete(key string) bool {
-	e, ok := g.items[key]
-	if !ok {
-		return false
+// Visit implements Ordering, approximately in eviction order — GD-Wheel
+// settles its order only as migrations bring outer slots in: level by
+// level, each level's slots from its hand onward and then round, each slot
+// first in first out.
+func (g *GDWheel) Visit(visit func(n *Node, prio, class uint64) bool) {
+	for level := range g.slots {
+		hand := g.t / granularity(level) % gdwWheelWidth
+		for i := uint64(0); i < gdwWheelWidth; i++ {
+			for n := g.slots[level][(hand+i)%gdwWheelWidth].Front(); n != nil; n = n.Next() {
+				if !visit(n, 0, 0) {
+					return
+				}
+			}
+		}
 	}
-	g.unlink(e)
-	delete(g.items, key)
-	g.used -= e.Size
-	return true
 }
 
-// Contains implements Policy.
-func (g *GDWheel) Contains(key string) bool {
-	_, ok := g.items[key]
-	return ok
-}
+// Prioritized implements Ordering: restored priorities are re-derived.
+func (g *GDWheel) Prioritized() bool { return false }
 
-// Peek implements Policy.
-func (g *GDWheel) Peek(key string) (Entry, bool) {
-	e, ok := g.items[key]
-	if !ok {
-		return Entry{}, false
-	}
-	return e.Entry(), true
-}
+// Scale implements Ordering.
+func (g *GDWheel) Scale() (uint64, bool) { return 0, false }
 
-// Len implements Policy.
-func (g *GDWheel) Len() int { return len(g.items) }
+// RestoreScale implements Ordering.
+func (g *GDWheel) RestoreScale(uint64) {}
 
-// Used implements Policy.
+// Len implements Ordering.
+func (g *GDWheel) Len() int { return g.n }
+
+// Used implements Ordering.
 func (g *GDWheel) Used() int64 { return g.used }
 
-// Capacity implements Policy.
+// Capacity implements Ordering.
 func (g *GDWheel) Capacity() int64 { return g.capacity }
 
-// Stats implements Policy.
+// Stats implements Ordering.
 func (g *GDWheel) Stats() Stats { return g.stats }
 
-// SetEvictFunc implements Policy.
-func (g *GDWheel) SetEvictFunc(fn EvictFunc) { g.onEvict = fn }
+// OnEvict implements Ordering.
+func (g *GDWheel) OnEvict(fn func(*Node)) { g.onEvict = fn }

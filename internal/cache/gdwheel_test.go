@@ -70,10 +70,7 @@ func TestGDWheelMigration(t *testing.T) {
 	var evicted []string
 	g.SetEvictFunc(func(e Entry) { evicted = append(evicted, e.Key) })
 	// Evict everything; order should be non-decreasing in ratio.
-	for {
-		if _, ok := g.EvictOne(); !ok {
-			break
-		}
+	for g.Evict() != nil {
 	}
 	want := []string{"l0", "l1", "l1b", "l2"}
 	if len(evicted) != len(want) {

@@ -1,178 +1,148 @@
 package cache
 
-import "camp/internal/nheap"
+import (
+	"cmp"
+	"slices"
+
+	"camp/internal/nheap"
+)
 
 // LFU evicts the least frequently used item, breaking ties by recency. It
 // rounds out the §5 baseline set: pure frequency, no recency adaptation, no
 // cost or size awareness beyond byte accounting.
+//
+// It is an Ordering over a heap of nodes: a node's H word is its use count,
+// Seq its last touch and Aux its heap slot. The embedded Keyed makes it a
+// Policy.
 type LFU struct {
+	Keyed
 	capacity int64
 	used     int64
-	items    map[string]*lfuEntry
-	heap     *nheap.Heap[*lfuEntry]
+	heap     *nheap.Heap[*Node]
 	tick     uint64
 	stats    Stats
-	onEvict  EvictFunc
+	onEvict  func(*Node)
 }
 
-type lfuEntry struct {
-	key     string
-	size    int64
-	cost    int64
-	freq    uint64
-	touched uint64 // recency tie-break
-	heapIdx int
-}
-
-var _ Policy = (*LFU)(nil)
+var (
+	_ Policy   = (*LFU)(nil)
+	_ Ordering = (*LFU)(nil)
+)
 
 // NewLFU returns an LFU policy with the given byte capacity.
 func NewLFU(capacity int64) *LFU {
-	if capacity < 0 {
-		capacity = 0
+	c := &LFU{
+		capacity: max(capacity, 0),
+		heap: nheap.New(func(a, b *Node) bool { return lfuCompare(a, b) < 0 },
+			nheap.WithIndexTracking(func(n *Node, i int) { n.Aux = uint64(i) })),
 	}
-	return &LFU{
-		capacity: capacity,
-		items:    make(map[string]*lfuEntry),
-		heap: nheap.New(
-			func(a, b *lfuEntry) bool {
-				if a.freq != b.freq {
-					return a.freq < b.freq
-				}
-				return a.touched < b.touched
-			},
-			nheap.WithIndexTracking(func(e *lfuEntry, i int) { e.heapIdx = i }),
-		),
-	}
+	c.Keyed = NewKeyed(c, &c.stats)
+	return c
 }
 
-// Name implements Policy.
+// lfuCompare orders nodes by use count, ties broken by the older touch.
+func lfuCompare(a, b *Node) int {
+	return cmp.Or(cmp.Compare(a.H, b.H), cmp.Compare(a.Seq, b.Seq))
+}
+
+// Name implements Ordering.
 func (c *LFU) Name() string { return "lfu" }
 
-// Get implements Policy.
-func (c *LFU) Get(key string) bool {
-	e, ok := c.items[key]
-	if !ok {
-		c.stats.Misses++
-		return false
-	}
-	c.touch(e)
-	c.stats.Hits++
-	return true
-}
-
-func (c *LFU) touch(e *lfuEntry) {
-	e.freq++
+// use records one more use of n: a touch, an insert or an update.
+func (c *LFU) use(n *Node) {
+	n.H++
 	c.tick++
-	e.touched = c.tick
-	c.heap.Fix(e.heapIdx)
+	n.Seq = c.tick
 }
 
-// Set implements Policy.
-func (c *LFU) Set(key string, size, cost int64) bool {
-	if size < 0 {
-		size = 0
-	}
-	if e, ok := c.items[key]; ok {
-		// Detach first so eviction can never pick the entry itself.
-		c.remove(e)
-		if size > c.capacity || !c.makeRoom(size) {
-			c.stats.Rejected++
-			return false
-		}
-		e.size, e.cost = size, cost
-		e.freq++
-		c.tick++
-		e.touched = c.tick
-		e.heapIdx = -1
-		c.heap.Push(e)
-		c.items[key] = e
-		c.used += size
-		c.stats.Updates++
-		return true
-	}
-	if size > c.capacity || !c.makeRoom(size) {
+// Touch implements Ordering.
+func (c *LFU) Touch(n *Node) {
+	c.use(n)
+	c.heap.Fix(int(n.Aux))
+	c.stats.Hits++
+}
+
+// Insert implements Ordering. An update keeps the count its node left
+// behind, so it counts as one more use.
+func (c *LFU) Insert(n *Node) bool {
+	if n.Size > c.capacity {
 		c.stats.Rejected++
 		return false
 	}
-	c.tick++
-	e := &lfuEntry{key: key, size: size, cost: cost, freq: 1, touched: c.tick, heapIdx: -1}
-	c.heap.Push(e)
-	c.items[key] = e
-	c.used += size
+	for c.used+n.Size > c.capacity {
+		if c.Evict() == nil {
+			c.stats.Rejected++
+			return false
+		}
+	}
+	c.use(n)
+	c.heap.Push(n)
+	c.used += n.Size
 	c.stats.Sets++
 	return true
 }
 
-func (c *LFU) makeRoom(need int64) bool {
-	for c.used+need > c.capacity {
-		if _, ok := c.EvictOne(); !ok {
-			return false
+// InsertAt implements Ordering: LFU's counts are not pinned.
+func (c *LFU) InsertAt(n *Node, _, _ uint64) bool { return c.Insert(n) }
+
+// Remove implements Ordering.
+func (c *LFU) Remove(n *Node) {
+	c.heap.Remove(int(n.Aux))
+	c.used -= n.Size
+}
+
+// Victim implements Ordering, with urgency 0.
+func (c *LFU) Victim() (*Node, float64) {
+	n, _ := c.heap.Peek()
+	return n, 0
+}
+
+// Evict implements Ordering.
+func (c *LFU) Evict() *Node {
+	if c.heap.Len() == 0 {
+		return nil
+	}
+	n := c.heap.Pop()
+	c.used -= n.Size
+	c.stats.Evictions++
+	c.stats.EvictedBytes += uint64(n.Size)
+	if c.onEvict != nil {
+		c.onEvict(n)
+	}
+	return n
+}
+
+// Visit implements Ordering: a sorted copy of the heap, least used first.
+func (c *LFU) Visit(visit func(n *Node, prio, class uint64) bool) {
+	nodes := slices.Clone(c.heap.Items())
+	slices.SortFunc(nodes, lfuCompare)
+	for _, n := range nodes {
+		if !visit(n, 0, 0) {
+			return
 		}
 	}
-	return true
 }
 
-// EvictOne removes the preferred victim, firing the eviction callback.
-func (c *LFU) EvictOne() (Entry, bool) {
-	if c.heap.Len() == 0 {
-		return Entry{}, false
-	}
-	victim := c.heap.Pop()
-	delete(c.items, victim.key)
-	c.used -= victim.size
-	victim.heapIdx = -1
-	c.stats.Evictions++
-	c.stats.EvictedBytes += uint64(victim.size)
-	e := Entry{Key: victim.key, Size: victim.size, Cost: victim.cost}
-	if c.onEvict != nil {
-		c.onEvict(e)
-	}
-	return e, true
-}
+// Prioritized implements Ordering.
+func (c *LFU) Prioritized() bool { return false }
 
-// Delete implements Policy.
-func (c *LFU) Delete(key string) bool {
-	e, ok := c.items[key]
-	if !ok {
-		return false
-	}
-	c.remove(e)
-	return true
-}
+// Scale implements Ordering.
+func (c *LFU) Scale() (uint64, bool) { return 0, false }
 
-func (c *LFU) remove(e *lfuEntry) {
-	c.heap.Remove(e.heapIdx)
-	delete(c.items, e.key)
-	c.used -= e.size
-}
+// RestoreScale implements Ordering.
+func (c *LFU) RestoreScale(uint64) {}
 
-// Contains implements Policy.
-func (c *LFU) Contains(key string) bool {
-	_, ok := c.items[key]
-	return ok
-}
+// Len implements Ordering.
+func (c *LFU) Len() int { return c.heap.Len() }
 
-// Peek implements Policy.
-func (c *LFU) Peek(key string) (Entry, bool) {
-	e, ok := c.items[key]
-	if !ok {
-		return Entry{}, false
-	}
-	return Entry{Key: e.key, Size: e.size, Cost: e.cost}, true
-}
-
-// Len implements Policy.
-func (c *LFU) Len() int { return len(c.items) }
-
-// Used implements Policy.
+// Used implements Ordering.
 func (c *LFU) Used() int64 { return c.used }
 
-// Capacity implements Policy.
+// Capacity implements Ordering.
 func (c *LFU) Capacity() int64 { return c.capacity }
 
-// Stats implements Policy.
+// Stats implements Ordering.
 func (c *LFU) Stats() Stats { return c.stats }
 
-// SetEvictFunc implements Policy.
-func (c *LFU) SetEvictFunc(fn EvictFunc) { c.onEvict = fn }
+// OnEvict implements Ordering.
+func (c *LFU) OnEvict(fn func(*Node)) { c.onEvict = fn }

@@ -15,9 +15,11 @@ type Node struct {
 	Cost int64
 
 	// H, Seq and Aux belong to the ordering the node is linked in: the
-	// entry's priority (an integer for CAMP, float64 bits for GDS), its
-	// tie-breaking request sequence, and CAMP's queue id or GDS's heap
-	// slot. Callers neither read nor write them.
+	// entry's priority (an integer for CAMP and GD-Wheel, float64 bits for
+	// GDS, the frequency for LFU), its tie-breaking request sequence or last
+	// touch, and CAMP's queue id, GDS's or LFU's heap slot, GD-Wheel's wheel
+	// slot, ARC's or 2Q's list or Pooled's pool. Callers neither read nor
+	// write them, except that a fresh node starts with all three zero.
 	H, Seq, Aux uint64
 }
 
@@ -37,6 +39,11 @@ func (n *Node) Entry() Entry { return Entry{Key: n.Key, Size: n.Size, Cost: n.Co
 // rather than re-derived because CAMP's ratio integerization is adaptive;
 // offsets are relative to L so they survive the restore into a fresh
 // ordering, where L restarts at zero.
+//
+// A node that is Removed and then Inserted again is an update, and the
+// ordering may read the words it left there (ARC promotes a resident update,
+// LFU counts it as one more use); a fresh node has all three words zero.
+// Keyed.set and the server's stores both follow this protocol.
 type Ordering interface {
 	// Name returns a short identifier such as "lru" or "camp".
 	Name() string
@@ -94,9 +101,18 @@ type Ordering interface {
 	OnEvict(fn func(*Node))
 }
 
+// KeyedOrdering is an Ordering together with its Keyed face. Every policy
+// this package and core build is one.
+type KeyedOrdering interface {
+	Ordering
+	Policy
+	PriorityOrdered
+	CheckIndex() error
+}
+
 // Keyed is the string-keyed face of an Ordering — the Policy methods that
-// take a key — and the only key index the policies share: CAMP, GDS and LRU
-// embed one. An ordering whose caller brings its own nodes never touches it.
+// take a key — and the only index of resident keys: every policy embeds one.
+// An ordering whose caller brings its own nodes never touches it.
 type Keyed struct {
 	ord     Ordering
 	stats   *Stats // the ordering's own counters

@@ -27,16 +27,23 @@ type PoolSpec struct {
 // PooledLRU statically partitions memory into per-cost-group pools, each an
 // independent LRU. Unlike CAMP, pool sizes never adapt: an item can evict
 // only within its own pool.
+//
+// It is an Ordering over its pools' orderings, with each node's pool in its
+// Aux word (the pools' LRUs never use it); the embedded Keyed makes it a
+// Policy.
 type PooledLRU struct {
-	capacity  int64
-	specs     []PoolSpec
-	pools     []*LRU
-	keyToPool map[string]int
-	stats     Stats
-	onEvict   EvictFunc
+	Keyed
+	capacity int64
+	specs    []PoolSpec
+	pools    []*LRU
+	stats    Stats
+	onEvict  func(*Node)
 }
 
-var _ Policy = (*PooledLRU)(nil)
+var (
+	_ Policy   = (*PooledLRU)(nil)
+	_ Ordering = (*PooledLRU)(nil)
+)
 
 // NewPooled creates a PooledLRU with the given capacity split across pools
 // according to their weights. Pool cost ranges must not overlap; costs that
@@ -63,12 +70,8 @@ func NewPooled(capacity int64, specs []PoolSpec) (*PooledLRU, error) {
 			return nil, fmt.Errorf("cache: pools %q and %q overlap", prev.Name, ordered[i].Name)
 		}
 	}
-	p := &PooledLRU{
-		capacity:  capacity,
-		specs:     ordered,
-		pools:     make([]*LRU, len(ordered)),
-		keyToPool: make(map[string]int),
-	}
+	p := &PooledLRU{capacity: capacity, specs: ordered, pools: make([]*LRU, len(ordered))}
+	p.Keyed = NewKeyed(p, &p.stats)
 	assigned := int64(0)
 	for i, s := range ordered {
 		share := int64(float64(capacity) * s.Weight / totalWeight)
@@ -77,12 +80,11 @@ func NewPooled(capacity int64, specs []PoolSpec) (*PooledLRU, error) {
 		}
 		assigned += share
 		lru := NewLRU(share)
-		lru.SetEvictFunc(func(e Entry) {
-			delete(p.keyToPool, e.Key)
+		lru.OnEvict(func(n *Node) {
 			p.stats.Evictions++
-			p.stats.EvictedBytes += uint64(e.Size)
+			p.stats.EvictedBytes += uint64(n.Size)
 			if p.onEvict != nil {
-				p.onEvict(e)
+				p.onEvict(n)
 			}
 		})
 		p.pools[i] = lru
@@ -159,80 +161,89 @@ func NewPooledByRanges(capacity int64, bounds []int64) (*PooledLRU, error) {
 	return NewPooled(capacity, specs)
 }
 
-// Name implements Policy.
+// Name implements Ordering.
 func (p *PooledLRU) Name() string { return "pooled-lru" }
 
-// Get implements Policy.
-func (p *PooledLRU) Get(key string) bool {
-	idx, ok := p.keyToPool[key]
-	if !ok {
-		p.stats.Misses++
-		return false
-	}
-	if !p.pools[idx].Get(key) {
-		// keyToPool and pool contents are kept in sync; reaching here
-		// would be a bug.
-		p.stats.Misses++
-		return false
-	}
+// Touch implements Ordering.
+func (p *PooledLRU) Touch(n *Node) {
+	p.pools[n.Aux].Touch(n)
 	p.stats.Hits++
-	return true
 }
 
-// Set implements Policy.
-func (p *PooledLRU) Set(key string, size, cost int64) bool {
-	idx := p.poolFor(cost)
-	if old, ok := p.keyToPool[key]; ok && old != idx {
-		p.pools[old].Delete(key)
-		delete(p.keyToPool, key)
-	}
-	existed := p.pools[idx].Contains(key)
-	if !p.pools[idx].Set(key, size, cost) {
+// Insert implements Ordering: n goes to the pool its cost routes it to, and
+// may evict only there.
+func (p *PooledLRU) Insert(n *Node) bool {
+	i := p.poolFor(n.Cost)
+	if !p.pools[i].Insert(n) {
 		p.stats.Rejected++
-		if existed {
-			// Inner LRU dropped the entry on a failed grow.
-			delete(p.keyToPool, key)
-		}
 		return false
 	}
-	p.keyToPool[key] = idx
-	if existed {
-		p.stats.Updates++
-	} else {
-		p.stats.Sets++
-	}
+	n.Aux = uint64(i)
+	p.stats.Sets++
 	return true
 }
 
-// Delete implements Policy.
-func (p *PooledLRU) Delete(key string) bool {
-	idx, ok := p.keyToPool[key]
-	if !ok {
-		return false
+// InsertAt implements Ordering: recency is each pool's whole state.
+func (p *PooledLRU) InsertAt(n *Node, _, _ uint64) bool { return p.Insert(n) }
+
+// Remove implements Ordering.
+func (p *PooledLRU) Remove(n *Node) { p.pools[n.Aux].Remove(n) }
+
+// Victim implements Ordering: the least recently used node of the cheapest
+// pool that holds any, with urgency 0.
+func (p *PooledLRU) Victim() (*Node, float64) {
+	for _, pool := range p.pools {
+		if n, _ := pool.Victim(); n != nil {
+			return n, 0
+		}
 	}
-	delete(p.keyToPool, key)
-	return p.pools[idx].Delete(key)
+	return nil, 0
 }
 
-// Contains implements Policy.
-func (p *PooledLRU) Contains(key string) bool {
-	_, ok := p.keyToPool[key]
-	return ok
-}
-
-// Peek implements Policy.
-func (p *PooledLRU) Peek(key string) (Entry, bool) {
-	idx, ok := p.keyToPool[key]
-	if !ok {
-		return Entry{}, false
+// Evict implements Ordering: it evicts Victim.
+func (p *PooledLRU) Evict() *Node {
+	for _, pool := range p.pools {
+		if n := pool.Evict(); n != nil {
+			return n
+		}
 	}
-	return p.pools[idx].Peek(key)
+	return nil
 }
 
-// Len implements Policy.
-func (p *PooledLRU) Len() int { return len(p.keyToPool) }
+// Visit implements Ordering: pool by pool in cost order, each least recently
+// used first — the order successive Evicts take.
+func (p *PooledLRU) Visit(visit func(n *Node, prio, class uint64) bool) {
+	for _, pool := range p.pools {
+		stop := false
+		pool.Visit(func(n *Node, prio, class uint64) bool {
+			stop = !visit(n, prio, class)
+			return !stop
+		})
+		if stop {
+			return
+		}
+	}
+}
 
-// Used implements Policy.
+// Prioritized implements Ordering.
+func (p *PooledLRU) Prioritized() bool { return false }
+
+// Scale implements Ordering.
+func (p *PooledLRU) Scale() (uint64, bool) { return 0, false }
+
+// RestoreScale implements Ordering.
+func (p *PooledLRU) RestoreScale(uint64) {}
+
+// Len implements Ordering.
+func (p *PooledLRU) Len() int {
+	n := 0
+	for _, pool := range p.pools {
+		n += pool.Len()
+	}
+	return n
+}
+
+// Used implements Ordering.
 func (p *PooledLRU) Used() int64 {
 	var u int64
 	for _, pool := range p.pools {
@@ -241,14 +252,14 @@ func (p *PooledLRU) Used() int64 {
 	return u
 }
 
-// Capacity implements Policy.
+// Capacity implements Ordering.
 func (p *PooledLRU) Capacity() int64 { return p.capacity }
 
-// Stats implements Policy.
+// Stats implements Ordering.
 func (p *PooledLRU) Stats() Stats { return p.stats }
 
-// SetEvictFunc implements Policy.
-func (p *PooledLRU) SetEvictFunc(fn EvictFunc) { p.onEvict = fn }
+// OnEvict implements Ordering.
+func (p *PooledLRU) OnEvict(fn func(*Node)) { p.onEvict = fn }
 
 // PoolInfo reports one pool's configuration and occupancy.
 type PoolInfo struct {

@@ -6,227 +6,162 @@ package cache
 // remembered in a ghost queue (A1out); a reference while in the ghost queue
 // promotes the item to the protected LRU main queue (Am). Like LRU and ARC
 // it ignores cost.
+//
+// It is an Ordering, with each resident node's queue in its Aux word; the
+// embedded Keyed makes it a Policy. The ghosts are 2Q's own nodes.
 type TwoQ struct {
+	Keyed
 	capacity int64
 	kin      int64 // byte budget for A1in (default capacity/4)
 	kout     int64 // byte budget for A1out ghosts (default capacity/2)
 
-	a1in, am, a1out arcList // reuse the byte-counting list helper
-	entries         map[string]*arcEntry
+	a1in, am, a1out arcList          // reuse the byte-counting list helper
+	ghosts          map[string]*Node // the keys in A1out: non-residents only
 
 	stats   Stats
-	onEvict EvictFunc
+	onEvict func(*Node)
 }
 
-// 2Q's lists.
+// 2Q's queues, as a node's Aux word holds them; 0 is a fresh node.
 const (
-	inA1in listID = iota + 1
+	inA1in = iota + 1
 	inAm
 	inA1out
 )
 
-var _ Policy = (*TwoQ)(nil)
+var (
+	_ Policy   = (*TwoQ)(nil)
+	_ Ordering = (*TwoQ)(nil)
+)
 
 // NewTwoQ returns a 2Q policy with the standard 25%/50% queue tuning.
 func NewTwoQ(capacity int64) *TwoQ {
-	if capacity < 0 {
-		capacity = 0
-	}
-	return &TwoQ{
+	capacity = max(capacity, 0)
+	q := &TwoQ{
 		capacity: capacity,
 		kin:      capacity / 4,
 		kout:     capacity / 2,
-		entries:  make(map[string]*arcEntry),
+		ghosts:   make(map[string]*Node),
 	}
+	q.Keyed = NewKeyed(q, &q.stats)
+	return q
 }
 
-// Name implements Policy.
+// Name implements Ordering.
 func (q *TwoQ) Name() string { return "2q" }
 
-// Get implements Policy.
-func (q *TwoQ) Get(key string) bool {
-	r, ok := q.entries[key]
-	if !ok || r.where == inA1out {
-		q.stats.Misses++
-		return false
-	}
-	switch r.where {
-	case inAm:
-		q.am.MoveToBack(&r.Node)
-	case inA1in:
-		// 2Q leaves probation items in place on a hit; promotion
-		// happens only via the ghost queue.
+// Touch implements Ordering. 2Q leaves probation items in place on a hit;
+// promotion happens only via the ghost queue.
+func (q *TwoQ) Touch(n *Node) {
+	if n.Aux == inAm {
+		q.am.MoveToBack(n)
 	}
 	q.stats.Hits++
-	return true
 }
 
-// Set implements Policy.
-func (q *TwoQ) Set(key string, size, cost int64) bool {
-	if size < 0 {
-		size = 0
-	}
-	if size > q.capacity {
+// Insert implements Ordering. A resident update stays in its queue; a fresh
+// node whose key is a ghost is promoted into Am, any other enters A1in.
+func (q *TwoQ) Insert(n *Node) bool {
+	if n.Size > q.capacity {
 		q.stats.Rejected++
 		return false
 	}
-	if r, ok := q.entries[key]; ok {
-		switch r.where {
-		case inA1out:
-			// Ghost hit: promote into Am.
-			q.a1out.remove(r)
-			r.Size, r.Cost = size, cost
-			if !q.makeRoom(size) {
-				delete(q.entries, key)
-				q.stats.Rejected++
-				return false
-			}
-			r.where = inAm
-			q.am.pushMRU(r)
-			q.stats.Sets++
-			return true
-		default:
-			// Resident update.
-			q.listFor(r.where).remove(r)
-			r.Size, r.Cost = size, cost
-			if !q.makeRoom(size) {
-				delete(q.entries, key)
-				q.stats.Rejected++
-				return false
-			}
-			q.listFor(r.where).pushMRU(r)
-			q.stats.Updates++
-			return true
+	where := n.Aux
+	if where == 0 {
+		where = inA1in
+		if g := q.ghosts[n.Key]; g != nil {
+			q.dropGhost(g)
+			where = inAm
 		}
 	}
-	if !q.makeRoom(size) {
-		q.stats.Rejected++
-		return false
+	// Evict per the 2Q "reclaimfor" rule until n fits.
+	for q.a1in.bytes+q.am.bytes+n.Size > q.capacity {
+		if q.Evict() == nil {
+			q.stats.Rejected++
+			return false
+		}
 	}
-	e := &arcEntry{Node: Node{Key: key, Size: size, Cost: cost}, where: inA1in}
-	q.entries[key] = e
-	q.a1in.pushMRU(e)
+	n.Aux = where
+	q.listFor(where).push(n)
 	q.stats.Sets++
 	return true
 }
 
-// makeRoom evicts per the 2Q "reclaimfor" rule until size bytes fit.
-func (q *TwoQ) makeRoom(size int64) bool {
-	for q.a1in.bytes+q.am.bytes+size > q.capacity {
-		if !q.reclaim() {
-			return false
-		}
-	}
-	return true
-}
+// InsertAt implements Ordering: 2Q has no priority to pin.
+func (q *TwoQ) InsertAt(n *Node, _, _ uint64) bool { return q.Insert(n) }
 
-func (q *TwoQ) reclaim() bool {
-	// If A1in exceeds its share, demote its FIFO head to the ghost list;
-	// otherwise evict the main queue's LRU.
+// Remove implements Ordering.
+func (q *TwoQ) Remove(n *Node) { q.listFor(n.Aux).remove(n) }
+
+// Victim implements Ordering, with urgency 0: if A1in exceeds its share (or
+// Am is empty) its FIFO head, otherwise the main queue's LRU.
+func (q *TwoQ) Victim() (*Node, float64) {
 	if q.a1in.bytes > q.kin || q.am.Len() == 0 {
-		head := q.a1in.lru(q.entries)
-		if head == nil {
-			return false
-		}
-		q.evictResident(head, inA1in, true)
-		return true
+		return q.a1in.Front(), 0
 	}
-	lru := q.am.lru(q.entries)
-	if lru == nil {
-		return false
-	}
-	q.evictResident(lru, inAm, false)
-	return true
+	return q.am.Front(), 0
 }
 
-// evictResident removes a resident entry; A1in victims are remembered in
-// the ghost queue.
-func (q *TwoQ) evictResident(e *arcEntry, from listID, ghost bool) {
-	q.listFor(from).remove(e)
+// Evict implements Ordering: A1in victims are remembered in the ghost
+// queue. The callback fires last.
+func (q *TwoQ) Evict() *Node {
+	n, _ := q.Victim()
+	if n == nil {
+		return nil
+	}
+	q.listFor(n.Aux).remove(n)
 	q.stats.Evictions++
-	q.stats.EvictedBytes += uint64(e.Size)
-	ev := e.Entry()
-	if ghost {
-		e.where = inA1out
-		q.a1out.pushMRU(e)
+	q.stats.EvictedBytes += uint64(n.Size)
+	if n.Aux == inA1in {
+		g := &Node{Key: n.Key, Size: n.Size, Aux: inA1out}
+		q.ghosts[g.Key] = g
+		q.a1out.push(g)
 		for q.a1out.bytes > q.kout {
-			old := q.a1out.lru(q.entries)
-			if old == nil {
-				break
-			}
-			q.a1out.remove(old)
-			delete(q.entries, old.Key)
+			q.dropGhost(q.a1out.Front())
 		}
-	} else {
-		delete(q.entries, e.Key)
 	}
 	if q.onEvict != nil {
-		q.onEvict(ev)
+		q.onEvict(n)
 	}
+	return n
 }
 
-// EvictOne removes the preferred victim, firing the eviction callback.
-func (q *TwoQ) EvictOne() (Entry, bool) {
-	var victim *arcEntry
-	if q.a1in.bytes > q.kin || q.am.Len() == 0 {
-		victim = q.a1in.lru(q.entries)
-	}
-	if victim == nil {
-		victim = q.am.lru(q.entries)
-	}
-	if victim == nil {
-		victim = q.a1in.lru(q.entries)
-	}
-	if victim == nil {
-		return Entry{}, false
-	}
-	e := victim.Entry()
-	q.evictResident(victim, victim.where, victim.where == inA1in)
-	return e, true
+func (q *TwoQ) dropGhost(g *Node) {
+	q.a1out.remove(g)
+	delete(q.ghosts, g.Key)
 }
 
-// Delete implements Policy.
-func (q *TwoQ) Delete(key string) bool {
-	r, ok := q.entries[key]
-	if !ok {
-		return false
-	}
-	q.listFor(r.where).remove(r)
-	delete(q.entries, key)
-	return r.where != inA1out
+// Visit implements Ordering, in the order successive Evicts would take the
+// residents.
+func (q *TwoQ) Visit(visit func(n *Node, prio, class uint64) bool) {
+	visitLists(&q.a1in, q.kin, &q.am, visit)
 }
 
-// Contains implements Policy.
-func (q *TwoQ) Contains(key string) bool {
-	r, ok := q.entries[key]
-	return ok && r.where != inA1out
-}
+// Prioritized implements Ordering.
+func (q *TwoQ) Prioritized() bool { return false }
 
-// Peek implements Policy.
-func (q *TwoQ) Peek(key string) (Entry, bool) {
-	r, ok := q.entries[key]
-	if !ok || r.where == inA1out {
-		return Entry{}, false
-	}
-	return r.Entry(), true
-}
+// Scale implements Ordering.
+func (q *TwoQ) Scale() (uint64, bool) { return 0, false }
 
-// Len implements Policy (resident items only).
+// RestoreScale implements Ordering.
+func (q *TwoQ) RestoreScale(uint64) {}
+
+// Len implements Ordering (resident items only).
 func (q *TwoQ) Len() int { return q.a1in.Len() + q.am.Len() }
 
-// Used implements Policy.
+// Used implements Ordering.
 func (q *TwoQ) Used() int64 { return q.a1in.bytes + q.am.bytes }
 
-// Capacity implements Policy.
+// Capacity implements Ordering.
 func (q *TwoQ) Capacity() int64 { return q.capacity }
 
-// Stats implements Policy.
+// Stats implements Ordering.
 func (q *TwoQ) Stats() Stats { return q.stats }
 
-// SetEvictFunc implements Policy.
-func (q *TwoQ) SetEvictFunc(fn EvictFunc) { q.onEvict = fn }
+// OnEvict implements Ordering.
+func (q *TwoQ) OnEvict(fn func(*Node)) { q.onEvict = fn }
 
-func (q *TwoQ) listFor(w listID) *arcList {
+func (q *TwoQ) listFor(w uint64) *arcList {
 	switch w {
 	case inA1in:
 		return &q.a1in

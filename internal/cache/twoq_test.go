@@ -104,14 +104,14 @@ func TestTwoQRejectAndUpdate(t *testing.T) {
 func TestTwoQEvictOne(t *testing.T) {
 	q := NewTwoQ(30)
 	q.Set("a", 10, 1)
-	if _, ok := q.EvictOne(); !ok {
-		t.Fatal("EvictOne should evict")
+	if q.Evict() == nil {
+		t.Fatal("Evict should evict")
 	}
 	if q.Len() != 0 {
 		t.Fatal("cache should be empty")
 	}
-	if _, ok := q.EvictOne(); ok {
-		t.Fatal("EvictOne on empty cache should fail")
+	if q.Evict() != nil {
+		t.Fatal("Evict on empty cache should fail")
 	}
 }
 

@@ -106,16 +106,10 @@ func (st *store) reset() error {
 }
 
 func buildPolicy(cfg Config, capacity int64) (cache.Ordering, error) {
-	switch cfg.Policy {
-	case "camp":
-		return core.NewCamp(capacity, core.WithPrecision(cfg.Precision)), nil
-	case "lru":
-		return cache.NewLRU(capacity), nil
-	case "gds":
-		return core.NewGDS(capacity), nil
-	default:
-		return nil, fmt.Errorf("%w: unknown policy %q", errBadConfig, cfg.Policy)
+	if p, ok := core.PolicyNamed(cfg.Policy); ok && p.Served {
+		return p.New(capacity, cfg.Precision), nil
 	}
+	return nil, fmt.Errorf("%w: unknown policy %q", errBadConfig, cfg.Policy)
 }
 
 // onEvict keeps the index and the layout in sync with an ordering's

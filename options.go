@@ -32,25 +32,13 @@ const (
 
 // String returns the policy's short name.
 func (k PolicyKind) String() string {
-	switch k {
-	case CAMP:
-		return "camp"
-	case LRU:
-		return "lru"
-	case GDS:
-		return "gds"
-	case ARC:
-		return "arc"
-	case TwoQ:
-		return "2q"
-	case LFU:
-		return "lfu"
-	case GDWheel:
-		return "gdwheel"
-	default:
-		return fmt.Sprintf("PolicyKind(%d)", int(k))
+	if k.valid() {
+		return core.Policies[k-1].Name
 	}
+	return fmt.Sprintf("PolicyKind(%d)", int(k))
 }
+
+func (k PolicyKind) valid() bool { return k >= 1 && int(k) <= len(core.Policies) }
 
 type config struct {
 	kind         PolicyKind
@@ -76,13 +64,11 @@ func (f optionFunc) apply(c *config) error { return f(c) }
 // WithPolicy selects the eviction algorithm (default CAMP).
 func WithPolicy(kind PolicyKind) Option {
 	return optionFunc(func(c *config) error {
-		switch kind {
-		case CAMP, LRU, GDS, ARC, TwoQ, LFU, GDWheel:
-			c.kind = kind
-			return nil
-		default:
+		if !kind.valid() {
 			return fmt.Errorf("camp: unknown policy kind %d", kind)
 		}
+		c.kind = kind
+		return nil
 	})
 }
 
@@ -185,7 +171,7 @@ func WithEvictionHook(fn func(Entry)) Option {
 	})
 }
 
-func (c *config) buildPolicy(capacity int64) (cache.Policy, error) {
+func (c *config) buildPolicy(capacity int64) (cache.KeyedOrdering, error) {
 	p, err := c.buildBase(capacity)
 	if err != nil {
 		return nil, err
@@ -196,25 +182,12 @@ func (c *config) buildPolicy(capacity int64) (cache.Policy, error) {
 	return p, nil
 }
 
-func (c *config) buildBase(capacity int64) (cache.Policy, error) {
-	if c.pools != nil {
+func (c *config) buildBase(capacity int64) (cache.KeyedOrdering, error) {
+	switch {
+	case c.pools != nil:
 		return cache.NewPooled(capacity, c.pools)
-	}
-	switch c.kind {
-	case LRU:
-		return cache.NewLRU(capacity), nil
-	case GDS:
-		return core.NewGDS(capacity), nil
-	case ARC:
-		return cache.NewARC(capacity), nil
-	case TwoQ:
-		return cache.NewTwoQ(capacity), nil
-	case LFU:
-		return cache.NewLFU(capacity), nil
-	case GDWheel:
-		return cache.NewGDWheel(capacity), nil
-	case CAMP:
-		return core.NewCamp(capacity, core.WithPrecision(c.precision)), nil
+	case c.kind.valid():
+		return core.Policies[c.kind-1].New(capacity, c.precision), nil
 	default:
 		return nil, fmt.Errorf("camp: no policy configured")
 	}

@@ -47,31 +47,19 @@ func (c *Cache) emitEntries(write func(persist.Op) error) error {
 
 // emitLocked writes one shard's entries. The caller holds s.mu.
 func (s *shard) emitLocked(write func(persist.Op) error) error {
-	o, ok := s.policy.(cache.Ordering)
-	if !ok {
-		// No enumerable order; map order still round-trips every entry.
-		for key, value := range s.values {
-			if meta, ok := s.policy.Peek(key); ok {
-				if err := write(persist.Op{Key: key, Value: value, Size: meta.Size, Cost: meta.Cost}); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
 	// The adaptive scale first, so a replay buckets later Sets with the live
 	// workload's learned state.
-	if scale, ok := o.Scale(); ok {
+	if scale, ok := s.policy.Scale(); ok {
 		if err := write(persist.Op{Kind: persist.KindScale, Scale: scale}); err != nil {
 			return err
 		}
 	}
 	kind := persist.KindSet
-	if o.Prioritized() {
+	if s.policy.Prioritized() {
 		kind = persist.KindSetPrio
 	}
 	var err error
-	o.Visit(func(n *cache.Node, prio, class uint64) bool {
+	s.policy.Visit(func(n *cache.Node, prio, class uint64) bool {
 		err = write(persist.Op{
 			Kind:     kind,
 			Key:      n.Key,
@@ -121,9 +109,7 @@ func (c *Cache) LoadSnapshot(r io.Reader) (int, error) {
 			// for the single-shard default).
 			for _, s := range c.shards {
 				s.mu.Lock()
-				if o, ok := s.policy.(cache.Ordering); ok {
-					o.RestoreScale(op.Scale)
-				}
+				s.policy.RestoreScale(op.Scale)
 				s.mu.Unlock()
 			}
 			return nil
@@ -147,8 +133,8 @@ func (c *Cache) setFromSnapshot(op persist.Op) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var ok bool
-	if po, isPrio := s.policy.(cache.PriorityOrdered); isPrio && op.Kind == persist.KindSetPrio {
-		ok = po.SetWithPriority(op.Key, op.Size, cost, op.Priority, op.Class)
+	if op.Kind == persist.KindSetPrio {
+		ok = s.policy.SetWithPriority(op.Key, op.Size, cost, op.Priority, op.Class)
 	} else {
 		ok = s.policy.Set(op.Key, op.Size, cost)
 	}

@@ -25,7 +25,7 @@ type Cache struct {
 
 type shard struct {
 	mu     sync.Mutex
-	policy cache.Policy
+	policy cache.KeyedOrdering
 	values map[string][]byte
 }
 
