@@ -8,23 +8,42 @@ import (
 	"testing"
 
 	"camp/internal/cache"
+	"camp/internal/core"
 )
 
-// TestEvictionDifferential is ROADMAP 4b: the ordering decides what goes, and
+// TestEvictionDifferential is ROADMAP 6: the ordering decides what goes, and
 // where the bytes live must not change its mind. One seeded op stream — sets
 // with mixed sizes and costs, overwrites that grow and shrink, gets, deletes,
 // against a cache a quarter the size of the key space's bytes — is driven
 // through the string-keyed policy, a byte-mode store and an arena-mode store,
 // all charged the same sizes. The three must evict the same keys in the same
-// order and end with the same residents in the same eviction order.
+// order and end with the same residents in the same eviction order. It runs
+// every policy of the core table and a pooled LRU over cost ranges; the
+// stores host the ones the server does not serve by having the ordering
+// swapped into a fresh single-tenant store.
 func TestEvictionDifferential(t *testing.T) {
 	const (
 		mem  = 48 << 10
 		keys = 600
 		ops  = 30_000
 	)
-	for _, policy := range []string{"camp", "lru", "gds"} {
-		t.Run(policy, func(t *testing.T) {
+	type policy struct {
+		name  string
+		build func() cache.KeyedOrdering
+	}
+	var policies []policy
+	for _, p := range core.Policies {
+		policies = append(policies, policy{p.Name, func() cache.KeyedOrdering { return p.New(mem, core.DefaultPrecision) }})
+	}
+	policies = append(policies, policy{"pooled-lru", func() cache.KeyedOrdering {
+		p, err := cache.NewPooledByRanges(mem, []int64{1, 100, 500})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}})
+	for _, policy := range policies {
+		t.Run(policy.name, func(t *testing.T) {
 			type subject struct {
 				name    string
 				set     func(key string, value []byte, cost int64)
@@ -35,19 +54,8 @@ func TestEvictionDifferential(t *testing.T) {
 			}
 			var subjects []*subject
 
-			cfg := Config{MemoryBytes: mem, Shards: 1, Policy: policy}
-			keyedSrv, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sizeOf := keyedSrv.shards[0].store.itemSize
-			ord, err := buildPolicy(keyedSrv.cfg, mem)
-			if err != nil {
-				t.Fatal(err)
-			}
-			keyed := ord.(cache.Policy)
-			ks := &subject{name: "keyed", visit: ord.Visit}
-			ks.set = func(key string, value []byte, cost int64) { keyed.Set(key, sizeOf(key, value), cost) }
+			keyed := policy.build()
+			ks := &subject{name: "keyed", visit: keyed.Visit}
 			ks.get = func(key string) { keyed.Get(key) }
 			ks.del = func(key string) { keyed.Delete(key) }
 			keyed.SetEvictFunc(func(e cache.Entry) { ks.victims = append(ks.victims, e.Key) })
@@ -55,12 +63,12 @@ func TestEvictionDifferential(t *testing.T) {
 
 			var stores []*store
 			for _, mode := range []string{ModeByte, ModeArena} {
-				cfg.Mode = mode
-				srv, err := New(cfg)
+				srv, err := New(Config{MemoryBytes: mem, Shards: 1, Mode: mode})
 				if err != nil {
 					t.Fatal(err)
 				}
 				st := srv.shards[0].store
+				st.policy = policy.build()
 				s := &subject{name: mode, visit: st.policy.Visit}
 				s.set = func(key string, value []byte, cost int64) { st.setAbs(key, value, 0, 0, cost) }
 				s.get = func(key string) { lookup(st, key, 0) }
@@ -72,6 +80,8 @@ func TestEvictionDifferential(t *testing.T) {
 				subjects = append(subjects, s)
 				stores = append(stores, st)
 			}
+			sizeOf := stores[0].itemSize
+			ks.set = func(key string, value []byte, cost int64) { keyed.Set(key, sizeOf(key, value), cost) }
 
 			rng := rand.New(rand.NewSource(15))
 			for i := 0; i < ops; i++ {
