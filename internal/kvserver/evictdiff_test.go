@@ -2,6 +2,7 @@ package kvserver
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -133,5 +134,20 @@ func TestEvictionDifferential(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestServedPolicies pins the server's -policy set to camp, lru and gds: the
+// rest of the core table is library-only and refused as a bad configuration.
+func TestServedPolicies(t *testing.T) {
+	for _, p := range core.Policies {
+		_, err := New(Config{MemoryBytes: 1 << 20, Shards: 1, Policy: p.Name})
+		served := p.Name == "camp" || p.Name == "lru" || p.Name == "gds"
+		switch {
+		case served && err != nil:
+			t.Errorf("-policy %s: %v", p.Name, err)
+		case !served && !errors.Is(err, errBadConfig):
+			t.Errorf("-policy %s: err = %v, want errBadConfig", p.Name, err)
+		}
 	}
 }

@@ -158,9 +158,9 @@ func TestSetSizedRejectedReadmitKeepsSync(t *testing.T) {
 				t.Fatal("initial admit failed")
 			}
 			// Re-admit with a size over capacity: the policy rejects the
-			// update. Policies differ on whether the old version survives
-			// (ARC/2Q keep it, CAMP/GDS/LRU drop it mid-update); either
-			// way the value map must agree with the policy exactly.
+			// update. Under the one Ordering contract every policy drops
+			// the old version mid-update; either way the value map must
+			// agree with the policy exactly.
 			if c.SetSized("victim", []byte("new-bytes"), 4<<10, 5) {
 				t.Fatal("over-capacity re-admit should be rejected")
 			}
