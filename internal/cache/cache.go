@@ -105,16 +105,6 @@ type HeapVisitor interface {
 	ResetHeapVisits()
 }
 
-// PriorityOrdered is implemented by the string-keyed face of every ordering
-// (Keyed): SetWithPriority re-inserts an entry pinned to the (offset, class)
-// a previous Ordering.Visit reported, which is how a snapshot replay
-// reproduces the live eviction schedule exactly.
-type PriorityOrdered interface {
-	// SetWithPriority inserts key like Set but through Ordering.InsertAt.
-	// Callers replaying a snapshot must insert in visitation order.
-	SetWithPriority(key string, size, cost int64, prio, class uint64) bool
-}
-
 // QueueCounter is implemented by policies organized as multiple queues
 // (CAMP); it powers Figures 5b and 8c.
 type QueueCounter interface {

@@ -106,7 +106,12 @@ type Ordering interface {
 type KeyedOrdering interface {
 	Ordering
 	Policy
-	PriorityOrdered
+	// SetWithPriority inserts key like Set but through Ordering.InsertAt,
+	// pinned to the (offset, class) a previous Visit reported: replayed in
+	// visitation order, a snapshot reproduces the live eviction schedule
+	// exactly.
+	SetWithPriority(key string, size, cost int64, prio, class uint64) bool
+	// CheckIndex reports whether the index and the ordering disagree.
 	CheckIndex() error
 }
 
@@ -141,7 +146,7 @@ func (k *Keyed) Set(key string, size, cost int64) bool {
 	return k.set(key, size, cost, 0, 0, false)
 }
 
-// SetWithPriority implements PriorityOrdered.
+// SetWithPriority implements KeyedOrdering.
 func (k *Keyed) SetWithPriority(key string, size, cost int64, prio, class uint64) bool {
 	return k.set(key, size, cost, prio, class, true)
 }

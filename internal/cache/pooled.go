@@ -214,13 +214,10 @@ func (p *PooledLRU) Evict() *Node {
 // used first — the order successive Evicts take.
 func (p *PooledLRU) Visit(visit func(n *Node, prio, class uint64) bool) {
 	for _, pool := range p.pools {
-		stop := false
-		pool.Visit(func(n *Node, prio, class uint64) bool {
-			stop = !visit(n, prio, class)
-			return !stop
-		})
-		if stop {
-			return
+		for n := pool.queue.Front(); n != nil; n = n.Next() {
+			if !visit(n, 0, 0) {
+				return
+			}
 		}
 	}
 }

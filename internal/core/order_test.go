@@ -10,11 +10,7 @@ import (
 
 // evictionOrdered pairs the keyed face with the ordering's visitor and
 // mutating drain for the test.
-type evictionOrdered interface {
-	cache.Policy
-	cache.Ordering
-	cache.PriorityOrdered
-}
+type evictionOrdered = cache.KeyedOrdering
 
 // TestVisitEvictionOrderMatchesDrain drives each policy through a random
 // mixed workload (with evictions, so L moves), then checks that
@@ -29,6 +25,16 @@ func TestVisitEvictionOrderMatchesDrain(t *testing.T) {
 		{name: "camp-inf", mk: func() evictionOrdered { return NewCamp(4096, WithPrecision(PrecisionInf)) }},
 		{name: "gds", mk: func() evictionOrdered { return NewGDS(4096) }},
 		{name: "lru", mk: func() evictionOrdered { return cache.NewLRU(4096) }},
+		{name: "arc", mk: func() evictionOrdered { return cache.NewARC(4096) }},
+		{name: "2q", mk: func() evictionOrdered { return cache.NewTwoQ(4096) }},
+		{name: "lfu", mk: func() evictionOrdered { return cache.NewLFU(4096) }},
+		{name: "pooled-lru", mk: func() evictionOrdered {
+			p, err := cache.NewPooledByRanges(4096, []int64{1, 100, 500})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return p
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p := tc.mk()

@@ -25,13 +25,3 @@ var Policies = [...]PolicySpec{
 	{"lfu", false, func(c int64, _ uint) cache.KeyedOrdering { return cache.NewLFU(c) }},
 	{"gdwheel", false, func(c int64, _ uint) cache.KeyedOrdering { return cache.NewGDWheel(c) }},
 }
-
-// PolicyNamed returns the row called name.
-func PolicyNamed(name string) (PolicySpec, bool) {
-	for _, p := range Policies {
-		if p.Name == name {
-			return p, true
-		}
-	}
-	return PolicySpec{}, false
-}

@@ -106,8 +106,10 @@ func (st *store) reset() error {
 }
 
 func buildPolicy(cfg Config, capacity int64) (cache.Ordering, error) {
-	if p, ok := core.PolicyNamed(cfg.Policy); ok && p.Served {
-		return p.New(capacity, cfg.Precision), nil
+	for _, p := range core.Policies {
+		if p.Name == cfg.Policy && p.Served {
+			return p.New(capacity, cfg.Precision), nil
+		}
 	}
 	return nil, fmt.Errorf("%w: unknown policy %q", errBadConfig, cfg.Policy)
 }
