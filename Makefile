@@ -115,13 +115,16 @@ fuzz:
 	$(GO) test ./internal/trace/ -fuzz FuzzBinaryReader -fuzztime 30s
 	$(GO) test ./internal/itab/ -fuzz FuzzTable -fuzztime 30s
 
-# CI smoke fuzz: a few seconds per persistence-format decoder and for the
-# item table on every PR, so the corpus actually executes (seed-only runs
-# never explore) without holding the pipeline hostage. The full half-minute-per-target pass stays
-# in `make fuzz` for local soak runs.
+# CI smoke fuzz: a few seconds per persistence-format decoder — the
+# replication stream decoder a follower runs on bytes from the network among
+# them — and for the arena and the item table on every PR, so the corpus
+# actually executes (seed-only runs never explore) without holding the
+# pipeline hostage. The full half-minute-per-target pass stays in `make fuzz`
+# for local soak runs.
 fuzz-smoke:
 	$(GO) test ./internal/alloc/ -fuzz FuzzArenaSetGet -fuzztime 10s
 	$(GO) test ./internal/persist/ -fuzz FuzzDecodeSnapshotV2 -fuzztime 10s
 	$(GO) test ./internal/persist/ -fuzz FuzzDecodePositionRecord -fuzztime 10s
 	$(GO) test ./internal/persist/ -fuzz FuzzDecodeRecord -fuzztime 10s
+	$(GO) test ./internal/persist/ -fuzz FuzzStreamFrames -fuzztime 10s
 	$(GO) test ./internal/itab/ -fuzz FuzzTable -fuzztime 10s

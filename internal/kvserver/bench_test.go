@@ -359,75 +359,12 @@ var benchKeySet = func() []string {
 }()
 
 func benchServerOps(b *testing.B, shards int, mode string) {
-	s, err := New(Config{
-		MemoryBytes: 256 << 20,
-		Shards:      shards,
-		Policy:      "camp",
-		Mode:        mode,
-		DisableIQ:   true,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := s.Start(); err != nil {
-		b.Fatal(err)
-	}
-	defer s.Close()
-
-	value := make([]byte, benchValueLen)
-	warm, err := kvclient.Dial(s.Addr())
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < benchKeys; i++ {
-		if err := warm.SetNoreply(benchKeySet[i], value, 0, 0, int64(1+i%100)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := warm.Flush(); err != nil {
-		b.Fatal(err)
-	}
-	// A synchronous command drains the pipeline before timing starts.
-	if _, err := warm.Version(); err != nil {
-		b.Fatal(err)
-	}
-	warm.Close()
-
+	s := startBenchServer(b, shards, mode)
 	b.SetParallelism(8) // 8 concurrent clients per GOMAXPROCS
 	b.ReportAllocs()
 	b.ResetTimer()
 	var seed atomic.Int64
-	b.RunParallel(func(pb *testing.PB) {
-		c, err := kvclient.Dial(s.Addr())
-		if err != nil {
-			b.Error(err)
-			return
-		}
-		defer c.Close()
-		rng := rand.New(rand.NewSource(seed.Add(1)))
-		batch := make([]string, benchBatchGets)
-		var got int
-		sink := func(key, value []byte, flags uint32) { got += len(value) }
-		for pb.Next() {
-			for i := range batch {
-				batch[i] = benchKeySet[rng.Intn(benchKeys)]
-			}
-			if err := c.MultiGetFunc(sink, batch...); err != nil {
-				b.Error(err)
-				return
-			}
-			for i := 0; i < benchBatchSets; i++ {
-				if err := c.SetNoreply(benchKeySet[rng.Intn(benchKeys)], value, 0, 0, int64(1+rng.Intn(100))); err != nil {
-					b.Error(err)
-					return
-				}
-			}
-			if err := c.Flush(); err != nil {
-				b.Error(err)
-				return
-			}
-		}
-	})
+	b.RunParallel(func(pb *testing.PB) { runBatches(b, s.Addr(), seed.Add(1), pb.Next) })
 	opsPerIter := float64(benchBatchGets + benchBatchSets)
 	b.ReportMetric(opsPerIter*float64(b.N)/b.Elapsed().Seconds(), "ops/s")
 	b.StopTimer()
@@ -447,5 +384,79 @@ func benchServerOps(b *testing.B, shards int, mode string) {
 		b.ReportMetric(float64(ls.P50.Microseconds()), "p50_"+verb+"_us")
 		b.ReportMetric(float64(ls.P95.Microseconds()), "p95_"+verb+"_us")
 		b.ReportMetric(float64(ls.P99.Microseconds()), "p99_"+verb+"_us")
+	}
+}
+
+// startBenchServer starts the server benchServerOps measures, with every key
+// of benchKeySet stored.
+func startBenchServer(tb testing.TB, shards int, mode string) *Server {
+	s, err := New(Config{
+		MemoryBytes: 256 << 20,
+		Shards:      shards,
+		Policy:      "camp",
+		Mode:        mode,
+		DisableIQ:   true,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := s.Start(); err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { s.Close() })
+	value := make([]byte, benchValueLen)
+	warm, err := kvclient.Dial(s.Addr())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer warm.Close()
+	for i := 0; i < benchKeys; i++ {
+		if err := warm.SetNoreply(benchKeySet[i], value, 0, 0, int64(1+i%100)); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if err := warm.Flush(); err != nil {
+		tb.Fatal(err)
+	}
+	// A synchronous command drains the pipeline before timing starts.
+	if _, err := warm.Version(); err != nil {
+		tb.Fatal(err)
+	}
+	return s
+}
+
+// runBatches is one client of benchServerOps: it sends a pipelined batch — a
+// benchBatchGets-key multiget and benchBatchSets noreply sets of random keys —
+// for as long as next reports true.
+func runBatches(tb testing.TB, addr string, seed int64, next func() bool) {
+	c, err := kvclient.Dial(addr)
+	if err != nil {
+		tb.Error(err)
+		return
+	}
+	defer c.Close()
+	rng := rand.New(rand.NewSource(seed))
+	value := make([]byte, benchValueLen)
+	batch := make([]string, benchBatchGets)
+	var got int
+	sink := func(key, value []byte, flags uint32) { got += len(value) }
+	for next() {
+		for i := range batch {
+			batch[i] = benchKeySet[rng.Intn(benchKeys)]
+		}
+		if err := c.MultiGetFunc(sink, batch...); err != nil {
+			tb.Error(err)
+			return
+		}
+		for i := 0; i < benchBatchSets; i++ {
+			if err := c.SetNoreply(benchKeySet[rng.Intn(benchKeys)], value, 0, 0, int64(1+rng.Intn(100))); err != nil {
+				tb.Error(err)
+				return
+			}
+		}
+		if err := c.Flush(); err != nil {
+			tb.Error(err)
+			return
+		}
 	}
 }

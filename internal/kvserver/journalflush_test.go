@@ -185,7 +185,7 @@ func TestNoByteLeavesBeforeJournalWrite(t *testing.T) {
 			readN(t, a, 16*len("STORED\r\n"))
 			assertJournalThenSocket(t, "plain pipeline", log.take(), "socket:A")
 
-			big := strings.Repeat("B", 20_000) // its VALUE reply cannot fit the 16 KiB buffer
+			big := strings.Repeat("B", connBufSize+connBufSize/4) // its VALUE reply cannot fit the connection's buffer
 			go io.WriteString(a, storeCmdLine("set", "big", 0, 0, big))
 			readN(t, a, len("STORED\r\n"))
 			log.take()
@@ -196,14 +196,14 @@ func TestNoByteLeavesBeforeJournalWrite(t *testing.T) {
 			}
 			pipe.WriteString("get big\r\n")
 			go io.WriteString(a, pipe.String())
-			want := "END\r\nVALUE big 0 20000\r\n" + big + "\r\nEND\r\n"
+			want := fmt.Sprintf("END\r\nVALUE big 0 %d\r\n%s\r\nEND\r\n", len(big), big)
 			if got := readN(t, a, len(want)); got != want {
 				t.Fatalf("get big returned %d bytes", len(got))
 			}
 			ev := log.take()
 			assertJournalThenSocket(t, "spilled reply", ev, "socket:A")
 			if countEvents(ev, "socket:A") < 2 {
-				t.Fatalf("the 20 KB reply did not spill: %v", ev)
+				t.Fatalf("the %d-byte reply did not spill: %v", len(big), ev)
 			}
 
 			// B is connected and waiting in its socket read. A's noreply set is

@@ -61,17 +61,26 @@ func TestQuitDeliversPipelinedReplies(t *testing.T) {
 	}
 }
 
-// spyConn counts the socket writes a connection makes and checks, at each
-// one, that no shard lock is held. The servers it is used on carry this one
-// connection and no background work, so a held lock could only be the
-// writer's own: a handler writing to the socket under a shard lock. With
-// replies batched in cs.w, any handler Write can spill to the socket — which
-// is why none may happen under sh.mu.
+// spyConn counts the socket reads that return bytes and the socket writes a
+// connection makes, and checks, at each write, that no shard lock is held. The
+// servers it is used on carry this one connection and no background work, so a
+// held lock could only be the writer's own: a handler writing to the socket
+// under a shard lock. With replies batched in cs.w, any handler Write can
+// spill to the socket — which is why none may happen under sh.mu.
 type spyConn struct {
 	net.Conn
 	t      *testing.T
 	srv    *Server
+	reads  atomic.Int64
 	writes atomic.Int64
+}
+
+func (c *spyConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	if n > 0 {
+		c.reads.Add(1)
+	}
+	return n, err
 }
 
 func (c *spyConn) Write(p []byte) (int, error) {
@@ -111,35 +120,58 @@ func serveSpied(t *testing.T, s *Server) (*spyConn, net.Conn) {
 }
 
 // TestPipelineWriteCount is the grouping itself: commands that arrive in one
-// socket read are answered with one socket write; the same commands sent
-// request/response get one write each, exactly as before.
+// socket read are answered with one socket write — 64 small gets, and a burst
+// of sets and multigets of the keys it stores, 20–60 KiB each way, which the
+// connection's buffers take in one read and answer in one write; the same gets
+// sent request/response get one read and one write each, exactly as before.
 func TestPipelineWriteCount(t *testing.T) {
 	const n = 64
 	const miss = "END\r\n"
 	s := startServer(t, Config{MemoryBytes: 1 << 20, Shards: 4})
-	var pipelined strings.Builder
+	var gets strings.Builder
 	for i := 0; i < n; i++ {
-		fmt.Fprintf(&pipelined, "get k%02d\r\n", i)
+		fmt.Fprintf(&gets, "get k%02d\r\n", i)
+	}
+	var burst, burstReply strings.Builder
+	val := strings.Repeat("v", 1000)
+	keys := make([]string, 32)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("b%02d", i)
+		burst.WriteString(storeCmdLine("set", keys[i], 0, 0, val))
+		burstReply.WriteString("STORED\r\n")
+	}
+	for _, multi := range [][]string{keys[:16], keys[16:]} {
+		fmt.Fprintf(&burst, "get %s\r\n", strings.Join(multi, " "))
+		for _, k := range multi {
+			fmt.Fprintf(&burstReply, "VALUE %s 0 %d\r\n%s\r\n", k, len(val), val)
+		}
+		burstReply.WriteString(miss)
+	}
+
+	for _, tc := range []struct{ name, req, reply string }{
+		{"64 gets", gets.String(), strings.Repeat(miss, n)},
+		{"set and multiget burst", burst.String(), burstReply.String()},
+	} {
+		spy, cli := serveSpied(t, s)
+		go io.WriteString(cli, tc.req)
+		if got := readN(t, cli, len(tc.reply)); got != tc.reply {
+			t.Fatalf("%s: %d reply bytes differ from the %d expected", tc.name, len(got), len(tc.reply))
+		}
+		if r, w := spy.reads.Load(), spy.writes.Load(); r != 1 || w != 1 {
+			t.Fatalf("%s: %d request bytes in one write took %d socket reads and %d writes for %d reply bytes, want 1 and 1",
+				tc.name, len(tc.req), r, w, len(tc.reply))
+		}
 	}
 
 	spy, cli := serveSpied(t, s)
-	go io.WriteString(cli, pipelined.String())
-	if got := readN(t, cli, n*len(miss)); got != strings.Repeat(miss, n) {
-		t.Fatalf("pipelined replies = %q", got)
-	}
-	if got := spy.writes.Load(); got != 1 {
-		t.Fatalf("%d pipelined gets in one read caused %d socket writes, want 1", n, got)
-	}
-
-	spy, cli = serveSpied(t, s)
 	for i := 0; i < n; i++ {
 		go fmt.Fprintf(cli, "get k%02d\r\n", i)
 		if got := readN(t, cli, len(miss)); got != miss {
 			t.Fatalf("reply %d = %q", i, got)
 		}
 	}
-	if got := spy.writes.Load(); got != n {
-		t.Fatalf("%d request/response gets caused %d socket writes, want %d", n, got, n)
+	if r, w := spy.reads.Load(), spy.writes.Load(); r != n || w != n {
+		t.Fatalf("%d request/response gets caused %d socket reads and %d writes, want %d each", n, r, w, n)
 	}
 }
 

@@ -8,20 +8,20 @@ import (
 	"camp/internal/proto"
 )
 
-// connBufSize sizes the per-connection bufio reader and writer. 16 KiB keeps
-// typical multiget responses and pipelined set batches inside one buffer.
-const connBufSize = 16 << 10
+// connBufSize sizes a connection's reader and writer, 128 KiB in all. 16 KiB
+// split a pipelined burst over reads that each added a flush (arena_mixed:
+// 0.479 syscalls/op); 64 KiB takes it in one read(2) and one write(2) (0.159).
+const connBufSize = 64 << 10
 
 // maxPooledScratch caps the response scratch a connection returns to the
 // pool, so one huge stats or debug reply doesn't pin memory forever.
 const maxPooledScratch = 64 << 10
 
 // connState is the pooled per-connection scratch that makes the request loop
-// allocation-free: the buffered reader/writer pair, the zero-copy line
-// reader, token slots for the in-place tokenizer, and the append-based
-// response buffer that replaces fmt.Fprintf (and stages a get's VALUE blocks
-// under the shard locks). Everything is reused across commands and, via the
-// pool, across connections.
+// allocation-free: the buffered reader/writer pair, the zero-copy line reader,
+// token slots for the in-place tokenizer, and the append-based response buffer
+// that replaces fmt.Fprintf (and stages a get's VALUE blocks under the shard
+// locks). Everything is reused across commands and, via the pool, connections.
 type connState struct {
 	r  *bufio.Reader
 	w  *bufio.Writer
