@@ -11,7 +11,6 @@ import (
 	"strconv"
 	"testing"
 
-	"camp/internal/alloc"
 	"camp/internal/cache"
 	"camp/internal/core"
 	"camp/internal/figures"
@@ -289,36 +288,6 @@ func BenchmarkAblationGDSDelete(b *testing.B) {
 // ---------------------------------------------------------------------------
 // Substrate microbenchmarks
 // ---------------------------------------------------------------------------
-
-func BenchmarkSlabAllocFree(b *testing.B) {
-	a, err := alloc.NewSlabAllocator(64<<20, alloc.WithSlabSize(1<<20))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h, err := a.Alloc("k", 300)
-		if err != nil {
-			b.Fatal(err)
-		}
-		a.Free(h)
-	}
-}
-
-func BenchmarkBuddyAllocFree(b *testing.B) {
-	a, err := alloc.NewBuddyAllocator(64<<20, 64)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		off, err := a.Alloc(300)
-		if err != nil {
-			b.Fatal(err)
-		}
-		a.Free(off)
-	}
-}
 
 func BenchmarkTraceGeneration(b *testing.B) {
 	b.ReportAllocs()

@@ -88,6 +88,7 @@ func run() error {
 
 	values := map[string]map[string][]float64{"parent": {}, "change": {}}
 	var refused []string
+	counted := 0
 	for i := 1; i <= *n; i++ {
 		seed := *seed0 + int64(i) - 1
 		order := []string{"parent", "change"}
@@ -109,6 +110,7 @@ func run() error {
 		if len(pair) < 2 {
 			continue
 		}
+		counted++
 		for side, res := range pair {
 			for name, m := range res.Metrics {
 				values[side][name] = append(values[side][name], m.Value)
@@ -117,7 +119,7 @@ func run() error {
 	}
 
 	fmt.Printf("\n%s, %d of %d pairs counted (parent %s, seeds %d–%d, --trace %d): parent → change, median [q1, q3]\n",
-		*workload, len(values["parent"][defs[0].Name]), *n, *parent, *seed0, *seed0+int64(*n)-1, *trace)
+		*workload, counted, *n, *parent, *seed0, *seed0+int64(*n)-1, *trace)
 	row := "| `" + *workload + "` |"
 	for _, d := range defs {
 		p, c := values["parent"][d.Name], values["change"][d.Name]

@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	campsrv -addr 127.0.0.1:11211 -mem 64MiB -policy camp [-mode byte|slab|buddy|arena]
+//	campsrv -addr 127.0.0.1:11211 -mem 64MiB -policy camp [-mode byte|arena]
 //	        [-shards N] [-precision 5] [-no-iq]
 //	        [-replica-of host:port [-replica-tenants a,b]]
 //	        [-tenant-reserve name=bytes ...] [-tenant-quota name=ops[:bytes] ...]
@@ -57,7 +57,7 @@ func run() error {
 		mem       = flag.String("mem", "64MiB", "cache memory (e.g. 512KiB, 64MiB, 2GiB)")
 		shards    = flag.Int("shards", 0, "independent stores keys are hashed across, with per-shard locks and journals (0 = auto: GOMAXPROCS, capped so each shard keeps a useful capacity)")
 		policy    = flag.String("policy", "camp", "eviction policy: camp, lru or gds")
-		mode      = flag.String("mode", "byte", "memory management: byte, slab, buddy or arena (packed per-shard segments with incremental compaction)")
+		mode      = flag.String("mode", "byte", "memory management: byte or arena (packed per-shard segments with incremental compaction)")
 		precision = flag.Uint("precision", 5, "CAMP rounding precision (0 = infinite)")
 		noIQ      = flag.Bool("no-iq", false, "disable IQ miss-to-set cost derivation")
 
@@ -176,8 +176,8 @@ func run() error {
 // defaultShards picks the auto -shards value: one per core, but never so
 // many that a shard's slice of memory drops below the default 8 MiB value
 // limit — capacity splits evenly across shards, so over-sharding a small
-// cache would reject values that fit fine unsharded (and slab mode needs at
-// least one whole slab per shard). An explicit -shards overrides this.
+// cache would reject values that fit fine unsharded. An explicit -shards
+// overrides this.
 func defaultShards(memBytes int64) int {
 	n := runtime.GOMAXPROCS(0)
 	if max := int(memBytes / (8 << 20)); n > max {

@@ -1,6 +1,7 @@
-// Arena is the fourth memory layout (§5 names malloc, slab and buddy; this
-// is the Memshare-style log-structured fourth): keys and values are packed
-// into large append-only segment blocks as self-describing records
+// Package alloc holds the packed value layout of the server's arena mode.
+//
+// Arena is the Memshare-style log-structured layout: keys and values are
+// packed into large append-only segment blocks as self-describing records
 //
 //	[klen uvarint | vlen uvarint | flags uint32 LE | expiry int64 LE | key | value]
 //
@@ -16,14 +17,18 @@
 // future restart path can mmap segment files and rebuild the index with one
 // sequential scan (ROADMAP's mmap-instant-restart; this format is step 1).
 //
-// The arena performs no locking: kvserver drives it under the shard mutex,
-// exactly like the slab and buddy allocators.
+// The arena performs no locking: kvserver drives it under the shard mutex.
 package alloc
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 )
+
+// ErrNoMemory is returned when a record cannot be placed without reclaiming
+// dead bytes or evicting something.
+var ErrNoMemory = errors.New("alloc: out of memory")
 
 // Ref identifies one record in an Arena: the segment it lives in and the
 // byte offset of its header. The zero Ref is indistinguishable from "first

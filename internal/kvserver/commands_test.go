@@ -272,8 +272,6 @@ func TestMissTableFullAdmitsFresh(t *testing.T) {
 func TestFlushAllModes(t *testing.T) {
 	for _, cfg := range []Config{
 		{MemoryBytes: 1 << 20, Policy: "camp"},
-		{MemoryBytes: 1 << 21, Mode: ModeSlab, SlabSize: 1 << 16},
-		{MemoryBytes: 1 << 20, Policy: "camp", Mode: ModeBuddy},
 		{MemoryBytes: 1 << 20, Policy: "camp", Mode: ModeArena},
 	} {
 		name := cfg.Policy + "/" + cfg.Mode
@@ -303,26 +301,6 @@ func TestFlushAllModes(t *testing.T) {
 				t.Fatal("server broken after flush")
 			}
 		})
-	}
-}
-
-func TestBuddyModeChurn(t *testing.T) {
-	s := startServer(t, Config{MemoryBytes: 1 << 16, Policy: "camp", Mode: ModeBuddy, ItemOverhead: 1})
-	c := dial(t, s)
-	// Values of mixed sizes force buddy split/coalesce cycles and
-	// policy-driven evictions when the arena fills.
-	for i := 0; i < 500; i++ {
-		size := 50 + (i%8)*300
-		if err := c.Set(fmt.Sprintf("k%d", i%60), make([]byte, size), 0, 0, int64(i%100+1)); err != nil {
-			t.Fatalf("set %d: %v", i, err)
-		}
-	}
-	stats, err := c.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats["curr_items"] == "0" {
-		t.Fatal("buddy-mode server lost everything")
 	}
 }
 

@@ -15,8 +15,6 @@ import (
 func layoutConfigs(mem int64) []Config {
 	return []Config{
 		{MemoryBytes: mem, Mode: ModeByte},
-		{MemoryBytes: mem, Mode: ModeSlab, SlabSize: 1 << 16},
-		{MemoryBytes: mem, Mode: ModeBuddy},
 		{MemoryBytes: mem, Mode: ModeArena},
 	}
 }
@@ -80,7 +78,7 @@ func storeCmdLine(verb, key string, flags uint32, exptime int, value string) str
 // TestLayoutConformance runs one scripted wire session — every storage verb,
 // arithmetic, touch, delete, a multiget with a missing and a NUL-forged key,
 // negative exptimes, an overwrite too large for the cache, flush_all —
-// against all four layouts, sized so nothing evicts. The layout decides
+// against both layouts, sized so nothing evicts. The layout decides
 // where bytes live, never what the client sees: every transcript must be
 // byte-identical to byte mode's. Nor does how the commands arrive: each mode
 // runs the session pipelined down one Write and again one command at a time,

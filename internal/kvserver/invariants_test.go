@@ -83,8 +83,7 @@ func checkStore(t *testing.T, st *store) {
 	}
 	// Every item's node is linked in exactly the ordering its key routes to
 	// (no item in two tenants, none in the wrong one), and each ordering's
-	// byte figure is the sum of the nodes it links. The class LRUs stand in
-	// for the slab layout, whose own Used() counts chunks, not charged sizes.
+	// byte figure is the sum of the nodes it links.
 	owner := make(map[*cache.Node]cache.Ordering, st.items.Len())
 	own := func(o cache.Ordering) {
 		var bytes int64
@@ -100,26 +99,13 @@ func checkStore(t *testing.T, st *store) {
 			t.Fatalf("%s links %d bytes of nodes but reports %d used", o.Name(), bytes, o.Used())
 		}
 	}
-	if sl, ok := st.lay.(*slabLayout); ok {
-		for _, c := range sl.lru {
-			own(c)
-		}
-	} else {
-		own(st.policy)
-		for _, ts := range st.tens {
-			own(ts.policy)
-		}
+	own(st.policy)
+	for _, ts := range st.tens {
+		own(ts.policy)
 	}
 	for it := range st.items.All() {
 		key := it.node.Key
 		want, _ := st.stateFor(key)
-		if sl, ok := st.lay.(*slabLayout); ok {
-			class, err := sl.a.ClassFor(it.node.Size)
-			if err != nil {
-				t.Fatalf("%q: charged size %d fits no slab class", key, it.node.Size)
-			}
-			want = sl.lru[class]
-		}
 		if it.node.Key != key || owner[&it.node] != want {
 			t.Fatalf("%q: node keyed %q is linked in %v, its key routes to %v", key, it.node.Key, owner[&it.node], want)
 		}
@@ -128,36 +114,6 @@ func checkStore(t *testing.T, st *store) {
 	// nothing the index does not.
 	switch l := st.lay.(type) {
 	case byteLayout:
-	case *buddyLayout:
-		if err := l.b.CheckInvariants(); err != nil {
-			t.Fatal(err)
-		}
-		var blocks int64
-		for it := range st.items.All() {
-			key := it.node.Key
-			b, err := l.b.BlockSize(st.itemSize(key, it.value))
-			if err != nil {
-				t.Fatalf("%q: %v", key, err)
-			}
-			blocks += b
-		}
-		if blocks != l.b.Used() {
-			t.Fatalf("items occupy %d block bytes, the allocator has %d in use", blocks, l.b.Used())
-		}
-	case *slabLayout:
-		for it := range st.items.All() {
-			key := it.node.Key
-			if owner, ok := l.a.Owner(alloc.HandleOf(it.loc)); !ok || owner != key {
-				t.Fatalf("%q: chunk owned by %q (allocated=%v)", key, owner, ok)
-			}
-		}
-		chunks := 0
-		for _, cs := range l.a.Stats() {
-			chunks += cs.UsedChunks
-		}
-		if chunks != st.items.Len() {
-			t.Fatalf("%d chunks in use for %d items", chunks, st.items.Len())
-		}
 	case *arenaLayout:
 		var live int64
 		var scratch [binary.MaxVarintLen64]byte

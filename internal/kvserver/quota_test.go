@@ -78,10 +78,6 @@ func TestTenantQuotaConfigValidation(t *testing.T) {
 			t.Errorf("TenantQuotas %v: want error", q)
 		}
 	}
-	if _, err := New(Config{MemoryBytes: 1 << 21, Mode: ModeSlab, SlabSize: 1 << 16,
-		TenantQuotas: map[string]TenantQuota{"gold": {OpsPerSec: 1}}}); err == nil {
-		t.Error("TenantQuotas in slab mode: want error")
-	}
 	if _, err := New(Config{MemoryBytes: 1 << 20, ReplicaTenants: []string{"a"}}); err == nil {
 		t.Error("ReplicaTenants without ReplicaOf: want error")
 	}

@@ -21,15 +21,13 @@
 // time in microseconds becomes the key's cost — exactly how the paper's IQ
 // framework derives recomputation costs from iqget/iqset pairs.
 //
-// Memory management is pluggable per §5 — one layout interface (layouts.go)
-// with four implementations the rest of the server cannot tell apart: "byte"
-// charges exact sizes to the eviction policy; "slab" reproduces Twemcache's slab classes with per-class
-// LRU and random slab eviction; "buddy" rounds sizes to power-of-two blocks
-// in a buddy arena with the configured policy choosing victims; "arena"
-// packs keys and values into log-structured per-shard segments reclaimed by
-// incremental compaction (Memshare-style), driven by the same policies —
-// its set path reuses pooled scratch end to end, so steady-state overwrites
-// make no per-item heap allocations at all.
+// Memory management is one layout interface (layouts.go) with two
+// implementations the rest of the server cannot tell apart: "byte" keeps
+// each value in its own heap slice and charges exact sizes to the eviction
+// policy; "arena" packs keys and values into log-structured per-shard
+// segments reclaimed by incremental compaction (Memshare-style), driven by
+// the same policies — its set path reuses pooled scratch end to end, so
+// steady-state overwrites make no per-item heap allocations at all.
 //
 // The server is sharded for vertical scaling, the §4.1 recipe: keys hash
 // across Config.Shards independent shards, each owning its own store,
@@ -72,9 +70,7 @@ import (
 
 // Memory-management modes.
 const (
-	ModeByte  = "byte"
-	ModeSlab  = "slab"
-	ModeBuddy = "buddy"
+	ModeByte = "byte"
 	// ModeArena packs records into per-shard log-structured segments with
 	// incremental compaction; see internal/alloc/arena.go.
 	ModeArena = "arena"
@@ -93,24 +89,17 @@ type Config struct {
 	// (default 1). Each shard has its own lock, eviction state and — with
 	// persistence — its own journal, so writes scale across cores. Capacity
 	// splits evenly, so each shard holds MemoryBytes/Shards: a single value
-	// larger than that slice is rejected even if it fits MaxValueBytes, and
-	// slab mode needs at least one whole slab per shard. Size Shards so the
-	// per-shard slice stays comfortably above the largest expected value
-	// (cmd/campsrv's auto default does this).
+	// larger than that slice is rejected even if it fits MaxValueBytes. Size
+	// Shards so the per-shard slice stays comfortably above the largest
+	// expected value (cmd/campsrv's auto default does this).
 	Shards int
 	// Policy selects the eviction algorithm: "camp" (default), "lru" or
-	// "gds". Ignored in slab mode, which always uses per-class LRU as
-	// Twemcache does.
+	// "gds".
 	Policy string
 	// Precision is CAMP's rounding precision (default 5).
 	Precision uint
-	// Mode selects memory management: ModeByte (default), ModeSlab,
-	// ModeBuddy or ModeArena.
+	// Mode selects memory management: ModeByte (default) or ModeArena.
 	Mode string
-	// SlabSize overrides the slab size in slab mode (default 1 MiB).
-	SlabSize int64
-	// MinBlock overrides the buddy minimum block (default 64).
-	MinBlock int64
 	// ArenaSegment overrides the arena segment size in arena mode (default:
 	// one eighth of the per-shard capacity, clamped to [4 KiB, 1 MiB]).
 	ArenaSegment int64
@@ -240,12 +229,10 @@ type Server struct {
 	// tenant always exists.
 	tenants *tenantRegistry
 
-	// copiesValues and tenantCapable are the storage layout's two
-	// capabilities (layouts.go), read once from shard 0's layout — every
-	// shard runs the same one — so handlers can consult them without a
-	// shard lock.
-	copiesValues  bool
-	tenantCapable bool
+	// copiesValues is the storage layout's one capability (layouts.go),
+	// read once from shard 0's layout — every shard runs the same one — so
+	// handlers can consult it without a shard lock.
+	copiesValues bool
 
 	// Instrumentation: per-verb histograms, slowlog and the Prometheus
 	// registry (metrics.go); started anchors the uptime stat; metricsLn and
@@ -398,18 +385,7 @@ func New(cfg Config) (*Server, error) {
 			missedAt: make(map[string]int64),
 		})
 	}
-	lay := s.shards[0].store.lay
-	s.copiesValues, s.tenantCapable = lay.copiesValues(), lay.tenantCapable()
-	if !s.tenantCapable {
-		switch {
-		case len(cfg.TenantReserves) > 0:
-			return nil, fmt.Errorf("%w: tenant reserves require byte or arena mode", errBadConfig)
-		case len(cfg.TenantQuotas) > 0:
-			return nil, fmt.Errorf("%w: tenant quotas require byte or arena mode", errBadConfig)
-		case len(cfg.ReplicaTenants) > 0:
-			return nil, fmt.Errorf("%w: tenant-filtered replication requires byte or arena mode", errBadConfig)
-		}
-	}
+	s.copiesValues = s.shards[0].store.lay.copiesValues()
 	if p := cfg.Persist; p != nil {
 		if p.Dir == "" {
 			return nil, fmt.Errorf("kvserver: Persist.Dir is required")

@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"camp/internal/itab"
 	"camp/internal/kvclient"
 )
 
@@ -73,11 +72,10 @@ func TestServerConfigValidation(t *testing.T) {
 	if _, err := New(Config{MemoryBytes: 1 << 20, Policy: "bogus"}); err == nil {
 		t.Fatal("unknown policy must error")
 	}
-	if _, err := New(Config{MemoryBytes: 1 << 20, Mode: "bogus"}); err == nil {
-		t.Fatal("unknown mode must error")
-	}
-	if _, err := New(Config{MemoryBytes: 100, Mode: ModeSlab}); err == nil {
-		t.Fatal("slab mode below one slab must error")
+	for _, mode := range []string{"bogus", "slab", "buddy"} {
+		if _, err := New(Config{MemoryBytes: 1 << 20, Mode: mode}); err == nil {
+			t.Fatalf("unknown mode %q must error", mode)
+		}
 	}
 }
 
@@ -86,8 +84,6 @@ func TestSetGetDeleteRoundTrip(t *testing.T) {
 		{MemoryBytes: 1 << 20, Policy: "camp"},
 		{MemoryBytes: 1 << 20, Policy: "lru"},
 		{MemoryBytes: 1 << 20, Policy: "gds"},
-		{MemoryBytes: 1 << 21, Mode: ModeSlab, SlabSize: 1 << 16},
-		{MemoryBytes: 1 << 20, Policy: "camp", Mode: ModeBuddy},
 		{MemoryBytes: 1 << 20, Policy: "camp", Mode: ModeArena},
 	} {
 		name := cfg.Policy + "/" + cfg.Mode
@@ -652,67 +648,4 @@ func TestConcurrentClients(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-}
-
-// TestSlabCalcificationEndToEnd drives the slab-mode server into
-// calcification and verifies random slab eviction rescues it.
-func TestSlabCalcificationEndToEnd(t *testing.T) {
-	s := startServer(t, Config{
-		MemoryBytes:  4 << 14, // 4 slabs of 16 KiB
-		Mode:         ModeSlab,
-		SlabSize:     1 << 14,
-		ItemOverhead: 1,
-	})
-	c := dial(t, s)
-	// Fill all slabs with small items.
-	for i := 0; i < 700; i++ {
-		if err := c.Set(fmt.Sprintf("small%d", i), make([]byte, 80), 0, 0, 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// A large item needs a new class; only random slab eviction can help.
-	if err := c.Set("large", make([]byte, 8000), 0, 0, 1); err != nil {
-		t.Fatalf("large set should trigger random slab eviction, got %v", err)
-	}
-	if _, ok, _ := c.Get("large"); !ok {
-		t.Fatal("large item should be resident")
-	}
-}
-
-// TestSlabReassignmentForgetsExpiry pins random slab eviction's unindexing:
-// a TTL'd item it drops must leave expiring too. A stale entry there pinned
-// the dropped item, and once its deadline passed the sweep deleted by key
-// whatever lived under that name by then — here a live re-set with no TTL.
-func TestSlabReassignmentForgetsExpiry(t *testing.T) {
-	s, err := New(Config{MemoryBytes: 4 << 14, Mode: ModeSlab, SlabSize: 1 << 14, ItemOverhead: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := s.shards[0].store
-	const deadline = int64(1000) // unix nanoseconds; any fixed clock will do
-	var small []string
-	for i := 0; i < 700; i++ {
-		small = append(small, fmt.Sprintf("small%d", i))
-		st.setAbs(small[i], make([]byte, 80), 0, deadline, 1)
-	}
-	// A large item needs a class with no slab and nothing to evict: only
-	// random slab eviction can place it, dropping a slab of TTL'd items.
-	if !st.setAbs("large", make([]byte, 8000), 0, 0, 1) {
-		t.Fatal("large set should trigger random slab eviction")
-	}
-	dropped := ""
-	for _, k := range small {
-		if itab.Lookup(st.items, k) == nil {
-			dropped = k
-		}
-	}
-	checkStore(t, st)
-	if !st.setAbs(dropped, []byte("v"), 0, 0, 1) {
-		t.Fatalf("re-set of %q refused", dropped)
-	}
-	st.sweepExpired(deadline+1, len(st.expiring))
-	if _, ok := resident(st, dropped, deadline+1); !ok {
-		t.Fatalf("%q, re-set with no TTL, was swept at its dropped version's deadline", dropped)
-	}
-	checkStore(t, st)
 }

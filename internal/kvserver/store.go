@@ -41,9 +41,9 @@ func (it *item) Key() string { return it.node.Key }
 
 // store is one shard's items and their index — the only key lookup on the
 // request path — its storage layout, and the eviction orderings that decide
-// what stays: the default tenant's — which the layout supplies — and, for
-// tenant-capable layouts, one more per non-default tenant in tens, with the
-// store-level arbiter (makeRoom) enforcing the shared capacity.
+// what stays: the default tenant's and one more per non-default tenant in
+// tens, with the store-level arbiter (makeRoom) enforcing the shared
+// capacity.
 type store struct {
 	cfg   Config
 	items *itab.Table[item, *item]
@@ -90,7 +90,11 @@ func newStore(cfg Config) (*store, error) {
 // policy — with reserves and arbitration intact — not escape into the
 // default one.
 func (st *store) reset() error {
-	lay, p, err := newLayout(st)
+	lay, err := newLayout(st)
+	if err != nil {
+		return err
+	}
+	p, err := buildPolicy(st.cfg)
 	if err != nil {
 		return err
 	}
@@ -105,10 +109,12 @@ func (st *store) reset() error {
 	return nil
 }
 
-func buildPolicy(cfg Config, capacity int64) (cache.Ordering, error) {
+// buildPolicy builds one ordering of cfg's policy over the shard's capacity:
+// the default tenant's, or a non-default tenant's.
+func buildPolicy(cfg Config) (cache.Ordering, error) {
 	for _, p := range core.Policies {
 		if p.Name == cfg.Policy && p.Served {
-			return p.New(capacity, cfg.Precision), nil
+			return p.New(cfg.MemoryBytes, cfg.Precision), nil
 		}
 	}
 	return nil, fmt.Errorf("%w: unknown policy %q", errBadConfig, cfg.Policy)
@@ -157,19 +163,16 @@ type tenantState struct {
 }
 
 // ensureTenant creates (or returns) the per-shard policy state for a
-// non-default tenant. Tenant-capable layouts only: under the others the
-// tenant verb is refused at the protocol layer, and a restored namespaced key
-// is served as a plain key with no isolation. The caller holds the shard
-// mutex.
+// non-default tenant. The caller holds the shard mutex.
 func (st *store) ensureTenant(name string) *tenantState {
-	if name == defaultTenantName || st.cfg.tenants == nil || !st.lay.tenantCapable() {
+	if name == defaultTenantName || st.cfg.tenants == nil {
 		return nil
 	}
 	if ts, ok := st.tens[name]; ok {
 		return ts
 	}
 	t, _ := st.cfg.tenants.ensure(name)
-	p, err := buildPolicy(st.cfg, st.cfg.MemoryBytes)
+	p, err := buildPolicy(st.cfg)
 	if err != nil {
 		// The config was already validated at construction.
 		panic("kvserver: tenant policy build failed: " + err.Error())
@@ -191,7 +194,7 @@ func (st *store) ensureTenant(name string) *tenantState {
 // arbitration and per-tenant stats.
 func (st *store) multiTenant() bool {
 	reg := st.cfg.tenants
-	return reg != nil && reg.multi.Load() && st.lay.tenantCapable()
+	return reg != nil && reg.multi.Load()
 }
 
 // stateFor routes a stored key to the ordering that owns it — the tenant
@@ -354,14 +357,6 @@ func (st *store) evictArbitratedBatch(requester cache.Ordering, need int64) bool
 // counters untouched. Deletions are not evictions, so eviction stats are
 // unaffected too.
 func (st *store) flushTenant(name string) {
-	if !st.lay.tenantCapable() {
-		// These layouts are single-tenant: only the default name means
-		// anything, and flushing it flushes everything, as before.
-		if name == defaultTenantName {
-			st.flush()
-		}
-		return
-	}
 	var p cache.Ordering
 	if name == defaultTenantName {
 		p = st.policy
@@ -668,14 +663,14 @@ func (st *store) restore(op persist.Op) error {
 // with each entry's exact priority offset (H − L) as a KindSetPrio record,
 // so replaying the ops rebuilds not just the queues' order but the live
 // cross-queue eviction schedule, byte-exact even after eviction churn
-// (snapshot format v2; ROADMAP's "exact snapshot priorities"). Pure-recency
-// policies (LRU, slab classes) stay KindSet: their order is their entire
-// state. The caller holds the shard mutex only for this copy-out; the
-// returned ops alias the stored value slices, which is safe to serialize
-// after unlocking because the server never mutates a stored value in place —
-// every rewrite installs a fresh slice. A copying layout's values are the
-// exception: its housekeeping DOES move the bytes, so they are copied out
-// here, under the lock.
+// (snapshot format v2; ROADMAP's "exact snapshot priorities"). A pure-recency
+// policy (LRU) stays KindSet: its order is its entire state. The caller
+// holds the shard mutex only for this copy-out; the returned ops alias the
+// stored value slices, which is safe to serialize after unlocking because
+// the server never mutates a stored value in place — every rewrite installs
+// a fresh slice. A copying layout's values are the exception: its
+// housekeeping DOES move the bytes, so they are copied out here, under the
+// lock.
 func (st *store) collectOps() []persist.Op {
 	ops := make([]persist.Op, 0, st.items.Len())
 	copies := st.lay.copiesValues()

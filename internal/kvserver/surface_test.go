@@ -17,7 +17,7 @@ var updateSurface = flag.Bool("update", false, "rewrite testdata/stats_surface.g
 
 const surfaceGolden = "testdata/stats_surface.golden"
 
-// TestStatsSurface pins every name the server reports, in six
+// TestStatsSurface pins every name the server reports, in five
 // configurations: the STAT names of stats (sorted: its order is free),
 // stats shards, stats tenants, stats latency and replica status (in reply
 // order), and each /metrics family's HELP and TYPE lines and its sample
@@ -58,7 +58,7 @@ func TestStatsSurface(t *testing.T) {
 	}
 }
 
-// statsSurface boots the six configurations and renders their names. It
+// statsSurface boots the five configurations and renders their names. It
 // also holds the registry to its promise that the family set is the same
 // on every server, whatever its role, layout or persistence.
 func statsSurface(t *testing.T) string {
@@ -115,10 +115,6 @@ func statsSurface(t *testing.T) string {
 		t.Fatal(err)
 	}
 	section("gds, reserved tenant gold + tenant silver", gds)
-
-	slab := startServer(t, Config{MemoryBytes: 2 << 20, Mode: ModeSlab})
-	traffic(slab)
-	section("slab", slab)
 
 	primary := startServer(t, Config{MemoryBytes: 1 << 20, Shards: 2,
 		Persist: &PersistConfig{Dir: t.TempDir()}})

@@ -27,8 +27,7 @@ import (
 // contended it evicts from the tenant whose next victim carries the lowest
 // marginal priority (CAMP/GDS H − L) among tenants above their reserve — so
 // one tenant's churn can take the shared pool but never another tenant's
-// reserve. Byte mode only; slab and buddy layouts refuse non-default
-// tenants.
+// reserve.
 
 // defaultTenantName is the tenant every connection starts on. Its keys are
 // stored bare, so single-tenant deployments are byte-identical to the
@@ -41,10 +40,9 @@ const maxTenantNameLen = 64
 
 // Tenant protocol replies (see shard.go for the rest of the reply table).
 var (
-	replyBadTenant  = []byte("CLIENT_ERROR bad tenant name\r\n")
-	replyTenantMode = []byte("SERVER_ERROR multi-tenancy requires byte or arena mode\r\n")
-	replyBadFlush   = []byte("CLIENT_ERROR bad flush_all command (want flush_all or flush_all all)\r\n")
-	replyBadKey     = []byte("CLIENT_ERROR bad key\r\n")
+	replyBadTenant = []byte("CLIENT_ERROR bad tenant name\r\n")
+	replyBadFlush  = []byte("CLIENT_ERROR bad flush_all command (want flush_all or flush_all all)\r\n")
+	replyBadKey    = []byte("CLIENT_ERROR bad key\r\n")
 )
 
 // tenant is one registry entry: identity, the namespace prefix its stored
@@ -224,11 +222,6 @@ func (s *Server) handleTenant(args [][]byte, cs *connState) error {
 	if name == defaultTenantName {
 		cs.tenant = nil
 		return s.replyTenant(cs, name)
-	}
-	if !s.tenantCapable {
-		// The layout has no per-tenant policies to arbitrate between;
-		// refuse rather than silently share.
-		return cs.send(replyTenantMode)
 	}
 	cs.tenant = s.ensureTenantDurable(name)
 	return s.replyTenant(cs, name)

@@ -51,17 +51,6 @@ func TestTenantVerbProtocol(t *testing.T) {
 	if got := sendLine(t, conn, "set a\x00b 0 0 1\r\nv"); !strings.HasPrefix(got, "CLIENT_ERROR") {
 		t.Errorf("set with NUL key = %q, want CLIENT_ERROR", got)
 	}
-
-	// Slab mode has no per-tenant policies to arbitrate between.
-	slab := startServer(t, Config{MemoryBytes: 1 << 21, Mode: ModeSlab, SlabSize: 1 << 16})
-	sc := rawDial(t, slab)
-	defer sc.Close()
-	if got := sendLine(t, sc, "tenant gold"); !strings.HasPrefix(got, "SERVER_ERROR") {
-		t.Errorf("tenant on slab mode = %q, want SERVER_ERROR", got)
-	}
-	if got := sendLine(t, sc, "tenant default"); got != "TENANT default" {
-		t.Errorf("tenant default on slab mode = %q", got)
-	}
 }
 
 // TestTenantConfigValidation pins Config.TenantReserves validation.
@@ -80,13 +69,7 @@ func TestTenantConfigValidation(t *testing.T) {
 			t.Errorf("TenantReserves %v: want error", res)
 		}
 	}
-	cfg := Config{MemoryBytes: 1 << 21, Mode: ModeSlab, SlabSize: 1 << 16,
-		TenantReserves: map[string]int64{"gold": 1 << 10}}
-	if _, err := New(cfg); err == nil {
-		t.Error("TenantReserves in slab mode: want error")
-	}
-
-	cfg = base
+	cfg := base
 	cfg.TenantReserves = map[string]int64{"gold": 1 << 18}
 	s := startServer(t, cfg)
 	c := dial(t, s)
