@@ -258,7 +258,8 @@ func BenchmarkAblationLUpdate(b *testing.B) {
 }
 
 // BenchmarkAblationGDSDelete compares GDS's two heap-deletion strategies
-// (Figure 4's deviation discussion in EXPERIMENTS.md).
+// (Figure 4's gds-textbook and gds-optimized columns: internal/figures/fig4_5.go,
+// pinned in internal/figures/testdata/figures/fig4.golden).
 func BenchmarkAblationGDSDelete(b *testing.B) {
 	for _, textbook := range []bool{false, true} {
 		name := "replace-with-last"

@@ -5,7 +5,7 @@
 //
 //	campsrv -addr 127.0.0.1:11211 -mem 64MiB -policy camp [-mode byte|arena]
 //	        [-shards N] [-precision 5] [-no-iq]
-//	        [-replica-of host:port [-replica-tenants a,b]]
+//	        [-replica-of host:port]
 //	        [-tenant-reserve name=bytes ...] [-tenant-quota name=ops[:bytes] ...]
 //	        [-data-dir /var/lib/campsrv [-aof=true] [-fsync everysec]
 //	         [-snapshot-interval 5m] [-aof-limit 64MiB]]
@@ -72,16 +72,14 @@ func run() error {
 		reserves = tenantReserves{}
 		quotas   = tenantQuotas{}
 
-		replicaTenants = flag.String("replica-tenants", "", "comma-separated tenant subset to replicate (requires -replica-of, byte or arena mode); the primary filters the feed to these tenants' keys")
-
 		dataDir  = flag.String("data-dir", "", "persistence directory (empty = volatile cache)")
 		aof      = flag.Bool("aof", true, "journal mutations to an append-only log (requires -data-dir)")
 		fsync    = flag.String("fsync", persist.FsyncEverySec, "AOF sync policy: always, everysec or no")
 		snapshot = flag.Duration("snapshot-interval", 0, "background snapshot period (0 = size-triggered only)")
 		aofLimit = flag.String("aof-limit", "", "AOF size triggering compaction (default 64MiB)")
 	)
-	flag.Var(&reserves, "tenant-reserve", "reserve memory for a tenant as name=bytes (e.g. -tenant-reserve gold=16MiB); repeatable, byte or arena mode only")
-	flag.Var(&quotas, "tenant-quota", "request quota for a tenant as name=ops[:bytes] (ops/sec shed limit, optional in-flight mutation bytes, e.g. -tenant-quota bronze=500:1MiB); repeatable, byte or arena mode only")
+	flag.Var(&reserves, "tenant-reserve", "reserve memory for a tenant as name=bytes (e.g. -tenant-reserve gold=16MiB); repeatable")
+	flag.Var(&quotas, "tenant-quota", "request quota for a tenant as name=ops[:bytes] (ops/sec shed limit, optional in-flight mutation bytes, e.g. -tenant-quota bronze=500:1MiB); repeatable")
 	flag.Parse()
 
 	bytes, err := parseSize(*mem)
@@ -108,9 +106,6 @@ func run() error {
 	}
 	if len(quotas) > 0 {
 		cfg.TenantQuotas = quotas
-	}
-	if *replicaTenants != "" {
-		cfg.ReplicaTenants = strings.Split(*replicaTenants, ",")
 	}
 	switch {
 	case *slowlogMS < 0:
@@ -153,9 +148,6 @@ func run() error {
 		srv.Addr(), *policy, *mode, bytes, *shards)
 	if *replicaOf != "" {
 		fmt.Printf("campsrv: read-only replica of %s (promote with 'replica promote')\n", *replicaOf)
-		if *replicaTenants != "" {
-			fmt.Printf("campsrv: replicating only tenants %s\n", *replicaTenants)
-		}
 	}
 	if *metricsAddr != "" {
 		fmt.Printf("campsrv: metrics on http://%s/metrics (pprof under /debug/pprof/)\n", srv.MetricsAddr())

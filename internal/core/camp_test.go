@@ -509,6 +509,32 @@ func TestCampTouchSoleMemberAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestCampInsertAtNewHead pins InsertAt's one heap repair: a node pinned
+// below its queue's head becomes that head, and when the new head also sorts
+// before every other queue's, the queue must rise to the heap's root.
+// Snapshot replay never inserts out of order, so only this test drives it.
+func TestCampInsertAtNewHead(t *testing.T) {
+	c := NewCamp(1000)
+	for _, n := range []struct {
+		key         string
+		prio, class uint64
+	}{
+		{"low", 2, 2},   // queue 2, head H=2: the heap's root
+		{"high", 8, 8},  // queue 8, head H=8
+		{"early", 1, 8}, // pinned below queue 8's head and below queue 2's
+	} {
+		if !c.InsertAt(&cache.Node{Key: n.key, Size: 10}, n.prio, n.class) {
+			t.Fatalf("InsertAt %s refused", n.key)
+		}
+		if err := c.CheckInvariants(); err != nil {
+			t.Fatalf("after InsertAt %s: %v", n.key, err)
+		}
+	}
+	if v := c.Evict(); v == nil || v.Key != "early" {
+		t.Fatalf("first victim %v, want early", v)
+	}
+}
+
 // TestCampFarFewerHeapOpsThanGDS verifies the efficiency claim of §2: CAMP
 // touches its heap only when a queue head changes, so on a skewed workload
 // it performs a small fraction of GDS's heap updates and node visits.

@@ -50,8 +50,8 @@ type GDSOption func(*GDS)
 // WithTextbookDelete switches heap deletions to the classical
 // bubble-to-root-then-pop method, which pays the full heap depth on every
 // hit. This mode reproduces the rising GDS curve of Figure 4; the default
-// replace-with-last deletion is cheaper and flattens that curve (see
-// EXPERIMENTS.md).
+// replace-with-last deletion is cheaper and flattens that curve (see Fig4 in
+// internal/figures/fig4_5.go and its testdata/figures/fig4.golden).
 func WithTextbookDelete() GDSOption {
 	return func(g *GDS) { g.textbookDelete = true }
 }

@@ -56,10 +56,6 @@ type connState struct {
 	// store keys, so the hot path adds no allocations.
 	tenant *tenant
 	nsKey  []byte
-
-	// replTenants is the tenant subset a "replconf tenants" announcement
-	// scoped this connection's sync feeds to; nil means unfiltered.
-	replTenants []string
 }
 
 // nsKeyFor maps a wire key into the connection tenant's namespace: bare for
@@ -152,7 +148,6 @@ func putConnState(cs *connState) {
 	cs.valBuf = cs.valBuf[:0]
 	cs.op = mutation{} // a pooled state must not pin the last value
 	cs.tenant = nil
-	cs.replTenants = nil
 	if cap(cs.nsKey) > maxPooledScratch {
 		cs.nsKey = nil
 	}

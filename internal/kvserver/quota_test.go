@@ -64,8 +64,7 @@ func TestTenantQuotaBytesInFlight(t *testing.T) {
 	}
 }
 
-// TestTenantQuotaConfigValidation pins Config.TenantQuotas and
-// Config.ReplicaTenants validation.
+// TestTenantQuotaConfigValidation pins Config.TenantQuotas validation.
 func TestTenantQuotaConfigValidation(t *testing.T) {
 	for _, q := range []map[string]TenantQuota{
 		{"bad name": {OpsPerSec: 1}},
@@ -77,13 +76,6 @@ func TestTenantQuotaConfigValidation(t *testing.T) {
 		if _, err := New(cfg); err == nil {
 			t.Errorf("TenantQuotas %v: want error", q)
 		}
-	}
-	if _, err := New(Config{MemoryBytes: 1 << 20, ReplicaTenants: []string{"a"}}); err == nil {
-		t.Error("ReplicaTenants without ReplicaOf: want error")
-	}
-	if _, err := New(Config{MemoryBytes: 1 << 20, ReplicaOf: "127.0.0.1:1",
-		ReplicaTenants: []string{"bad name"}}); err == nil {
-		t.Error("ReplicaTenants with invalid name: want error")
 	}
 }
 

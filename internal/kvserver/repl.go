@@ -6,8 +6,6 @@
 //
 //	follower → primary:  replconf shards <n>\r\n
 //	primary → follower:  REPLOK <n>\r\n
-//	follower → primary:  replconf tenants <a,b,...>\r\n     (optional)
-//	primary → follower:  REPLOK tenants\r\n
 //	follower → primary:  sync <shard> <gen> <offset> <runid>\r\n
 //	primary → follower:  CONTINUE <gen> <offset> <runid>\r\n
 //	                  or FULLSYNC <snapgen> <snapbytes> <runid>\r\n +
@@ -18,16 +16,6 @@
 // a primary restart may have truncated a torn tail, making old byte offsets
 // point into different data, so a position carrying a stale run ID is
 // answered with a full resync rather than silently diverging.
-//
-// "replconf tenants" (Config.ReplicaTenants / campsrv -replica-tenants)
-// scopes every subsequent sync on the connection to a tenant subset: the
-// primary streams only records whose NUL-delimited key prefix names a subset
-// tenant, coalescing the byte lengths of everything it withholds into skip
-// frames — so the follower's offsets keep mirroring the primary's file
-// positions and disconnect/CONTINUE resume works unchanged. A filtered full
-// resync ships a synthesized snapshot holding just the subset's entries and
-// their KindTenant/KindScale records. Unfiltered feeds never see a skip
-// frame, keeping the stream byte-compatible with pre-filter followers.
 //
 // "sync <shard> 0 0 0" always requests a full resync. After the reply the
 // connection becomes a one-way binary frame feed (internal/persist's
@@ -48,7 +36,6 @@ package kvserver
 
 import (
 	"bufio"
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -56,7 +43,6 @@ import (
 	"net"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -177,18 +163,8 @@ func (c idleConn) Read(p []byte) (int, error) {
 
 // handleReplconf validates a follower's topology announcement. Replication
 // streams are per-shard, so the shard counts must match exactly; and the
-// feed is the journal, so the primary must be journaling at all. The
-// optional "replconf tenants <a,b,...>" form scopes every subsequent sync on
-// this connection to a tenant subset (see the package comment).
+// feed is the journal, so the primary must be journaling at all.
 func (s *Server) handleReplconf(args [][]byte, cs *connState) error {
-	if len(args) == 2 && string(args[0]) == "tenants" {
-		names, ok := parseReplTenants(args[1])
-		if !ok {
-			return cs.send(replyBadReplconf)
-		}
-		cs.replTenants = names
-		return cs.send(replyReplokTenants)
-	}
 	if len(args) != 2 || string(args[0]) != "shards" {
 		return cs.send(replyBadReplconf)
 	}
@@ -209,72 +185,6 @@ func (s *Server) handleReplconf(args [][]byte, cs *connState) error {
 	out = append(out, '\r', '\n')
 	cs.out = out
 	return cs.send(out)
-}
-
-// parseReplTenants parses the "replconf tenants" CSV: comma-separated tenant
-// names, each valid under parseTenantName ("default" names the bare
-// namespace), returned deduped and sorted.
-func parseReplTenants(tok []byte) ([]string, bool) {
-	if len(tok) == 0 {
-		return nil, false
-	}
-	var names []string
-	for len(tok) > 0 {
-		part := tok
-		if i := bytes.IndexByte(tok, ','); i >= 0 {
-			part, tok = tok[:i], tok[i+1:]
-			if len(tok) == 0 {
-				return nil, false // trailing comma: an empty name, rejected like any other
-			}
-		} else {
-			tok = nil
-		}
-		name, ok := parseTenantName(part)
-		if !ok {
-			return nil, false
-		}
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	out := names[:0]
-	for i, name := range names {
-		if i > 0 && name == names[i-1] {
-			continue
-		}
-		out = append(out, name)
-	}
-	return out, true
-}
-
-// feedFilter scopes one sync feed to a tenant subset. Records outside the
-// subset are withheld; their byte lengths coalesce into pending, flushed as
-// one skip frame before the next kept record (and at idle), so the
-// follower's offset keeps mirroring the primary's file position and a later
-// CONTINUE resumes at a real record boundary.
-type feedFilter struct {
-	names   []string
-	pending int64
-}
-
-// keeps decides one journal record's fate on a filtered feed.
-func (f *feedFilter) keeps(op persist.Op) bool {
-	switch op.Kind {
-	case persist.KindPosition:
-		// Someone else's replication bookkeeping (a promoted ex-follower's
-		// journal); never meaningful downstream.
-		return false
-	case persist.KindScale:
-		// The adaptive scale only ever widens, so it is safe — and needed —
-		// in every subset (mirrors restore's KindScale handling).
-		return true
-	case persist.KindFlush:
-		// Keyless flushes clear every namespace, the subset's included.
-		return op.Key == "" || tenantInSubset(f.names, op.Key)
-	case persist.KindTenant:
-		return tenantInSubset(f.names, op.Key)
-	default:
-		return keyInAnyTenant(f.names, op.Key)
-	}
 }
 
 // parseSyncArgs parses "sync <shard> <gen> <offset> <runid>" arguments. gen
@@ -325,11 +235,7 @@ func (s *Server) handleSync(args [][]byte, cs *connState) error {
 	var (
 		tr       *persist.TailReader
 		announce bool
-		filter   *feedFilter
 	)
-	if len(cs.replTenants) > 0 {
-		filter = &feedFilter{names: cs.replTenants}
-	}
 	// A position from another journal run is meaningless here (a restart may
 	// have truncated the tail those offsets were measured against): force a
 	// full resync instead of continuing into silent divergence.
@@ -350,29 +256,6 @@ func (s *Server) handleSync(args [][]byte, cs *connState) error {
 		}
 		// A stale position falls through to a full resync, exactly as if the
 		// follower had asked for one.
-	}
-	if tr == nil && filter != nil {
-		// A filtered full resync ships a synthesized snapshot of just the
-		// subset's live state instead of the on-disk snapshot file (which
-		// holds every tenant's data).
-		snap, snapGen, t, err := s.fullSyncFiltered(idx, filter.names)
-		if err != nil {
-			s.logf("kvserver: filtered full sync shard %d: %v", idx, err)
-			cs.w.Write(replySyncFailed)
-			return errCloseConn
-		}
-		cs.out = appendSyncLine(cs.out[:0], "FULLSYNC ", snapGen, int64(len(snap)), mgr.RunID())
-		_, werr := cs.w.Write(cs.out)
-		if werr == nil {
-			_, werr = cs.w.Write(snap)
-		}
-		if werr != nil {
-			t.Close()
-			return werr
-		}
-		tr = t
-		announce = true
-		s.counters.replFullSyncsServed.Add(1)
 	}
 	if tr == nil {
 		fs, err := mgr.FullSync()
@@ -403,7 +286,7 @@ func (s *Server) handleSync(args [][]byte, cs *connState) error {
 	defer s.replFeeds.Add(-1)
 	feed := s.registerFeed(idx)
 	defer s.unregisterFeed(feed)
-	err := s.streamJournal(tr, cs.w, announce, feed, filter)
+	err := s.streamJournal(tr, cs.w, announce, feed)
 	if err != nil && !errors.Is(err, persist.ErrClosed) {
 		s.logf("kvserver: sync feed shard %d ended: %v", idx, err)
 	}
@@ -419,90 +302,22 @@ func appendSyncLine(out []byte, verb string, a uint64, b int64, runID uint64) []
 	return append(out, '\r', '\n')
 }
 
-// fullSyncFiltered builds a filtered full resync: a synthesized in-memory
-// snapshot holding only the subset's live ops (their KindTenant records and
-// every KindScale record included) plus a journal tail opened at the exact
-// head position the snapshot describes. Snapshot and tail are taken under one
-// shard-lock hold, so no append or generation switch can slip between them —
-// the pair is as atomic as the on-disk FullSync's snapshot+tail. The caller
-// must announce the tail's generation and pre-load the feed filter with the
-// tail's lead-in offset (streamJournal does both).
-func (s *Server) fullSyncFiltered(idx int, names []string) (snap []byte, snapGen uint64, tr *persist.TailReader, err error) {
-	sh := s.shards[idx]
-	sh.mu.Lock()
-	// The tail opens at the head of the file, so the file must hold every
-	// record the snapshot below reflects.
-	err = sh.mgr.Flush()
-	info := sh.mgr.Info()
-	if err == nil {
-		tr, err = sh.mgr.TailFrom(info.Generation, info.AOFSize)
-	}
-	var ops []persist.Op
-	if err == nil {
-		ops = sh.store.collectOpsFiltered(names)
-	}
-	sh.mu.Unlock()
-	if err != nil {
-		return nil, 0, nil, err
-	}
-	var buf bytes.Buffer
-	sw, err := persist.NewSnapshotWriter(&buf)
-	if err == nil {
-		for _, op := range ops {
-			if err = sw.Write(op); err != nil {
-				break
-			}
-		}
-	}
-	if err == nil {
-		err = sw.Flush()
-	}
-	if err != nil {
-		tr.Close()
-		return nil, 0, nil, err
-	}
-	// The buffer always holds at least the snapshot header, so its size is
-	// nonzero and pairs with the nonzero generation the way parseSyncReply
-	// requires.
-	return buf.Bytes(), info.Generation, tr, nil
-}
-
 // streamJournal pumps tail events into the connection as stream frames,
 // flushing whenever the journal has nothing ready and pinging while it stays
-// idle. On a filtered feed, withheld records coalesce into filter.pending and
-// go out as one skip frame before the next kept record — and before any idle
-// flush or ping, so a quiet filtered feed still converges to the primary's
-// exact offset. Returns when the write side fails (follower gone), the
-// manager closes, or the journal is corrupt.
-func (s *Server) streamJournal(tr *persist.TailReader, w *bufio.Writer, announce bool, feed *feedStat, filter *feedFilter) error {
+// idle. Returns when the write side fails (follower gone), the manager
+// closes, or the journal is corrupt.
+func (s *Server) streamJournal(tr *persist.TailReader, w *bufio.Writer, announce bool, feed *feedStat) error {
 	sw := persist.NewStreamWriter(w)
 	if announce {
 		if err := sw.GenSwitch(tr.Gen()); err != nil {
 			return err
 		}
-		if filter != nil && tr.Off() > persist.SegmentHeaderLen {
-			// A filtered full resync opens the tail at the journal head, not
-			// the segment start; the lead-in bytes the follower will never see
-			// become its first skip so its offset lands on the head.
-			filter.pending = tr.Off() - persist.SegmentHeaderLen
-		}
-	}
-	flushSkip := func() error {
-		if filter == nil || filter.pending == 0 {
-			return nil
-		}
-		delta := filter.pending
-		filter.pending = 0
-		return sw.Skip(delta)
 	}
 	feed.gen.Store(tr.Gen())
 	feed.off.Store(tr.Off())
 	for {
 		ev, err := tr.Next(0)
 		if errors.Is(err, persist.ErrTailTimeout) {
-			if serr := flushSkip(); serr != nil {
-				return serr
-			}
 			if ferr := sw.Flush(); ferr != nil {
 				return ferr
 			}
@@ -520,27 +335,9 @@ func (s *Server) streamJournal(tr *persist.TailReader, w *bufio.Writer, announce
 		if err != nil {
 			return err
 		}
-		switch {
-		case ev.Record == nil:
-			// A generation switch resets offsets to the new segment's start;
-			// pending skip bytes belonged to the retired generation.
-			if filter != nil {
-				filter.pending = 0
-			}
+		if ev.Record == nil {
 			err = sw.GenSwitch(ev.Gen)
-		case filter != nil:
-			op, _, derr := persist.DecodeRecord(ev.Record)
-			if derr != nil {
-				return derr
-			}
-			if filter.keeps(op) {
-				if err = flushSkip(); err == nil {
-					err = sw.Record(ev.Record)
-				}
-			} else {
-				filter.pending += int64(len(ev.Record))
-			}
-		default:
+		} else {
 			err = sw.Record(ev.Record)
 		}
 		if err != nil {
@@ -825,19 +622,6 @@ func (sr *shardReplica) syncOnce() (progressed bool, err error) {
 	if want := fmt.Sprintf("REPLOK %d", len(s.shards)); string(line) != want {
 		return false, fmt.Errorf("handshake rejected: %q", line)
 	}
-	if rt := s.cfg.ReplicaTenants; len(rt) > 0 {
-		fmt.Fprintf(bw, "replconf tenants %s\r\n", strings.Join(rt, ","))
-		if err := bw.Flush(); err != nil {
-			return false, err
-		}
-		line, err = lr.ReadLine()
-		if err != nil {
-			return false, err
-		}
-		if string(line) != "REPLOK tenants" {
-			return false, fmt.Errorf("tenant filter rejected: %q", line)
-		}
-	}
 
 	gen, off, runID := sr.pos()
 	if sr.staleStreak >= replStaleMax {
@@ -920,18 +704,6 @@ func (sr *shardReplica) syncOnce() (progressed bool, err error) {
 			sr.off += frame.Bytes
 			sr.applied++
 			sr.mu.Unlock()
-			frames++
-		case persist.FrameSkip:
-			// Bytes the primary withheld from a filtered feed: advance and
-			// persist the position exactly as if the records had streamed, so
-			// disconnect/CONTINUE resumes at the primary's real offsets.
-			gen, off, _ := sr.pos()
-			if gen == 0 {
-				return frames > 0, errors.New("skip frame before generation announcement")
-			}
-			off += frame.Bytes
-			sr.setPos(gen, off)
-			sr.persistPos(persist.Position{RunID: reply.runID, Gen: gen, Off: off})
 			frames++
 		case persist.FrameGen:
 			sr.setPos(frame.Gen, persist.SegmentHeaderLen)

@@ -532,8 +532,8 @@ func TestReplicaRejectsAllMutations(t *testing.T) {
 }
 
 // TestReplHandshakeRejections covers the handshake's refusal paths: shard
-// count mismatch, promote on a primary, sync against a journal-less server,
-// and sync from a replica (no chaining).
+// count mismatch, a replconf form other than "shards", promote on a primary,
+// sync against a journal-less server, and sync from a replica (no chaining).
 func TestReplHandshakeRejections(t *testing.T) {
 	p := startServer(t, Config{
 		MemoryBytes: 1 << 20,
@@ -553,6 +553,9 @@ func TestReplHandshakeRejections(t *testing.T) {
 	}
 	if got := send(p, "replconf shards 2"); got != "REPLOK 2" {
 		t.Fatalf("replconf reply: %q", got)
+	}
+	if got := send(p, "replconf tenants a"); got != "CLIENT_ERROR bad replconf command" {
+		t.Fatalf("replconf tenants reply: %q", got)
 	}
 	if got := send(p, "replica promote"); got != "CLIENT_ERROR not a replica" {
 		t.Fatalf("promote-on-primary reply: %q", got)

@@ -56,7 +56,6 @@ import (
 	"net"
 	"net/http"
 	"runtime/debug"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -151,16 +150,6 @@ type Config struct {
 	// consumed, so the connection stream stays aligned. Quotas describe the
 	// deployment, not the data: they are never journaled or replicated.
 	TenantQuotas map[string]TenantQuota
-	// ReplicaTenants, with ReplicaOf, restricts replication to a tenant
-	// subset: the follower requests the subset during the REPLCONF handshake
-	// and the primary filters its per-shard feed by the NUL-delimited key
-	// prefix, coalescing the bytes of filtered-out records into skip frames
-	// so the follower's offsets keep mirroring the primary's file positions
-	// (disconnect/CONTINUE resume works unchanged). FULLSYNC bootstraps ship
-	// only the subset's entries plus their KindTenant/KindScale records, and
-	// promoting a filtered replica serves only its subset. "default" names
-	// the bare namespace. Byte and arena modes only.
-	ReplicaTenants []string
 
 	// tenants and shardSlot are threaded through the per-shard Config
 	// copies so each store can reach the server's tenant registry and
@@ -330,24 +319,6 @@ func New(cfg Config) (*Server, error) {
 				return nil, fmt.Errorf("%w: negative quota for tenant %q", errBadConfig, name)
 			}
 		}
-	}
-	if len(cfg.ReplicaTenants) > 0 {
-		if cfg.ReplicaOf == "" {
-			return nil, fmt.Errorf("%w: ReplicaTenants requires ReplicaOf", errBadConfig)
-		}
-		names := append([]string(nil), cfg.ReplicaTenants...)
-		sort.Strings(names)
-		dedup := names[:0]
-		for i, name := range names {
-			if _, ok := parseTenantName([]byte(name)); !ok {
-				return nil, fmt.Errorf("%w: bad tenant name %q", errBadConfig, name)
-			}
-			if i > 0 && name == names[i-1] {
-				continue
-			}
-			dedup = append(dedup, name)
-		}
-		cfg.ReplicaTenants = dedup
 	}
 	cfg.tenants = newTenantRegistry()
 	s := &Server{
@@ -706,8 +677,8 @@ func (s *Server) acceptLoop() {
 
 // connWriteTimeout bounds each socket write of every accepted connection,
 // client or replication feed: one Conn.Write — a full buffer, or a larger
-// value or filtered snapshot that bufio passes through whole — must complete
-// within it. A stream of writes has no total limit; a peer that stops reading
+// value that bufio passes through whole — must complete within it (a FULLSYNC
+// snapshot is copied through the buffer, one full buffer per write). A stream of writes has no total limit; a peer that stops reading
 // pins its goroutine, its staging (on a feed, journal segments) this long.
 const connWriteTimeout = 30 * time.Second
 

@@ -19,33 +19,32 @@ const serverVersion = "camp-kvs/1.0"
 // connection buffer, so the steady-state reply path performs no formatting
 // and no allocation.
 var (
-	replyStored        = []byte("STORED\r\n")
-	replyNotStored     = []byte("NOT_STORED\r\n")
-	replyNotFound      = []byte("NOT_FOUND\r\n")
-	replyDeleted       = []byte("DELETED\r\n")
-	replyTouched       = []byte("TOUCHED\r\n")
-	replyOK            = []byte("OK\r\n")
-	replyEnd           = []byte("END\r\n")
-	replyError         = []byte("ERROR\r\n")
-	replyVersion       = []byte("VERSION " + serverVersion + "\r\n")
-	replyOOM           = []byte("SERVER_ERROR out of memory storing object\r\n")
-	replyTooLarge      = []byte("SERVER_ERROR object too large for cache\r\n")
-	replyBadDataChunk  = []byte("CLIENT_ERROR bad data chunk\r\n")
-	replyNonNumeric    = []byte("CLIENT_ERROR cannot increment or decrement non-numeric value\r\n")
-	replyBadDelta      = []byte("CLIENT_ERROR invalid numeric delta argument\r\n")
-	replyBadExptime    = []byte("CLIENT_ERROR invalid exptime argument\r\n")
-	replyGetNoKey      = []byte("CLIENT_ERROR get requires a key\r\n")
-	replyLineTooLong   = []byte("CLIENT_ERROR line too long\r\n")
-	replyDebugNoKey    = []byte("CLIENT_ERROR debug requires a key\r\n")
-	replyReadOnly      = []byte("SERVER_ERROR replica is read-only\r\n")
-	replyOverQuota     = []byte("SERVER_ERROR tenant over quota\r\n")
-	replyBadReplconf   = []byte("CLIENT_ERROR bad replconf command\r\n")
-	replyReplokTenants = []byte("REPLOK tenants\r\n")
-	replyBadSync       = []byte("CLIENT_ERROR bad sync command\r\n")
-	replyBadReplica    = []byte("CLIENT_ERROR bad replica command (want promote or status)\r\n")
-	replyNoJournal     = []byte("CLIENT_ERROR primary is not journaling (persistence with AOF required)\r\n")
-	replyNotPrimary    = []byte("CLIENT_ERROR replica cannot serve syncs (chained replication unsupported)\r\n")
-	replySyncFailed    = []byte("SERVER_ERROR sync failed\r\n")
+	replyStored       = []byte("STORED\r\n")
+	replyNotStored    = []byte("NOT_STORED\r\n")
+	replyNotFound     = []byte("NOT_FOUND\r\n")
+	replyDeleted      = []byte("DELETED\r\n")
+	replyTouched      = []byte("TOUCHED\r\n")
+	replyOK           = []byte("OK\r\n")
+	replyEnd          = []byte("END\r\n")
+	replyError        = []byte("ERROR\r\n")
+	replyVersion      = []byte("VERSION " + serverVersion + "\r\n")
+	replyOOM          = []byte("SERVER_ERROR out of memory storing object\r\n")
+	replyTooLarge     = []byte("SERVER_ERROR object too large for cache\r\n")
+	replyBadDataChunk = []byte("CLIENT_ERROR bad data chunk\r\n")
+	replyNonNumeric   = []byte("CLIENT_ERROR cannot increment or decrement non-numeric value\r\n")
+	replyBadDelta     = []byte("CLIENT_ERROR invalid numeric delta argument\r\n")
+	replyBadExptime   = []byte("CLIENT_ERROR invalid exptime argument\r\n")
+	replyGetNoKey     = []byte("CLIENT_ERROR get requires a key\r\n")
+	replyLineTooLong  = []byte("CLIENT_ERROR line too long\r\n")
+	replyDebugNoKey   = []byte("CLIENT_ERROR debug requires a key\r\n")
+	replyReadOnly     = []byte("SERVER_ERROR replica is read-only\r\n")
+	replyOverQuota    = []byte("SERVER_ERROR tenant over quota\r\n")
+	replyBadReplconf  = []byte("CLIENT_ERROR bad replconf command\r\n")
+	replyBadSync      = []byte("CLIENT_ERROR bad sync command\r\n")
+	replyBadReplica   = []byte("CLIENT_ERROR bad replica command (want promote or status)\r\n")
+	replyNoJournal    = []byte("CLIENT_ERROR primary is not journaling (persistence with AOF required)\r\n")
+	replyNotPrimary   = []byte("CLIENT_ERROR replica cannot serve syncs (chained replication unsupported)\r\n")
+	replySyncFailed   = []byte("SERVER_ERROR sync failed\r\n")
 )
 
 // shard is one independent slice of the server: its own store (policy,

@@ -727,32 +727,6 @@ func (st *store) collectOps() []persist.Op {
 	return ops
 }
 
-// collectOpsFiltered is collectOps restricted to a tenant subset, the shape a
-// tenant-filtered FULLSYNC bootstrap ships: the subset's entries and
-// KindTenant records, plus every KindScale record — the adaptive scale only
-// ever widens, so installing the source's scale in all of the follower's
-// policies is safe (mirroring restore's KindScale handling) and keeps the
-// filter stateless. names must be sorted/deduped (Config validation does).
-func (st *store) collectOpsFiltered(names []string) []persist.Op {
-	ops := st.collectOps()
-	out := ops[:0]
-	for _, op := range ops {
-		switch op.Kind {
-		case persist.KindTenant:
-			if tenantInSubset(names, op.Key) {
-				out = append(out, op)
-			}
-		case persist.KindScale:
-			out = append(out, op)
-		default:
-			if keyInAnyTenant(names, op.Key) {
-				out = append(out, op)
-			}
-		}
-	}
-	return out
-}
-
 // emitOps writes the ops collected by collectOps, the shape
 // persist.Compaction.Commit and persist.WriteSnapshotFile expect.
 func emitOps(ops []persist.Op) func(write func(persist.Op) error) error {

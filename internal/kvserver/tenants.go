@@ -178,28 +178,6 @@ func keyInTenant(name, key string) bool {
 	return len(key) > len(name) && key[len(name)] == 0 && key[:len(name)] == name
 }
 
-// tenantInSubset reports whether name is one of the subset names (a small
-// sorted slice; linear scan beats a map at replication-filter sizes).
-func tenantInSubset(names []string, name string) bool {
-	for _, n := range names {
-		if n == name {
-			return true
-		}
-	}
-	return false
-}
-
-// keyInAnyTenant reports whether a stored (namespaced) key belongs to any
-// tenant in the subset.
-func keyInAnyTenant(names []string, key string) bool {
-	for _, n := range names {
-		if keyInTenant(n, key) {
-			return true
-		}
-	}
-	return false
-}
-
 // handleTenant serves the connection-scoped tenant verb:
 //
 //	tenant          → TENANT <current>

@@ -22,17 +22,10 @@ const (
 	FrameGen byte = 'G'
 	// FramePing is a keepalive carrying nothing.
 	FramePing byte = 'P'
-	// FrameSkip advances the follower's offset by Bytes without carrying a
-	// record. Only tenant-filtered feeds emit it (negotiated in the
-	// handshake): the primary coalesces the bytes of records outside the
-	// follower's tenant subset so the follower's position keeps mirroring the
-	// primary's file position and a later CONTINUE resumes at a real record
-	// boundary. Legacy/unfiltered streams never contain this frame.
-	FrameSkip byte = 'S'
 )
 
 // Frame is one decoded replication stream frame. Op and Bytes are valid for
-// FrameRecord; Bytes alone for FrameSkip; Gen for FrameGen.
+// FrameRecord; Gen for FrameGen.
 type Frame struct {
 	Kind  byte
 	Op    Op
@@ -75,14 +68,6 @@ func (sw *StreamWriter) Ping() error {
 	return sw.w.WriteByte(FramePing)
 }
 
-// Skip writes a skip frame advancing the follower's offset by delta bytes.
-func (sw *StreamWriter) Skip(delta int64) error {
-	sw.buf[0] = FrameSkip
-	binary.LittleEndian.PutUint64(sw.buf[1:], uint64(delta))
-	_, err := sw.w.Write(sw.buf[:])
-	return err
-}
-
 // Flush drains the underlying buffered writer.
 func (sw *StreamWriter) Flush() error {
 	return sw.w.Flush()
@@ -122,16 +107,6 @@ func (sr *StreamReader) Next() (Frame, error) {
 			return Frame{}, fmt.Errorf("%w: generation-switch to 0", ErrCorruptRecord)
 		}
 		return Frame{Kind: FrameGen, Gen: gen}, nil
-	case FrameSkip:
-		var b [8]byte
-		if _, err := io.ReadFull(sr.r, b[:]); err != nil {
-			return Frame{}, noEOF(err)
-		}
-		delta := int64(binary.LittleEndian.Uint64(b[:]))
-		if delta <= 0 {
-			return Frame{}, fmt.Errorf("%w: skip frame delta %d", ErrCorruptRecord, delta)
-		}
-		return Frame{Kind: FrameSkip, Bytes: delta}, nil
 	case FrameRecord:
 		if cap(sr.buf) < recordHeaderLen {
 			sr.buf = make([]byte, 0, 64<<10)
