@@ -12,18 +12,18 @@ package cache
 // generalization for variable-sized items.
 //
 // It is an Ordering, with each resident node's list in its Aux word; the
-// embedded Keyed makes it a Policy. The ghosts are ARC's own nodes: an
-// evicted node goes back to its caller, and only its key and size stay.
+// embedded Keyed makes it a Policy. The ghosts are ARC's own entries: an
+// evicted node goes back to its caller, and only its key (named by the KeyOf
+// hook) and size stay.
 type ARC struct {
 	Keyed
 	capacity int64
 	p        int64 // adaptation target for T1, in bytes
 
 	t1, t2, b1, b2 arcList
-	ghosts         map[string]*Node // the keys in B1 and B2: non-residents only
+	ghosts         map[string]*keyedNode // the keys in B1 and B2: non-residents only
 
-	stats   Stats
-	onEvict func(*Node)
+	stats Stats
 }
 
 // ARC's lists, as a node's Aux word holds them; 0 is a fresh node.
@@ -77,7 +77,7 @@ var (
 
 // NewARC returns a byte-weighted ARC policy.
 func NewARC(capacity int64) *ARC {
-	a := &ARC{capacity: max(capacity, 0), ghosts: make(map[string]*Node)}
+	a := &ARC{capacity: max(capacity, 0), ghosts: make(map[string]*keyedNode)}
 	a.Keyed = NewKeyed(a, &a.stats)
 	return a
 }
@@ -99,13 +99,13 @@ func (a *ARC) Touch(n *Node) {
 // goes to T2 (cases II and III); any other fresh node goes to T1 (case IV).
 func (a *ARC) Insert(n *Node) bool {
 	if n.Size > a.capacity {
-		a.dropGhost(a.ghosts[n.Key])
+		a.dropGhost(a.ghosts[a.keyOf(n)])
 		a.stats.Rejected++
 		return false
 	}
 	where, b2Hit := uint64(inT2), false
 	if n.Aux == 0 {
-		switch g := a.ghosts[n.Key]; {
+		switch g := a.ghosts[a.keyOf(n)]; {
 		case g != nil && g.Aux == inB1:
 			// Case II: ghost hit in B1 -> grow the recency target.
 			a.p = min(a.capacity, a.p+max(g.Size, a.b2.bytes/max(a.b1.bytes, 1)*g.Size))
@@ -120,14 +120,14 @@ func (a *ARC) Insert(n *Node) bool {
 			where = inT1
 			if a.t1.bytes+a.b1.bytes >= a.capacity {
 				if a.t1.bytes < a.capacity {
-					a.dropGhost(a.b1.Front())
+					a.dropGhost(entryOf(a.b1.Front()))
 				} else if lru := a.t1.Front(); lru != nil {
 					// B1 is empty and T1 fills the cache: evict
 					// T1's LRU outright.
 					a.evict(lru, false)
 				}
 			} else if a.residentBytes()+a.b1.bytes+a.b2.bytes >= 2*a.capacity {
-				a.dropGhost(a.b2.Front())
+				a.dropGhost(entryOf(a.b2.Front()))
 			}
 		}
 	}
@@ -183,23 +183,21 @@ func (a *ARC) evict(n *Node, ghost bool) {
 	a.stats.EvictedBytes += uint64(n.Size)
 	a.listOf(n.Aux).remove(n)
 	if ghost {
-		g := &Node{Key: n.Key, Size: n.Size, Aux: inB1}
+		g := &keyedNode{Node: Node{Size: n.Size, Aux: inB1}, key: a.keyOf(n)}
 		if n.Aux == inT2 {
 			g.Aux = inB2
 		}
-		a.ghosts[g.Key] = g
-		a.listOf(g.Aux).push(g)
+		a.ghosts[g.key] = g
+		a.listOf(g.Aux).push(&g.Node)
 	}
-	if a.onEvict != nil {
-		a.onEvict(n)
-	}
+	a.NotifyEvict(n)
 }
 
 // dropGhost forgets a ghost; nil is a no-op.
-func (a *ARC) dropGhost(g *Node) {
+func (a *ARC) dropGhost(g *keyedNode) {
 	if g != nil {
-		a.listOf(g.Aux).remove(g)
-		delete(a.ghosts, g.Key)
+		a.listOf(g.Aux).remove(&g.Node)
+		delete(a.ghosts, g.key)
 	}
 }
 
@@ -208,15 +206,6 @@ func (a *ARC) dropGhost(g *Node) {
 func (a *ARC) Visit(visit func(n *Node, prio, class uint64) bool) {
 	visitLists(&a.t1, a.p, &a.t2, visit)
 }
-
-// Prioritized implements Ordering.
-func (a *ARC) Prioritized() bool { return false }
-
-// Scale implements Ordering.
-func (a *ARC) Scale() (uint64, bool) { return 0, false }
-
-// RestoreScale implements Ordering.
-func (a *ARC) RestoreScale(uint64) {}
 
 // Len implements Ordering (resident items only).
 func (a *ARC) Len() int { return a.t1.Len() + a.t2.Len() }
@@ -229,9 +218,6 @@ func (a *ARC) Capacity() int64 { return a.capacity }
 
 // Stats implements Ordering.
 func (a *ARC) Stats() Stats { return a.stats }
-
-// OnEvict implements Ordering.
-func (a *ARC) OnEvict(fn func(*Node)) { a.onEvict = fn }
 
 // Target returns the current byte target for T1, for tests.
 func (a *ARC) Target() int64 { return a.p }

@@ -81,7 +81,7 @@ func TestARCEvictOne(t *testing.T) {
 	a.Set("a", 10, 1)
 	a.Set("b", 10, 1)
 	n := a.Evict()
-	if n == nil || n.Key == "" {
+	if n == nil || a.Key(n) == "" {
 		t.Fatal("Evict should return a victim")
 	}
 	if a.Len() != 1 {

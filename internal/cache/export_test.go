@@ -15,18 +15,19 @@ func (q *TwoQ) CheckGhosts() error {
 
 // checkGhosts checks every ghost list's nodes against ghosts and the list's
 // byte count against its nodes.
-func checkGhosts(ghosts map[string]*Node, lists map[uint64]*arcList) error {
+func checkGhosts(ghosts map[string]*keyedNode, lists map[uint64]*arcList) error {
 	count := 0
 	for where, l := range lists {
 		var bytes int64
 		for n := l.Front(); n != nil; n = n.Next() {
 			count++
 			bytes += n.Size
-			if ghosts[n.Key] != n {
-				return fmt.Errorf("ghost %q is queued but not mapped", n.Key)
+			g := entryOf(n)
+			if ghosts[g.key] != g {
+				return fmt.Errorf("ghost %q is queued but not mapped", g.key)
 			}
 			if n.Aux != where {
-				return fmt.Errorf("ghost %q in list %d records list %d", n.Key, where, n.Aux)
+				return fmt.Errorf("ghost %q in list %d records list %d", g.key, where, n.Aux)
 			}
 		}
 		if bytes != l.bytes {

@@ -20,12 +20,11 @@ type GDWheel struct {
 	used     int64
 	n        int
 
-	slots   [gdwLevels][gdwWheelWidth]Queue
-	counts  [gdwLevels]int // non-empty slot count per level
-	t       uint64         // global clock (the GDS "L")
-	conv    rounding.Converter
-	stats   Stats
-	onEvict func(*Node)
+	slots  [gdwLevels][gdwWheelWidth]Queue
+	counts [gdwLevels]int // non-empty slot count per level
+	t      uint64         // global clock (the GDS "L")
+	conv   rounding.Converter
+	stats  Stats
 }
 
 // gdwWheelWidth is the number of slots per wheel level.
@@ -190,9 +189,7 @@ func (g *GDWheel) Evict() *Node {
 	g.n--
 	g.stats.Evictions++
 	g.stats.EvictedBytes += uint64(n.Size)
-	if g.onEvict != nil {
-		g.onEvict(n)
-	}
+	g.NotifyEvict(n)
 	return n
 }
 
@@ -275,15 +272,6 @@ func (g *GDWheel) Visit(visit func(n *Node, prio, class uint64) bool) {
 	}
 }
 
-// Prioritized implements Ordering: restored priorities are re-derived.
-func (g *GDWheel) Prioritized() bool { return false }
-
-// Scale implements Ordering.
-func (g *GDWheel) Scale() (uint64, bool) { return 0, false }
-
-// RestoreScale implements Ordering.
-func (g *GDWheel) RestoreScale(uint64) {}
-
 // Len implements Ordering.
 func (g *GDWheel) Len() int { return g.n }
 
@@ -295,6 +283,3 @@ func (g *GDWheel) Capacity() int64 { return g.capacity }
 
 // Stats implements Ordering.
 func (g *GDWheel) Stats() Stats { return g.stats }
-
-// OnEvict implements Ordering.
-func (g *GDWheel) OnEvict(fn func(*Node)) { g.onEvict = fn }

@@ -21,7 +21,6 @@ type LFU struct {
 	heap     *nheap.Heap[*Node]
 	tick     uint64
 	stats    Stats
-	onEvict  func(*Node)
 }
 
 var (
@@ -106,9 +105,7 @@ func (c *LFU) Evict() *Node {
 	c.used -= n.Size
 	c.stats.Evictions++
 	c.stats.EvictedBytes += uint64(n.Size)
-	if c.onEvict != nil {
-		c.onEvict(n)
-	}
+	c.NotifyEvict(n)
 	return n
 }
 
@@ -123,15 +120,6 @@ func (c *LFU) Visit(visit func(n *Node, prio, class uint64) bool) {
 	}
 }
 
-// Prioritized implements Ordering.
-func (c *LFU) Prioritized() bool { return false }
-
-// Scale implements Ordering.
-func (c *LFU) Scale() (uint64, bool) { return 0, false }
-
-// RestoreScale implements Ordering.
-func (c *LFU) RestoreScale(uint64) {}
-
 // Len implements Ordering.
 func (c *LFU) Len() int { return c.heap.Len() }
 
@@ -143,6 +131,3 @@ func (c *LFU) Capacity() int64 { return c.capacity }
 
 // Stats implements Ordering.
 func (c *LFU) Stats() Stats { return c.stats }
-
-// OnEvict implements Ordering.
-func (c *LFU) OnEvict(fn func(*Node)) { c.onEvict = fn }

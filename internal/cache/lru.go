@@ -11,7 +11,6 @@ type LRU struct {
 	used     int64
 	queue    Queue
 	stats    Stats
-	onEvict  func(*Node)
 }
 
 var (
@@ -73,9 +72,7 @@ func (c *LRU) Evict() *Node {
 	c.Remove(n)
 	c.stats.Evictions++
 	c.stats.EvictedBytes += uint64(n.Size)
-	if c.onEvict != nil {
-		c.onEvict(n)
-	}
+	c.NotifyEvict(n)
 	return n
 }
 
@@ -85,15 +82,6 @@ func (c *LRU) Visit(visit func(n *Node, prio, class uint64) bool) {
 	for n := c.queue.Front(); n != nil && visit(n, 0, 0); n = n.Next() {
 	}
 }
-
-// Prioritized implements Ordering.
-func (c *LRU) Prioritized() bool { return false }
-
-// Scale implements Ordering.
-func (c *LRU) Scale() (uint64, bool) { return 0, false }
-
-// RestoreScale implements Ordering.
-func (c *LRU) RestoreScale(uint64) {}
 
 // Len implements Ordering.
 func (c *LRU) Len() int { return c.queue.Len() }
@@ -106,6 +94,3 @@ func (c *LRU) Capacity() int64 { return c.capacity }
 
 // Stats implements Ordering.
 func (c *LRU) Stats() Stats { return c.stats }
-
-// OnEvict implements Ordering.
-func (c *LRU) OnEvict(fn func(*Node)) { c.onEvict = fn }

@@ -159,7 +159,7 @@ func TestLRUDelete(t *testing.T) {
 func lruKeys(c *LRU) []string {
 	var out []string
 	c.Visit(func(n *Node, _, _ uint64) bool {
-		out = append(out, n.Key)
+		out = append(out, c.Key(n))
 		return true
 	})
 	return out
@@ -173,8 +173,8 @@ func TestLRUVictimAndKeys(t *testing.T) {
 	c.Set("a", 1, 1)
 	c.Set("b", 1, 1)
 	c.Get("a")
-	if n, urg := c.Victim(); n.Key != "b" || urg != 0 {
-		t.Fatalf("victim = %q urgency %v, want b 0", n.Key, urg)
+	if n, urg := c.Victim(); c.Key(n) != "b" || urg != 0 {
+		t.Fatalf("victim = %q urgency %v, want b 0", c.Key(n), urg)
 	}
 	keys := lruKeys(c)
 	if len(keys) != 2 || keys[0] != "b" || keys[1] != "a" {

@@ -1,16 +1,19 @@
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"unsafe"
+)
 
 // Node is one resident entry's metadata and its place in an Ordering. The
-// caller owns the node — a store embeds it in its item, so the item its
-// index finds is the thing the ordering links — and fills Key, Size and
-// Cost before inserting it. A node is in at most one ordering at a time.
+// caller owns the node — a store embeds it first in its item, so the item
+// its index finds is the thing the ordering links — and fills Size and Cost
+// before inserting it; the key stays the owner's (KeyOf). A node is in at
+// most one ordering at a time.
 type Node struct {
 	// prev and next link the node into its ordering's Queue.
 	prev, next *Node
 
-	Key  string
 	Size int64
 	Cost int64
 
@@ -23,8 +26,18 @@ type Node struct {
 	H, Seq, Aux uint64
 }
 
-// Entry returns the node's metadata in the string-keyed face's form.
-func (n *Node) Entry() Entry { return Entry{Key: n.Key, Size: n.Size, Cost: n.Cost} }
+// Container steps from a node an ordering hands back to the T that embeds
+// it, with no index probe. T's first field must be a Node and n that field
+// of a live T (or nil); checkptr, on under -race, catches a T that overruns.
+func Container[T any](n *Node) *T { return (*T)(unsafe.Pointer(n)) }
+
+// keyedNode is a node with its key: the keyed face's entries and ghosts.
+type keyedNode struct {
+	Node
+	key string
+}
+
+func entryOf(n *Node) *keyedNode { return Container[keyedNode](n) }
 
 // Ordering is an eviction policy reduced to what it is: an order over nodes
 // somebody else indexes. It never looks a key up. Implementations are not
@@ -99,6 +112,10 @@ type Ordering interface {
 	// OnEvict installs the callback Evict (and Insert's own evictions) fire
 	// with the unlinked victim. It must not call back into the ordering.
 	OnEvict(fn func(*Node))
+	// KeyOf installs the hook that names a node's key, which ARC and 2Q
+	// remember past eviction. A caller that brings its own nodes installs
+	// one before the first Insert; it must not call back into the ordering.
+	KeyOf(fn func(*Node) string)
 }
 
 // KeyedOrdering is an Ordering together with its Keyed face. Every policy
@@ -111,33 +128,71 @@ type KeyedOrdering interface {
 	// visitation order, a snapshot reproduces the live eviction schedule
 	// exactly.
 	SetWithPriority(key string, size, cost int64, prio, class uint64) bool
+	// Key returns a linked node's key, through the KeyOf hook.
+	Key(n *Node) string
 	// CheckIndex reports whether the index and the ordering disagree.
 	CheckIndex() error
 }
 
 // Keyed is the string-keyed face of an Ordering — the Policy methods that
 // take a key — and the only index of resident keys: every policy embeds one.
-// An ordering whose caller brings its own nodes never touches it.
+// It also holds what every ordering shares: the node owner's OnEvict and
+// KeyOf hooks, which are all an ordering whose caller brings its own nodes
+// uses of it.
 type Keyed struct {
 	ord     Ordering
 	stats   *Stats // the ordering's own counters
-	items   map[string]*Node
+	items   map[string]*keyedNode
 	onEvict EvictFunc
+	// The node owner's hooks, installed through OnEvict and KeyOf.
+	evictHook func(*Node)
+	keyOf     func(*Node) string
 }
 
 // NewKeyed returns the keyed face of ord. stats points at the counters
 // ord.Stats reports, so misses and updates — which only the face can tell
 // from hits and inserts — land in the same place.
-func NewKeyed(ord Ordering, stats *Stats) Keyed { return Keyed{ord: ord, stats: stats} }
+func NewKeyed(ord Ordering, stats *Stats) Keyed {
+	return Keyed{ord: ord, stats: stats, keyOf: func(n *Node) string { return entryOf(n).key }}
+}
+
+// OnEvict implements Ordering for every ordering that embeds the face.
+func (k *Keyed) OnEvict(fn func(*Node)) { k.evictHook = fn }
+
+// NotifyEvict fires the OnEvict hook with a victim its ordering has just
+// unlinked; every ordering's Evict ends with it.
+func (k *Keyed) NotifyEvict(n *Node) {
+	if k.evictHook != nil {
+		k.evictHook(n)
+	}
+}
+
+// KeyOf implements Ordering for every ordering that embeds the face.
+func (k *Keyed) KeyOf(fn func(*Node) string) { k.keyOf = fn }
+
+// Key implements KeyedOrdering.
+func (k *Keyed) Key(n *Node) string { return k.keyOf(n) }
+
+// Prioritized, Scale and RestoreScale implement Ordering for an ordering
+// with no priority state to export — its order is its whole state, or, like
+// GD-Wheel's, its priorities are re-derived on restore. CAMP shadows all
+// three, GDS (whose float ratios need no learned scale) Prioritized alone.
+func (k *Keyed) Prioritized() bool { return false }
+
+// Scale implements Ordering: see Prioritized.
+func (k *Keyed) Scale() (uint64, bool) { return 0, false }
+
+// RestoreScale implements Ordering: see Prioritized.
+func (k *Keyed) RestoreScale(uint64) {}
 
 // Get implements Policy.
 func (k *Keyed) Get(key string) bool {
-	n, ok := k.items[key]
+	e, ok := k.items[key]
 	if !ok {
 		k.stats.Misses++
 		return false
 	}
-	k.ord.Touch(n)
+	k.ord.Touch(&e.Node)
 	return true
 }
 
@@ -155,28 +210,28 @@ func (k *Keyed) SetWithPriority(key string, size, cost int64, prio, class uint64
 // the entry itself; a refused update drops the entry.
 func (k *Keyed) set(key string, size, cost int64, prio, class uint64, pinned bool) bool {
 	if k.items == nil {
-		k.items = make(map[string]*Node)
-		k.ord.OnEvict(k.evicted)
+		k.items = make(map[string]*keyedNode)
+		k.OnEvict(k.evicted)
 	}
-	n, existed := k.items[key]
+	e, existed := k.items[key]
 	if existed {
-		k.ord.Remove(n)
+		k.ord.Remove(&e.Node)
 	} else {
-		n = &Node{Key: key}
+		e = &keyedNode{key: key}
 	}
-	n.Size, n.Cost = max(size, 0), cost
+	e.Size, e.Cost = max(size, 0), cost
 	var ok bool
 	if pinned {
-		ok = k.ord.InsertAt(n, prio, class)
+		ok = k.ord.InsertAt(&e.Node, prio, class)
 	} else {
-		ok = k.ord.Insert(n)
+		ok = k.ord.Insert(&e.Node)
 	}
 	switch {
 	case ok && existed:
 		k.stats.Sets--
 		k.stats.Updates++
 	case ok:
-		k.items[key] = n
+		k.items[key] = e
 	case existed:
 		delete(k.items, key)
 	}
@@ -185,9 +240,9 @@ func (k *Keyed) set(key string, size, cost int64, prio, class uint64, pinned boo
 
 // Delete implements Policy.
 func (k *Keyed) Delete(key string) bool {
-	n, ok := k.items[key]
+	e, ok := k.items[key]
 	if ok {
-		k.ord.Remove(n)
+		k.ord.Remove(&e.Node)
 		delete(k.items, key)
 	}
 	return ok
@@ -201,20 +256,21 @@ func (k *Keyed) Contains(key string) bool {
 
 // Peek implements Policy.
 func (k *Keyed) Peek(key string) (Entry, bool) {
-	n, ok := k.items[key]
+	e, ok := k.items[key]
 	if !ok {
 		return Entry{}, false
 	}
-	return n.Entry(), true
+	return Entry{Key: e.key, Size: e.Size, Cost: e.Cost}, true
 }
 
 // SetEvictFunc implements Policy.
 func (k *Keyed) SetEvictFunc(fn EvictFunc) { k.onEvict = fn }
 
 func (k *Keyed) evicted(n *Node) {
-	delete(k.items, n.Key)
+	e := entryOf(n)
+	delete(k.items, e.key)
 	if k.onEvict != nil {
-		k.onEvict(n.Entry())
+		k.onEvict(Entry{Key: e.key, Size: e.Size, Cost: e.Cost})
 	}
 }
 
@@ -228,8 +284,8 @@ func (k *Keyed) CheckIndex() error {
 	var err error
 	k.ord.Visit(func(n *Node, _, _ uint64) bool {
 		count++
-		if k.items[n.Key] != n {
-			err = fmt.Errorf("entry %q is ordered but not indexed", n.Key)
+		if e := entryOf(n); k.items[e.key] != e {
+			err = fmt.Errorf("entry %q is ordered but not indexed", e.key)
 		}
 		return err == nil
 	})

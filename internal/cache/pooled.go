@@ -37,7 +37,6 @@ type PooledLRU struct {
 	specs    []PoolSpec
 	pools    []*LRU
 	stats    Stats
-	onEvict  func(*Node)
 }
 
 var (
@@ -83,9 +82,7 @@ func NewPooled(capacity int64, specs []PoolSpec) (*PooledLRU, error) {
 		lru.OnEvict(func(n *Node) {
 			p.stats.Evictions++
 			p.stats.EvictedBytes += uint64(n.Size)
-			if p.onEvict != nil {
-				p.onEvict(n)
-			}
+			p.NotifyEvict(n)
 		})
 		p.pools[i] = lru
 	}
@@ -222,15 +219,6 @@ func (p *PooledLRU) Visit(visit func(n *Node, prio, class uint64) bool) {
 	}
 }
 
-// Prioritized implements Ordering.
-func (p *PooledLRU) Prioritized() bool { return false }
-
-// Scale implements Ordering.
-func (p *PooledLRU) Scale() (uint64, bool) { return 0, false }
-
-// RestoreScale implements Ordering.
-func (p *PooledLRU) RestoreScale(uint64) {}
-
 // Len implements Ordering.
 func (p *PooledLRU) Len() int {
 	n := 0
@@ -254,9 +242,6 @@ func (p *PooledLRU) Capacity() int64 { return p.capacity }
 
 // Stats implements Ordering.
 func (p *PooledLRU) Stats() Stats { return p.stats }
-
-// OnEvict implements Ordering.
-func (p *PooledLRU) OnEvict(fn func(*Node)) { p.onEvict = fn }
 
 // PoolInfo reports one pool's configuration and occupancy.
 type PoolInfo struct {

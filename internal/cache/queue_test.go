@@ -7,11 +7,15 @@ import (
 	"testing"
 )
 
+// keyedNodeOf returns a fresh node that carries key, for a test to read back
+// through entryOf.
+func keyedNodeOf(key string) *Node { return &(&keyedNode{key: key}).Node }
+
 // queueOf links fresh nodes keyed by keys, in order, and returns them.
 func queueOf(q *Queue, keys ...string) []*Node {
 	nodes := make([]*Node, len(keys))
 	for i, k := range keys {
-		nodes[i] = &Node{Key: k}
+		nodes[i] = keyedNodeOf(k)
 		q.PushBack(nodes[i])
 	}
 	return nodes
@@ -22,10 +26,10 @@ func wantQueue(t *testing.T, q *Queue, want ...string) {
 	t.Helper()
 	var fwd, rev []string
 	for n := q.Front(); n != nil; n = n.Next() {
-		fwd = append(fwd, n.Key)
+		fwd = append(fwd, entryOf(n).key)
 	}
 	for n := q.Back(); n != nil; n = n.Prev() {
-		rev = append(rev, n.Key)
+		rev = append(rev, entryOf(n).key)
 	}
 	slices.Reverse(rev)
 	if !slices.Equal(fwd, want) || !slices.Equal(rev, want) || q.Len() != len(want) {
@@ -85,7 +89,7 @@ func pushFront(q *Queue, n *Node) {
 func TestQueuePushFrontOrder(t *testing.T) {
 	var q Queue
 	for i := 1; i <= 5; i++ {
-		pushFront(&q, &Node{Key: strconv.Itoa(i)})
+		pushFront(&q, keyedNodeOf(strconv.Itoa(i)))
 	}
 	wantQueue(t, &q, "5", "4", "3", "2", "1")
 }
@@ -147,7 +151,7 @@ func TestQueueRandomizedAgainstSlice(t *testing.T) {
 	for op := 0; op < 20000; op++ {
 		switch r := rng.Intn(10); {
 		case r < 5: // push back
-			n := &Node{Key: strconv.Itoa(op)}
+			n := keyedNodeOf(strconv.Itoa(op))
 			q.PushBack(n)
 			model = append(model, n)
 		case len(model) == 0:
@@ -176,7 +180,7 @@ func TestQueueRandomizedAgainstSlice(t *testing.T) {
 	}
 	want := make([]string, len(model))
 	for i, n := range model {
-		want[i] = n.Key
+		want[i] = entryOf(n).key
 	}
 	wantQueue(t, &q, want...)
 }

@@ -8,18 +8,18 @@ package cache
 // it ignores cost.
 //
 // It is an Ordering, with each resident node's queue in its Aux word; the
-// embedded Keyed makes it a Policy. The ghosts are 2Q's own nodes.
+// embedded Keyed makes it a Policy. The ghosts are 2Q's own entries, keyed
+// through the KeyOf hook.
 type TwoQ struct {
 	Keyed
 	capacity int64
 	kin      int64 // byte budget for A1in (default capacity/4)
 	kout     int64 // byte budget for A1out ghosts (default capacity/2)
 
-	a1in, am, a1out arcList          // reuse the byte-counting list helper
-	ghosts          map[string]*Node // the keys in A1out: non-residents only
+	a1in, am, a1out arcList               // reuse the byte-counting list helper
+	ghosts          map[string]*keyedNode // the keys in A1out: non-residents only
 
-	stats   Stats
-	onEvict func(*Node)
+	stats Stats
 }
 
 // 2Q's queues, as a node's Aux word holds them; 0 is a fresh node.
@@ -41,7 +41,7 @@ func NewTwoQ(capacity int64) *TwoQ {
 		capacity: capacity,
 		kin:      capacity / 4,
 		kout:     capacity / 2,
-		ghosts:   make(map[string]*Node),
+		ghosts:   make(map[string]*keyedNode),
 	}
 	q.Keyed = NewKeyed(q, &q.stats)
 	return q
@@ -69,7 +69,7 @@ func (q *TwoQ) Insert(n *Node) bool {
 	where := n.Aux
 	if where == 0 {
 		where = inA1in
-		if g := q.ghosts[n.Key]; g != nil {
+		if g := q.ghosts[q.keyOf(n)]; g != nil {
 			q.dropGhost(g)
 			where = inAm
 		}
@@ -113,22 +113,20 @@ func (q *TwoQ) Evict() *Node {
 	q.stats.Evictions++
 	q.stats.EvictedBytes += uint64(n.Size)
 	if n.Aux == inA1in {
-		g := &Node{Key: n.Key, Size: n.Size, Aux: inA1out}
-		q.ghosts[g.Key] = g
-		q.a1out.push(g)
+		g := &keyedNode{Node: Node{Size: n.Size, Aux: inA1out}, key: q.keyOf(n)}
+		q.ghosts[g.key] = g
+		q.a1out.push(&g.Node)
 		for q.a1out.bytes > q.kout {
-			q.dropGhost(q.a1out.Front())
+			q.dropGhost(entryOf(q.a1out.Front()))
 		}
 	}
-	if q.onEvict != nil {
-		q.onEvict(n)
-	}
+	q.NotifyEvict(n)
 	return n
 }
 
-func (q *TwoQ) dropGhost(g *Node) {
-	q.a1out.remove(g)
-	delete(q.ghosts, g.Key)
+func (q *TwoQ) dropGhost(g *keyedNode) {
+	q.a1out.remove(&g.Node)
+	delete(q.ghosts, g.key)
 }
 
 // Visit implements Ordering, in the order successive Evicts would take the
@@ -136,15 +134,6 @@ func (q *TwoQ) dropGhost(g *Node) {
 func (q *TwoQ) Visit(visit func(n *Node, prio, class uint64) bool) {
 	visitLists(&q.a1in, q.kin, &q.am, visit)
 }
-
-// Prioritized implements Ordering.
-func (q *TwoQ) Prioritized() bool { return false }
-
-// Scale implements Ordering.
-func (q *TwoQ) Scale() (uint64, bool) { return 0, false }
-
-// RestoreScale implements Ordering.
-func (q *TwoQ) RestoreScale(uint64) {}
 
 // Len implements Ordering (resident items only).
 func (q *TwoQ) Len() int { return q.a1in.Len() + q.am.Len() }
@@ -157,9 +146,6 @@ func (q *TwoQ) Capacity() int64 { return q.capacity }
 
 // Stats implements Ordering.
 func (q *TwoQ) Stats() Stats { return q.stats }
-
-// OnEvict implements Ordering.
-func (q *TwoQ) OnEvict(fn func(*Node)) { q.onEvict = fn }
 
 func (q *TwoQ) listFor(w uint64) *arcList {
 	switch w {

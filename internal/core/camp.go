@@ -49,7 +49,6 @@ type Camp struct {
 	classicL bool   // L-update ablation: evicted-H instead of min-of-remaining
 
 	stats       cache.Stats
-	onEvict     func(*cache.Node)
 	maxQueues   int
 	heapUpdates uint64 // pushes+pops+fixes+removes of the queue heap
 }
@@ -263,9 +262,7 @@ func (c *Camp) Evict() *cache.Node {
 	}
 	c.stats.Evictions++
 	c.stats.EvictedBytes += uint64(victim.Size)
-	if c.onEvict != nil {
-		c.onEvict(victim)
-	}
+	c.NotifyEvict(victim)
 	return victim
 }
 
@@ -299,9 +296,6 @@ func (c *Camp) Capacity() int64 { return c.capacity }
 
 // Stats implements cache.Ordering.
 func (c *Camp) Stats() cache.Stats { return c.stats }
-
-// OnEvict implements cache.Ordering.
-func (c *Camp) OnEvict(fn func(*cache.Node)) { c.onEvict = fn }
 
 // HeapVisits implements cache.HeapVisitor.
 func (c *Camp) HeapVisits() uint64 { return c.heap.Visits() }
@@ -472,19 +466,19 @@ func (c *Camp) CheckInvariants() error {
 		linked := 0
 		for e := q.Front(); e != nil; e = e.Next() {
 			if e.Prev() != prev {
-				return fmt.Errorf("queue %d: %q's back link is broken", bucket, e.Key)
+				return fmt.Errorf("queue %d: entry seq %d H %d: back link is broken", bucket, e.Seq, e.H)
 			}
 			if e.Aux != bucket {
-				return fmt.Errorf("entry %q in queue %d has bucket %d", e.Key, bucket, e.Aux)
+				return fmt.Errorf("entry seq %d H %d in queue %d has bucket %d", e.Seq, e.H, bucket, e.Aux)
 			}
 			if prev != nil && before(e, prev) {
-				return fmt.Errorf("queue %d not in priority order at %q", bucket, e.Key)
+				return fmt.Errorf("queue %d not in priority order at entry seq %d H %d", bucket, e.Seq, e.H)
 			}
 			if e.H < c.l {
-				return fmt.Errorf("entry %q has H=%d below L=%d", e.Key, e.H, c.l)
+				return fmt.Errorf("entry seq %d has H=%d below L=%d", e.Seq, e.H, c.l)
 			}
 			if e.H > satAdd(c.l, bucket) {
-				return fmt.Errorf("entry %q has H=%d above L+ratio=%d", e.Key, e.H, satAdd(c.l, bucket))
+				return fmt.Errorf("entry seq %d has H=%d above L+ratio=%d", e.Seq, e.H, satAdd(c.l, bucket))
 			}
 			bytes += e.Size
 			linked++

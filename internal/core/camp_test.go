@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"camp/internal/cache"
@@ -483,9 +484,9 @@ func TestCampTouchSoleMemberAllocatesNothing(t *testing.T) {
 	c := NewCamp(1000)
 	nodes := make([]*cache.Node, 3)
 	for i, cost := range []int64{1, 100, 10000} {
-		nodes[i] = &cache.Node{Key: fmt.Sprint(cost), Size: 10, Cost: cost}
+		nodes[i] = &cache.Node{Size: 10, Cost: cost}
 		if !c.Insert(nodes[i]) {
-			t.Fatalf("insert %s refused", nodes[i].Key)
+			t.Fatalf("insert of cost %d refused", cost)
 		}
 	}
 	if c.QueueCount() != 3 {
@@ -515,6 +516,7 @@ func TestCampTouchSoleMemberAllocatesNothing(t *testing.T) {
 // Snapshot replay never inserts out of order, so only this test drives it.
 func TestCampInsertAtNewHead(t *testing.T) {
 	c := NewCamp(1000)
+	names := make(map[*cache.Node]string)
 	for _, n := range []struct {
 		key         string
 		prio, class uint64
@@ -523,15 +525,17 @@ func TestCampInsertAtNewHead(t *testing.T) {
 		{"high", 8, 8},  // queue 8, head H=8
 		{"early", 1, 8}, // pinned below queue 8's head and below queue 2's
 	} {
-		if !c.InsertAt(&cache.Node{Key: n.key, Size: 10}, n.prio, n.class) {
+		node := &cache.Node{Size: 10}
+		names[node] = n.key
+		if !c.InsertAt(node, n.prio, n.class) {
 			t.Fatalf("InsertAt %s refused", n.key)
 		}
 		if err := c.CheckInvariants(); err != nil {
 			t.Fatalf("after InsertAt %s: %v", n.key, err)
 		}
 	}
-	if v := c.Evict(); v == nil || v.Key != "early" {
-		t.Fatalf("first victim %v, want early", v)
+	if v := c.Evict(); v == nil || names[v] != "early" {
+		t.Fatalf("first victim %q, want early", names[v])
 	}
 }
 
@@ -634,5 +638,23 @@ func TestCampApproximatesGDS(t *testing.T) {
 		if diff > 0.05 {
 			t.Errorf("precision %d: cost-miss %.4f vs GDS %.4f (diff %.4f > 0.05)", p, camp, gds, diff)
 		}
+	}
+}
+
+// TestCampCheckInvariantsBranches feeds the checker one corrupt structure
+// per failure branch and expects that branch's error, so a checker that
+// always passed would fail here.
+func TestCampCheckInvariantsBranches(t *testing.T) {
+	if err := campFixture().CheckInvariants(); err != nil {
+		t.Fatalf("fixture: %v", err)
+	}
+	for _, tc := range campCorruptions {
+		t.Run(tc.name, func(t *testing.T) {
+			c := campFixture()
+			tc.corrupt(c)
+			if err := c.CheckInvariants(); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("CheckInvariants = %v, want an error containing %q", err, tc.want)
+			}
+		})
 	}
 }

@@ -35,7 +35,6 @@ type GDS struct {
 	seq uint64  // FIFO tie-break counter
 
 	stats          cache.Stats
-	onEvict        func(*cache.Node)
 	heapUpdates    uint64
 	textbookDelete bool
 }
@@ -143,9 +142,7 @@ func (g *GDS) Evict() *cache.Node {
 	g.raiseL()
 	g.stats.Evictions++
 	g.stats.EvictedBytes += uint64(victim.Size)
-	if g.onEvict != nil {
-		g.onEvict(victim)
-	}
+	g.NotifyEvict(victim)
 	return victim
 }
 
@@ -176,9 +173,6 @@ func (g *GDS) Capacity() int64 { return g.capacity }
 
 // Stats implements cache.Ordering.
 func (g *GDS) Stats() cache.Stats { return g.stats }
-
-// OnEvict implements cache.Ordering.
-func (g *GDS) OnEvict(fn func(*cache.Node)) { g.onEvict = fn }
 
 // HeapVisits implements cache.HeapVisitor.
 func (g *GDS) HeapVisits() uint64 { return g.heap.Visits() }
@@ -212,12 +206,6 @@ func (g *GDS) Visit(visit func(n *cache.Node, prio, class uint64) bool) {
 // Prioritized implements cache.Ordering.
 func (g *GDS) Prioritized() bool { return true }
 
-// Scale implements cache.Ordering: float ratios need no learned scale.
-func (g *GDS) Scale() (uint64, bool) { return 0, false }
-
-// RestoreScale implements cache.Ordering.
-func (g *GDS) RestoreScale(uint64) {}
-
 // InsertAt implements cache.Ordering: Insert with the node's priority
 // pinned to H = L + the decoded offset (the class is ignored — GDS has no
 // queues). Offsets that violate Algorithm 1's L ≤ H ≤ L + ratio bound — NaN,
@@ -236,12 +224,12 @@ func (g *GDS) CheckInvariants() error {
 	var bytes int64
 	for i, e := range g.heap.Items() {
 		if int(e.Aux) != i {
-			return fmt.Errorf("entry %q heap slot %d is stale, sits at %d", e.Key, e.Aux, i)
+			return fmt.Errorf("entry seq %d H %v: heap slot %d is stale, sits at %d", e.Seq, gdsH(e), e.Aux, i)
 		}
 		if h := gdsH(e); h < g.l {
-			return fmt.Errorf("entry %q has H=%v below L=%v", e.Key, h, g.l)
+			return fmt.Errorf("entry seq %d has H=%v below L=%v", e.Seq, h, g.l)
 		} else if top := g.l + ratio(e.Cost, e.Size); h > top+1e-9 {
-			return fmt.Errorf("entry %q has H=%v above L+ratio=%v", e.Key, h, top)
+			return fmt.Errorf("entry seq %d has H=%v above L+ratio=%v", e.Seq, h, top)
 		}
 		bytes += e.Size
 	}

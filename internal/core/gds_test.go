@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"camp/internal/cache"
@@ -300,5 +301,22 @@ func TestFig4VisitTrends(t *testing.T) {
 	gOpt, cOpt := perOp(20000, false)
 	if cOpt*4 >= gOpt {
 		t.Errorf("CAMP (%.2f) should beat even optimized GDS (%.2f)", cOpt, gOpt)
+	}
+}
+
+// TestGDSCheckInvariantsBranches feeds the checker one corrupt structure per
+// failure branch and expects that branch's error.
+func TestGDSCheckInvariantsBranches(t *testing.T) {
+	if err := gdsFixture().CheckInvariants(); err != nil {
+		t.Fatalf("fixture: %v", err)
+	}
+	for _, tc := range gdsCorruptions {
+		t.Run(tc.name, func(t *testing.T) {
+			g := gdsFixture()
+			tc.corrupt(g)
+			if err := g.CheckInvariants(); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("CheckInvariants = %v, want an error containing %q", err, tc.want)
+			}
+		})
 	}
 }

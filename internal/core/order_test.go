@@ -52,7 +52,7 @@ func TestVisitEvictionOrderMatchesDrain(t *testing.T) {
 			}
 			var predicted []string
 			p.Visit(func(n *cache.Node, _, _ uint64) bool {
-				predicted = append(predicted, n.Key)
+				predicted = append(predicted, p.Key(n))
 				return true
 			})
 			if len(predicted) != p.Len() {
@@ -66,8 +66,8 @@ func TestVisitEvictionOrderMatchesDrain(t *testing.T) {
 					}
 					break
 				}
-				if victim.Key != predicted[i] {
-					t.Fatalf("eviction %d: drained %q, predicted %q", i, victim.Key, predicted[i])
+				if p.Key(victim) != predicted[i] {
+					t.Fatalf("eviction %d: drained %q, predicted %q", i, p.Key(victim), predicted[i])
 				}
 			}
 		})
@@ -94,10 +94,10 @@ func TestVisitEvictionOrderEarlyStop(t *testing.T) {
 type priorityOrdered = evictionOrdered
 
 // drainKeys empties p via Evict, returning the victim sequence.
-func drainKeys(p cache.Ordering) []string {
+func drainKeys(p cache.KeyedOrdering) []string {
 	var keys []string
 	for victim := p.Evict(); victim != nil; victim = p.Evict() {
-		keys = append(keys, victim.Key)
+		keys = append(keys, p.Key(victim))
 	}
 	return keys
 }
@@ -156,8 +156,8 @@ func TestPriorityRoundTripExact(t *testing.T) {
 				n := 0
 				live.Visit(func(e *cache.Node, prio, class uint64) bool {
 					n++
-					if !restored.SetWithPriority(e.Key, e.Size, e.Cost, prio, class) {
-						t.Fatalf("seed %d: restore rejected %q", seed, e.Key)
+					if !restored.SetWithPriority(live.Key(e), e.Size, e.Cost, prio, class) {
+						t.Fatalf("seed %d: restore rejected %q", seed, live.Key(e))
 					}
 					return true
 				})
@@ -257,7 +257,7 @@ func TestSetWithPriorityOutOfOrder(t *testing.T) {
 	}
 	var exp []exported
 	live.Visit(func(n *cache.Node, prio, class uint64) bool {
-		exp = append(exp, exported{n.Entry(), prio, class})
+		exp = append(exp, exported{cache.Entry{Key: live.Key(n), Size: n.Size, Cost: n.Cost}, prio, class})
 		return true
 	})
 	restored := NewCamp(4096)

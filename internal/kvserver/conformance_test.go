@@ -236,3 +236,97 @@ func TestReplyStagingBounded(t *testing.T) {
 		})
 	}
 }
+
+// TestLayoutConformanceEdges drives the key and value lengths where an
+// item's kv buffer changes shape — keys of 1, 127, 128 (the length prefix
+// grows to two bytes) and 300 bytes, a tenant-namespaced key, and values of
+// 0 and MaxValueBytes — through set, append, prepend, incr, touch, get and
+// delete in both layouts. Every transcript must match byte mode's, checkStore
+// must hold (each item's kv decodes to the key the index finds it under, and
+// in byte mode its value is the buffer's tail), and after Kill() and
+// recovery the same reads must answer the same bytes.
+func TestLayoutConformanceEdges(t *testing.T) {
+	const maxValue = 64 << 10
+	keys := []string{"k", strings.Repeat("m", 127), strings.Repeat("n", 128), strings.Repeat("p", 300)}
+	var script []string
+	for _, k := range keys {
+		script = append(script,
+			storeCmdLine("set", k, 3, 0, "mid"),
+			storeCmdLine("append", k, 0, 0, "-tail"),
+			storeCmdLine("prepend", k, 0, 0, "head-"),
+			"get "+k+"\r\n",
+			storeCmdLine("set", k, 4, 0, "41"),
+			"incr "+k+" 1\r\n",
+			"touch "+k+" 1000\r\n",
+			"get "+k+"\r\n",
+			"delete "+k+"\r\n",
+			"get "+k+"\r\n",
+			storeCmdLine("set", k, 5, 0, k+"="+k),
+		)
+	}
+	max := strings.Repeat("V", maxValue)
+	script = append(script,
+		storeCmdLine("set", "zero", 6, 0, ""),
+		"get zero\r\n",
+		storeCmdLine("append", "zero", 0, 0, ""),
+		storeCmdLine("set", "max", 7, 0, max),
+		storeCmdLine("append", "max", 0, 0, "x"),
+		storeCmdLine("prepend", "max", 0, 0, ""),
+		storeCmdLine("set", "over", 0, 0, max+"x"),
+		"tenant gold\r\n",
+		storeCmdLine("set", "k", 8, 0, "gold-k"),
+		storeCmdLine("append", "k", 0, 0, "!"),
+		storeCmdLine("set", "n", 0, 0, "9"),
+		"incr n 1\r\n",
+		storeCmdLine("set", "gone", 0, 0, "x"),
+		"delete gone\r\n",
+		"get k n gone\r\n",
+		"tenant default\r\n",
+	)
+	reads := "get " + strings.Join(keys, " ") + " zero max over\r\ntenant gold\r\nget k n gone\r\nquit\r\n"
+	script = append(script, reads)
+
+	var want, wantReads string
+	for _, cfg := range layoutConfigs(4 << 20) {
+		t.Run(cfg.Mode, func(t *testing.T) {
+			cfg.MaxValueBytes = maxValue
+			cfg.Persist = &PersistConfig{Dir: t.TempDir()}
+			s := startServer(t, cfg)
+			got := session(t, s, strings.Join(script, ""))
+			if cfg.Mode == ModeByte {
+				want = got
+				for _, frag := range []string{
+					"VALUE k 3 13\r\nhead-mid-tail\r\n",
+					"VALUE " + keys[2] + " 4 2\r\n42\r\n",
+					"VALUE zero 6 0\r\n\r\n",
+					"VALUE max 7 65536\r\n",
+					"SERVER_ERROR object too large for cache",
+					"VALUE k 8 7\r\ngold-k!\r\nVALUE n 0 2\r\n10\r\nEND\r\n",
+				} {
+					if !strings.Contains(got, frag) {
+						t.Fatalf("byte-mode transcript lacks %q:\n%q", frag, got)
+					}
+				}
+			}
+			if got != want {
+				t.Fatalf("transcript differs from byte mode's\n got: %q\nwant: %q", got, want)
+			}
+			checkServer(t, s)
+			live := captureState(s)
+			s.Kill()
+			re := startServer(t, cfg)
+			checkServer(t, re)
+			assertStateEqual(t, live, captureState(re))
+			afterRecovery := session(t, re, reads)
+			if cfg.Mode == ModeByte {
+				wantReads = afterRecovery
+				if !strings.HasSuffix(want, afterRecovery) {
+					t.Fatalf("reads after recovery differ from before\n got: %q\nwant the tail of: %q", afterRecovery, want)
+				}
+			}
+			if afterRecovery != wantReads {
+				t.Fatalf("reads after recovery differ from byte mode's\n got: %q\nwant: %q", afterRecovery, wantReads)
+			}
+		})
+	}
+}

@@ -10,6 +10,8 @@ import (
 
 	"camp/internal/cache"
 	"camp/internal/core"
+	"camp/internal/itab"
+	"camp/internal/kvbuf"
 )
 
 // TestEvictionDifferential is ROADMAP 6: the ordering decides what goes, and
@@ -51,12 +53,13 @@ func TestEvictionDifferential(t *testing.T) {
 				get     func(key string)
 				del     func(key string)
 				visit   func(func(n *cache.Node, prio, class uint64) bool)
+				key     func(*cache.Node) string
 				victims []string
 			}
 			var subjects []*subject
 
 			keyed := policy.build()
-			ks := &subject{name: "keyed", visit: keyed.Visit}
+			ks := &subject{name: "keyed", visit: keyed.Visit, key: keyed.Key}
 			ks.get = func(key string) { keyed.Get(key) }
 			ks.del = func(key string) { keyed.Delete(key) }
 			keyed.SetEvictFunc(func(e cache.Entry) { ks.victims = append(ks.victims, e.Key) })
@@ -70,12 +73,20 @@ func TestEvictionDifferential(t *testing.T) {
 				}
 				st := srv.shards[0].store
 				st.policy = policy.build()
-				s := &subject{name: mode, visit: st.policy.Visit}
-				s.set = func(key string, value []byte, cost int64) { st.setAbs(key, value, 0, 0, cost) }
+				st.policy.KeyOf(nodeKey)
+				s := &subject{name: mode, visit: st.policy.Visit, key: nodeKey}
+				s.set = func(key string, value []byte, cost int64) {
+					kv := kvbuf.Of([]byte(key), value)
+					st.setAbsPrio(kv, kvbuf.Value(kv), 0, 0, cost, 0, 0, false)
+				}
 				s.get = func(key string) { lookup(st, key, 0) }
-				s.del = func(key string) { st.delete(key) }
+				s.del = func(key string) {
+					if it := itab.Lookup(st.items, key); it != nil {
+						st.remove(it)
+					}
+				}
 				st.policy.OnEvict(func(n *cache.Node) {
-					s.victims = append(s.victims, n.Key)
+					s.victims = append(s.victims, nodeKey(n))
 					st.onEvict(n)
 				})
 				subjects = append(subjects, s)
@@ -116,7 +127,7 @@ func TestEvictionDifferential(t *testing.T) {
 			}
 			residents := func(s *subject) (order []string) {
 				s.visit(func(n *cache.Node, _, _ uint64) bool {
-					order = append(order, n.Key)
+					order = append(order, s.key(n))
 					return true
 				})
 				return order

@@ -13,20 +13,22 @@ import (
 	"camp/internal/alloc"
 	"camp/internal/cache"
 	"camp/internal/itab"
+	"camp/internal/kvbuf"
 )
 
 // TestItemFootprint pins what a resident key costs the heap. Items are not
 // heap objects of their own: they sit in itab chunks of itab.ChunkLen, so a
-// key costs exactly unsafe.Sizeof(item), and a chunk is a whole number of
-// 8-KiB pages (1024 × 120 B = 15 pages), so no span tail is wasted. A new
-// field on item or cache.Node must fit the 120-B budget, or the change must
-// say why every key should cost more.
+// key costs exactly unsafe.Sizeof(item) plus its one kv buffer (key and
+// value together), and a chunk is a whole number of 8-KiB pages (1024 ×
+// 104 B = 13 pages), so no span tail is wasted. A new field on item or
+// cache.Node must fit the 104-B budget, or the change must say why every
+// key should cost more.
 func TestItemFootprint(t *testing.T) {
-	if got := unsafe.Sizeof(cache.Node{}); got > 72 {
-		t.Errorf("cache.Node is %d B, over its 72-B share of a 120-B item", got)
+	if got := unsafe.Sizeof(cache.Node{}); got > 56 {
+		t.Errorf("cache.Node is %d B, over its 56-B share of a 104-B item", got)
 	}
-	if got := unsafe.Sizeof(item{}); got > 120 {
-		t.Errorf("item is %d B, over its 120-B budget", got)
+	if got := unsafe.Sizeof(item{}); got > 104 {
+		t.Errorf("item is %d B, over its 104-B budget", got)
 	}
 	if chunk := itab.ChunkLen * unsafe.Sizeof(item{}); chunk%(8<<10) != 0 {
 		t.Errorf("an item chunk is %d B, not a whole number of 8-KiB pages", chunk)
@@ -48,16 +50,31 @@ func checkStore(t *testing.T, st *store) {
 	// Every indexed item sits at the ref it records, every ref handed out is
 	// indexed or free, and a free slot is the zero item, holding no key or
 	// value for the GC to keep.
+	// Each item's kv decodes to the key the index finds it under, and in
+	// byte mode its value is exactly the buffer's tail; under a copying
+	// layout the buffer holds the key alone.
 	for it := range st.items.All() {
 		if st.items.At(it.ref) != it {
-			t.Fatalf("%q records ref %d, which holds %q", it.node.Key, it.ref, st.items.At(it.ref).node.Key)
+			t.Fatalf("%q records ref %d, which holds %q", it.Key(), it.ref, st.items.At(it.ref).Key())
+		}
+		key := kvbuf.KeyBytes(it.kv)
+		if len(key) == 0 || itab.Lookup(st.items, key) != it || it.Key() != string(key) {
+			t.Fatalf("ref %d: kv %q does not decode to the key the index finds it under", it.ref, it.kv)
+		}
+		v, tail := st.lay.value(it), kvbuf.Value(it.kv)
+		if st.lay.copiesValues() {
+			if len(tail) != 0 {
+				t.Fatalf("%q: a copying layout's item keeps %d value bytes in kv", key, len(tail))
+			}
+		} else if len(v) != len(tail) || len(v) > 0 && &v[0] != &tail[0] {
+			t.Fatalf("%q: the value (%d B) is not the kv tail (%d of %d B)", key, len(v), len(tail), len(it.kv))
 		}
 	}
 	free := 0
 	for ref := range st.items.FreeRefs() {
 		free++
 		if it := st.items.At(ref); !reflect.ValueOf(*it).IsZero() {
-			t.Fatalf("free ref %d still holds %q (%d value bytes)", ref, it.node.Key, len(it.value))
+			t.Fatalf("free ref %d still holds %q (%d kv bytes)", ref, it.Key(), len(it.kv))
 		}
 	}
 	if st.items.Len()+free != st.items.Refs() {
@@ -69,13 +86,12 @@ func checkStore(t *testing.T, st *store) {
 	// expiring is exactly the items that carry a TTL.
 	withTTL := 0
 	for it := range st.items.All() {
-		key := it.node.Key
 		if it.expires == 0 {
 			continue
 		}
 		withTTL++
-		if st.expiring[key] != it {
-			t.Fatalf("%q expires at %d but is not filed under expiring", key, it.expires)
+		if _, ok := st.expiring[it.ref]; !ok {
+			t.Fatalf("%q expires at %d but is not filed under expiring", it.Key(), it.expires)
 		}
 	}
 	if withTTL != len(st.expiring) {
@@ -89,7 +105,7 @@ func checkStore(t *testing.T, st *store) {
 		var bytes int64
 		o.Visit(func(n *cache.Node, _, _ uint64) bool {
 			if prev, dup := owner[n]; dup {
-				t.Fatalf("%q is linked in %s and again in %s", n.Key, prev.Name(), o.Name())
+				t.Fatalf("%q is linked in %s and again in %s", nodeKey(n), prev.Name(), o.Name())
 			}
 			owner[n] = o
 			bytes += n.Size
@@ -104,10 +120,10 @@ func checkStore(t *testing.T, st *store) {
 		own(ts.policy)
 	}
 	for it := range st.items.All() {
-		key := it.node.Key
+		key := it.Key()
 		want, _ := st.stateFor(key)
-		if it.node.Key != key || owner[&it.node] != want {
-			t.Fatalf("%q: node keyed %q is linked in %v, its key routes to %v", key, it.node.Key, owner[&it.node], want)
+		if nodeKey(&it.node) != key || owner[&it.node] != want {
+			t.Fatalf("%q: node keyed %q is linked in %v, its key routes to %v", key, nodeKey(&it.node), owner[&it.node], want)
 		}
 	}
 	// Every item's loc must be live in the layout, and the layout must hold
@@ -118,9 +134,9 @@ func checkStore(t *testing.T, st *store) {
 		var live int64
 		var scratch [binary.MaxVarintLen64]byte
 		for it := range st.items.All() {
-			key := it.node.Key
+			key := it.Key()
 			k, v, flags, exp := l.a.Record(alloc.RefOf(it.loc))
-			if string(k) != key || flags != it.flags || exp != it.expires || it.value != nil {
+			if string(k) != key || flags != it.flags || exp != it.expires {
 				t.Fatalf("%q: record holds key %q flags %d expiry %d", key, k, flags, exp)
 			}
 			live += int64(binary.PutUvarint(scratch[:], uint64(len(k))) + binary.PutUvarint(scratch[:], uint64(len(v))) + 12 + len(k) + len(v))

@@ -6,6 +6,7 @@ import (
 	"camp/internal/alloc"
 	"camp/internal/cache"
 	"camp/internal/itab"
+	"camp/internal/kvbuf"
 )
 
 // layout is one of the two memory-management schemes: malloc-style byte mode
@@ -19,10 +20,10 @@ type layout interface {
 	// ordering is to be charged for it. requester is that ordering: the
 	// evictions put needs are arbitrated on its behalf.
 	put(requester cache.Ordering, key string, value []byte, flags uint32, expNano int64) (loc uint64, charged int64, ok bool)
-	// value returns the bytes put copied to loc (copiesValues layouts only).
-	// The slice aliases layout memory that maintain and put may move: consume
-	// or copy it before the shard lock drops.
-	value(loc uint64) []byte
+	// value returns an item's value. Under a copying layout the slice aliases
+	// layout memory that maintain and put may move: consume or copy it before
+	// the shard lock drops.
+	value(it *item) []byte
 	// release frees whatever put reserved at loc.
 	release(loc uint64)
 	// touch records a new expiry (unix nanoseconds, 0 = none) at loc.
@@ -68,7 +69,7 @@ type byteLayout struct {
 func (l byteLayout) put(_ cache.Ordering, key string, value []byte, _ uint32, _ int64) (uint64, int64, bool) {
 	return 0, l.st.itemSize(key, value), true
 }
-func (byteLayout) value(uint64) []byte             { return nil }
+func (byteLayout) value(it *item) []byte           { return kvbuf.Value(it.kv) }
 func (byteLayout) release(uint64)                  {}
 func (byteLayout) touch(uint64, int64)             {}
 func (byteLayout) maintain()                       {}
@@ -124,8 +125,8 @@ func (l *arenaLayout) relocated(key []byte, ref alloc.Ref) {
 	}
 }
 
-func (l *arenaLayout) value(loc uint64) []byte { return l.a.Value(alloc.RefOf(loc)) }
-func (l *arenaLayout) release(loc uint64)      { l.a.Release(alloc.RefOf(loc)) }
+func (l *arenaLayout) value(it *item) []byte { return l.a.Value(alloc.RefOf(it.loc)) }
+func (l *arenaLayout) release(loc uint64)    { l.a.Release(alloc.RefOf(loc)) }
 
 // touch rewrites the expiry inside the packed record too, so a future
 // mmap-style rebuild from the segments sees the touched deadline.

@@ -27,8 +27,8 @@ func captureState(s *Server) map[string]expectedItem {
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		for it := range sh.store.items.All() {
-			out[it.node.Key] = expectedItem{
-				value:   string(sh.store.valueOf(it)),
+			out[it.Key()] = expectedItem{
+				value:   string(sh.store.lay.value(it)),
 				flags:   it.flags,
 				expires: it.expires,
 				cost:    it.node.Cost,

@@ -72,15 +72,6 @@ func (cs *connState) nsKeyFor(key []byte) []byte {
 	return b
 }
 
-// keyPrefixLen is how many namespace bytes prefix this connection's stored
-// keys — what VALUE lines strip so clients see the keys they sent.
-func (cs *connState) keyPrefixLen() int {
-	if cs.tenant == nil {
-		return 0
-	}
-	return len(cs.tenant.prefix)
-}
-
 // drainStaged bounds reply staging: once cs.out has passed maxPooledScratch it
 // is handed to the connection's writer and reset, so a multiget of large
 // values stages at most that much plus one value instead of the whole reply.

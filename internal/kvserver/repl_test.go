@@ -410,7 +410,7 @@ func TestReplFollowerTornTailContinues(t *testing.T) {
 	if f2.recovered.TruncatedBytes == 0 {
 		t.Fatal("follower recovery never truncated the torn tail")
 	}
-	if pos := f2.shards[0].replPos; pos.RunID == 0 {
+	if pos := lockedReplPos(f2.shards[0]); pos.RunID == 0 {
 		t.Fatal("no durable replication position recovered from the journal")
 	}
 	waitCaughtUp(t, p, f2)
@@ -876,7 +876,7 @@ func TestReplicaRestartContinues(t *testing.T) {
 	fullSyncsBefore := p.counters.replFullSyncsServed.Load()
 	f2 := startReplica(t, p, fCfg)
 	for i, sh := range f2.shards {
-		if sh.replPos.RunID == 0 {
+		if lockedReplPos(sh).RunID == 0 {
 			t.Fatalf("shard %d: no durable position recovered", i)
 		}
 	}
@@ -893,6 +893,14 @@ func TestReplicaRestartContinues(t *testing.T) {
 	if served := p.counters.replFullSyncsServed.Load(); served != fullSyncsBefore {
 		t.Fatalf("primary served %d full syncs across the restart, want 0", served-fullSyncsBefore)
 	}
+}
+
+// lockedReplPos reads a shard's replication position under its lock: a
+// started follower's apply loop may be moving it.
+func lockedReplPos(sh *shard) persist.Position {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return sh.replPos
 }
 
 // tearLastRecord truncates a journal file mid-way through its final record,
@@ -975,7 +983,7 @@ func TestReplicaRestartTornPositionContinues(t *testing.T) {
 	if f2.recovered.TruncatedBytes == 0 {
 		t.Fatal("follower recovery never truncated the torn position record")
 	}
-	if f2.shards[0].replPos.RunID == 0 {
+	if lockedReplPos(f2.shards[0]).RunID == 0 {
 		t.Fatal("no earlier durable position survived the tear")
 	}
 	waitCaughtUp(t, p, f2)

@@ -23,8 +23,8 @@
 //
 // Memory management is one layout interface (layouts.go) with two
 // implementations the rest of the server cannot tell apart: "byte" keeps
-// each value in its own heap slice and charges exact sizes to the eviction
-// policy; "arena" packs keys and values into log-structured per-shard
+// each key and value in one heap buffer and charges exact sizes to the
+// eviction policy; "arena" packs keys and values into log-structured per-shard
 // segments reclaimed by incremental compaction (Memshare-style), driven by
 // the same policies — its set path reuses pooled scratch end to end, so
 // steady-state overwrites make no per-item heap allocations at all.
@@ -44,8 +44,8 @@
 // read with a zero-copy line reader and tokenized in place, integers parse
 // straight from the wire bytes, per-connection scratch (token slots, reply
 // staging, value read buffer) lives in a pooled connection state, and replies
-// are built by appending to a reusable buffer — keys only materialize as Go
-// strings at the item-table boundary, on writes and IQ miss records.
+// are built by appending to a reusable buffer — a key is stored once, in its
+// item's buffer, and materializes as a Go string only in IQ miss records.
 package kvserver
 
 import (
@@ -834,7 +834,6 @@ func (s *Server) handleGet(keys [][]byte, cs *connState) error {
 	// answered as a miss without touching the store.
 	s.counters.cmds[verbGet].Add(1)
 	tn := s.tenantOf(cs)
-	pfx := cs.keyPrefixLen()
 	cs.shardIdx = shardIndex(cs.nsKeyFor(keys[0]), len(s.shards))
 	now := s.now()
 	if tq := tn.quota; tq != nil && tq.shedReads && !tq.allowOp(now) {
@@ -867,9 +866,9 @@ func (s *Server) handleGet(keys [][]byte, cs *connState) error {
 			tn.misses.Add(1)
 			continue
 		}
-		value := sh.store.valueOf(it)
+		value := sh.store.lay.value(it)
 		out := append(cs.out, "VALUE "...)
-		out = append(out, it.node.Key[pfx:]...)
+		out = append(out, k...)
 		out = append(out, ' ')
 		out = strconv.AppendUint(out, uint64(it.flags), 10)
 		out = append(out, ' ')

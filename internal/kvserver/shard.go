@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"camp/internal/kvbuf"
 	"camp/internal/metrics"
 	"camp/internal/persist"
 )
@@ -179,17 +180,12 @@ func (sh *shard) recordMissLocked(key string, now int64) {
 const expirySweepProbes = 4
 
 // storeLocked applies one storage command and returns the protocol reply.
-// The key arrives in wire []byte form: the index probe hashes it in place
-// (allocation-free), an overwrite reuses the resident item's interned key
-// string, and only a brand-new key materializes one. The caller holds sh.mu.
-func (sh *shard) storeLocked(cmd verbID, keyBytes []byte, value []byte, flags uint32, ttl, cost, now int64) []byte {
-	existing, exists := resident(sh.store, keyBytes, now)
-	var key string
-	if exists {
-		key = existing.node.Key
-	} else {
-		key = string(keyBytes)
-	}
+// The index probe hashes the wire key in place. In byte mode kv is the new
+// item's buffer, the payload already in its tail; under a copying layout kv
+// is nil and value is scratch. The caller holds sh.mu.
+func (sh *shard) storeLocked(cmd verbID, keyBytes, kv, value []byte, flags uint32, ttl, cost, now int64) []byte {
+	st := sh.store
+	existing, exists := resident(st, keyBytes, now)
 	switch cmd {
 	case verbAdd:
 		if exists {
@@ -204,25 +200,29 @@ func (sh *shard) storeLocked(cmd verbID, keyBytes []byte, value []byte, flags ui
 			return replyNotStored
 		}
 		// Concatenation keeps the existing flags and cost; the payload
-		// just grows. The fresh slice is built while the lock pins the old
-		// bytes.
-		old := sh.store.valueOf(existing)
-		if cmd == verbAppend {
-			value = append(append(make([]byte, 0, len(old)+len(value)), old...), value...)
-		} else {
-			value = append(append(make([]byte, 0, len(old)+len(value)), value...), old...)
-		}
-		flags = existing.flags
-		// The handler's size gate saw only the delta; the combined value
-		// must honor the limit too. Nothing is journaled and the existing
-		// value stays as it was.
-		if int64(len(value)) > sh.srv.cfg.MaxValueBytes {
+		// just grows, built while the lock pins the old bytes. The handler's
+		// size gate saw only the delta; the combined value must honor the
+		// limit too. Nothing is journaled and the existing value stays.
+		old := st.lay.value(existing)
+		if int64(len(old)+len(value)) > sh.srv.cfg.MaxValueBytes {
 			return replyTooLarge
 		}
+		if cmd == verbAppend {
+			kv, value = st.setBuf(existing.kv, old, value)
+		} else {
+			kv, value = st.setBuf(existing.kv, value, old)
+		}
+		flags = existing.flags
 		if cost == 0 {
 			cost = existing.node.Cost
 		}
 	}
+	if kv == nil && exists {
+		kv = existing.kv
+	} else if kv == nil {
+		kv = kvbuf.New(keyBytes, 0)
+	}
+	key := kvbuf.Key(kv)
 	if cost == 0 && !sh.srv.cfg.DisableIQ {
 		if at, ok := sh.missedAt[key]; ok {
 			cost = (now - at) / int64(time.Microsecond)
@@ -235,18 +235,19 @@ func (sh *shard) storeLocked(cmd verbID, keyBytes []byte, value []byte, flags ui
 	if cost == 0 {
 		cost = 1
 	}
-	if !sh.setLocked(key, value, flags, expiryFrom(ttl, now), cost, exists) {
+	if !sh.setLocked(kv, value, flags, expiryFrom(ttl, now), cost, exists) {
 		return replyOOM
 	}
 	return replyStored
 }
 
-// setLocked applies one set and journals its outcome. A refused set drops
-// any existing version of the key (store.setAbsPrio); that removal is
-// journaled too, or recovery and replicas would resurrect the old value. The
-// caller holds sh.mu.
-func (sh *shard) setLocked(key string, value []byte, flags uint32, expires, cost int64, existed bool) bool {
-	if !sh.store.setAbs(key, value, flags, expires, cost) {
+// setLocked applies one set (kv and value as setAbsPrio takes them) and
+// journals its outcome. A refused set drops any existing version of the key;
+// that removal is journaled too, or recovery and replicas would resurrect
+// the old value. The caller holds sh.mu.
+func (sh *shard) setLocked(kv, value []byte, flags uint32, expires, cost int64, existed bool) bool {
+	key := kvbuf.Key(kv)
+	if !sh.store.setAbsPrio(kv, value, flags, expires, cost, 0, 0, false) {
 		sh.srv.counters.setRejected.Add(1)
 		if existed {
 			sh.journalLocked(persist.Op{Kind: persist.KindDelete, Key: key})
@@ -273,7 +274,7 @@ func (sh *shard) arithLocked(incr bool, key []byte, delta uint64, now int64) (va
 	if !ok {
 		return 0, replyNotFound
 	}
-	cur, perr := strconv.ParseUint(string(sh.store.valueOf(it)), 10, 64)
+	cur, perr := strconv.ParseUint(string(sh.store.lay.value(it)), 10, 64)
 	if perr != nil {
 		return 0, replyNonNumeric
 	}
@@ -286,7 +287,9 @@ func (sh *shard) arithLocked(incr bool, key []byte, delta uint64, now int64) (va
 	}
 	// Arithmetic keeps the item's flags, expiration and cost, as memcached
 	// does; only the payload changes.
-	if !sh.setLocked(it.node.Key, strconv.AppendUint(nil, cur, 10), it.flags, it.expires, it.node.Cost, true) {
+	var digits [20]byte
+	kv, value := sh.store.setBuf(it.kv, strconv.AppendUint(digits[:0], cur, 10))
+	if !sh.setLocked(kv, value, it.flags, it.expires, it.node.Cost, true) {
 		return 0, replyOOM
 	}
 	return cur, nil

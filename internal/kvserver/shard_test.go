@@ -455,7 +455,7 @@ func shardEvictionOrder(sh *shard) []string {
 	defer sh.mu.Unlock()
 	var keys []string
 	sh.store.policy.Visit(func(n *cache.Node, _, _ uint64) bool {
-		keys = append(keys, n.Key)
+		keys = append(keys, nodeKey(n))
 		return true
 	})
 	return keys

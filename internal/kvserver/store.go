@@ -2,6 +2,7 @@ package kvserver
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -9,6 +10,7 @@ import (
 	"camp/internal/cache"
 	"camp/internal/core"
 	"camp/internal/itab"
+	"camp/internal/kvbuf"
 	"camp/internal/persist"
 )
 
@@ -16,16 +18,18 @@ import (
 // live in fixed chunks under a flat index (itab), which finds a wire []byte
 // key or a string without materializing either. An overwrite updates the
 // item in place, and a deleted item is zeroed and its slot reused, so hold
-// no *item past the lock or a call that may remove it. A value slice, once
-// stored, is never mutated. Layouts that copy values (layout.copiesValues)
-// leave value nil and locate the bytes through loc instead: read them with
-// store.valueOf, and copy what must outlive the lock.
+// no *item past the lock or a call that may remove it.
 type item struct {
-	// node carries the key, the charged size and the admission cost, and
-	// links the item into the ordering its key routes to (store.stateFor):
-	// the index entry and the eviction-order entry are one object.
-	node  cache.Node
-	value []byte
+	// node carries the charged size and the admission cost, and links the
+	// item into the ordering its key routes to (store.stateFor): the index
+	// entry and the eviction-order entry are one object. It is the first
+	// field, so itemOf steps from a node an ordering hands back to its item.
+	node cache.Node
+	// kv is the key and, in byte mode, the value in one kvbuf buffer, never
+	// written once stored. A copying layout keeps the key alone here and the
+	// value at loc: read it with layout.value, and copy what must outlive
+	// the lock.
+	kv    []byte
 	flags uint32
 	ref   uint32 // the item's slot in store.items
 	// expires is the absolute expiry in unix nanoseconds, 0 meaning none —
@@ -36,8 +40,14 @@ type item struct {
 	loc uint64
 }
 
-// Key is the key the item is indexed under.
-func (it *item) Key() string { return it.node.Key }
+// Key is the key the item is indexed under, aliasing kv.
+func (it *item) Key() string { return kvbuf.Key(it.kv) }
+
+// itemOf is the item whose node an ordering handed back.
+func itemOf(n *cache.Node) *item { return cache.Container[item](n) }
+
+// nodeKey is the KeyOf hook every ordering of a store gets.
+func nodeKey(n *cache.Node) string { return itemOf(n).Key() }
 
 // store is one shard's items and their index — the only key lookup on the
 // request path — its storage layout, and the eviction orderings that decide
@@ -47,10 +57,11 @@ func (it *item) Key() string { return it.node.Key }
 type store struct {
 	cfg   Config
 	items *itab.Table[item, *item]
-	// expiring is the subset of items with a TTL — the only ones sweepExpired
-	// has any reason to probe (Redis's expires dict). Kept in step with
-	// item.expires by setExpiry and forget.
-	expiring map[string]*item
+	// expiring is the refs of the items with a TTL — the only ones
+	// sweepExpired has any reason to probe (Redis's expires dict). Kept in
+	// step with item.expires by setExpiry and forget. Keyed by ref: a key
+	// would keep its item's old buffer alive past an overwrite.
+	expiring map[uint32]struct{}
 	lay      layout
 
 	policy cache.Ordering
@@ -94,12 +105,11 @@ func (st *store) reset() error {
 	if err != nil {
 		return err
 	}
-	p, err := buildPolicy(st.cfg)
+	p, err := st.buildPolicy()
 	if err != nil {
 		return err
 	}
-	p.OnEvict(st.onEvict)
-	st.items, st.expiring, st.lay, st.policy = itab.New[item](), make(map[string]*item), lay, p
+	st.items, st.expiring, st.lay, st.policy = itab.New[item](), make(map[uint32]struct{}), lay, p
 	st.tens, st.totalUsed, st.defUsed = nil, 0, 0
 	if reg := st.cfg.tenants; reg != nil {
 		for _, t := range reg.list() {
@@ -109,24 +119,26 @@ func (st *store) reset() error {
 	return nil
 }
 
-// buildPolicy builds one ordering of cfg's policy over the shard's capacity:
-// the default tenant's, or a non-default tenant's.
-func buildPolicy(cfg Config) (cache.Ordering, error) {
+// buildPolicy builds one ordering of the configured policy over the shard's
+// capacity, the default tenant's or a non-default tenant's, hooked to st.
+func (st *store) buildPolicy() (cache.Ordering, error) {
 	for _, p := range core.Policies {
-		if p.Name == cfg.Policy && p.Served {
-			return p.New(cfg.MemoryBytes, cfg.Precision), nil
+		if p.Name == st.cfg.Policy && p.Served {
+			o := p.New(st.cfg.MemoryBytes, st.cfg.Precision)
+			o.OnEvict(st.onEvict)
+			o.KeyOf(nodeKey)
+			return o, nil
 		}
 	}
-	return nil, fmt.Errorf("%w: unknown policy %q", errBadConfig, cfg.Policy)
+	return nil, fmt.Errorf("%w: unknown policy %q", errBadConfig, st.cfg.Policy)
 }
 
 // onEvict keeps the index and the layout in sync with an ordering's
-// evictions.
+// evictions. Every node an ordering links is an indexed item's.
 func (st *store) onEvict(n *cache.Node) {
-	if it := itab.Lookup(st.items, n.Key); it != nil {
-		st.lay.release(it.loc)
-		st.forget(it)
-	}
+	it := itemOf(n)
+	st.lay.release(it.loc)
+	st.forget(it)
 }
 
 // forget drops it from expiring, if it has a TTL, and frees it.
@@ -139,9 +151,9 @@ func (st *store) forget(it *item) {
 // taking it out; an item that had no TTL and gets none touches only itself.
 func (st *store) setExpiry(it *item, expires int64) {
 	if expires != 0 {
-		st.expiring[it.node.Key] = it
+		st.expiring[it.ref] = struct{}{}
 	} else if it.expires != 0 {
-		delete(st.expiring, it.node.Key)
+		delete(st.expiring, it.ref)
 	}
 	it.expires = expires
 }
@@ -171,13 +183,14 @@ func (st *store) ensureTenant(name string) *tenantState {
 	if ts, ok := st.tens[name]; ok {
 		return ts
 	}
+	// The name may alias a stored key's buffer; the tables keep their own.
+	name = strings.Clone(name)
 	t, _ := st.cfg.tenants.ensure(name)
-	p, err := buildPolicy(st.cfg)
+	p, err := st.buildPolicy()
 	if err != nil {
 		// The config was already validated at construction.
 		panic("kvserver: tenant policy build failed: " + err.Error())
 	}
-	p.OnEvict(st.onEvict)
 	ts := &tenantState{t: t, policy: p}
 	if st.tens == nil {
 		st.tens = make(map[string]*tenantState)
@@ -365,13 +378,9 @@ func (st *store) flushTenant(name string) {
 	} else {
 		return
 	}
-	keys := make([]string, 0, p.Len())
-	p.Visit(func(n *cache.Node, _, _ uint64) bool {
-		keys = append(keys, n.Key)
-		return true
-	})
-	for _, k := range keys {
-		st.delete(k)
+	for i := p.Len(); i > 0; i-- {
+		n, _ := p.Victim()
+		st.remove(itemOf(n))
 	}
 }
 
@@ -404,7 +413,7 @@ func (st *store) visitTenantUsage(visit func(name string, used int64, items int,
 func resident[K ~string | ~[]byte](st *store, key K, now int64) (*item, bool) {
 	it := itab.Lookup(st.items, key)
 	if it != nil && it.expires != 0 && now > it.expires {
-		st.delete(it.node.Key)
+		st.remove(it)
 		st.expiredReclaimed++
 		it = nil
 	}
@@ -416,7 +425,7 @@ func resident[K ~string | ~[]byte](st *store, key K, now int64) (*item, bool) {
 func lookup[K ~string | ~[]byte](st *store, key K, now int64) (*item, bool) {
 	it, ok := resident(st, key, now)
 	if ok {
-		p, _ := st.stateFor(it.node.Key)
+		p, _ := st.stateFor(it.Key())
 		p.Touch(&it.node)
 	}
 	return it, ok
@@ -431,13 +440,13 @@ func lookup[K ~string | ~[]byte](st *store, key K, now int64) (*item, bool) {
 // TTLs pays nothing for it. Runs under the already-held shard lock; n stays
 // small so no single request stalls.
 func (st *store) sweepExpired(now int64, n int) {
-	for key, it := range st.expiring {
+	for ref := range st.expiring {
 		if n <= 0 {
 			return
 		}
 		n--
-		if now > it.expires {
-			st.delete(key)
+		if it := st.items.At(ref); now > it.expires {
+			st.remove(it)
 			st.expiredReclaimed++
 		}
 	}
@@ -460,24 +469,19 @@ func expiryFrom(ttl, now int64) int64 {
 	return 0
 }
 
-// setAbs is set with an absolute expiry, the form recovery needs: journals
-// record deadlines, not TTLs, so restarts do not extend item lifetimes.
-func (st *store) setAbs(key string, value []byte, flags uint32, expires, cost int64) bool {
-	return st.setAbsPrio(key, value, flags, expires, cost, 0, 0, false)
-}
-
-// setAbsPrio is setAbs with an optional pinned eviction-priority offset, the
-// form v2 snapshot replay uses: a KindSetPrio record re-enters the policy at
-// the exact H − L it held when the snapshot was cut, so a mid-churn warm
-// start reproduces the live cross-queue eviction schedule. Policies without
-// priority state ignore the offset — replay order alone restores them
-// exactly.
+// setAbsPrio is set with an absolute expiry, the form recovery needs:
+// journals record deadlines, not TTLs, so restarts do not extend item
+// lifetimes. hasPrio pins the eviction-priority offset (H − L) a v2 snapshot
+// recorded, so a mid-churn warm start reproduces the live cross-queue
+// eviction schedule; policies without priority state ignore it. kv and value
+// are as setBuf returns them; a copying layout's item keeps the key alone.
 //
 // The layout lands the bytes, then the key is admitted through the ordering
 // that owns it at the size the layout charges, so priorities, tenancy and
 // persistence behave identically across layouts. An overwrite updates the
 // resident item struct in place; a new key's item is indexed once admitted.
-func (st *store) setAbsPrio(key string, value []byte, flags uint32, expires, cost int64, prio, class uint64, hasPrio bool) bool {
+func (st *store) setAbsPrio(kv, value []byte, flags uint32, expires, cost int64, prio, class uint64, hasPrio bool) bool {
+	key := kvbuf.Key(kv)
 	p, ts := st.stateFor(key)
 	loc, charged, ok := st.lay.put(p, key, value, flags, expires)
 	// Looked up after put rather than before: the layout's own evictions may
@@ -490,7 +494,13 @@ func (st *store) setAbsPrio(key string, value []byte, flags uint32, expires, cos
 		p.Remove(&it.node)
 	} else {
 		ref, fresh := st.items.Alloc()
-		fresh.node.Key, fresh.ref, it = key, ref, fresh
+		fresh.ref, it = ref, fresh
+	}
+	// Before admission, which may ask the item for its key.
+	if !st.lay.copiesValues() {
+		it.kv = kv
+	} else if !exists {
+		it.kv = kvbuf.KeyOnly(kv)
 	}
 	if ok && !st.admit(p, ts, &it.node, charged, cost, prio, class, hasPrio) {
 		st.lay.release(loc)
@@ -513,10 +523,7 @@ func (st *store) setAbsPrio(key string, value []byte, flags uint32, expires, cos
 	} else {
 		st.items.Insert(it.ref)
 	}
-	if st.lay.copiesValues() {
-		value = nil
-	}
-	it.value, it.flags, it.loc = value, flags, loc
+	it.flags, it.loc = flags, loc
 	st.setExpiry(it, expires)
 	st.lay.maintain()
 	return true
@@ -541,13 +548,15 @@ func (st *store) admit(p cache.Ordering, ts *tenantState, n *cache.Node, size, c
 	return p.Insert(n)
 }
 
-// valueOf returns an item's stored value. Under a copying layout the slice
-// aliases layout memory: consume or copy it before the shard lock drops.
-func (st *store) valueOf(it *item) []byte {
+// setBuf returns the kv and value setAbsPrio takes for a value made of
+// parts, under kv's key: in byte mode one new buffer holding both, and the
+// value inside it; under a copying layout kv itself and the parts joined.
+func (st *store) setBuf(kv []byte, parts ...[]byte) ([]byte, []byte) {
 	if st.lay.copiesValues() {
-		return st.lay.value(it.loc)
+		return kv, slices.Concat(parts...)
 	}
-	return it.value
+	kv = kvbuf.Of(kvbuf.KeyBytes(kv), parts...)
+	return kv, kvbuf.Value(kv)
 }
 
 // touch updates an item's expiry everywhere it lives: the item struct and
@@ -557,18 +566,14 @@ func (st *store) touch(it *item, expires int64) {
 	st.lay.touch(it.loc, expires)
 }
 
-// delete removes key from its ordering, the layout and the index.
-func (st *store) delete(key string) bool {
-	it := itab.Lookup(st.items, key)
-	if it == nil {
-		return false
-	}
-	p, ts := st.stateFor(key)
+// remove takes an indexed item out of its ordering, the layout and the
+// index.
+func (st *store) remove(it *item) {
+	p, ts := st.stateFor(it.Key())
 	p.Remove(&it.node)
 	st.noteUsage(p, ts)
 	st.lay.release(it.loc)
 	st.forget(it)
-	return true
 }
 
 func (st *store) flush() {
@@ -618,12 +623,13 @@ func (st *store) rejected() uint64 {
 // restarted with less memory) are skipped, mirroring live admission.
 func (st *store) restore(op persist.Op) error {
 	switch op.Kind {
-	case persist.KindSet:
-		st.setAbs(op.Key, op.Value, op.Flags, op.Expires, op.Cost)
-	case persist.KindSetPrio:
-		st.setAbsPrio(op.Key, op.Value, op.Flags, op.Expires, op.Cost, op.Priority, op.Class, true)
+	case persist.KindSet, persist.KindSetPrio:
+		// A decoded set carries its key and value in one buffer.
+		st.setAbsPrio(op.KV, op.Value, op.Flags, op.Expires, op.Cost, op.Priority, op.Class, op.Kind == persist.KindSetPrio)
 	case persist.KindDelete:
-		st.delete(op.Key)
+		if it := itab.Lookup(st.items, op.Key); it != nil {
+			st.remove(it)
+		}
 	case persist.KindTouch:
 		if it := itab.Lookup(st.items, op.Key); it != nil {
 			st.touch(it, op.Expires)
@@ -661,16 +667,12 @@ func (st *store) restore(op persist.Op) error {
 // collectOps copies every live entry out as a snapshot op, in
 // eviction-priority order, and — for the priority policies (CAMP, GDS) —
 // with each entry's exact priority offset (H − L) as a KindSetPrio record,
-// so replaying the ops rebuilds not just the queues' order but the live
-// cross-queue eviction schedule, byte-exact even after eviction churn
-// (snapshot format v2; ROADMAP's "exact snapshot priorities"). A pure-recency
+// so replaying the ops rebuilds the live cross-queue eviction schedule,
+// byte-exact even after eviction churn (snapshot format v2). A pure-recency
 // policy (LRU) stays KindSet: its order is its entire state. The caller
-// holds the shard mutex only for this copy-out; the returned ops alias the
-// stored value slices, which is safe to serialize after unlocking because
-// the server never mutates a stored value in place — every rewrite installs
-// a fresh slice. A copying layout's values are the exception: its
-// housekeeping DOES move the bytes, so they are copied out here, under the
-// lock.
+// holds the shard mutex only for this copy-out: the ops alias the items' kv
+// buffers, which are never written once stored, but a copying layout moves
+// its values, so those are copied out here, under the lock.
 func (st *store) collectOps() []persist.Op {
 	ops := make([]persist.Op, 0, st.items.Len())
 	copies := st.lay.copiesValues()
@@ -696,18 +698,18 @@ func (st *store) collectOps() []persist.Op {
 			kind = persist.KindSetPrio
 		}
 		p.Visit(func(n *cache.Node, prio, class uint64) bool {
-			it := itab.Lookup(st.items, n.Key)
-			value := st.valueOf(it)
+			it := itemOf(n)
+			value := st.lay.value(it)
 			if copies {
 				value = append([]byte(nil), value...)
 			}
 			ops = append(ops, persist.Op{
 				Kind:     kind,
-				Key:      n.Key,
+				Key:      it.Key(),
 				Value:    value,
 				Flags:    it.flags,
 				Expires:  it.expires,
-				Size:     st.itemSize(n.Key, value),
+				Size:     st.itemSize(it.Key(), value),
 				Cost:     n.Cost,
 				Priority: prio,
 				Class:    class,

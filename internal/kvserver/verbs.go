@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"time"
 
+	"camp/internal/kvbuf"
 	"camp/internal/persist"
 	"camp/internal/proto"
 )
@@ -125,6 +126,7 @@ var errQuit = errors.New("kvserver: quit")
 // is not cleared between commands: a body reads only what its row sets.
 type mutation struct {
 	verb  verbID
+	kv    []byte // the new item's buffer, value included, when the payload was read into one
 	value []byte
 	flags uint32
 	ttl   int64
@@ -230,22 +232,22 @@ func (s *Server) mutate(cmd *command, args [][]byte, cs *connState) error {
 		return reject(cs, cmd, nbytes, noreply, reply)
 	}
 	// The key leaves the tokens before the payload read invalidates them. No
-	// string is materialized: the bodies look up by bytes and reuse the
-	// resident item's interned key, so only a brand-new key pays for one.
+	// string is materialized: the bodies look up by bytes.
 	cs.keyBuf = append(cs.keyBuf[:0], cs.nsKeyFor(args[0])...)
 
 	if cmd.payload {
-		if s.copiesValues {
-			// The layout copies the payload into its own memory under the
-			// shard lock and the journal serializes it before Append returns,
-			// so pooled scratch is safe to reuse for the next command.
+		if s.copiesValues || cmd.verb == verbAppend || cmd.verb == verbPrepend {
+			// The payload is copied under the shard lock (into the layout or
+			// the concatenation) and the journal serializes it before Append
+			// returns, so pooled scratch is safe to reuse.
 			if cap(cs.valBuf) < int(nbytes) {
 				cs.valBuf = make([]byte, nbytes)
 			}
-			m.value = cs.valBuf[:nbytes]
+			m.kv, m.value = nil, cs.valBuf[:nbytes]
 		} else {
-			// The other layouts retain the slice in the item.
-			m.value = make([]byte, nbytes)
+			// The payload is read straight into the new item's buffer.
+			m.kv = kvbuf.New(cs.keyBuf, int(nbytes))
+			m.value = kvbuf.Value(m.kv)
 		}
 		if _, err := io.ReadFull(cs.r, m.value); err != nil {
 			return err
@@ -354,7 +356,7 @@ func parseExptime(cs *connState, args [][]byte) []byte {
 
 func storeBody(sh *shard, cs *connState) []byte {
 	m := &cs.op
-	return sh.storeLocked(m.verb, cs.keyBuf, m.value, m.flags, m.ttl, m.cost, m.now)
+	return sh.storeLocked(m.verb, cs.keyBuf, m.kv, m.value, m.flags, m.ttl, m.cost, m.now)
 }
 
 func arithBody(sh *shard, cs *connState) []byte {
@@ -376,7 +378,7 @@ func touchBody(sh *shard, cs *connState) []byte {
 	sh.store.touch(it, expiryFrom(m.ttl, m.now))
 	sh.journalLocked(persist.Op{
 		Kind:    persist.KindTouch,
-		Key:     it.node.Key,
+		Key:     it.Key(),
 		Expires: it.expires,
 	})
 	return replyTouched
@@ -389,8 +391,8 @@ func deleteBody(sh *shard, cs *connState) []byte {
 	if !ok {
 		return replyNotFound
 	}
-	key := it.node.Key
-	sh.store.delete(key)
+	key := it.Key()
+	sh.store.remove(it)
 	sh.journalLocked(persist.Op{Kind: persist.KindDelete, Key: key})
 	return replyDeleted
 }

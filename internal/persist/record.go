@@ -16,6 +16,8 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+
+	"camp/internal/kvbuf"
 )
 
 // Kind discriminates journal records.
@@ -77,6 +79,9 @@ type Op struct {
 	Kind  Kind
 	Key   string
 	Value []byte
+	// KV is set on a decoded KindSet or KindSetPrio record: the one
+	// internal/kvbuf buffer that Key and Value alias, for a store to keep.
+	KV []byte
 	// Flags is the opaque client flags word (memcached semantics).
 	Flags uint32
 	// Expires is the absolute expiry as Unix nanoseconds; 0 means none.
@@ -201,25 +206,15 @@ func CheckRecord(b []byte) (int, error) {
 // the record does (a torn tail) and ErrCorruptRecord when the checksum or
 // structure is invalid.
 func DecodeRecord(b []byte) (Op, int, error) {
-	if len(b) < recordHeaderLen {
-		return Op{}, 0, ErrShortRecord
-	}
-	n := binary.LittleEndian.Uint32(b)
-	if n == 0 || n > maxPayload {
-		return Op{}, 0, fmt.Errorf("%w: payload length %d", ErrCorruptRecord, n)
-	}
-	if len(b) < recordHeaderLen+int(n) {
-		return Op{}, 0, ErrShortRecord
-	}
-	payload := b[recordHeaderLen : recordHeaderLen+int(n)]
-	if got, want := crc32.Checksum(payload, crcTable), binary.LittleEndian.Uint32(b[4:]); got != want {
-		return Op{}, 0, fmt.Errorf("%w: crc mismatch (got %08x want %08x)", ErrCorruptRecord, got, want)
-	}
-	op, err := decodePayload(payload)
+	n, err := CheckRecord(b)
 	if err != nil {
 		return Op{}, 0, err
 	}
-	return op, recordHeaderLen + int(n), nil
+	op, err := decodePayload(b[recordHeaderLen:n])
+	if err != nil {
+		return Op{}, 0, err
+	}
+	return op, n, nil
 }
 
 func decodePayload(p []byte) (Op, error) {
@@ -242,7 +237,9 @@ func decodePayload(p []byte) (Op, error) {
 	if len(key) != 0 && keyless {
 		return Op{}, fmt.Errorf("%w: kind %d record carries a key", ErrCorruptRecord, op.Kind)
 	}
-	op.Key = string(key)
+	if op.Kind != KindSet && op.Kind != KindSetPrio {
+		op.Key = string(key)
+	}
 	switch op.Kind {
 	case KindSet, KindSetPrio:
 		val, rest, err := decodeBytes(p, MaxValueLen, "value")
@@ -250,7 +247,8 @@ func decodePayload(p []byte) (Op, error) {
 			return Op{}, err
 		}
 		p = rest
-		op.Value = append([]byte(nil), val...)
+		op.KV = kvbuf.Of(key, val)
+		op.Key, op.Value = kvbuf.Key(op.KV), kvbuf.Value(op.KV)
 		if len(p) < 4 {
 			return Op{}, fmt.Errorf("%w: missing flags", ErrCorruptRecord)
 		}

@@ -6,6 +6,7 @@ import (
 	"io"
 	"io/fs"
 	"os"
+	"strings"
 
 	"camp/internal/cache"
 	"camp/internal/persist"
@@ -60,10 +61,11 @@ func (s *shard) emitLocked(write func(persist.Op) error) error {
 	}
 	var err error
 	s.policy.Visit(func(n *cache.Node, prio, class uint64) bool {
+		key := s.policy.Key(n)
 		err = write(persist.Op{
 			Kind:     kind,
-			Key:      n.Key,
-			Value:    s.values[n.Key],
+			Key:      key,
+			Value:    s.values[key],
 			Size:     n.Size,
 			Cost:     n.Cost,
 			Priority: prio,
@@ -125,6 +127,9 @@ func (c *Cache) LoadSnapshot(r io.Reader) (int, error) {
 // setFromSnapshot is SetSized with the snapshot's recorded priority pinned
 // when both the record and the policy carry one.
 func (c *Cache) setFromSnapshot(op persist.Op) bool {
+	// The decoded key aliases the record's buffer, value included: the index
+	// keeps a key past an overwrite of its value, so it keeps a copy.
+	op.Key = strings.Clone(op.Key)
 	cost := op.Cost
 	if cost <= 0 {
 		cost = c.defCost

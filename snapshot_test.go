@@ -248,8 +248,8 @@ func TestCacheSnapshotMidChurnExactOrder(t *testing.T) {
 				s.mu.Lock()
 				defer s.mu.Unlock()
 				var keys []string
-				s.policy.(cache.Ordering).Visit(func(n *cache.Node, _, _ uint64) bool {
-					keys = append(keys, n.Key)
+				s.policy.Visit(func(n *cache.Node, _, _ uint64) bool {
+					keys = append(keys, s.policy.Key(n))
 					return true
 				})
 				return keys
