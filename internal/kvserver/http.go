@@ -17,7 +17,7 @@ import (
 
 // startMetricsHTTP binds the metrics listener and starts serving. Called
 // from Start when Config.MetricsAddr is set; the goroutine exits when
-// stopNetwork closes the http.Server.
+// stop closes the http.Server.
 func (s *Server) startMetricsHTTP(addr string) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {

@@ -102,6 +102,7 @@ func servePipe(t *testing.T, s *Server, wrap func(net.Conn) net.Conn) net.Conn {
 	srvEnd, cliEnd := net.Pipe()
 	s.counters.currConns.Add(1)
 	s.wg.Add(1)
+	s.clients.Add(1)
 	go s.serveConn(&countedConn{Conn: wrap(srvEnd), srv: s})
 	t.Cleanup(func() { cliEnd.Close() })
 	cliEnd.SetDeadline(time.Now().Add(10 * time.Second))

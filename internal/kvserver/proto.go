@@ -56,6 +56,7 @@ type connState struct {
 	// store keys, so the hot path adds no allocations.
 	tenant *tenant
 	nsKey  []byte
+	feed   bool // handleSync made the connection a replication feed
 }
 
 // nsKeyFor maps a wire key into the connection tenant's namespace: bare for
@@ -139,6 +140,7 @@ func putConnState(cs *connState) {
 	cs.valBuf = cs.valBuf[:0]
 	cs.op = mutation{} // a pooled state must not pin the last value
 	cs.tenant = nil
+	cs.feed = false
 	if cap(cs.nsKey) > maxPooledScratch {
 		cs.nsKey = nil
 	}

@@ -209,8 +209,8 @@ func parseSyncArgs(args [][]byte, shards int) (idx int, gen uint64, off int64, r
 
 // handleSync turns the connection into a replication feed for one shard. It
 // never returns to the command loop: the stream runs until the follower
-// disconnects, the server closes, or the journal errors, and the connection
-// closes with it.
+// disconnects, the server stops, or the journal errors, and the connection
+// closes with it; from here on it is not a client (Server.clients).
 func (s *Server) handleSync(args [][]byte, cs *connState) error {
 	if s.readOnly.Load() {
 		// Chained replication is not supported: a replica's journal lags its
@@ -227,6 +227,8 @@ func (s *Server) handleSync(args [][]byte, cs *connState) error {
 		cs.w.Write(replyBadSync)
 		return errCloseConn
 	}
+	cs.feed = true
+	s.clients.Done()
 	mgr := s.shards[idx].mgr
 	// All feed writes — reply line, snapshot bytes, frames — go through the
 	// connection's own writer: behind any reply a pipelined follower is still
@@ -282,8 +284,6 @@ func (s *Server) handleSync(args [][]byte, cs *connState) error {
 	}
 	defer tr.Close()
 	s.counters.replSyncsServed.Add(1)
-	s.replFeeds.Add(1)
-	defer s.replFeeds.Add(-1)
 	feed := s.registerFeed(idx)
 	defer s.unregisterFeed(feed)
 	err := s.streamJournal(tr, cs.w, announce, feed)
@@ -304,8 +304,9 @@ func appendSyncLine(out []byte, verb string, a uint64, b int64, runID uint64) []
 
 // streamJournal pumps tail events into the connection as stream frames,
 // flushing whenever the journal has nothing ready and pinging while it stays
-// idle. Returns when the write side fails (follower gone), the manager
-// closes, or the journal is corrupt.
+// idle. Returns when the write side fails (follower gone) or the journal is
+// corrupt; or, once the server stops (stopBg) or the manager closes, with
+// persist.ErrClosed after streaming the journal to its end and flushing it.
 func (s *Server) streamJournal(tr *persist.TailReader, w *bufio.Writer, announce bool, feed *feedStat) error {
 	sw := persist.NewStreamWriter(w)
 	if announce {
@@ -315,20 +316,28 @@ func (s *Server) streamJournal(tr *persist.TailReader, w *bufio.Writer, announce
 	}
 	feed.gen.Store(tr.Gen())
 	feed.off.Store(tr.Off())
+	stop := s.stopBg
 	for {
-		ev, err := tr.Next(0)
+		ev, err := tr.Next(0, nil)
 		if errors.Is(err, persist.ErrTailTimeout) {
 			if ferr := sw.Flush(); ferr != nil {
 				return ferr
 			}
-			ev, err = tr.Next(replTailPoll)
-			if errors.Is(err, persist.ErrTailTimeout) {
+			if stop == nil {
+				return persist.ErrClosed // stopped, and the tail is drained
+			}
+			ev, err = tr.Next(replTailPoll, stop)
+			switch {
+			case errors.Is(err, persist.ErrTailTimeout):
 				if perr := sw.Ping(); perr != nil {
 					return perr
 				}
 				if ferr := sw.Flush(); ferr != nil {
 					return ferr
 				}
+				continue
+			case errors.Is(err, persist.ErrClosed):
+				stop = nil // stream what the journal still holds, then end
 				continue
 			}
 		}
@@ -412,10 +421,9 @@ type replicaSession struct {
 	primary string
 	reps    []*shardReplica
 
-	mu      sync.Mutex
-	stopped bool
-	stop    chan struct{}
-	wg      sync.WaitGroup
+	stopOnce sync.Once
+	stop     chan struct{}
+	wg       sync.WaitGroup
 }
 
 func newReplicaSession(s *Server, primary string) *replicaSession {
@@ -441,27 +449,18 @@ func newReplicaSession(s *Server, primary string) *replicaSession {
 func (rs *replicaSession) start() {
 	for _, sr := range rs.reps {
 		rs.wg.Add(1)
-		go func(sr *shardReplica) {
-			defer rs.wg.Done()
-			sr.run()
-		}(sr)
+		go sr.run()
 	}
 }
 
 // stopAll terminates every stream and waits for the goroutines. Idempotent.
 func (rs *replicaSession) stopAll() {
-	rs.mu.Lock()
-	if rs.stopped {
-		rs.mu.Unlock()
-		rs.wg.Wait()
-		return
-	}
-	rs.stopped = true
-	close(rs.stop)
-	for _, sr := range rs.reps {
-		sr.closeConn()
-	}
-	rs.mu.Unlock()
+	rs.stopOnce.Do(func() {
+		close(rs.stop)
+		for _, sr := range rs.reps {
+			sr.closeConn()
+		}
+	})
 	rs.wg.Wait()
 }
 
@@ -554,11 +553,9 @@ func (sr *shardReplica) setConnected(v bool) {
 // drops, back off, repeat — until the session stops (server close or
 // promotion).
 func (sr *shardReplica) run() {
+	defer sr.rs.wg.Done()
 	backoff := replBackoffMin
 	for {
-		if sr.rs.isStopped() {
-			return
-		}
 		progressed, err := sr.syncOnce()
 		sr.setConnected(false)
 		if sr.rs.isStopped() {

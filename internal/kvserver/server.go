@@ -240,20 +240,22 @@ type Server struct {
 	rootLock  *persist.DirLock
 
 	// Replication: repl drives this server's own follower streams (nil on a
-	// primary); readOnly gates mutations while replicating; replFeeds counts
-	// the sync feeds this server is serving to its followers.
-	repl      *replicaSession
-	readOnly  atomic.Bool
-	replFeeds atomic.Int64
+	// primary); readOnly gates mutations while replicating.
+	repl     *replicaSession
+	readOnly atomic.Bool
 
+	// stopBg wakes every background wait: compactor, prober, replication
+	// feeds (stop). wg counts every goroutine; clients counts the accept loop
+	// and the connections serving commands. drainBy is stop's read deadline.
 	compactC chan *shard
 	probeC   chan struct{}
 	stopBg   chan struct{}
-
-	wg     sync.WaitGroup
-	connMu sync.Mutex
-	conns  map[net.Conn]struct{}
-	closed bool
+	wg       sync.WaitGroup
+	clients  sync.WaitGroup
+	connMu   sync.Mutex
+	conns    map[net.Conn]struct{}
+	closed   bool
+	drainBy  time.Time
 
 	// testHookCmd, when non-nil, runs at the top of every dispatched command.
 	// Fault tests use it to inject handler panics; it is never set in
@@ -326,6 +328,7 @@ func New(cfg Config) (*Server, error) {
 		tenants:      cfg.tenants,
 		conns:        make(map[net.Conn]struct{}),
 		feeds:        make(map[*feedStat]struct{}),
+		stopBg:       make(chan struct{}),
 		started:      time.Now(),
 		writeTimeout: connWriteTimeout,
 		now:          func() int64 { return time.Now().UnixNano() },
@@ -370,7 +373,6 @@ func New(cfg Config) (*Server, error) {
 		// request path here.
 		s.compactC = make(chan *shard, len(s.shards))
 		s.probeC = make(chan struct{}, 1)
-		s.stopBg = make(chan struct{})
 		s.wg.Add(2)
 		go s.compactorLoop(p.SnapshotInterval)
 		go s.proberLoop(p.ProbeMin, p.ProbeMax)
@@ -424,6 +426,7 @@ func (s *Server) Start() error {
 		}
 	}
 	s.wg.Add(1)
+	s.clients.Add(1)
 	go s.acceptLoop()
 	if s.repl != nil {
 		s.repl.start()
@@ -488,15 +491,12 @@ func (s *Server) Addr() string {
 	return s.ln.Addr().String()
 }
 
-// Close stops the listener, closes live connections, waits for handlers and
+// Close stops the server (a hard stop: live connections close at once) and
 // flushes the persistence subsystem: every shard's journal is synced, and
 // when the AOF is disabled a final snapshot captures each shard.
 func (s *Server) Close() error {
-	err, wasOpen := s.stopNetwork()
-	if !wasOpen {
-		return nil
-	}
-	if s.cfg.Persist != nil {
+	err, wasOpen := s.stop(0)
+	if wasOpen && s.cfg.Persist != nil {
 		if s.cfg.Persist.DisableAOF {
 			s.Snapshot()
 		}
@@ -522,56 +522,17 @@ func (s *Server) closeJournals(err error) error {
 	return err
 }
 
-// Shutdown drains the server gracefully, the SIGTERM path: stop accepting,
-// let every live connection finish the pipeline it has in flight (each
-// connection keeps dispatching the commands it has already buffered; the
-// first socket read past the grace deadline ends its loop cleanly), then
-// flush and snapshot the healthy shards. Connections that never read —
-// a wedged peer, a replication feed mid-stream — are force-closed shortly
-// after the grace window. Degraded shards are skipped by the final snapshot:
-// their state is cache-only by contract, and their journals were already
-// detached. A second Shutdown (or a Close after it) is a no-op.
+// Shutdown drains the server gracefully, the SIGTERM path (stop with a grace
+// window), then flushes and snapshots the healthy shards. Every client
+// connection finishes the pipeline it has in flight, and every follower
+// receives the journal up to its end, so a follower holds each write the
+// primary acknowledged before Shutdown returned. Degraded shards are skipped
+// by the final snapshot: their state is cache-only by contract, and their
+// journals were already detached. A second Shutdown (or a Close after it) is
+// a no-op.
 func (s *Server) Shutdown(grace time.Duration) error {
-	s.connMu.Lock()
-	if s.closed {
-		s.connMu.Unlock()
-		return nil
-	}
-	s.closed = true
-	deadline := time.Now().Add(grace)
-	for c := range s.conns {
-		c.SetReadDeadline(deadline)
-	}
-	s.connMu.Unlock()
-	var err error
-	if s.ln != nil {
-		err = s.ln.Close()
-	}
-	if s.repl != nil {
-		s.repl.stopAll()
-	}
-	if s.stopBg != nil {
-		close(s.stopBg)
-	}
-	if s.metricsSrv != nil {
-		s.metricsSrv.Close()
-	}
-	done := make(chan struct{})
-	go func() {
-		s.wg.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(grace + time.Second):
-		s.connMu.Lock()
-		for c := range s.conns {
-			c.Close()
-		}
-		s.connMu.Unlock()
-		<-done
-	}
-	if s.cfg.Persist != nil {
+	err, wasOpen := s.stop(grace)
+	if wasOpen && s.cfg.Persist != nil {
 		s.Snapshot()
 		err = s.closeJournals(err)
 	}
@@ -582,8 +543,7 @@ func (s *Server) Shutdown(grace time.Duration) error {
 // journal sync, no shutdown snapshot — simulating a crash for recovery
 // tests and demos. Orderly shutdown is Close.
 func (s *Server) Kill() {
-	_, wasOpen := s.stopNetwork()
-	if !wasOpen {
+	if _, wasOpen := s.stop(0); !wasOpen {
 		return
 	}
 	for _, sh := range s.shards {
@@ -596,34 +556,64 @@ func (s *Server) Kill() {
 	s.rootLock.Release()
 }
 
-// stopNetwork closes the listener and live connections, stops the
-// background compactor, and waits for all goroutines. wasOpen is false if
-// the server was already stopped.
-func (s *Server) stopNetwork() (err error, wasOpen bool) {
+// stop is the server's one stop sequence: stop accepting, the replica
+// streams and the metrics endpoint, and wait for every goroutine. A drain
+// lets each connection finish the pipeline it has buffered until the grace
+// deadline (its next socket read past it ends its loop), then, once every
+// client handler has flushed its journal records, wakes the background
+// waits: each replication feed streams the journal to its end. A hard stop
+// (grace <= 0) closes the connections and wakes the waits at once. A
+// connection still open a second past the grace (a peer that stopped
+// reading) is closed. wasOpen is false if the server was already stopped.
+func (s *Server) stop(grace time.Duration) (err error, wasOpen bool) {
 	s.connMu.Lock()
 	if s.closed {
 		s.connMu.Unlock()
 		return nil, false
 	}
 	s.closed = true
+	s.drainBy = time.Now().Add(grace)
 	for c := range s.conns {
-		c.Close()
+		c.SetReadDeadline(s.drainBy)
 	}
 	s.connMu.Unlock()
-	if s.repl != nil {
-		s.repl.stopAll()
-	}
-	if s.stopBg != nil {
+	if grace <= 0 {
+		s.closeConns()
 		close(s.stopBg)
-	}
-	if s.metricsSrv != nil {
-		s.metricsSrv.Close()
 	}
 	if s.ln != nil {
 		err = s.ln.Close()
 	}
-	s.wg.Wait()
+	if s.repl != nil {
+		s.repl.stopAll()
+	}
+	if s.metricsSrv != nil {
+		s.metricsSrv.Close()
+	}
+	done := make(chan struct{})
+	go func() {
+		s.clients.Wait()
+		if grace > 0 {
+			close(s.stopBg)
+		}
+		s.wg.Wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(grace + time.Second):
+		s.closeConns()
+		<-done
+	}
 	return err, true
+}
+
+func (s *Server) closeConns() {
+	s.connMu.Lock()
+	for c := range s.conns {
+		c.Close()
+	}
+	s.connMu.Unlock()
 }
 
 // acceptRejectBackoff bounds the pause after a -max-conns rejection; the
@@ -633,6 +623,7 @@ const acceptRejectBackoff = 50 * time.Millisecond
 
 func (s *Server) acceptLoop() {
 	defer s.wg.Done()
+	defer s.clients.Done()
 	rejectPause := time.Millisecond
 	for {
 		conn, err := s.ln.Accept()
@@ -659,9 +650,14 @@ func (s *Server) acceptLoop() {
 		counted := &countedConn{Conn: conn, srv: s}
 		s.connMu.Lock()
 		if s.closed {
-			s.connMu.Unlock()
-			conn.Close()
-			return
+			// Accepted before stop: serve it to the drain deadline, as any
+			// live connection (a close would reset its pipelined bytes).
+			if !time.Now().Before(s.drainBy) {
+				s.connMu.Unlock()
+				conn.Close()
+				return
+			}
+			conn.SetReadDeadline(s.drainBy)
 		}
 		s.conns[counted] = struct{}{}
 		s.connMu.Unlock()
@@ -671,6 +667,7 @@ func (s *Server) acceptLoop() {
 		// would all pass the check before any handler goroutine ran.
 		s.counters.currConns.Add(1)
 		s.wg.Add(1)
+		s.clients.Add(1)
 		go s.serveConn(counted)
 	}
 }
@@ -751,6 +748,9 @@ func (s *Server) serveConn(conn *countedConn) {
 	defer func() {
 		s.flushJournals()
 		cs.w.Flush()
+		if !cs.feed {
+			s.clients.Done() // its records are in the journal files now
+		}
 		putConnState(cs)
 	}()
 	for {

@@ -199,7 +199,7 @@ var serverStats = []stat[Server]{
 	{name: "tenants", get: func(s *Server) int64 { return int64(s.tenants.count()) }},
 	{name: "repl_syncs_served", when: persisted, get: func(s *Server) int64 { return int64(s.counters.replSyncsServed.Load()) }},
 	{name: "repl_full_syncs_served", when: persisted, get: func(s *Server) int64 { return int64(s.counters.replFullSyncsServed.Load()) }},
-	{name: "repl_live_feeds", when: persisted, get: func(s *Server) int64 { return s.replFeeds.Load() }},
+	{name: "repl_live_feeds", when: persisted, get: func(s *Server) int64 { s.feedMu.Lock(); defer s.feedMu.Unlock(); return int64(len(s.feeds)) }},
 	// The newest journal generation of any shard.
 	{name: "persist_gen", when: persisted, get: func(s *Server) (gen int64) {
 		for _, sh := range s.shards {

@@ -38,7 +38,7 @@ func TestFlushIsTheWrite(t *testing.T) {
 	rec := int64(len(AppendRecord(nil, op)))
 	woke := make(chan TailEvent, 1)
 	go func() {
-		ev, _ := tr.Next(5 * time.Second)
+		ev, _ := tr.Next(5*time.Second, nil)
 		woke <- ev
 	}()
 	time.Sleep(20 * time.Millisecond) // let the tail block on the idle journal

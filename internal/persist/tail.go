@@ -227,17 +227,14 @@ const (
 
 // Next returns the next tail event, blocking up to wait for new records when
 // the journal is idle (ErrTailTimeout when it elapses; wait <= 0 never
-// blocks). The returned record slice is valid only until the following Next
-// call. Errors other than ErrTailTimeout are terminal: the manager closed
-// (ErrClosed) or the journal bytes are corrupt.
-func (tr *TailReader) Next(wait time.Duration) (TailEvent, error) {
+// blocks) or until stop closes (ErrClosed; a nil stop never does). The
+// returned record slice is valid only until the following Next call. Other
+// errors are terminal: the manager closed (ErrClosed) or the bytes are corrupt.
+func (tr *TailReader) Next(wait time.Duration, stop <-chan struct{}) (TailEvent, error) {
 	if tr.closed {
 		return TailEvent{}, errors.New("persist: tail reader is closed")
 	}
-	var deadline time.Time
-	if wait > 0 {
-		deadline = time.Now().Add(wait)
-	}
+	var timeout <-chan time.Time
 	for {
 		if tr.end > tr.start {
 			pending := tr.buf[tr.start:tr.end]
@@ -271,16 +268,17 @@ func (tr *TailReader) Next(wait time.Duration) (TailEvent, error) {
 		if wait <= 0 {
 			return TailEvent{}, ErrTailTimeout
 		}
-		remain := time.Until(deadline)
-		if remain <= 0 {
-			return TailEvent{}, ErrTailTimeout
+		if timeout == nil {
+			t := time.NewTimer(wait)
+			defer t.Stop()
+			timeout = t.C
 		}
-		t := time.NewTimer(remain)
 		select {
 		case <-waitCh:
-			t.Stop()
-		case <-t.C:
+		case <-timeout:
 			return TailEvent{}, ErrTailTimeout
+		case <-stop:
+			return TailEvent{}, ErrClosed
 		}
 	}
 }

@@ -18,7 +18,7 @@ func setOp(key, val string) Op {
 func nextRecord(t *testing.T, tr *TailReader, wait time.Duration) (Op, TailEvent) {
 	t.Helper()
 	for {
-		ev, err := tr.Next(wait)
+		ev, err := tr.Next(wait, nil)
 		if err != nil {
 			t.Fatalf("tail next: %v", err)
 		}
@@ -44,7 +44,7 @@ func TestTailReaderFollowsAppends(t *testing.T) {
 	}
 	defer tr.Close()
 
-	if _, err := tr.Next(0); !errors.Is(err, ErrTailTimeout) {
+	if _, err := tr.Next(0, nil); !errors.Is(err, ErrTailTimeout) {
 		t.Fatalf("empty journal tail: %v, want ErrTailTimeout", err)
 	}
 	want := []Op{setOp("a", "1"), setOp("b", "2"), {Kind: KindDelete, Key: "a"}}
@@ -84,6 +84,57 @@ func TestTailReaderFollowsAppends(t *testing.T) {
 	}
 }
 
+// TestTailNextWakesOnStop: closing stop ends an idle wait at once with
+// ErrClosed, a record journaled before the stop is still returned first, and
+// a nil stop leaves Next as it was.
+func TestTailNextWakesOnStop(t *testing.T) {
+	st := newMapStore()
+	m, _ := openTest(t, t.TempDir(), Options{Fsync: FsyncNo}, st)
+	defer m.Close()
+	tr, err := m.TailFrom(1, SegmentHeaderLen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+
+	stop := make(chan struct{})
+	errC := make(chan error, 1)
+	go func() {
+		_, err := tr.Next(time.Hour, stop)
+		errC <- err
+	}()
+	time.Sleep(20 * time.Millisecond) // most likely parked in the wait by now; if not, it sees stop closed there
+	close(stop)
+	select {
+	case err := <-errC:
+		if !errors.Is(err, ErrClosed) {
+			t.Fatalf("woken idle wait: %v, want ErrClosed", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Next(time.Hour, stop) still waiting 5s after close(stop)")
+	}
+
+	if err := m.Append(setOp("k", "v")); err != nil {
+		t.Fatal(err)
+	}
+	flushTest(t, m)
+	stop = make(chan struct{})
+	close(stop)
+	ev, err := tr.Next(time.Hour, stop)
+	if err != nil || ev.Record == nil {
+		t.Fatalf("record journaled before the stop: event %+v, err %v", ev, err)
+	}
+	if op, _, err := DecodeRecord(ev.Record); err != nil || op.Key != "k" {
+		t.Fatalf("record journaled before the stop decoded to %+v, %v", op, err)
+	}
+	if _, err := tr.Next(time.Hour, stop); !errors.Is(err, ErrClosed) {
+		t.Fatalf("drained tail after the stop: %v, want ErrClosed", err)
+	}
+	if _, err := tr.Next(0, nil); !errors.Is(err, ErrTailTimeout) {
+		t.Fatalf("Next(0, nil) on an idle journal: %v, want ErrTailTimeout", err)
+	}
+}
+
 func TestTailReaderCrossesGenerations(t *testing.T) {
 	st := newMapStore()
 	m, _ := openTest(t, t.TempDir(), Options{Fsync: FsyncNo}, st)
@@ -112,7 +163,7 @@ func TestTailReaderCrossesGenerations(t *testing.T) {
 	}
 	flushTest(t, m)
 
-	ev, err := tr.Next(time.Second)
+	ev, err := tr.Next(time.Second, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +287,7 @@ func TestFullSyncMatchesRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	for {
-		ev, err := fs.Tail.Next(0)
+		ev, err := fs.Tail.Next(0, nil)
 		if errors.Is(err, ErrTailTimeout) {
 			break
 		}
@@ -288,7 +339,7 @@ func TestTailStopsAtDetachDiscontinuity(t *testing.T) {
 	if op, ev := nextRecord(t, open, time.Second); op.Key != "a" || ev.Gen != 1 {
 		t.Fatalf("first record %+v at gen %d", op, ev.Gen)
 	}
-	if ev, err := open.Next(0); err != nil || ev.Record != nil || ev.Gen != 2 {
+	if ev, err := open.Next(0, nil); err != nil || ev.Record != nil || ev.Gen != 2 {
 		t.Fatalf("attached switch: event %+v, err %v; want a move to generation 2", ev, err)
 	}
 
@@ -300,7 +351,7 @@ func TestTailStopsAtDetachDiscontinuity(t *testing.T) {
 		t.Fatal(err)
 	}
 	flushTest(t, m)
-	if _, err := open.Next(0); !errors.Is(err, ErrStalePosition) {
+	if _, err := open.Next(0, nil); !errors.Is(err, ErrStalePosition) {
 		t.Fatalf("open tail crossed the detach: err %v, want ErrStalePosition", err)
 	}
 	if _, err := m.TailFrom(2, SegmentHeaderLen); !errors.Is(err, ErrStalePosition) {
