@@ -90,7 +90,7 @@ func main() {
 	defer cli2.Close()
 	after := hitRate(cli2, genCfg)
 	fmt.Printf("warm hit rate after restart: %.1f%%\n", 100*after)
-	stats, err := cli2.Stats()
+	stats, err := cli2.Stats("stats")
 	if err != nil {
 		log.Fatal(err)
 	}

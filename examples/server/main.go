@@ -65,7 +65,7 @@ func main() {
 		fmt.Println("after 2000 cheap inserts the expensive report is still cached")
 	}
 
-	stats, err := cli.Stats()
+	stats, err := cli.Stats("stats")
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -36,11 +36,6 @@ type Client struct {
 	tok [][]byte
 	key []byte
 	val []byte
-
-	// replica, when non-nil, is a second connection reads are routed to
-	// (see DialWithReplica). Writes and admin commands stay on the primary
-	// connection; ReplicaStatus/ReplicaPromote target the replica.
-	replica *Client
 }
 
 // ErrServer wraps SERVER_ERROR responses.
@@ -83,15 +78,10 @@ func DialWithTenant(addr, tenant string) (*Client, error) {
 	return c, nil
 }
 
-// Tenant switches this connection (and the attached replica connection, if
-// any) to the named tenant. The scope is per connection and sticks until the
-// next Tenant call; a bare FlushAll after this clears only this tenant.
+// Tenant switches this connection to the named tenant. The scope is per
+// connection and sticks until the next Tenant call; a bare FlushAll after
+// this clears only this tenant.
 func (c *Client) Tenant(name string) error {
-	if c.replica != nil {
-		if err := c.replica.Tenant(name); err != nil {
-			return err
-		}
-	}
 	if err := c.writeLineCmd("tenant", name); err != nil {
 		return err
 	}
@@ -106,39 +96,8 @@ func (c *Client) Tenant(name string) error {
 	return nil
 }
 
-// DialWithReplica connects to a primary and one of its replicas, returning a
-// client that serves reads (Get, MultiGet, MultiGetFunc) from the replica
-// while everything else — writes, stats, admin — goes to the primary. The
-// replication stream is asynchronous, so replica reads may briefly trail an
-// acknowledged write.
-func DialWithReplica(primaryAddr, replicaAddr string) (*Client, error) {
-	p, err := Dial(primaryAddr)
-	if err != nil {
-		return nil, err
-	}
-	r, err := Dial(replicaAddr)
-	if err != nil {
-		p.Close()
-		return nil, err
-	}
-	p.replica = r
-	return p, nil
-}
-
-// readConn returns the connection reads and replica admin commands use: the
-// replica when one is attached, else this client itself.
-func (c *Client) readConn() *Client {
-	if c.replica != nil {
-		return c.replica
-	}
-	return c
-}
-
-// Close tears down the connection (and the replica connection, if any).
+// Close tears down the connection.
 func (c *Client) Close() error {
-	if c.replica != nil {
-		c.replica.Close()
-	}
 	c.w.WriteString("quit\r\n")
 	c.w.Flush()
 	return c.conn.Close()
@@ -148,6 +107,23 @@ func (c *Client) Close() error {
 // it is only valid until the next read.
 func (c *Client) readLine() ([]byte, error) {
 	return c.lr.ReadLine()
+}
+
+// send writes one command line and flushes it. A write error sticks to the
+// buffered writer, so Flush reports it.
+func (c *Client) send(cmd string) error {
+	c.w.WriteString(cmd)
+	c.w.WriteString("\r\n")
+	return c.w.Flush()
+}
+
+// roundTrip sends one command line and returns the one-line reply, borrowed
+// as readLine's is.
+func (c *Client) roundTrip(cmd string) ([]byte, error) {
+	if err := c.send(cmd); err != nil {
+		return nil, err
+	}
+	return c.readLine()
 }
 
 // Get fetches one key; ok is false on a miss.
@@ -180,9 +156,6 @@ func (c *Client) MultiGet(keys ...string) (map[string][]byte, error) {
 func (c *Client) MultiGetFunc(fn func(key, value []byte, flags uint32), keys ...string) error {
 	if len(keys) == 0 {
 		return errors.New("kvclient: MultiGet needs at least one key")
-	}
-	if c.replica != nil {
-		return c.replica.MultiGetFunc(fn, keys...)
 	}
 	cmd := append(c.cmd[:0], "get"...)
 	for _, k := range keys {
@@ -453,130 +426,10 @@ func (c *Client) Delete(key string) (bool, error) {
 	}
 }
 
-// Stats fetches the server's STAT lines as a map.
-func (c *Client) Stats() (map[string]string, error) {
-	return c.statLines("stats\r\n")
-}
-
-// StatsTenants fetches the per-tenant accounting ("stats tenants":
-// tenant:<name>:<field> lines) as a map.
-func (c *Client) StatsTenants() (map[string]string, error) {
-	return c.statLines("stats tenants\r\n")
-}
-
-// statLines sends one command and collects its STAT lines until END.
-func (c *Client) statLines(cmd string) (map[string]string, error) {
-	if _, err := c.w.WriteString(cmd); err != nil {
-		return nil, err
-	}
-	if err := c.w.Flush(); err != nil {
-		return nil, err
-	}
-	out := make(map[string]string)
-	for {
-		line, err := c.readLine()
-		if err != nil {
-			return nil, err
-		}
-		if string(line) == "END" {
-			return out, nil
-		}
-		if bytes.HasPrefix(line, clientErrorPrefix) || bytes.HasPrefix(line, serverErrorPrefix) {
-			return nil, fmt.Errorf("%w: %s", ErrServer, line)
-		}
-		c.tok = proto.Tokenize(line, c.tok[:0])
-		toks := c.tok
-		if len(toks) != 3 || string(toks[0]) != "STAT" {
-			return nil, fmt.Errorf("%w: unexpected stats line %q", ErrProtocol, line)
-		}
-		out[string(toks[1])] = string(toks[2])
-	}
-}
-
-// ReplicaStatus fetches the replication state ("replica status" STAT lines:
-// role, primary address, per-shard positions) from the replica connection
-// when one is attached, else from the server this client talks to.
-func (c *Client) ReplicaStatus() (map[string]string, error) {
-	return c.readConn().statLines("replica status\r\n")
-}
-
-// ReplicaShardStatus is one shard's parsed replication state from
-// ReplicaStatus.
-type ReplicaShardStatus struct {
-	// Connected reports whether the shard's stream is live.
-	Connected bool
-	// Gen/Offset/RunID are the in-memory stream position (the primary
-	// journal generation, byte offset, and run the position is scoped to).
-	Gen    uint64
-	Offset int64
-	RunID  uint64
-	// Durable reports whether a position is persisted in the follower's
-	// journal — the restart-resume guarantee: with it, a restart reconnects
-	// with CONTINUE instead of a full resync. DurableGen/DurableOffset are
-	// the persisted position.
-	Durable       bool
-	DurableGen    uint64
-	DurableOffset int64
-	// FullSyncs, Reconnects and AppliedOps count this session's bootstrap
-	// resyncs, stream reconnects and applied mutations.
-	FullSyncs  uint64
-	Reconnects uint64
-	AppliedOps uint64
-}
-
-// ReplicaShards parses ReplicaStatus into per-shard structs, indexed by
-// shard. Unknown or missing fields parse as zero, so older servers degrade
-// gracefully.
-func (c *Client) ReplicaShards() ([]ReplicaShardStatus, error) {
-	stats, err := c.ReplicaStatus()
-	if err != nil {
-		return nil, err
-	}
-	var out []ReplicaShardStatus
-	for i := 0; ; i++ {
-		prefix := fmt.Sprintf("shard%d_", i)
-		if _, ok := stats[prefix+"connected"]; !ok {
-			return out, nil
-		}
-		u := func(field string) uint64 {
-			v, _ := strconv.ParseUint(stats[prefix+field], 10, 64)
-			return v
-		}
-		s := ReplicaShardStatus{
-			Connected:  stats[prefix+"connected"] == "1",
-			Gen:        u("gen"),
-			RunID:      u("run_id"),
-			Durable:    stats[prefix+"durable"] == "1",
-			DurableGen: u("durable_gen"),
-			FullSyncs:  u("full_syncs"),
-			Reconnects: u("reconnects"),
-			AppliedOps: u("applied_ops"),
-		}
-		s.Offset, _ = strconv.ParseInt(stats[prefix+"offset"], 10, 64)
-		s.DurableOffset, _ = strconv.ParseInt(stats[prefix+"durable_offset"], 10, 64)
-		out = append(out, s)
-	}
-}
-
-// ReplicaPromote promotes the replica (the replica connection when attached,
-// else the server this client talks to) to primary: replication stops and
-// the server starts accepting writes.
+// ReplicaPromote promotes the server this client talks to from replica to
+// primary: replication stops and the server starts accepting writes.
 func (c *Client) ReplicaPromote() error {
-	t := c.readConn()
-	if _, err := t.w.WriteString("replica promote\r\n"); err != nil {
-		return err
-	}
-	if err := t.w.Flush(); err != nil {
-		return err
-	}
-	line, err := t.readLine()
-	if err != nil {
-		return err
-	}
-	if string(line) != "OK" {
-		return fmt.Errorf("%w: promote failed: %s", ErrServer, line)
-	}
-	return nil
+	return c.okCmd("replica promote")
 }
 
 // Debug returns the server-side metadata line for a key.
@@ -601,41 +454,18 @@ func (c *Client) Debug(key string) (string, bool, error) {
 // a connection that never switched off the default tenant-scoping rules —
 // see FlushAllTenants for the unconditional form).
 func (c *Client) FlushAll() error {
-	return c.flushCmd("flush_all\r\n")
+	return c.okCmd("flush_all")
 }
 
 // FlushAllTenants empties the whole server — every tenant's entries — via
 // the explicit "flush_all all" admin form.
 func (c *Client) FlushAllTenants() error {
-	return c.flushCmd("flush_all all\r\n")
-}
-
-func (c *Client) flushCmd(cmd string) error {
-	if _, err := c.w.WriteString(cmd); err != nil {
-		return err
-	}
-	if err := c.w.Flush(); err != nil {
-		return err
-	}
-	line, err := c.readLine()
-	if err != nil {
-		return err
-	}
-	if string(line) != "OK" {
-		return fmt.Errorf("%w: unexpected flush response %q", ErrProtocol, line)
-	}
-	return nil
+	return c.okCmd("flush_all all")
 }
 
 // Version returns the server version banner.
 func (c *Client) Version() (string, error) {
-	if _, err := c.w.WriteString("version\r\n"); err != nil {
-		return "", err
-	}
-	if err := c.w.Flush(); err != nil {
-		return "", err
-	}
-	line, err := c.readLine()
+	line, err := c.roundTrip("version")
 	if err != nil {
 		return "", err
 	}

@@ -77,7 +77,7 @@ func TestProtocolErrors(t *testing.T) {
 	if _, err := c.Delete("k"); !errors.Is(err, ErrProtocol) {
 		t.Fatalf("Delete err = %v, want ErrProtocol", err)
 	}
-	if _, err := c.Stats(); !errors.Is(err, ErrProtocol) {
+	if _, err := c.Stats("stats"); !errors.Is(err, ErrProtocol) {
 		t.Fatalf("Stats err = %v, want ErrProtocol", err)
 	}
 	if _, err := c.Version(); !errors.Is(err, ErrProtocol) {

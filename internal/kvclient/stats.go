@@ -1,144 +1,43 @@
-// Parsed accessors for the server's observability commands: "stats
-// latency", "stats shards" and the slowlog.
+// The server's observability commands: every STAT reply through one
+// reader, and the slowlog.
 package kvclient
 
 import (
 	"bytes"
 	"fmt"
 	"strconv"
-	"strings"
 	"time"
 
 	"camp/internal/proto"
 )
 
-// LatencyStats is one verb's latency summary from "stats latency". The
-// quantiles are log-bucket upper bounds (conservative: never below the true
-// value by more than one power-of-two bucket).
-type LatencyStats struct {
-	Count         uint64
-	Sum           time.Duration
-	Avg           time.Duration
-	P50, P95, P99 time.Duration
-}
-
-// StatsLatency fetches per-verb latency summaries, keyed by verb ("get",
-// "set", ..., "other"). Every verb the server tracks is always present,
-// with zero values before any traffic. Admin commands route to the primary
-// connection, as Stats does.
-func (c *Client) StatsLatency() (map[string]LatencyStats, error) {
-	lines, err := c.statLines("stats latency\r\n")
-	if err != nil {
+// Stats sends one command whose reply is STAT lines ("stats", "stats
+// shards", "stats tenants", "stats latency", "replica status") and returns
+// the lines as a map from name to value. Every figure is looked up by the
+// name the server's table gives it, so a row the server does not send is
+// absent, never a zero.
+func (c *Client) Stats(cmd string) (map[string]string, error) {
+	if err := c.send(cmd); err != nil {
 		return nil, err
 	}
-	out := make(map[string]LatencyStats)
-	for k, v := range lines {
-		// Keys are <verb>_<field>: the verb never contains '_', so the
-		// first underscore splits it.
-		verb, field, ok := strings.Cut(k, "_")
-		if !ok {
-			continue
+	out := make(map[string]string)
+	for {
+		line, err := c.readLine()
+		if err != nil {
+			return nil, err
 		}
-		n, perr := strconv.ParseUint(v, 10, 64)
-		if perr != nil {
-			return nil, fmt.Errorf("%w: bad stats latency value %s=%q", ErrProtocol, k, v)
-		}
-		ls := out[verb]
-		us := time.Duration(n) * time.Microsecond
-		switch field {
-		case "count":
-			ls.Count = n
-		case "sum_us":
-			ls.Sum = us
-		case "avg_us":
-			ls.Avg = us
-		case "p50_us":
-			ls.P50 = us
-		case "p95_us":
-			ls.P95 = us
-		case "p99_us":
-			ls.P99 = us
-		default:
-			continue
-		}
-		out[verb] = ls
-	}
-	return out, nil
-}
-
-// ShardStats is one shard's occupancy and pressure summary from
-// "stats shards". The journal fields are zero on servers without
-// persistence.
-type ShardStats struct {
-	Items            int64
-	Bytes            int64
-	Evictions        uint64
-	RejectedSets     uint64
-	ExpiredReclaimed uint64
-	IQMissTable      int64
-	// Ops and P99 are the shard's request-latency histogram; LockHolds and
-	// LockP99 sample the mutation path's lock-hold time.
-	Ops       uint64
-	P99       time.Duration
-	LockHolds uint64
-	LockP99   time.Duration
-	// JournalGen/JournalBytes/Compactions mirror the shard's persist
-	// manager (zero without persistence).
-	JournalGen   uint64
-	JournalBytes int64
-	Compactions  uint64
-	// The arena fields mirror the packed-segment engine and are only
-	// emitted by servers running -mode arena (zero otherwise).
-	ArenaLiveBytes      int64
-	ArenaDeadBytes      int64
-	ArenaHeldBytes      int64
-	ArenaSegments       int64
-	ArenaCompactions    uint64
-	ArenaRelocatedBytes uint64
-}
-
-// StatsShards fetches per-shard stats, indexed by shard.
-func (c *Client) StatsShards() ([]ShardStats, error) {
-	lines, err := c.statLines("stats shards\r\n")
-	if err != nil {
-		return nil, err
-	}
-	var out []ShardStats
-	for i := 0; ; i++ {
-		prefix := fmt.Sprintf("shard%d_", i)
-		if _, ok := lines[prefix+"items"]; !ok {
+		if string(line) == "END" {
 			return out, nil
 		}
-		u := func(field string) uint64 {
-			v, _ := strconv.ParseUint(lines[prefix+field], 10, 64)
-			return v
+		if bytes.HasPrefix(line, clientErrorPrefix) || bytes.HasPrefix(line, serverErrorPrefix) {
+			return nil, fmt.Errorf("%w: %s", ErrServer, line)
 		}
-		si := func(field string) int64 {
-			v, _ := strconv.ParseInt(lines[prefix+field], 10, 64)
-			return v
+		c.tok = proto.Tokenize(line, c.tok[:0])
+		toks := c.tok
+		if len(toks) != 3 || string(toks[0]) != "STAT" {
+			return nil, fmt.Errorf("%w: unexpected stats line %q", ErrProtocol, line)
 		}
-		out = append(out, ShardStats{
-			Items:            si("items"),
-			Bytes:            si("bytes"),
-			Evictions:        u("evictions"),
-			RejectedSets:     u("rejected_sets"),
-			ExpiredReclaimed: u("expired_reclaimed"),
-			IQMissTable:      si("iq_miss_table"),
-			Ops:              u("ops"),
-			P99:              time.Duration(u("p99_us")) * time.Microsecond,
-			LockHolds:        u("lock_holds"),
-			LockP99:          time.Duration(u("lock_p99_us")) * time.Microsecond,
-			JournalGen:       u("journal_gen"),
-			JournalBytes:     si("journal_bytes"),
-			Compactions:      u("compactions"),
-
-			ArenaLiveBytes:      si("arena_live_bytes"),
-			ArenaDeadBytes:      si("arena_dead_bytes"),
-			ArenaHeldBytes:      si("arena_held_bytes"),
-			ArenaSegments:       si("arena_segments"),
-			ArenaCompactions:    u("arena_compactions"),
-			ArenaRelocatedBytes: u("arena_relocated_bytes"),
-		})
+		out[string(toks[1])] = string(toks[2])
 	}
 }
 
@@ -157,10 +56,7 @@ type SlowlogEntry struct {
 
 // Slowlog fetches the retained slow commands, newest first.
 func (c *Client) Slowlog() ([]SlowlogEntry, error) {
-	if _, err := c.w.WriteString("slowlog get\r\n"); err != nil {
-		return nil, err
-	}
-	if err := c.w.Flush(); err != nil {
+	if err := c.send("slowlog get"); err != nil {
 		return nil, err
 	}
 	var out []SlowlogEntry
@@ -202,29 +98,28 @@ func (c *Client) Slowlog() ([]SlowlogEntry, error) {
 
 // SlowlogReset discards the retained slow commands.
 func (c *Client) SlowlogReset() error {
-	return c.okCmd("slowlog reset\r\n")
+	return c.okCmd("slowlog reset")
 }
 
 // SlowlogSetThreshold sets the slowlog threshold at runtime. The server
 // takes whole milliseconds; d is rounded down.
 func (c *Client) SlowlogSetThreshold(d time.Duration) error {
-	return c.okCmd("slowlog threshold " + strconv.FormatInt(d.Milliseconds(), 10) + "\r\n")
+	return c.okCmd("slowlog threshold " + strconv.FormatInt(d.Milliseconds(), 10))
 }
 
-// okCmd sends one command line and expects OK.
+// okCmd sends one command line and expects OK. The server's own refusal
+// (CLIENT_ERROR, SERVER_ERROR) wraps ErrServer; any other reply ErrProtocol.
 func (c *Client) okCmd(cmd string) error {
-	if _, err := c.w.WriteString(cmd); err != nil {
-		return err
-	}
-	if err := c.w.Flush(); err != nil {
-		return err
-	}
-	line, err := c.readLine()
+	line, err := c.roundTrip(cmd)
 	if err != nil {
 		return err
 	}
-	if string(line) != "OK" {
-		return fmt.Errorf("%w: unexpected response %q", ErrProtocol, line)
+	switch {
+	case string(line) == "OK":
+		return nil
+	case bytes.HasPrefix(line, clientErrorPrefix), bytes.HasPrefix(line, serverErrorPrefix):
+		return fmt.Errorf("%w: %s: %s", ErrServer, cmd, line)
+	default:
+		return fmt.Errorf("%w: unexpected %s response %q", ErrProtocol, cmd, line)
 	}
-	return nil
 }

@@ -148,22 +148,22 @@ func TestArenaModeChurnCompaction(t *testing.T) {
 		}
 	}
 
-	shards, err := c.StatsShards()
+	shards, err := c.Stats("stats shards")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(shards) != 1 {
-		t.Fatalf("got %d shards, want 1", len(shards))
+	if _, ok := shards["shard1_items"]; ok {
+		t.Fatalf("got more than 1 shard: %v", shards)
 	}
-	as := shards[0]
-	if as.ArenaLiveBytes <= 0 || as.ArenaSegments <= 0 {
-		t.Fatalf("arena gauges not live: %+v", as)
+	arena := func(name string) int64 { return statInt(t, shards, "shard0_arena_"+name) }
+	if arena("live_bytes") <= 0 || arena("segments") <= 0 {
+		t.Fatalf("arena gauges not live: %v", shards)
 	}
-	if as.ArenaHeldBytes < as.ArenaLiveBytes+as.ArenaDeadBytes {
-		t.Fatalf("held %d < live %d + dead %d", as.ArenaHeldBytes, as.ArenaLiveBytes, as.ArenaDeadBytes)
+	if arena("held_bytes") < arena("live_bytes")+arena("dead_bytes") {
+		t.Fatalf("held %d < live %d + dead %d", arena("held_bytes"), arena("live_bytes"), arena("dead_bytes"))
 	}
-	if as.ArenaCompactions == 0 || as.ArenaRelocatedBytes == 0 {
-		t.Fatalf("churn of %d sets never compacted: %+v", rounds*keys, as)
+	if arena("compactions") == 0 || arena("relocated_bytes") == 0 {
+		t.Fatalf("churn of %d sets never compacted: %v", rounds*keys, shards)
 	}
 
 	// The running store-resident total must agree with a from-scratch resum
@@ -289,11 +289,11 @@ func TestArenaModeTenants(t *testing.T) {
 	if v, ok, _ := def.Get("shared"); !ok || string(v) != "default-copy" {
 		t.Fatalf("default read = %q, %v", v, ok)
 	}
-	stats, err := def.StatsTenants()
+	stats, err := def.Stats("stats tenants")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats["tenant:gold:bytes"] == "0" || stats["tenant:gold:reserved_bytes"] != fmt.Sprint(256<<10) {
+	if statInt(t, stats, "tenant:gold:bytes") == 0 || statInt(t, stats, "tenant:gold:reserved_bytes") != 256<<10 {
 		t.Fatalf("tenant stats: %v", stats)
 	}
 	checkServer(t, s)

@@ -3,7 +3,6 @@ package kvserver
 import (
 	"fmt"
 	"math/rand"
-	"strconv"
 	"sync/atomic"
 	"testing"
 
@@ -221,13 +220,13 @@ func BenchmarkServerOpsTenants(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer lc.Close()
-	ts, err := lc.StatsTenants()
+	ts, err := lc.Stats("stats tenants")
 	if err != nil {
 		b.Fatal(err)
 	}
 	for _, name := range []string{"prod", "batch"} {
-		hits, _ := strconv.ParseFloat(ts["tenant:"+name+":hits"], 64)
-		misses, _ := strconv.ParseFloat(ts["tenant:"+name+":misses"], 64)
+		hits := float64(statInt(b, ts, "tenant:"+name+":hits"))
+		misses := float64(statInt(b, ts, "tenant:"+name+":misses"))
 		if hits+misses > 0 {
 			b.ReportMetric(hits/(hits+misses), "hitrate_"+name)
 		}
@@ -331,13 +330,12 @@ func BenchmarkServerOpsTenantQuota(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer lc.Close()
-	ts, err := lc.StatsTenants()
+	ts, err := lc.Stats("stats tenants")
 	if err != nil {
 		b.Fatal(err)
 	}
 	for _, name := range []string{"prod", "batch"} {
-		shed, _ := strconv.ParseFloat(ts["tenant:"+name+":quota_shed"], 64)
-		b.ReportMetric(shed, "quota_shed_"+name)
+		b.ReportMetric(float64(statInt(b, ts, "tenant:"+name+":quota_shed")), "quota_shed_"+name)
 	}
 }
 
@@ -375,15 +373,15 @@ func benchServerOps(b *testing.B, shards int, mode string) {
 		b.Fatal(err)
 	}
 	defer lc.Close()
-	lat, err := lc.StatsLatency()
+	lat, err := lc.Stats("stats latency")
 	if err != nil {
 		b.Fatal(err)
 	}
 	for _, verb := range []string{"get", "set"} {
-		ls := lat[verb]
-		b.ReportMetric(float64(ls.P50.Microseconds()), "p50_"+verb+"_us")
-		b.ReportMetric(float64(ls.P95.Microseconds()), "p95_"+verb+"_us")
-		b.ReportMetric(float64(ls.P99.Microseconds()), "p99_"+verb+"_us")
+		for _, q := range []string{"p50", "p95", "p99"} {
+			name := verb + "_" + q + "_us"
+			b.ReportMetric(float64(statInt(b, lat, name)), q+"_"+verb+"_us")
+		}
 	}
 }
 

@@ -78,7 +78,7 @@ func TestDegradedModeEndToEnd(t *testing.T) {
 			waitDegraded(t, s, int64(cfg.Shards), 5*time.Second)
 
 			// Degraded is visible: stats, and the per-shard breakdown.
-			stats, err := c.Stats()
+			stats, err := c.Stats("stats")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -306,7 +306,7 @@ func TestChaosPrimaryFollower(t *testing.T) {
 		}
 
 		// The server (and its stats surface) is alive, degraded or not.
-		if _, err := c.Stats(); err != nil {
+		if _, err := c.Stats("stats"); err != nil {
 			t.Fatalf("round %d: stats: %v (seed %d)", round, err, seed)
 		}
 		// Whatever the faults did to disks and links, each node's index,

@@ -3,7 +3,6 @@ package kvserver
 import (
 	"fmt"
 	"net"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -161,7 +160,7 @@ func TestCmdGetCountsCommands(t *testing.T) {
 	if _, err := c.MultiGet("a", "b", "c", "miss1", "miss2"); err != nil {
 		t.Fatal(err)
 	}
-	stats, err := c.Stats()
+	stats, err := c.Stats("stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +174,7 @@ func TestCmdGetCountsCommands(t *testing.T) {
 	if _, _, err := c.Get("a"); err != nil {
 		t.Fatal(err)
 	}
-	stats, _ = c.Stats()
+	stats, _ = c.Stats("stats")
 	if stats["cmd_get"] != "2" {
 		t.Fatalf("cmd_get = %s after two get commands, want 2", stats["cmd_get"])
 	}
@@ -206,7 +205,7 @@ func TestExpiredItemsReclaimed(t *testing.T) {
 		if err := c.Set("churn", []byte("w"), 0, 0, 1); err != nil {
 			t.Fatal(err)
 		}
-		stats, err := c.Stats()
+		stats, err := c.Stats("stats")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -214,14 +213,13 @@ func TestExpiredItemsReclaimed(t *testing.T) {
 			if stats["evictions"] != "0" {
 				t.Fatalf("expired items were evicted (%s), not reclaimed", stats["evictions"])
 			}
-			reclaimed, _ := strconv.Atoi(stats["expired_reclaimed"])
-			if reclaimed < expiring {
+			if reclaimed := statInt(t, stats, "expired_reclaimed"); reclaimed < expiring {
 				t.Fatalf("expired_reclaimed = %d, want >= %d", reclaimed, expiring)
 			}
 			return
 		}
 		if time.Now().After(deadline) {
-			stats, _ := c.Stats()
+			stats, _ := c.Stats("stats")
 			t.Fatalf("sweep never reclaimed the expired set: curr_items=%s expired_reclaimed=%s",
 				stats["curr_items"], stats["expired_reclaimed"])
 		}
@@ -286,7 +284,7 @@ func TestFlushAllModes(t *testing.T) {
 			if err := c.FlushAll(); err != nil {
 				t.Fatal(err)
 			}
-			stats, err := c.Stats()
+			stats, err := c.Stats("stats")
 			if err != nil {
 				t.Fatal(err)
 			}

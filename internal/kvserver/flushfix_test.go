@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -42,7 +41,7 @@ func TestFlushAllTenantsKeepsTenantRouting(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ts, err := def.StatsTenants()
+	ts, err := def.Stats("stats tenants")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,14 +150,14 @@ func TestMemshareIsolationSurvivesGlobalFlush(t *testing.T) {
 	if rate := memshareQuietHitRate(t, s, true); rate < 0.99 {
 		t.Errorf("quiet hit rate after flush_all all = %v, want ~1 (reserve must still hold)", rate)
 	}
-	ts, err := dial(t, s).StatsTenants()
+	ts, err := dial(t, s).Stats("stats tenants")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ev := ts["tenant:quiet:evictions"]; ev != "0" {
 		t.Errorf("quiet tenant evictions after flush_all all = %q, want 0", ev)
 	}
-	if churnEv, _ := strconv.ParseInt(ts["tenant:churn:evictions"], 10, 64); churnEv == 0 {
+	if statInt(t, ts, "tenant:churn:evictions") == 0 {
 		t.Error("churner saw no evictions: workload not evict-heavy, test proves nothing")
 	}
 }

@@ -187,7 +187,7 @@ func TestDeleteExpiredKey(t *testing.T) {
 		t.Errorf("journal grew %d -> %d bytes: an expired key's delete was journaled", journal, n)
 	}
 	c := dial(t, s)
-	stats, err := c.Stats()
+	stats, err := c.Stats("stats")
 	if err != nil {
 		t.Fatal(err)
 	}

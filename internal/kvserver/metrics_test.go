@@ -103,7 +103,7 @@ func TestStatsLineSet(t *testing.T) {
 	if err := c.Set("k", []byte("v"), 0, 0, 1); err != nil {
 		t.Fatal(err)
 	}
-	stats, err := c.Stats()
+	stats, err := c.Stats("stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,19 +139,19 @@ func TestStatsLineSet(t *testing.T) {
 	if _, _, err := c.Get("missed-key"); err != nil {
 		t.Fatal(err)
 	}
-	if st, _ := c.Stats(); st["iq_miss_table_entries"] != "1" {
+	if st, _ := c.Stats("stats"); st["iq_miss_table_entries"] != "1" {
 		t.Errorf("iq_miss_table_entries after miss = %q, want 1", st["iq_miss_table_entries"])
 	}
 	if err := c.Set("missed-key", []byte("v"), 0, 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	if st, _ := c.Stats(); st["iq_miss_table_entries"] != "0" {
+	if st, _ := c.Stats("stats"); st["iq_miss_table_entries"] != "0" {
 		t.Errorf("iq_miss_table_entries after resolving set = %q, want 0", st["iq_miss_table_entries"])
 	}
 }
 
-// TestStatsLatencyAndShards exercises the wire commands through the parsed
-// client accessors.
+// TestStatsLatencyAndShards reads "stats latency" and "stats shards" over the
+// wire, each figure by the name the stats golden pins.
 func TestStatsLatencyAndShards(t *testing.T) {
 	s := startServer(t, Config{MemoryBytes: 1 << 20, Shards: 4, Persist: &PersistConfig{Dir: t.TempDir()}})
 	c := dial(t, s)
@@ -165,47 +165,49 @@ func TestStatsLatencyAndShards(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	lat, err := c.StatsLatency()
+	lat, err := c.Stats("stats latency")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, verb := range []string{"get", "set", "add", "replace", "append",
 		"prepend", "incr", "decr", "touch", "delete", "other"} {
-		if _, ok := lat[verb]; !ok {
+		if _, ok := lat[verb+"_count"]; !ok {
 			t.Errorf("stats latency missing verb %q", verb)
 		}
 	}
-	if lat["set"].Count != sets {
-		t.Errorf("set count = %d, want %d", lat["set"].Count, sets)
+	us := func(name string) int64 { return statInt(t, lat, name) }
+	if n := us("set_count"); n != sets {
+		t.Errorf("set count = %d, want %d", n, sets)
 	}
-	if lat["get"].Count != 1 {
-		t.Errorf("get count = %d, want 1", lat["get"].Count)
+	if n := us("get_count"); n != 1 {
+		t.Errorf("get count = %d, want 1", n)
 	}
-	if lat["set"].P99 < lat["set"].P50 || lat["set"].P50 <= 0 {
-		t.Errorf("set quantiles implausible: %+v", lat["set"])
+	if us("set_p99_us") < us("set_p50_us") || us("set_p50_us") <= 0 {
+		t.Errorf("set quantiles implausible: %v", lat)
 	}
-	if lat["set"].Sum <= 0 || lat["set"].Avg <= 0 {
-		t.Errorf("set sum/avg implausible: %+v", lat["set"])
+	if us("set_sum_us") <= 0 || us("set_avg_us") <= 0 {
+		t.Errorf("set sum/avg implausible: %v", lat)
 	}
-	if lat["delete"].Count != 0 {
-		t.Errorf("delete count = %d, want 0", lat["delete"].Count)
+	if n := us("delete_count"); n != 0 {
+		t.Errorf("delete count = %d, want 0", n)
 	}
 
-	shardStats, err := c.StatsShards()
+	shardStats, err := c.Stats("stats shards")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(shardStats) != 4 {
-		t.Fatalf("StatsShards returned %d shards, want 4", len(shardStats))
+	if _, ok := shardStats["shard4_items"]; ok {
+		t.Fatalf("stats shards reports a fifth shard: %v", shardStats)
 	}
 	var items, ops, lockHolds, journalBytes int64
-	for _, ss := range shardStats {
-		items += ss.Items
-		ops += int64(ss.Ops)
-		lockHolds += int64(ss.LockHolds)
-		journalBytes += ss.JournalBytes
-		if ss.JournalGen == 0 {
-			t.Errorf("journal_gen = 0 with persistence on: %+v", ss)
+	for i := 0; i < 4; i++ {
+		shard := func(name string) int64 { return statInt(t, shardStats, fmt.Sprintf("shard%d_%s", i, name)) }
+		items += shard("items")
+		ops += shard("ops")
+		lockHolds += shard("lock_holds")
+		journalBytes += shard("journal_bytes")
+		if shard("journal_gen") == 0 {
+			t.Errorf("shard%d_journal_gen = 0 with persistence on", i)
 		}
 	}
 	if items != sets {
@@ -226,7 +228,19 @@ func TestStatsLatencyAndShards(t *testing.T) {
 // every command with verb, key, duration and timestamp; reset clears; a
 // raised threshold stops recording.
 func TestSlowlogEndToEnd(t *testing.T) {
-	s := startServer(t, Config{MemoryBytes: 1 << 20})
+	s, err := New(Config{MemoryBytes: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The slowlog renders whole microseconds, and a bare set can finish in
+	// less than one, so the slow command is made slow: the hook runs inside
+	// the command's timed region.
+	s.testHookCmd = func(toks [][]byte) {
+		if len(toks) >= 2 && string(toks[0]) == "set" && string(toks[1]) == "slow-key" {
+			time.Sleep(2 * time.Millisecond)
+		}
+	}
+	serve(t, s)
 	c := dial(t, s)
 
 	// Default threshold (10ms): nothing this fast gets recorded.
@@ -260,8 +274,8 @@ func TestSlowlogEndToEnd(t *testing.T) {
 	if e.Verb != "set" || e.Key != "slow-key" {
 		t.Fatalf("entry = %+v, want set slow-key", e)
 	}
-	if e.Duration <= 0 {
-		t.Errorf("duration = %v, want > 0", e.Duration)
+	if e.Duration < time.Millisecond {
+		t.Errorf("duration = %v, want the injected 2ms sleep (>= 1ms)", e.Duration)
 	}
 	if e.Time.Before(before.Add(-2*time.Second)) || e.Time.After(time.Now().Add(2*time.Second)) {
 		t.Errorf("timestamp %v implausible (now %v)", e.Time, time.Now())
@@ -353,13 +367,12 @@ func TestReplicationLagMetrics(t *testing.T) {
 
 	// The follower's replica-status lines now carry stream staleness.
 	cf := dial(t, f)
-	status, err := cf.ReplicaStatus()
+	status, err := cf.Stats("replica status")
 	if err != nil {
 		t.Fatal(err)
 	}
-	age, err := strconv.ParseInt(status["shard0_last_frame_age_ms"], 10, 64)
-	if err != nil || age < 0 {
-		t.Errorf("shard0_last_frame_age_ms = %q (%v), want >= 0", status["shard0_last_frame_age_ms"], err)
+	if age := statInt(t, status, "shard0_last_frame_age_ms"); age < 0 {
+		t.Errorf("shard0_last_frame_age_ms = %d, want >= 0", age)
 	}
 }
 
@@ -393,28 +406,34 @@ func TestMetricsStressRace(t *testing.T) {
 			return
 		}
 		defer sc.Close()
-		prev := map[string]uint64{}
+		prev := map[string]int64{}
 		for {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			lat, err := sc.StatsLatency()
+			lat, err := sc.Stats("stats latency")
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			for verb, ls := range lat {
-				if ls.Count < prev[verb] {
-					t.Errorf("verb %s count went backwards: %d -> %d", verb, prev[verb], ls.Count)
+			// statInt stops the test with t.Fatalf, which only the test's
+			// own goroutine may call.
+			for name, v := range lat {
+				n, err := strconv.ParseInt(v, 10, 64)
+				if err != nil || n < 0 {
+					t.Errorf("stats latency %s = %q, want a number >= 0", name, v)
 					return
 				}
-				prev[verb] = ls.Count
-				if ls.Sum < 0 {
-					t.Errorf("verb %s negative sum %v", verb, ls.Sum)
+				if !strings.HasSuffix(name, "_count") {
+					continue
+				}
+				if n < prev[name] {
+					t.Errorf("%s went backwards: %d -> %d", name, prev[name], n)
 					return
 				}
+				prev[name] = n
 			}
 		}
 	}()
@@ -522,42 +541,36 @@ func TestMetricsStressRace(t *testing.T) {
 
 	// Quiescent: histogram totals must equal the command counters.
 	c := dial(t, s)
-	lat, err := c.StatsLatency()
+	lat, err := c.Stats("stats latency")
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, err := c.Stats()
+	stats, err := c.Stats("stats")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, verb := range []string{"set", "add", "replace", "append",
+	for _, verb := range []string{"get", "set", "add", "replace", "append",
 		"prepend", "incr", "decr", "touch", "delete"} {
-		want, _ := strconv.ParseUint(stats["cmd_"+verb], 10, 64)
-		if lat[verb].Count != want {
-			t.Errorf("verb %s: histogram %d != counter %d", verb, lat[verb].Count, want)
+		// get: the counter counts one per multiget command, exactly as the
+		// histogram does, and the scrape connection above issued none.
+		if h, n := statInt(t, lat, verb+"_count"), statInt(t, stats, "cmd_"+verb); h != n {
+			t.Errorf("verb %s: histogram %d != counter %d", verb, h, n)
 		}
-	}
-	// get: the counter counts one per multiget command, exactly as the
-	// histogram does — but the scrape connection above also issued none, so
-	// plain equality holds.
-	wantGets, _ := strconv.ParseUint(stats["cmd_get"], 10, 64)
-	if lat["get"].Count != wantGets {
-		t.Errorf("get: histogram %d != counter %d", lat["get"].Count, wantGets)
 	}
 	// Shard histograms partition the same commands: their counts must sum
 	// to the per-verb total for shard-routed verbs.
-	shardStats, err := c.StatsShards()
+	shardStats, err := c.Stats("stats shards")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var shardOps uint64
-	for _, ss := range shardStats {
-		shardOps += ss.Ops
+	var shardOps int64
+	for i := range s.shards {
+		shardOps += statInt(t, shardStats, fmt.Sprintf("shard%d_ops", i))
 	}
-	var verbOps uint64
+	var verbOps int64
 	for _, verb := range []string{"get", "set", "add", "replace", "append",
 		"prepend", "incr", "decr", "touch", "delete"} {
-		verbOps += lat[verb].Count
+		verbOps += statInt(t, lat, verb+"_count")
 	}
 	if shardOps != verbOps {
 		t.Errorf("shard ops %d != keyed-verb ops %d", shardOps, verbOps)

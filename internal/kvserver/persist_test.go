@@ -289,7 +289,7 @@ func TestSnapshotIntervalAndStats(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	stats, err := c.Stats()
+	stats, err := c.Stats("stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +311,7 @@ func TestRejectedSetsStat(t *testing.T) {
 	if err := c.Set("huge", make([]byte, 6<<10), 0, 0, 1); err == nil {
 		t.Fatal("an over-capacity set must be refused")
 	}
-	stats, err := c.Stats()
+	stats, err := c.Stats("stats")
 	if err != nil {
 		t.Fatal(err)
 	}

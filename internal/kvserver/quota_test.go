@@ -125,11 +125,11 @@ func TestTenantQuotaShedAndRefill(t *testing.T) {
 		t.Fatalf("over-quota read = %q/%v/%v, want hit", v, ok, err)
 	}
 
-	ts, err := def.StatsTenants()
+	ts, err := def.Stats("stats tenants")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if shed, _ := strconv.Atoi(ts["tenant:gold:quota_shed"]); shed < 1 {
+	if statInt(t, ts, "tenant:gold:quota_shed") < 1 {
 		t.Fatalf("gold quota_shed = %q, want >= 1", ts["tenant:gold:quota_shed"])
 	}
 	if ts["tenant:silver:quota_shed"] != "0" || ts["tenant:default:quota_shed"] != "0" {

@@ -36,6 +36,7 @@ package kvserver
 
 import (
 	"bufio"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -421,13 +422,16 @@ type replicaSession struct {
 	primary string
 	reps    []*shardReplica
 
-	stopOnce sync.Once
-	stop     chan struct{}
-	wg       sync.WaitGroup
+	// ctx ends when the session stops; it wakes a dial in progress as well
+	// as the reconnect backoff. cancel is idempotent.
+	ctx    context.Context
+	cancel context.CancelFunc
+	wg     sync.WaitGroup
 }
 
 func newReplicaSession(s *Server, primary string) *replicaSession {
-	rs := &replicaSession{s: s, primary: primary, stop: make(chan struct{})}
+	rs := &replicaSession{s: s, primary: primary}
+	rs.ctx, rs.cancel = context.WithCancel(context.Background())
 	for i, sh := range s.shards {
 		sr := &shardReplica{
 			rs: rs, idx: i, sh: sh,
@@ -455,23 +459,14 @@ func (rs *replicaSession) start() {
 
 // stopAll terminates every stream and waits for the goroutines. Idempotent.
 func (rs *replicaSession) stopAll() {
-	rs.stopOnce.Do(func() {
-		close(rs.stop)
-		for _, sr := range rs.reps {
-			sr.closeConn()
-		}
-	})
+	rs.cancel()
+	for _, sr := range rs.reps {
+		sr.closeConn()
+	}
 	rs.wg.Wait()
 }
 
-func (rs *replicaSession) isStopped() bool {
-	select {
-	case <-rs.stop:
-		return true
-	default:
-		return false
-	}
-}
+func (rs *replicaSession) isStopped() bool { return rs.ctx.Err() != nil }
 
 // shardReplica replicates one shard: it tracks the primary-side (generation,
 // offset) position, reconnecting with CONTINUE after a drop and falling back
@@ -575,7 +570,7 @@ func (sr *shardReplica) run() {
 		// every follower) redial in lockstep forever.
 		t := time.NewTimer(jitter(sr.rnd, backoff))
 		select {
-		case <-sr.rs.stop:
+		case <-sr.rs.ctx.Done():
 			t.Stop()
 			return
 		case <-t.C:
@@ -591,7 +586,7 @@ func (sr *shardReplica) run() {
 // least one frame applied (resetting backoff and the stale streak).
 func (sr *shardReplica) syncOnce() (progressed bool, err error) {
 	s := sr.rs.s
-	conn, err := net.DialTimeout("tcp", sr.rs.primary, replDialTimeout)
+	conn, err := (&net.Dialer{Timeout: replDialTimeout}).DialContext(sr.rs.ctx, "tcp", sr.rs.primary)
 	if err != nil {
 		return false, err
 	}

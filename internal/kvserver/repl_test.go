@@ -244,7 +244,7 @@ func TestFailoverPromoteWarmReplica(t *testing.T) {
 	if err := cf.Set("post-promote", []byte("x"), 0, 0, 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cf.ReplicaStatus(); err != nil {
+	if _, err := cf.Stats("replica status"); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -511,14 +511,14 @@ func TestReplicaRejectsAllMutations(t *testing.T) {
 	if err := cf.FlushAll(); err == nil {
 		t.Fatal("flush_all accepted on a replica")
 	}
-	stats, err := cf.Stats()
+	stats, err := cf.Stats("stats")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats["role"] != "replica" {
 		t.Fatalf("role = %q, want replica", stats["role"])
 	}
-	status, err := cf.ReplicaStatus()
+	status, err := cf.Stats("replica status")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -573,45 +573,6 @@ func TestReplHandshakeRejections(t *testing.T) {
 	waitCaughtUp(t, p, f)
 	if got := send(f, "sync 0 0 0"); got != "CLIENT_ERROR replica cannot serve syncs (chained replication unsupported)" {
 		t.Fatalf("chained sync reply: %q", got)
-	}
-}
-
-// TestDialWithReplicaRoutesReads pins the client's read-from-replica option:
-// reads hit the replica, writes the primary, and the admin helpers target
-// the replica connection.
-func TestDialWithReplicaRoutesReads(t *testing.T) {
-	p := startServer(t, Config{
-		MemoryBytes: 1 << 20,
-		Policy:      "camp",
-		DisableIQ:   true,
-		Persist:     &PersistConfig{Dir: t.TempDir(), Fsync: persist.FsyncNo, Logf: t.Logf},
-	})
-	f := startReplica(t, p, Config{MemoryBytes: 1 << 20, Policy: "camp", DisableIQ: true})
-
-	c, err := kvclient.DialWithReplica(p.Addr(), f.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { c.Close() })
-	if err := c.Set("routed", []byte("v"), 0, 0, 3); err != nil {
-		t.Fatal(err) // a write through the replica connection would be rejected
-	}
-	waitCaughtUp(t, p, f)
-	if v, ok, err := c.Get("routed"); err != nil || !ok || string(v) != "v" {
-		t.Fatalf("read-from-replica get: %q, %v, %v", v, ok, err)
-	}
-	if hits := f.counters.getHits.Load(); hits != 1 {
-		t.Fatalf("replica served %d hits, want 1 (reads must route to it)", hits)
-	}
-	if hits := p.counters.getHits.Load(); hits != 0 {
-		t.Fatalf("primary served %d hits, want 0", hits)
-	}
-	status, err := c.ReplicaStatus()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if status["role"] != "replica" {
-		t.Fatalf("ReplicaStatus targeted the wrong server: %v", status)
 	}
 }
 
@@ -839,20 +800,22 @@ func TestReplicaRestartContinues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shards, err := cf.ReplicaShards()
+	status, err := cf.Stats("replica status")
 	cf.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(shards) != 2 {
-		t.Fatalf("ReplicaShards returned %d shards, want 2", len(shards))
+	if _, ok := status["shard2_connected"]; ok {
+		t.Fatalf("replica status reports a third shard: %v", status)
 	}
-	for i, st := range shards {
-		if !st.Connected || !st.Durable || st.DurableGen == 0 || st.DurableOffset < persist.SegmentHeaderLen || st.RunID == 0 {
-			t.Fatalf("shard %d status lacks a durable position: %+v", i, st)
+	for i := 0; i < 2; i++ {
+		shard := func(name string) int64 { return statInt(t, status, fmt.Sprintf("shard%d_%s", i, name)) }
+		if shard("connected") != 1 || shard("durable") != 1 || shard("durable_gen") == 0 ||
+			shard("durable_offset") < persist.SegmentHeaderLen || statRow(t, status, fmt.Sprintf("shard%d_run_id", i)) == "0" {
+			t.Fatalf("shard %d status lacks a durable position: %v", i, status)
 		}
-		if st.FullSyncs != 1 {
-			t.Fatalf("shard %d: fresh-dir bootstrap should be exactly 1 full sync, got %d", i, st.FullSyncs)
+		if n := shard("full_syncs"); n != 1 {
+			t.Fatalf("shard %d: fresh-dir bootstrap should be exactly 1 full sync, got %d", i, n)
 		}
 	}
 
@@ -1091,16 +1054,17 @@ func TestReplicaWithoutJournalReportsNotDurable(t *testing.T) {
 		t.Fatalf("journal-less replica recorded a durable position %+v", pos)
 	}
 	cf := dial(t, f)
-	shards, err := cf.ReplicaShards()
+	status, err := cf.Stats("replica status")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, st := range shards {
-		if st.Durable || st.DurableGen != 0 || st.DurableOffset != 0 {
-			t.Fatalf("shard %d claims a durable position without a journal: %+v", i, st)
+	for i := range f.shards {
+		shard := func(name string) int64 { return statInt(t, status, fmt.Sprintf("shard%d_%s", i, name)) }
+		if shard("durable") != 0 || shard("durable_gen") != 0 || shard("durable_offset") != 0 {
+			t.Fatalf("shard %d claims a durable position without a journal: %v", i, status)
 		}
-		if !st.Connected || st.AppliedOps == 0 {
-			t.Fatalf("shard %d should still be streaming: %+v", i, st)
+		if shard("connected") != 1 || shard("applied_ops") == 0 {
+			t.Fatalf("shard %d should still be streaming: %v", i, status)
 		}
 	}
 }

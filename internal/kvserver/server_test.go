@@ -65,6 +65,30 @@ func dial(t *testing.T, s *Server) *kvclient.Client {
 	return c
 }
 
+// statRow returns the named row of a STAT reply (kvclient.Client.Stats). A
+// row the reply lacks fails the test, so a figure asserted to be zero cannot
+// pass against a row that was renamed or never sent.
+func statRow(t testing.TB, m map[string]string, name string) string {
+	t.Helper()
+	v, ok := m[name]
+	if !ok {
+		t.Fatalf("the reply has no STAT %s", name)
+	}
+	return v
+}
+
+// statInt is statRow as an int64. A run ID uses all 64 bits unsigned, so a
+// test compares it as statRow's string.
+func statInt(t testing.TB, m map[string]string, name string) int64 {
+	t.Helper()
+	v := statRow(t, m, name)
+	n, err := strconv.ParseInt(v, 10, 64)
+	if err != nil {
+		t.Fatalf("STAT %s %q: %v", name, v, err)
+	}
+	return n
+}
+
 func TestServerConfigValidation(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Fatal("zero memory must error")
@@ -262,7 +286,7 @@ func TestStatsAndFlush(t *testing.T) {
 	c.Set("a", []byte("1"), 0, 0, 1)
 	c.Get("a")
 	c.Get("b")
-	stats, err := c.Stats()
+	stats, err := c.Stats("stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +302,7 @@ func TestStatsAndFlush(t *testing.T) {
 	if _, ok, _ := c.Get("a"); ok {
 		t.Fatal("flush_all should empty the cache")
 	}
-	stats, _ = c.Stats()
+	stats, _ = c.Stats("stats")
 	if stats["curr_items"] != "0" {
 		t.Fatalf("curr_items after flush = %v", stats["curr_items"])
 	}
@@ -478,22 +502,22 @@ func TestFlushPreservesLifetimeStats(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	stats, err := c.Stats()
+	stats, err := c.Stats("stats")
 	if err != nil {
 		t.Fatal(err)
 	}
-	before, _ := strconv.Atoi(stats["evictions"])
+	before := statInt(t, stats, "evictions")
 	if before == 0 {
 		t.Fatal("workload should have caused evictions")
 	}
 	if err := c.FlushAll(); err != nil {
 		t.Fatal(err)
 	}
-	stats, err = c.Stats()
+	stats, err = c.Stats("stats")
 	if err != nil {
 		t.Fatal(err)
 	}
-	after, _ := strconv.Atoi(stats["evictions"])
+	after := statInt(t, stats, "evictions")
 	if after != before {
 		t.Fatalf("evictions = %d after flush, want %d preserved", after, before)
 	}

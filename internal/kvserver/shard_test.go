@@ -66,7 +66,7 @@ func TestShardedRoundTrip(t *testing.T) {
 	if _, ok, _ := c.Get("k100"); ok {
 		t.Fatal("deleted key still readable")
 	}
-	stats, err := c.Stats()
+	stats, err := c.Stats("stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestShardedRoundTrip(t *testing.T) {
 	if err := c.FlushAll(); err != nil {
 		t.Fatal(err)
 	}
-	stats, _ = c.Stats()
+	stats, _ = c.Stats("stats")
 	if stats["curr_items"] != "0" {
 		t.Fatalf("curr_items after flush_all = %q", stats["curr_items"])
 	}
@@ -608,7 +608,7 @@ func TestConcurrentShardStress(t *testing.T) {
 	}
 	// The server is consistent and responsive afterwards.
 	c := dial(t, s)
-	stats, err := c.Stats()
+	stats, err := c.Stats("stats")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -73,14 +73,14 @@ func TestTenantConfigValidation(t *testing.T) {
 	cfg.TenantReserves = map[string]int64{"gold": 1 << 18}
 	s := startServer(t, cfg)
 	c := dial(t, s)
-	stats, err := c.Stats()
+	stats, err := c.Stats("stats")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats["tenants"] != "2" {
 		t.Errorf("tenants stat = %q, want 2 (default + gold)", stats["tenants"])
 	}
-	ts, err := c.StatsTenants()
+	ts, err := c.Stats("stats tenants")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,11 +155,11 @@ func TestTenantNamespaceIsolation(t *testing.T) {
 	}
 
 	// Per-tenant read counters moved with the operations above.
-	ts, err := def.StatsTenants()
+	ts, err := def.Stats("stats tenants")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ts["tenant:gold:hits"] == "0" || ts["tenant:gold:bytes"] == "0" {
+	if statInt(t, ts, "tenant:gold:hits") == 0 || statInt(t, ts, "tenant:gold:bytes") == 0 {
 		t.Errorf("gold counters empty: hits=%q bytes=%q", ts["tenant:gold:hits"], ts["tenant:gold:bytes"])
 	}
 	if ts["tenant:silver:items"] != "1" {
@@ -196,7 +196,7 @@ func TestTenantFlushScoping(t *testing.T) {
 			}
 		}
 	}
-	before, err := def.StatsTenants()
+	before, err := def.Stats("stats tenants")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestTenantFlushScoping(t *testing.T) {
 	if err := gold.FlushAll(); err != nil {
 		t.Fatal(err)
 	}
-	after, err := def.StatsTenants()
+	after, err := def.Stats("stats tenants")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestTenantFlushScoping(t *testing.T) {
 	for _, tenant := range []string{"silver", "default"} {
 		for _, f := range []string{"items", "bytes"} {
 			k := "tenant:" + tenant + ":" + f
-			if after[k] != before[k] {
+			if statInt(t, after, k) != statInt(t, before, k) {
 				t.Errorf("%s changed across gold flush: %q -> %q", k, before[k], after[k])
 			}
 		}
@@ -223,7 +223,7 @@ func TestTenantFlushScoping(t *testing.T) {
 	// Lifetime hit counters survive the flush — for gold too.
 	for _, tenant := range []string{"gold", "silver", "default"} {
 		k := "tenant:" + tenant + ":hits"
-		if after[k] != before[k] {
+		if statInt(t, after, k) != statInt(t, before, k) {
 			t.Errorf("%s changed across flush: %q -> %q", k, before[k], after[k])
 		}
 	}
@@ -260,7 +260,7 @@ func TestTenantFlushScoping(t *testing.T) {
 	if _, ok, _ := silver.Get("k0"); ok {
 		t.Error("silver k0 survived flush_all all")
 	}
-	final, err := def.StatsTenants()
+	final, err := def.Stats("stats tenants")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -504,22 +504,21 @@ func TestMemshareIsolation(t *testing.T) {
 	{
 		c := dial(t, shared)
 		var err error
-		if ts, err = c.StatsTenants(); err != nil {
+		if ts, err = c.Stats("stats tenants"); err != nil {
 			t.Fatal(err)
 		}
 	}
-	churnEv, _ := strconv.ParseInt(ts["tenant:churn:evictions"], 10, 64)
-	if churnEv == 0 {
+	if statInt(t, ts, "tenant:churn:evictions") == 0 {
 		t.Error("churner saw no evictions: trace not evict-heavy, test proves nothing")
 	}
-	if ev := ts["tenant:quiet:evictions"]; ev != "0" {
-		t.Errorf("quiet tenant evictions = %q, want 0 (working set under reserve)", ev)
+	if ev := statInt(t, ts, "tenant:quiet:evictions"); ev != 0 {
+		t.Errorf("quiet tenant evictions = %d, want 0 (working set under reserve)", ev)
 	}
-	quietBytes, _ := strconv.ParseInt(ts["tenant:quiet:bytes"], 10, 64)
+	quietBytes := statInt(t, ts, "tenant:quiet:bytes")
 	if quietBytes < 48*512 {
 		t.Errorf("quiet bytes = %d, want at least the 24KiB working set", quietBytes)
 	}
-	churnBytes, _ := strconv.ParseInt(ts["tenant:churn:bytes"], 10, 64)
+	churnBytes := statInt(t, ts, "tenant:churn:bytes")
 	if churnBytes <= quietBytes {
 		t.Errorf("churn bytes = %d <= quiet bytes %d: shared pool never flowed to the churner",
 			churnBytes, quietBytes)

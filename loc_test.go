@@ -14,7 +14,8 @@ import (
 // caps the non-test Go lines (`wc -l`) of one package directory — NAME
 // lowercased with _ as /, under internal/ when that is not a directory at
 // the root (KVSERVER is internal/kvserver, ALLOC internal/alloc, PERSIST
-// internal/persist, INTERNAL_CACHE internal/cache).
+// internal/persist, INTERNAL_CACHE internal/cache, KVCLIENT
+// internal/kvclient).
 // The budgets only ever go down, so a package can only shrink.
 func TestLineBudgets(t *testing.T) {
 	makefile, err := os.ReadFile("Makefile")
