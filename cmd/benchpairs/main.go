@@ -1,6 +1,7 @@
 // Command benchpairs runs the repository's benchmark as alternating
 // parent/change pairs and prints what a performance claim needs: per metric,
-// each side's median [q1, q3], the pairs the change won, and the CHANGES.md
+// each side's median [q1, q3], the pairs the change won with the exact
+// one-sided sign-test p over the pairs that did not tie, and the CHANGES.md
 // table row. It edits nothing under bench/ — it only runs bench/run.sh, once
 // in this working tree (the change) and once in a pristine copy of the parent
 // commit extracted under the git-ignored .bench_build/.
@@ -8,8 +9,11 @@
 //	go run ./cmd/benchpairs -parent HEAD -workload get_hot -n 10
 //	make bench-pairs PARENT=HEAD WORKLOAD=get_hot N=10
 //
-// Pair i runs both sides with seed seed0+i-1, the parent first when i is odd
-// and the change first when it is even. Run length is the benchmark's own (no
+// Pair i runs both sides with seed seed0+i-1. Which side runs first is a
+// shuffle seeded by seed0 that puts the parent first in ⌊n/2⌋ pairs, printed
+// with each pair, so drift across a series lands on neither side by
+// construction (a fixed P C | C P schedule gave the parent the first and last
+// run of every series). Run length is the benchmark's own (no
 // --seconds is passed, so bench/run.sh's default governs; for a short smoke
 // run call bench/run.sh directly). Every run has a time limit, so the
 // open-loop wedge (driver and server both blocked in write) fails loudly
@@ -25,6 +29,8 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math/big"
+	"math/rand"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -89,12 +95,14 @@ func run() error {
 	values := map[string]map[string][]float64{"parent": {}, "change": {}}
 	var refused []string
 	counted := 0
+	parentFirst := pairOrder(*n, *seed0)
 	for i := 1; i <= *n; i++ {
 		seed := *seed0 + int64(i) - 1
-		order := []string{"parent", "change"}
-		if i%2 == 0 {
-			order = []string{"change", "parent"}
+		order := []string{"change", "parent"}
+		if parentFirst[i-1] {
+			order = []string{"parent", "change"}
 		}
+		fmt.Printf("pair %d seed %d order %s\n", i, seed, strings.Join(order, ", "))
 		pair := map[string]result{}
 		for _, side := range order {
 			res, err := runOnce(trees[side], append(args, "--seed", fmt.Sprint(seed)))
@@ -136,6 +144,29 @@ func run() error {
 		return fmt.Errorf("%d run(s) not counted:\n  %s", len(refused), strings.Join(refused, "\n  "))
 	}
 	return nil
+}
+
+// pairOrder reports, for each of n pairs, whether the parent runs first: a
+// shuffle, seeded by seed, of ⌊n/2⌋ parent-first and n-⌊n/2⌋ change-first
+// slots.
+func pairOrder(n int, seed int64) []bool {
+	first := make([]bool, n)
+	for i := 0; i < n/2; i++ {
+		first[i] = true
+	}
+	rand.New(rand.NewSource(seed)).Shuffle(n, func(i, j int) { first[i], first[j] = first[j], first[i] })
+	return first
+}
+
+// signP is the exact one-sided sign-test p of won wins in decided untied
+// pairs: the chance of at least won heads in decided fair coin flips.
+func signP(won, decided int) float64 {
+	tail := new(big.Int)
+	for k := won; k <= decided; k++ {
+		tail.Add(tail, new(big.Int).Binomial(int64(decided), int64(k)))
+	}
+	p, _ := new(big.Rat).SetFrac(tail, new(big.Int).Lsh(big.NewInt(1), uint(decided))).Float64()
+	return p
 }
 
 // readDefs returns BENCHMARK.json's metrics, end-to-end first.
@@ -263,7 +294,8 @@ func quartiles(v []float64) (q1, med, q3 float64) {
 
 // compare renders one metric's table cell from paired samples (parent[i] and
 // change[i] ran with the same seed): both sides' median [q1, q3], pairs won
-// (ties count for neither) and the verdict under the repository's rules —
+// (ties count for neither), the sign-test p of that count over the untied
+// pairs, and the verdict under the repository's rules —
 // "identical" when every pair tied to the last digit (what a count must do
 // before a claim may rest on it), "gain" when at least ten pairs ran, the
 // change won nine tenths of all of them (a tie is not a win) and the medians
@@ -287,7 +319,7 @@ func compare(d metricDef, parent, change []float64) string {
 	}
 	pq1, pm, pq3 := quartiles(parent)
 	cq1, cm, cq3 := quartiles(change)
-	cell := fmt.Sprintf("%s [%s, %s] → %s [%s, %s], %d/%d", num(pm), num(pq1), num(pq3), num(cm), num(cq1), num(cq3), won, len(parent))
+	cell := fmt.Sprintf("%s [%s, %s] → %s [%s, %s], %d/%d p=%.4g", num(pm), num(pq1), num(pq3), num(cm), num(cq1), num(cq3), won, len(parent), signP(won, decided))
 	diff := cm - pm
 	if diff < 0 {
 		diff = -diff

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -51,10 +52,11 @@ func TestCompareVerdicts(t *testing.T) {
 		}
 	}
 	// Ties are not wins: six wins and four exact ties move the median by more
-	// than the parent's (zero) IQR, but six pairs in ten is not nine.
+	// than the parent's (zero) IQR, but six pairs in ten is not nine. The
+	// sign test counts only the six untied pairs: p = 1/64.
 	flat := []float64{2, 2, 2, 2, 2, 2, 2, 2, 2, 2}
-	if cell := compare(lower, flat, []float64{1, 1, 1, 1, 1, 1, 2, 2, 2, 2}); !strings.HasSuffix(cell, ", 6/10") {
-		t.Errorf("mostly tied: cell %q, want 6/10 and no verdict", cell)
+	if cell := compare(lower, flat, []float64{1, 1, 1, 1, 1, 1, 2, 2, 2, 2}); !strings.HasSuffix(cell, ", 6/10 p=0.01562") {
+		t.Errorf("mostly tied: cell %q, want 6/10 p=0.01562 and no verdict", cell)
 	}
 	// Higher-is-better flips who wins; a tie counts for neither side.
 	higher := metricDef{Name: "ops_per_s", Better: "higher", Bound: 0.25}
@@ -78,5 +80,52 @@ func TestParseResultRefusesBadRuns(t *testing.T) {
 		if _, err := parseResult([]byte(bad)); err == nil {
 			t.Errorf("parseResult(%q) accepted a run that must not count", bad)
 		}
+	}
+}
+
+func TestPairOrderBalancedAndSeeded(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		order := pairOrder(10, seed)
+		first := 0
+		for _, p := range order {
+			if p {
+				first++
+			}
+		}
+		if first != 5 {
+			t.Fatalf("seed %d: parent first in %d of 10 pairs, want 5: %v", seed, first, order)
+		}
+		if again := pairOrder(10, seed); fmt.Sprint(again) != fmt.Sprint(order) {
+			t.Fatalf("seed %d: order %v, then %v", seed, order, again)
+		}
+	}
+	if a, b := pairOrder(10, 1), pairOrder(10, 2); fmt.Sprint(a) == fmt.Sprint(b) {
+		t.Errorf("seeds 1 and 2 gave the same order %v", a)
+	}
+	if order := pairOrder(7, 3); len(order) != 7 || strings.Count(fmt.Sprint(order), "true") != 3 {
+		t.Errorf("n=7: order %v, want 3 parent-first slots of 7", order)
+	}
+}
+
+func TestSignP(t *testing.T) {
+	for _, tc := range []struct {
+		won, decided int
+		want         float64
+	}{
+		{9, 10, 11.0 / 1024},
+		{10, 10, 1.0 / 1024},
+		{0, 10, 1},
+		{0, 0, 1},
+		{6, 6, 1.0 / 64},
+	} {
+		if got := signP(tc.won, tc.decided); got != tc.want {
+			t.Errorf("signP(%d, %d) = %v, want %v", tc.won, tc.decided, got, tc.want)
+		}
+	}
+	lower := metricDef{Name: "cpu_us_per_op", Better: "lower"}
+	parent := []float64{2, 2, 2, 2, 2, 2, 2, 2, 2, 2}
+	change := []float64{1, 1, 1, 1, 1, 1, 1, 1, 1, 3}
+	if cell := compare(lower, parent, change); !strings.Contains(cell, ", 9/10 p=0.01074") {
+		t.Errorf("cell %q, want 9/10 p=0.01074", cell)
 	}
 }

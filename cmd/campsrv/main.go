@@ -7,14 +7,13 @@
 //	        [-shards N] [-precision 5] [-no-iq]
 //	        [-replica-of host:port]
 //	        [-tenant-reserve name=bytes ...] [-tenant-quota name=ops[:bytes] ...]
-//	        [-data-dir /var/lib/campsrv [-aof=true] [-fsync everysec]
-//	         [-snapshot-interval 5m] [-aof-limit 64MiB]]
+//	        [-data-dir /var/lib/campsrv [-fsync everysec] [-aof-limit 64MiB]]
 //
 // -shards (default: one per core, capped so each shard keeps a useful
 // slice of -mem) hash-partitions keys across independent stores, each with
 // its own lock and its own journal under data-dir/shard-NNN/, so writes
-// scale across cores. A data directory written by an older single-store
-// build, or with a different -shards, is migrated in place at startup.
+// scale across cores. A data directory written with a different -shards is
+// migrated in place at startup.
 //
 // In IQ mode (default) the server derives each key's cost from the elapsed
 // time between a get miss and the subsequent set, as in the paper's §4
@@ -23,8 +22,8 @@
 // With -data-dir set, mutations are journaled to an append-only log and the
 // server warm-restarts from the newest snapshot plus the journal tail, so a
 // deploy or crash does not throw away the working set or the per-key costs
-// IQ mode spent real time learning. -aof=false switches to snapshot-only
-// durability (interval and shutdown snapshots).
+// IQ mode spent real time learning. A shard's journal is compacted into a
+// fresh snapshot once it outgrows -aof-limit.
 package main
 
 import (
@@ -73,9 +72,7 @@ func run() error {
 		quotas   = tenantQuotas{}
 
 		dataDir  = flag.String("data-dir", "", "persistence directory (empty = volatile cache)")
-		aof      = flag.Bool("aof", true, "journal mutations to an append-only log (requires -data-dir)")
 		fsync    = flag.String("fsync", persist.FsyncEverySec, "AOF sync policy: always, everysec or no")
-		snapshot = flag.Duration("snapshot-interval", 0, "background snapshot period (0 = size-triggered only)")
 		aofLimit = flag.String("aof-limit", "", "AOF size triggering compaction (default 64MiB)")
 	)
 	flag.Var(&reserves, "tenant-reserve", "reserve memory for a tenant as name=bytes (e.g. -tenant-reserve gold=16MiB); repeatable")
@@ -117,11 +114,9 @@ func run() error {
 	}
 	if *dataDir != "" {
 		p := &kvserver.PersistConfig{
-			Dir:              *dataDir,
-			DisableAOF:       !*aof,
-			Fsync:            *fsync,
-			SnapshotInterval: *snapshot,
-			Logf:             log.Printf,
+			Dir:   *dataDir,
+			Fsync: *fsync,
+			Logf:  log.Printf,
 		}
 		if *aofLimit != "" {
 			if p.AOFLimit, err = parseSize(*aofLimit); err != nil {
@@ -153,8 +148,8 @@ func run() error {
 		fmt.Printf("campsrv: metrics on http://%s/metrics (pprof under /debug/pprof/)\n", srv.MetricsAddr())
 	}
 	if *dataDir != "" {
-		fmt.Printf("campsrv: persistence in %s (aof=%v fsync=%s), recovered in %v\n",
-			*dataDir, *aof, *fsync, time.Since(start).Round(time.Millisecond))
+		fmt.Printf("campsrv: persistence in %s (fsync=%s), recovered in %v\n",
+			*dataDir, *fsync, time.Since(start).Round(time.Millisecond))
 	}
 
 	// SIGTERM/SIGINT drain gracefully: stop accepting, let in-flight

@@ -190,9 +190,6 @@ func checkJournalsFlushed(t *testing.T, s *Server) {
 	for i, sh := range s.shards {
 		for sh.mgr != nil && !sh.degraded.Load() {
 			info := sh.mgr.Info()
-			if !info.AOFEnabled {
-				break
-			}
 			st, err := os.Stat(filepath.Join(sh.mgr.Dir(), fmt.Sprintf("aof-%08d.log", info.Generation)))
 			if err == nil && st.Size() == info.AOFSize {
 				break

@@ -20,21 +20,17 @@ import (
 //	  shard-000/      shard 0's snap-*.camp, aof-*.log and LOCK
 //	  shard-001/      ...
 //
-// Two older shapes are migrated in place at open:
-//
-//   - legacy (pre-sharding): snap-*/aof-* files directly in the root;
-//   - a different shard count: shard-NNN dirs whose number does not match
-//     the configured -shards (the default tracks GOMAXPROCS, so this happens
-//     on any core-count change).
-//
-// Migration recovers every source read-only into the new in-memory shards,
-// stages the new layout as shard-NNN.new dirs each holding a generation-1
-// snapshot in eviction order, and then swaps: a MIGRATE marker (recording
-// the target count) commits the staged set, sources are deleted, staged dirs
-// renamed into place, marker removed. A crash before the marker leaves the
-// sources untouched (stray .new dirs are discarded); a crash after it is
-// finished from the staged dirs at the next open — at no point is the only
-// copy of the data mid-write.
+// A directory written with a different shard count (shard-NNN dirs whose
+// number does not match the configured -shards; the default tracks
+// GOMAXPROCS, so this happens on any core-count change) is migrated in place
+// at open. Migration recovers every old shard dir read-only into the new
+// in-memory shards, stages the new layout as shard-NNN.new dirs each holding
+// a generation-1 snapshot in eviction order, and then swaps: a MIGRATE marker
+// (recording the target count) commits the staged set, sources are deleted,
+// staged dirs renamed into place, marker removed. A crash before the marker
+// leaves the sources untouched (stray .new dirs are discarded); a crash after
+// it is finished from the staged dirs at the next open — at no point is the
+// only copy of the data mid-write.
 const (
 	shardDirPrefix = "shard-"
 	stageSuffix    = ".new"
@@ -68,16 +64,12 @@ func (s *Server) openPersistence() error {
 	if err := finishMigration(p.Dir, s.logf); err != nil {
 		return err
 	}
-	legacy, err := persist.HasState(p.Dir)
-	if err != nil {
-		return err
-	}
 	oldIdx, err := shardDirIndices(p.Dir)
 	if err != nil {
 		return err
 	}
-	if legacy || layoutMismatch(oldIdx, len(s.shards)) {
-		if err := s.migrate(p.Dir, legacy, oldIdx); err != nil {
+	if layoutMismatch(oldIdx, len(s.shards)) {
+		if err := s.migrate(p.Dir, oldIdx); err != nil {
 			return err
 		}
 	}
@@ -114,12 +106,11 @@ func (s *Server) openPersistence() error {
 				return sh.store.restore(op)
 			}
 			mgr, rec, err := persist.Open(persist.Options{
-				Dir:        filepath.Join(p.Dir, shardDirName(i)),
-				Fsync:      p.Fsync,
-				DisableAOF: p.DisableAOF,
-				AOFLimit:   p.AOFLimit,
-				Logf:       p.Logf,
-				FS:         p.FS,
+				Dir:      filepath.Join(p.Dir, shardDirName(i)),
+				Fsync:    p.Fsync,
+				AOFLimit: p.AOFLimit,
+				Logf:     p.Logf,
+				FS:       p.FS,
 			}, apply)
 			if err != nil {
 				errs[i] = fmt.Errorf("shard %d: %w", i, err)
@@ -167,21 +158,14 @@ func layoutMismatch(idx []int, n int) bool {
 }
 
 // migrate rebuilds the data directory for the configured shard count: every
-// source (legacy root files and/or old shard dirs) is recovered read-only
-// into the new in-memory shards, the new layout is staged and swapped in,
-// and the stores are reset so the per-shard manager opens that follow replay
-// the staged snapshots — recovery stays a single code path.
-func (s *Server) migrate(dir string, legacy bool, oldIdx []int) error {
-	s.logf("kvserver: migrating data dir %s to %d shards (legacy=%v, old dirs=%d)",
-		dir, len(s.shards), legacy, len(oldIdx))
-	var sources []string
-	if legacy {
-		sources = append(sources, dir)
-	}
+// old shard dir is recovered read-only into the new in-memory shards, the new
+// layout is staged and swapped in, and the stores are reset so the per-shard
+// manager opens that follow replay the staged snapshots — recovery stays a
+// single code path.
+func (s *Server) migrate(dir string, oldIdx []int) error {
+	s.logf("kvserver: migrating data dir %s from %d to %d shards", dir, len(oldIdx), len(s.shards))
 	for _, i := range oldIdx {
-		sources = append(sources, filepath.Join(dir, shardDirName(i)))
-	}
-	for _, src := range sources {
+		src := filepath.Join(dir, shardDirName(i))
 		// Each source's op stream covers a disjoint key subset, so a flush
 		// record in it clears exactly the keys this source has applied so
 		// far — tracked here, deleted from whichever new shard they routed
@@ -293,15 +277,12 @@ func finishMigration(dir string, logf func(format string, args ...any)) error {
 	return swapStaged(dir, n)
 }
 
-// swapStaged commits a staged layout of n shards: legacy root files and old
-// shard dirs are deleted, staged dirs renamed into place, and the marker
-// removed. It is idempotent — a crash at any point is finished by running it
-// again — because a final shard-NNN dir is only ever deleted while its .new
-// replacement still exists (or its index is beyond n).
+// swapStaged commits a staged layout of n shards: old shard dirs are deleted,
+// staged dirs renamed into place, and the marker removed. It is idempotent —
+// a crash at any point is finished by running it again — because a final
+// shard-NNN dir is only ever deleted while its .new replacement still exists
+// (or its index is beyond n).
 func swapStaged(dir string, n int) error {
-	if err := removeLegacyFiles(dir); err != nil {
-		return err
-	}
 	idx, err := shardDirIndices(dir)
 	if err != nil {
 		return err
@@ -408,13 +389,4 @@ func shardDirIndices(dir string) ([]int, error) {
 	}
 	sort.Ints(idx)
 	return idx, nil
-}
-
-// removeLegacyFiles deletes pre-sharding snapshot/AOF files from the root of
-// dir. Their content has already been staged into the new shard dirs.
-func removeLegacyFiles(dir string) error {
-	if err := persist.RemoveState(dir); err != nil {
-		return fmt.Errorf("kvserver: migrate: remove legacy files: %w", err)
-	}
-	return nil
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
-	"time"
 
 	"camp/internal/itab"
 	"camp/internal/kvclient"
@@ -222,84 +221,33 @@ func TestWarmHitRateAfterRecovery(t *testing.T) {
 	}
 }
 
-// TestSnapshotOnlyGracefulRestart covers DisableAOF: a graceful Close writes
-// a final snapshot, and a restart warm-loads it.
-func TestSnapshotOnlyGracefulRestart(t *testing.T) {
-	dir := t.TempDir()
-	pcfg := func() *PersistConfig {
-		return &PersistConfig{Dir: dir, DisableAOF: true, Logf: t.Logf}
-	}
-	cfg := Config{MemoryBytes: 1 << 20, Policy: "camp", DisableIQ: true, Persist: pcfg()}
-	s1 := startServer(t, cfg)
-	c := dial(t, s1)
-	for i := 0; i < 50; i++ {
-		if err := c.Set(fmt.Sprintf("k%02d", i), []byte("v"), 0, 0, int64(i+1)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s1.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	cfg.Persist = pcfg()
-	s2, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	if s2.recovered.SnapshotOps != 50 {
-		t.Fatalf("recovered %d snapshot ops, want 50", s2.recovered.SnapshotOps)
-	}
-	sh := s2.shardFor("k07")
-	sh.mu.Lock()
-	it := itab.Lookup(sh.store.items, "k07")
-	sh.mu.Unlock()
-	if it == nil || it.node.Cost != 8 {
-		t.Fatalf("k07 after snapshot restart: found=%v, want cost 8", it != nil)
-	}
-}
-
-// TestSnapshotIntervalAndStats drives the background snapshot ticker and the
-// new persistence/admission stats lines.
-func TestSnapshotIntervalAndStats(t *testing.T) {
+// TestPersistStats forces a compaction and checks the persistence and
+// admission stats lines.
+func TestPersistStats(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{
 		MemoryBytes: 1 << 20,
 		Policy:      "camp",
 		DisableIQ:   true,
-		Persist: &PersistConfig{
-			Dir:              dir,
-			Fsync:            persist.FsyncNo,
-			SnapshotInterval: 50 * time.Millisecond,
-			Logf:             t.Logf,
-		},
+		Persist:     &PersistConfig{Dir: dir, Fsync: persist.FsyncNo, Logf: t.Logf},
 	}
 	s := startServer(t, cfg)
 	c := dial(t, s)
 	if err := c.Set("a", []byte("v"), 0, 0, 5); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if totalCompactions(s) > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("snapshot ticker never fired")
-		}
-		time.Sleep(10 * time.Millisecond)
+	s.Snapshot()
+	if totalCompactions(s) == 0 {
+		t.Fatal("Snapshot compacted no shard")
 	}
 	stats, err := c.Stats("stats")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"rejected_sets", "persist_gen", "aof_enabled", "aof_bytes", "persist_compactions"} {
+	for _, key := range []string{"rejected_sets", "persist_gen", "aof_bytes", "persist_compactions"} {
 		if _, ok := stats[key]; !ok {
 			t.Fatalf("stats missing %q: %v", key, stats)
 		}
-	}
-	if stats["aof_enabled"] != "1" {
-		t.Fatalf("aof_enabled = %q, want 1", stats["aof_enabled"])
 	}
 }
 

@@ -173,7 +173,7 @@ func (s *Server) handleReplconf(args [][]byte, cs *connState) error {
 	if !ok {
 		return cs.send(replyBadReplconf)
 	}
-	if s.cfg.Persist == nil || s.cfg.Persist.DisableAOF {
+	if s.cfg.Persist == nil {
 		return cs.send(replyNoJournal)
 	}
 	if int(n) != len(s.shards) {
@@ -219,7 +219,7 @@ func (s *Server) handleSync(args [][]byte, cs *connState) error {
 		cs.w.Write(replyNotPrimary)
 		return errCloseConn
 	}
-	if s.cfg.Persist == nil || s.cfg.Persist.DisableAOF {
+	if s.cfg.Persist == nil {
 		cs.w.Write(replyNoJournal)
 		return errCloseConn
 	}

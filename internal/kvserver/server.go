@@ -178,16 +178,9 @@ type PersistConfig struct {
 	// unix; platforms without flock get no mutual exclusion), so a second
 	// server pointed at the same directory refuses to start.
 	Dir string
-	// DisableAOF turns off per-mutation journaling; durability then comes
-	// only from interval and shutdown snapshots.
-	DisableAOF bool
 	// Fsync is the AOF sync policy: persist.FsyncAlways, FsyncEverySec
 	// (default) or FsyncNo.
 	Fsync string
-	// SnapshotInterval, when positive, snapshots the shards periodically in
-	// the background, one shard at a time (each snapshot also truncates
-	// that shard's journal).
-	SnapshotInterval time.Duration
 	// AOFLimit overrides the per-shard journal size that triggers
 	// compaction.
 	AOFLimit int64
@@ -374,7 +367,7 @@ func New(cfg Config) (*Server, error) {
 		s.compactC = make(chan *shard, len(s.shards))
 		s.probeC = make(chan struct{}, 1)
 		s.wg.Add(2)
-		go s.compactorLoop(p.SnapshotInterval)
+		go s.compactorLoop()
 		go s.proberLoop(p.ProbeMin, p.ProbeMax)
 	}
 	// Configured reserves apply after recovery, so operator flags win over
@@ -444,33 +437,17 @@ func (s *Server) requestCompact(sh *shard) {
 	}
 }
 
-// compactorLoop owns every snapshot cycle: size-triggered requests from the
-// journal path and the optional interval ticker. Walking the shards one at a
-// time bounds any stall to a single shard's copy-out — the disk write
-// happens with no lock held at all.
-func (s *Server) compactorLoop(interval time.Duration) {
+// compactorLoop runs the size-triggered snapshot cycles the journal path
+// requests, one shard at a time, so any stall is bounded to a single shard's
+// copy-out — the disk write happens with no lock held at all.
+func (s *Server) compactorLoop() {
 	defer s.wg.Done()
-	var tick <-chan time.Time
-	if interval > 0 {
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		tick = t.C
-	}
 	for {
 		select {
 		case <-s.stopBg:
 			return
 		case sh := <-s.compactC:
 			sh.compact()
-		case <-tick:
-			for _, sh := range s.shards {
-				select {
-				case <-s.stopBg:
-					return
-				default:
-				}
-				sh.compact()
-			}
 		}
 	}
 }
@@ -492,14 +469,10 @@ func (s *Server) Addr() string {
 }
 
 // Close stops the server (a hard stop: live connections close at once) and
-// flushes the persistence subsystem: every shard's journal is synced, and
-// when the AOF is disabled a final snapshot captures each shard.
+// flushes the persistence subsystem: every shard's journal is synced.
 func (s *Server) Close() error {
 	err, wasOpen := s.stop(0)
 	if wasOpen && s.cfg.Persist != nil {
-		if s.cfg.Persist.DisableAOF {
-			s.Snapshot()
-		}
 		err = s.closeJournals(err)
 	}
 	return err
@@ -581,7 +554,12 @@ func (s *Server) stop(grace time.Duration) (err error, wasOpen bool) {
 		s.closeConns()
 		close(s.stopBg)
 	}
-	if s.ln != nil {
+	// A drain keeps accepting for a moment, and acceptLoop closes the
+	// listener once its deadline passes: a close would reset the connections
+	// the kernel has already completed, under their pipelined bytes.
+	if l, ok := s.ln.(*net.TCPListener); ok && grace > 0 {
+		err = l.SetDeadline(time.Now().Add(min(grace, acceptDrain)))
+	} else if s.ln != nil {
 		err = s.ln.Close()
 	}
 	if s.repl != nil {
@@ -621,14 +599,19 @@ func (s *Server) closeConns() {
 // over the limit.
 const acceptRejectBackoff = 50 * time.Millisecond
 
+// acceptDrain bounds how long a graceful stop keeps taking the connections
+// the kernel completed before it began.
+const acceptDrain = 100 * time.Millisecond
+
 func (s *Server) acceptLoop() {
 	defer s.wg.Done()
 	defer s.clients.Done()
+	defer s.ln.Close()
 	rejectPause := time.Millisecond
 	for {
 		conn, err := s.ln.Accept()
 		if err != nil {
-			return // listener closed
+			return // listener closed, or a drain's accept deadline passed
 		}
 		if max := s.cfg.MaxConns; max > 0 && s.counters.currConns.Load() >= int64(max) {
 			// Over the accept limit: refuse and pause before the next

@@ -353,9 +353,7 @@ func (s *Server) flushJournals() {
 // journal is still a faithful prefix of the applied stream. The caller holds
 // sh.mu.
 func (sh *shard) canPersistPosLocked() bool {
-	return sh.mgr != nil && sh.srv.cfg.Persist != nil &&
-		!sh.srv.cfg.Persist.DisableAOF && !sh.replDiverged &&
-		!sh.degraded.Load()
+	return sh.mgr != nil && !sh.replDiverged && !sh.degraded.Load()
 }
 
 // enterDegraded moves the shard to cache-only operation after a persistence
@@ -390,8 +388,8 @@ func (sh *shard) markDivergedLocked() {
 
 // compact runs one snapshot-then-truncate cycle on this shard. Degraded
 // shards are skipped: the prober owns re-entry to healthy (runCompaction
-// with heal=true), and compacting a broken disk from the interval ticker
-// would just churn errors.
+// with heal=true), and compacting a broken disk on the size trigger or a
+// forced Snapshot would just churn errors.
 func (sh *shard) compact() {
 	if sh.degraded.Load() {
 		return

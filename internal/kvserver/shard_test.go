@@ -172,102 +172,17 @@ func TestShardedCrashRecovery(t *testing.T) {
 	}
 }
 
-// TestLegacyLayoutMigration seeds a data directory the way the pre-sharding
-// server wrote it — snapshot and journal directly in the root — and checks a
-// sharded server migrates it in place: all keys present with costs intact,
-// journal history (including a flush) honored, root files gone, per-shard
-// dirs in service.
-func TestLegacyLayoutMigration(t *testing.T) {
-	dir := t.TempDir()
-	// Build the legacy layout with the persist package directly, exactly as
-	// kvserver PR-1 did: one manager over the root dir.
-	mgr, _, err := persist.Open(persist.Options{Dir: dir, Fsync: persist.FsyncAlways}, func(persist.Op) error { return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	journal := func(op persist.Op) {
-		t.Helper()
-		if err := mgr.Append(op); err != nil {
-			t.Fatal(err)
-		}
-	}
-	journal(persist.Op{Kind: persist.KindSet, Key: "doomed-a", Value: []byte("x"), Size: 64, Cost: 5})
-	journal(persist.Op{Kind: persist.KindSet, Key: "doomed-b", Value: []byte("x"), Size: 64, Cost: 5})
-	journal(persist.Op{Kind: persist.KindFlush})
-	for i := 0; i < 50; i++ {
-		journal(persist.Op{
-			Kind:  persist.KindSet,
-			Key:   fmt.Sprintf("k%02d", i),
-			Value: []byte(fmt.Sprintf("v%02d", i)),
-			Flags: uint32(i),
-			Size:  64,
-			Cost:  int64(i + 1),
-		})
-	}
-	journal(persist.Op{Kind: persist.KindDelete, Key: "k00"})
-	if err := mgr.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	cfg := Config{
-		MemoryBytes: 4 << 20,
-		Shards:      4,
-		Policy:      "camp",
-		DisableIQ:   true,
-		Persist:     &PersistConfig{Dir: dir, Fsync: persist.FsyncAlways, Logf: t.Logf},
-	}
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	got := captureState(s)
-	if len(got) != 49 {
-		t.Fatalf("migrated %d items, want 49: %v", len(got), got)
-	}
-	if _, ok := got["doomed-a"]; ok {
-		t.Fatal("migration ignored the journaled flush")
-	}
-	if it := got["k07"]; it.value != "v07" || it.flags != 7 || it.cost != 8 {
-		t.Fatalf("k07 after migration: %+v", it)
-	}
-	// Root files are gone; per-shard dirs exist.
-	if has, err := persist.HasState(dir); err != nil || has {
-		t.Fatalf("legacy root files survived migration (has=%v, err=%v)", has, err)
-	}
-	for i := 0; i < 4; i++ {
-		if _, err := os.Stat(filepath.Join(dir, shardDirName(i))); err != nil {
-			t.Fatalf("missing shard dir %d: %v", i, err)
-		}
-	}
-
-	// The migrated layout must itself survive a crash cycle.
-	if err := s.Start(); err != nil {
-		t.Fatal(err)
-	}
-	c := dial(t, s)
-	if err := c.Set("post-migrate", []byte("p"), 0, 0, 3); err != nil {
-		t.Fatal(err)
-	}
-	s.Kill()
-	s2, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	got = captureState(s2)
-	if len(got) != 50 {
-		t.Fatalf("post-migration crash recovery: %d items, want 50", len(got))
-	}
-}
-
 // TestReshardMigration restarts the same data dir at different shard counts
 // — the default tracks GOMAXPROCS, so growing and shrinking both happen in
 // the wild — and checks every item (value, flags, cost) survives each hop.
+// The first layout's journals carry a flush record between two batches of
+// sets, so the first migration must honour it; the last layout must itself
+// survive a crash cycle.
 func TestReshardMigration(t *testing.T) {
 	dir := t.TempDir()
 	var want map[string]expectedItem
-	for hop, shards := range []int{2, 5, 3, 1} {
+	hops := []int{2, 5, 3, 1}
+	for hop, shards := range hops {
 		cfg := Config{
 			MemoryBytes: 8 << 20,
 			Shards:      shards,
@@ -284,36 +199,76 @@ func TestReshardMigration(t *testing.T) {
 				t.Fatal(err)
 			}
 			c := dial(t, s)
+			for i := 0; i < 30; i++ {
+				if err := c.Set(fmt.Sprintf("doomed%02d", i), []byte("x"), 0, 0, 5); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// flush_all compacts each shard at once, which drops the record
+			// from the journal. A crash between that compaction's segment
+			// switch and its snapshot commit leaves the record live: flush
+			// and journal it here without the compaction.
+			for _, sh := range s.shards {
+				sh.mu.Lock()
+				sh.store.flush()
+				sh.journalLocked(persist.Op{Kind: persist.KindFlush})
+				sh.mu.Unlock()
+			}
 			for i := 0; i < 120; i++ {
 				if err := c.Set(fmt.Sprintf("k%03d", i), []byte(fmt.Sprintf("v%03d", i)), uint32(i), 0, int64(i+1)); err != nil {
 					t.Fatal(err)
 				}
 			}
 			want = captureState(s)
-			if len(want) != 120 {
-				t.Fatalf("seeded %d items, want 120", len(want))
-			}
-		} else {
-			got := captureState(s)
-			if len(got) != len(want) {
-				t.Fatalf("hop %d (shards=%d): %d items, want %d", hop, shards, len(got), len(want))
-			}
-			for key, w := range want {
-				if g, ok := got[key]; !ok || g != w {
-					t.Fatalf("hop %d (shards=%d): key %q = %+v, want %+v (present=%v)", hop, shards, key, g, w, ok)
-				}
-			}
-			// The old dirs must be gone: exactly `shards` shard dirs remain.
-			idx, err := shardDirIndices(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if layoutMismatch(idx, shards) {
-				t.Fatalf("hop %d: leftover shard dirs %v for %d shards", hop, idx, shards)
+		}
+		got := captureState(s)
+		if len(got) != 120 {
+			t.Fatalf("hop %d (shards=%d): %d items, want 120 (the flushed keys must stay gone)", hop, shards, len(got))
+		}
+		for key, w := range want {
+			if g, ok := got[key]; !ok || g != w {
+				t.Fatalf("hop %d (shards=%d): key %q = %+v, want %+v (present=%v)", hop, shards, key, g, w, ok)
 			}
 		}
-		if err := s.Close(); err != nil {
+		// The old dirs must be gone: exactly `shards` shard dirs remain.
+		idx, err := shardDirIndices(dir)
+		if err != nil {
 			t.Fatal(err)
+		}
+		if layoutMismatch(idx, shards) {
+			t.Fatalf("hop %d: leftover shard dirs %v for %d shards", hop, idx, shards)
+		}
+		if hop < len(hops)-1 {
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+
+		// The migrated layout must itself survive a crash cycle.
+		if err := s.Start(); err != nil {
+			t.Fatal(err)
+		}
+		if err := dial(t, s).Set("post-migrate", []byte("p"), 0, 0, 3); err != nil {
+			t.Fatal(err)
+		}
+		s.Kill()
+		s2, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s2.Close()
+		got = captureState(s2)
+		if len(got) != 121 {
+			t.Fatalf("post-migration crash recovery: %d items, want 121", len(got))
+		}
+		for key, w := range want {
+			if g, ok := got[key]; !ok || g != w {
+				t.Fatalf("post-migration crash recovery: key %q = %+v, want %+v (present=%v)", key, g, w, ok)
+			}
+		}
+		if it := got["post-migrate"]; it.value != "p" || it.cost != 3 {
+			t.Fatalf("post-migration crash recovery: post-migrate = %+v", it)
 		}
 	}
 }

@@ -207,7 +207,6 @@ var serverStats = []stat[Server]{
 		}
 		return gen
 	}},
-	{name: "aof_enabled", when: persisted, get: func(s *Server) int64 { return b2i(!s.cfg.Persist.DisableAOF) }},
 	{name: "persist_errors", when: persisted, get: func(s *Server) int64 { return int64(s.counters.persistErrors.Load()) }},
 	{name: "persist_snapshots", when: persisted, get: func(s *Server) int64 { return int64(s.counters.persistSnapshots.Load()) }},
 	{name: "restored_snapshot_ops", when: persisted, get: func(s *Server) int64 { return int64(s.recovered.SnapshotOps) }},

@@ -81,6 +81,65 @@ func TestShutdownDrainsFeedToFollower(t *testing.T) {
 	}
 }
 
+// TestShutdownServesConnQueuedInKernel: a connection whose handshake the
+// kernel finished before Shutdown began, but which the accept loop has not
+// taken yet, gets its pipelined commands answered. Closing the listener at
+// once reset it, and the client read "connection reset by peer".
+func TestShutdownServesConnQueuedInKernel(t *testing.T) {
+	s, err := New(Config{MemoryBytes: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.ln, err = net.Listen("tcp", "127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	client, err := net.Dial("tcp", s.ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	if _, err := client.Write([]byte("set k 0 0 1\r\nv\r\nversion\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	// The accept loop starts only once the stop has begun.
+	s.wg.Add(1)
+	s.clients.Add(1)
+	go func() {
+		for {
+			s.connMu.Lock()
+			closed := s.closed
+			s.connMu.Unlock()
+			if closed {
+				break
+			}
+			time.Sleep(time.Millisecond)
+		}
+		s.acceptLoop()
+	}()
+	replies := make(chan string, 1)
+	go func() {
+		client.SetReadDeadline(time.Now().Add(10 * time.Second))
+		r := bufio.NewReader(client)
+		var got []string
+		for len(got) < 2 {
+			line, err := r.ReadString('\n')
+			if err != nil {
+				got = append(got, "read: "+err.Error())
+				break
+			}
+			got = append(got, strings.TrimRight(line, "\r\n"))
+		}
+		client.Close()
+		replies <- strings.Join(got, " | ")
+	}()
+	if err := s.Shutdown(5 * time.Second); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	if got := <-replies; !strings.HasPrefix(got, "STORED | VERSION ") {
+		t.Fatalf("client queued in the kernel before Shutdown read %q, want STORED | VERSION", got)
+	}
+}
+
 // lateListener hands back its one connection only once the server is
 // closed: a connection the kernel accepted before Shutdown began but the
 // accept loop had not registered yet. Its second Accept blocks until Close.

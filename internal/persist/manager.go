@@ -39,9 +39,6 @@ type Options struct {
 	// Fsync is one of FsyncAlways, FsyncEverySec or FsyncNo
 	// (default FsyncEverySec).
 	Fsync string
-	// DisableAOF turns off journaling; durability then comes only from
-	// explicit Compact calls (snapshot-interval or shutdown snapshots).
-	DisableAOF bool
 	// AOFLimit is the AOF byte size beyond which NeedsCompaction reports
 	// true (default DefaultAOFLimit).
 	AOFLimit int64
@@ -70,7 +67,6 @@ type RecoverStats struct {
 type Info struct {
 	Generation   uint64
 	SnapshotGen  uint64
-	AOFEnabled   bool
 	AOFSize      int64
 	Fsync        string
 	Compactions  uint64
@@ -189,15 +185,13 @@ func Open(opts Options, apply func(Op) error) (*Manager, RecoverStats, error) {
 	// so generations between snapGen and gen are still load-bearing.
 	m.removeStaleLocked(m.snapGen)
 
-	if !opts.DisableAOF {
-		if err := m.openAOFLocked(m.gen); err != nil {
-			lock.Release()
-			return nil, stats, err
-		}
-		if opts.Fsync == FsyncEverySec {
-			m.wg.Add(1)
-			go m.syncLoop()
-		}
+	if err := m.openAOFLocked(m.gen); err != nil {
+		lock.Release()
+		return nil, stats, err
+	}
+	if opts.Fsync == FsyncEverySec {
+		m.wg.Add(1)
+		go m.syncLoop()
 	}
 	return m, stats, nil
 }
@@ -250,47 +244,10 @@ func recoverDir(fs fault.FS, dir string, logf func(format string, args ...any), 
 	return gen, snapGen, stats, nil
 }
 
-// HasState reports whether dir directly contains snapshot or AOF files
-// (subdirectories are not considered). A missing dir simply has no state.
-func HasState(dir string) (bool, error) {
-	snaps, aofs, err := scanDir(defaultFS, dir)
-	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return false, nil
-		}
-		return false, err
-	}
-	return len(snaps)+len(aofs) > 0, nil
-}
-
 // SnapshotPath returns the path of generation gen's snapshot inside dir,
 // for callers staging a directory that a Manager will later Open.
 func SnapshotPath(dir string, gen uint64) string {
 	return filepath.Join(dir, snapName(gen))
-}
-
-// RemoveState deletes every snapshot and AOF file directly inside dir
-// (subdirectories and other files are untouched). Layout migrations call it
-// after the state has been re-staged elsewhere.
-func RemoveState(dir string) error {
-	snaps, aofs, err := scanDir(defaultFS, dir)
-	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return nil
-		}
-		return err
-	}
-	for _, g := range snaps {
-		if err := os.Remove(filepath.Join(dir, snapName(g))); err != nil && !os.IsNotExist(err) {
-			return fmt.Errorf("persist: remove snapshot: %w", err)
-		}
-	}
-	for _, g := range aofs {
-		if err := os.Remove(filepath.Join(dir, aofName(g))); err != nil && !os.IsNotExist(err) {
-			return fmt.Errorf("persist: remove aof: %w", err)
-		}
-	}
-	return nil
 }
 
 // SyncDir fsyncs a directory so renames and removals inside it survive a
@@ -307,7 +264,6 @@ func (m *Manager) Info() Info {
 	return Info{
 		Generation:   m.gen,
 		SnapshotGen:  m.snapGen,
-		AOFEnabled:   !m.opts.DisableAOF,
 		AOFSize:      m.aofLen + int64(len(m.buf)),
 		Fsync:        m.opts.Fsync,
 		Compactions:  m.compactions,
@@ -323,7 +279,7 @@ const flushAt = 64 << 10
 
 // Append journals one mutation: the record is encoded into the manager's
 // buffer and reaches the file — with every record buffered before it, in one
-// write — at the next Flush. Append is a no-op when the AOF is disabled.
+// write — at the next Flush.
 //
 // The caller owns the flush rule: call Flush before anything that reflects the
 // mutation becomes visible outside the process (a reply, a value read back, a
@@ -332,9 +288,6 @@ const flushAt = 64 << 10
 // record, which nobody was told about. BeginCompact, Close and the everysec
 // tick flush first; Detach and Kill drop the buffer.
 func (m *Manager) Append(op Op) error {
-	if m.opts.DisableAOF {
-		return nil
-	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if err := m.attachedLocked(); err != nil {
@@ -348,7 +301,7 @@ func (m *Manager) Append(op Op) error {
 // encoded back to back, so whichever write carries one carries all of them in
 // order (a replica's op and the position record that accounts for it).
 func (m *Manager) AppendBatch(ops []Op) error {
-	if m.opts.DisableAOF || len(ops) == 0 {
+	if len(ops) == 0 {
 		return nil
 	}
 	m.mu.Lock()
@@ -392,7 +345,7 @@ func (m *Manager) bufferedLocked() error {
 // With nothing buffered it is one atomic load. On a detached or closed
 // manager it returns an error and writes nothing.
 func (m *Manager) Flush() error {
-	if m.idle.Load() || m.opts.DisableAOF {
+	if m.idle.Load() {
 		return nil
 	}
 	m.mu.Lock()
@@ -472,9 +425,6 @@ func newRunID() uint64 {
 // outgrown Options.AOFLimit, or is detached after a failed segment switch
 // (compacting again reattaches it).
 func (m *Manager) NeedsCompaction() bool {
-	if m.opts.DisableAOF {
-		return false
-	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
@@ -524,18 +474,16 @@ func (m *Manager) BeginCompact() (*Compaction, error) {
 		}
 	}
 	newGen := m.gen + 1
-	if !m.opts.DisableAOF {
-		old, oldLen := m.aof, m.aofLen
-		m.aof = nil
-		if err := m.openAOFLocked(newGen); err != nil {
-			m.aof, m.aofLen = old, oldLen
-			return nil, err
-		}
-		if old != nil {
-			old.Close() // best-effort: already synced above
-		} else {
-			m.tailFloor = newGen // reattaching after Detach
-		}
+	old, oldLen := m.aof, m.aofLen
+	m.aof = nil
+	if err := m.openAOFLocked(newGen); err != nil {
+		m.aof, m.aofLen = old, oldLen
+		return nil, err
+	}
+	if old != nil {
+		old.Close() // best-effort: already synced above
+	} else {
+		m.tailFloor = newGen // reattaching after Detach
 	}
 	m.gen = newGen
 	m.compacting = true
@@ -602,9 +550,6 @@ func (m *Manager) Detach() {
 // attempting a healing compaction — a cheap end-to-end disk check that
 // exercises exactly the syscalls a journal append needs.
 func (m *Manager) Probe() error {
-	if m.opts.DisableAOF {
-		return nil
-	}
 	m.mu.Lock()
 	fs, dir := m.fs, m.opts.Dir
 	closed := m.closed

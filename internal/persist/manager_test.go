@@ -296,41 +296,6 @@ func TestManagerCompaction(t *testing.T) {
 	}
 }
 
-// TestManagerSnapshotOnly covers DisableAOF: durability comes entirely from
-// Compact calls; Append is a no-op.
-func TestManagerSnapshotOnly(t *testing.T) {
-	dir := t.TempDir()
-	st := newMapStore()
-	m, _ := openTest(t, dir, Options{DisableAOF: true}, st)
-	for i := 0; i < 5; i++ {
-		op := Op{Kind: KindSet, Key: fmt.Sprintf("k%d", i), Value: []byte("v"), Size: 10, Cost: 7}
-		if err := st.apply(op); err != nil {
-			t.Fatal(err)
-		}
-		if err := m.Append(op); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if m.NeedsCompaction() {
-		t.Fatal("NeedsCompaction must be false with the AOF disabled")
-	}
-	if err := m.Compact(st.emit); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "aof-00000001.log")); !os.IsNotExist(err) {
-		t.Fatal("snapshot-only mode created an AOF segment")
-	}
-	st2 := newMapStore()
-	m2, stats := openTest(t, dir, Options{DisableAOF: true}, st2)
-	defer m2.Close()
-	if stats.SnapshotOps != 5 || len(st2.m) != 5 {
-		t.Fatalf("snapshot-only recovery: %+v with %d keys", stats, len(st2.m))
-	}
-}
-
 // TestManagerFlushRecord journals a KindFlush and checks replay empties the
 // store before applying later ops.
 func TestManagerFlushRecord(t *testing.T) {

@@ -82,9 +82,6 @@ func (m *Manager) tailFromLocked(gen uint64, off int64) (*TailReader, error) {
 	if m.closed {
 		return nil, ErrClosed
 	}
-	if m.opts.DisableAOF {
-		return nil, errors.New("persist: journaling disabled")
-	}
 	if gen == 0 || gen > m.gen || gen < m.tailFloor {
 		return nil, fmt.Errorf("%w: generation %d (journal at %d, unbroken from %d)", ErrStalePosition, gen, m.gen, m.tailFloor)
 	}
@@ -148,9 +145,6 @@ func (m *Manager) FullSync() (*FullSyncSource, error) {
 	defer m.mu.Unlock()
 	if m.closed {
 		return nil, ErrClosed
-	}
-	if m.opts.DisableAOF {
-		return nil, errors.New("persist: journaling disabled")
 	}
 	fs := &FullSyncSource{SnapGen: m.snapGen}
 	if m.snapGen > 0 {
